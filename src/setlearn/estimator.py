@@ -9,15 +9,20 @@ approaches 1 on the support of the sampling distribution and falls off
 away from it when the kernel separates the support.  The estimated set is
 the superlevel set {x : F_n(x) >= 1 - tau}.
 
-Three score paths compute the same quantity:
+Every score path is one contraction F = sum_i w_i * Y_i^2 over a factor
+of the fitted model, computed once and cached:
 
 ``spectral``
-    one eigendecomposition of K_n/n, then any filter and any
-    regularization strength is a cheap reweighting.  The default.
-``cholesky``
-    Tikhonov only: solve (K_n + n*lam*I) alpha = K_x by Cholesky.
+    Y = V' K_x and w = g(s)/n from the eigendecomposition K_n/n = V diag(s) V'.
+    Any filter; any regularization strength is a cheap reweighting.
 ``landweber``
-    Landweber only: m+1 gradient steps, never factorizing K_n.
+    Landweber only, through the same eigendecomposition with the exact
+    polynomial gain g_m(s) = sum_{k<=m} (1-s)^k.  The m+1 step gradient
+    iteration (:func:`landweber_coefficients`) is the reference the tests
+    check it against.
+``cholesky``
+    Tikhonov only: Y = L^-1 K_x and w = 1, where L L' = K_n + n*lam*I;
+    one triangular solve per batch.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .errors import DataError, NumericError, UsageError
 from .filters import (Filter, KpcaTruncation, Landweber, SpectralCutoff,
@@ -92,18 +97,28 @@ class SupportModel:
 
     def _cho_factor(self):
         if self._cho is None:
-            n = self.n
-            M = self.gram.entries + (n * self.filter.lam) * np.eye(n)
-            try:
-                object.__setattr__(self, "_cho", cho_factor(M, lower=True))
-            except np.linalg.LinAlgError as exc:
-                raise NumericError(f"Cholesky factorization failed: {exc}") from None
+            object.__setattr__(self, "_cho", _cholesky(self.gram.entries, self.filter.lam))
         return self._cho
 
 
+def _cholesky(entries, lam):
+    """Lower Cholesky factor of K_n + n*lam*I, as ``cho_factor`` returns it.
+
+    The matrix is built in one Fortran-ordered copy of the Gram entries and
+    factorized in place; the upper triangle is left as scratch.
+    """
+    n = entries.shape[0]
+    M = np.array(entries, dtype=float, order="F")
+    M.flat[::n + 1] += n * lam
+    try:
+        return cho_factor(M, lower=True, overwrite_a=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"Cholesky factorization failed: {exc}") from None
+
+
 def default_algorithm(filter):
-    """Cheapest score path for a filter: direct solve for Tikhonov, the
-    iteration for Landweber, the eigendecomposition otherwise."""
+    """Default score path for a filter: the triangular solve for Tikhonov,
+    the polynomial gain for Landweber, the eigendecomposition otherwise."""
     if isinstance(filter, Tikhonov):
         return "cholesky"
     if isinstance(filter, Landweber):
@@ -166,22 +181,22 @@ def _check_query(model, X):
 
 
 def score_batch(model, X):
-    """Scores F_n for a batch of query points, clamped to [0, 1]."""
+    """Scores F_n for a batch of query points, clamped to [0, 1].
+
+    One contraction F = sum_i w_i * Y_i^2: Y = V' K_x with w = g(s)/n on the
+    eigendecomposition (``spectral`` and ``landweber``), or Y = L^-1 K_x with
+    w = 1 on the Cholesky factor (``cholesky``).
+    """
     X = _check_query(model, X)
     Kx = cross_gram(model.kernel, model.points, X)
-    n = model.n
-    if model.algorithm == "spectral":
-        D = model.decomposition()
-        W = D.eigenvectors.T @ Kx
-        gv = _scoring_gains(model.filter, D.eigenvalues)
-        F = (gv[:, None] * W * W).sum(axis=0) / n
-    elif model.algorithm == "cholesky":
-        alpha = cho_solve(model._cho_factor(), Kx)
-        F = np.einsum("ij,ij->j", alpha, Kx)
+    if model.algorithm == "cholesky":
+        Y = solve_triangular(model._cho_factor()[0], Kx, lower=True, check_finite=False)
+        w = np.ones(model.n)
     else:
-        alpha = landweber_coefficients(model.gram, Kx, model.filter.iterations)
-        F = np.einsum("ij,ij->j", alpha, Kx)
-    return np.clip(F, 0.0, 1.0)
+        D = model.decomposition()
+        Y = D.eigenvectors.T @ Kx
+        w = _scoring_gains(model.filter, D.eigenvalues) / model.n
+    return np.clip(w @ np.square(Y, out=Y), 0.0, 1.0)
 
 
 def score(model, x):
@@ -222,13 +237,7 @@ def tikhonov_coefficients(g, kx, lam):
     lam = float(lam)
     if not np.isfinite(lam) or lam <= 0:
         raise UsageError(f"lam must be positive and finite, got {lam!r}")
-    n = g.n
-    M = g.entries + (n * lam) * np.eye(n)
-    try:
-        c = cho_factor(M, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"Cholesky factorization failed: {exc}") from None
-    return cho_solve(c, np.asarray(kx, dtype=float))
+    return cho_solve(_cholesky(g.entries, lam), np.asarray(kx, dtype=float))
 
 
 def landweber_coefficients(g, kx, iterations):
@@ -259,11 +268,11 @@ def regularization_path(model, X, grid):
     X = _check_query(model, X)
     D = model.decomposition()
     Kx = cross_gram(model.kernel, model.points, X)
-    W2 = (D.eigenvectors.T @ Kx) ** 2
+    W2 = np.square(D.eigenvectors.T @ Kx)
     out = np.empty((len(grid), X.shape[0]))
     for i, value in enumerate(grid):
-        gv = _scoring_gains(_reparameterize(model.filter, value), D.eigenvalues)
-        out[i] = np.clip((gv[:, None] * W2).sum(axis=0) / model.n, 0.0, 1.0)
+        w = _scoring_gains(_reparameterize(model.filter, value), D.eigenvalues) / model.n
+        out[i] = np.clip(w @ W2, 0.0, 1.0)
     return out
 
 

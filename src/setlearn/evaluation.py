@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.spatial.distance import cdist
-from scipy.stats import rankdata
 
 from .errors import DataError, UsageError
 from .kernels import _as_points, metric_matrix
@@ -51,6 +50,23 @@ def symdiff_measure(inside_a, inside_b, cell_volume):
     return float(cell_volume) * int(np.count_nonzero(a != b))
 
 
+def _average_ranks(values):
+    """1-based ranks of a vector, ties given the mean of their positions.
+
+    The same values as ``scipy.stats.rankdata`` with its default average
+    method, without importing ``scipy.stats``.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # tie groups are runs of equal values in sorted order
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], ordered.size]
+    group_rank = (starts + 1 + ends) / 2.0
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(group_rank, ends - starts)
+    return ranks
+
+
 def roc_auc(scores, labels):
     """ROC points and the area under the curve for labeled scores.
 
@@ -71,7 +87,7 @@ def roc_auc(scores, labels):
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC needs at least one positive and one negative label")
 
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     u_stat = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
     auc = float(u_stat / (n_pos * n_neg))
 

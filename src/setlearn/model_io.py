@@ -14,7 +14,8 @@ payload.  The header is key=value, one per line; lines starting with
 
 Loading rebuilds the model through the normal fit path, so a round trip
 reproduces scores to better than 1e-12 (exactly, in fact, for the text
-format since %.17g round-trips every double).
+format since %.17g round-trips every double).  A stored decomposition is
+checked against the rebuilt Gram matrix before it is trusted.
 """
 
 from __future__ import annotations
@@ -23,13 +24,17 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .estimator import fit
-from .filters import SpectralDecomposition, format_filter, parse_filter
+from .filters import (EIG_SLACK, SpectralDecomposition, format_filter,
+                      parse_filter)
 from .kernels import format_kernel, parse_kernel
 
 __all__ = ["save_model", "load_model"]
 
 _MAGIC = "# support model v1"
 _MARKER = b"data:\n"
+
+# Leading eigenpairs whose residual and orthonormality a load checks.
+_CHECKED_PAIRS = 8
 
 
 def _fmt(v):
@@ -156,6 +161,32 @@ def load_model(path):
 
     model = fit(points, kernel, filt, algorithm=fields["algorithm"], tau=tau)
     if with_decomp:
+        _check_decomposition(eigenvalues, eigenvectors, model.gram.entries, path)
         object.__setattr__(model, "_decomposition",
                            SpectralDecomposition(eigenvalues, eigenvectors))
     return model
+
+
+def _check_decomposition(s, V, K, path):
+    """Reject stored eigenpairs that are not those of K_n/n.
+
+    O(n^2 k) for k leading pairs: the eigenvalues must lie in [0, 1] and sum
+    to trace(K_n/n), and the leading pairs must have small eigen-residuals
+    and be orthonormal.
+    """
+    n = s.shape[0]
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(V))):
+        raise DataError(f"{path}: stored decomposition has non-finite values")
+    if s.min() < 0.0 or s.max() > 1.0:
+        raise DataError(f"{path}: stored eigenvalues lie outside [0, 1]")
+    if abs(s.sum() - np.trace(K) / n) > EIG_SLACK * n:
+        raise DataError(f"{path}: stored eigenvalues do not sum to trace(K_n/n)")
+    k = min(n, _CHECKED_PAIRS)
+    Vk = V[:, :k]
+    residual = np.linalg.norm(K @ Vk / n - Vk * s[:k], axis=0).max()
+    if residual > EIG_SLACK:
+        raise DataError(
+            f"{path}: stored eigenpairs do not match the Gram matrix "
+            f"(residual {residual:.3e})")
+    if np.abs(Vk.T @ Vk - np.eye(k)).max() > EIG_SLACK:
+        raise DataError(f"{path}: stored eigenvectors are not orthonormal")

@@ -396,6 +396,19 @@ def test_cli_exit_codes(tmp_path, circle_csv):
                  "--out", str(tmp_path / "m.txt"), "--no-timestamp"]) == 2
 
 
+def test_cli_score_rejects_tampered_decomposition(tmp_path, circle_csv):
+    model = tmp_path / "m.txt"
+    assert main(["train", "--data", str(circle_csv), "--header", "--kernel", "abel",
+                 "--sigma", "0.6", "--filter", "landweber", "--m", "50",
+                 "--store-decomposition", "--out", str(model), "--no-timestamp"]) == 0
+    lines = model.read_text().splitlines()
+    row = lines.index("data:") + 1 + 60   # the eigenvalue line follows the points
+    lines[row] = " ".join(repr(2.0 * float(v)) for v in lines[row].split())
+    model.write_text("\n".join(lines) + "\n")
+    assert main(["score", "--model", str(model), "--data", str(circle_csv), "--header",
+                 "--out", str(tmp_path / "s.csv"), "--no-timestamp"]) == 3
+
+
 def test_cli_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

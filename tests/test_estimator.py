@@ -1,11 +1,14 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setlearn import (Abel, KpcaTruncation, Landweber, Linear, SpectralCutoff,
-                      Tikhonov, UsageError, decompose, default_algorithm, fit,
-                      gram, kpca_lambda_from_rank, landweber_coefficients,
-                      predict_member, regularization_path, score, score_batch,
+                      Tikhonov, UsageError, cross_gram, decompose,
+                      default_algorithm, fit, gram, kpca_lambda_from_rank,
+                      landweber_coefficients, predict_member,
+                      regularization_path, score, score_batch,
                       tikhonov_coefficients)
 from setlearn.filters import apply_r
 
@@ -159,6 +162,26 @@ def test_landweber_coefficients_match_decomposition():
         g += (1.0 - s) ** k
     oracle = (D.eigenvectors * g) @ D.eigenvectors.T @ kx / 4.0
     assert np.max(np.abs(alpha - oracle)) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(20, 200), d=st.integers(1, 5),
+       sigma=st.floats(0.5, 2.0), log_lam=st.floats(-3.0, 0.0), m=st.integers(1, 100))
+def test_score_contractions_match_references(seed, n, d, sigma, log_lam, m):
+    # the ranges test_score_paths_agree draws from
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, (n, d))
+    X = np.vstack([pts, rng.uniform(-1.2, 1.2, (20, d))])
+    kernel = Abel(sigma)
+    Kx = cross_gram(kernel, pts, X)
+    alpha = landweber_coefficients(gram(kernel, pts), Kx, m)
+    iterated = np.clip(np.einsum("ij,ij->j", alpha, Kx), 0.0, 1.0)
+    contracted = score_batch(fit(pts, kernel, Landweber(m), algorithm="landweber"), X)
+    assert np.max(np.abs(contracted - iterated)) <= 1e-10
+    lam = 10.0 ** log_lam
+    one_solve = score_batch(fit(pts, kernel, Tikhonov(lam), algorithm="cholesky"), X)
+    spectral = score_batch(fit(pts, kernel, Tikhonov(lam), algorithm="spectral"), X)
+    assert np.max(np.abs(one_solve - spectral)) <= 1e-8
 
 
 def test_landweber_score_monotone_in_m():

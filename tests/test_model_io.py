@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from setlearn import (Abel, DataError, KpcaTruncation, Landweber,
-                      SpectralCutoff, Tikhonov, fit, load_model, save_model,
-                      score_batch)
+                      SpectralCutoff, SpectralDecomposition, Tikhonov, fit,
+                      load_model, save_model, score_batch)
 
 
 def _random_model(seed=0, filt=None, tau=0.25):
@@ -60,6 +62,37 @@ def test_round_trip_with_decomposition(tmp_path, fmt):
     D2 = loaded.decomposition()
     npt.assert_allclose(D2.eigenvalues, D.eigenvalues, atol=1e-15)
     npt.assert_allclose(D2.eigenvectors, D.eigenvectors, atol=1e-15)
+
+
+def _doubled_eigenvalues(s, V):
+    return 2.0 * s, V
+
+
+def _swapped_leading_eigenvalues(s, V):
+    # keeps the trace, breaks the eigen-residuals
+    s = s.copy()
+    s[[0, 1]] = s[[1, 0]]
+    return s, V
+
+
+def _scaled_leading_eigenvector(s, V):
+    # keeps the residual at zero, breaks orthonormality
+    V = V.copy()
+    V[:, 0] *= 2.0
+    return s, V
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+@pytest.mark.parametrize("tamper", [_doubled_eigenvalues, _swapped_leading_eigenvalues,
+                                    _scaled_leading_eigenvector])
+def test_load_rejects_tampered_decomposition(tmp_path, fmt, tamper):
+    m = _random_model(seed=11)
+    D = m.decomposition()
+    bad = replace(m, _decomposition=SpectralDecomposition(*tamper(D.eigenvalues, D.eigenvectors)))
+    path = tmp_path / "model.full"
+    save_model(bad, path, fmt=fmt, include_decomposition=True)
+    with pytest.raises(DataError):
+        load_model(path)
 
 
 def test_save_is_deterministic(tmp_path):
