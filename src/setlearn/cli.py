@@ -20,14 +20,12 @@ from .estimator import (fit, kpca_lambda_from_rank, member_mask,
 from .evaluation import hausdorff, parzen_score, roc_auc, symdiff_measure
 from .filters import (KpcaTruncation, Landweber, SpectralCutoff, Tikhonov,
                       decompose, format_filter, parse_filter)
-from .kernels import (SEPARATES_ALL, Abel, Gaussian, L1Exponential, Linear,
-                      format_kernel, gram, normalize, parse_kernel)
+from .kernels import (_NAMES, SEPARATES_ALL, Linear, format_kernel, gram, normalize,
+                      parse_kernel)
 from .model_io import load_model, save_model
 from .oracles import bernstein_trials, concentration_trials, effective_dimension
 from .selection import lambda_curvature, rate_lambda, width_heuristic
 from .synth import get_task, reference_grid, reference_support, sample, task_names
-
-_NAMED_KERNELS = {"abel": Abel, "l1exp": L1Exponential, "gaussian": Gaussian}
 
 
 def _warn(msg):
@@ -79,9 +77,9 @@ def _resolve_kernel(args, points, warn=True):
         kernel, note = parse_kernel(text), "from spec"
     elif text == "linear":
         kernel, note = Linear(), ""
-    elif text in _NAMED_KERNELS:
+    elif text in _NAMES:
         sigma, note = _resolve_sigma(args.sigma, points)
-        kernel = _NAMED_KERNELS[text](sigma)
+        kernel = _NAMES[text](sigma)
     else:
         raise UsageError(
             f"unknown kernel {text!r}; use one of abel, l1exp, gaussian, linear "

@@ -159,7 +159,10 @@ def load_model(path):
             eigenvalues = flat[n * d:n * d + n].copy()
             eigenvectors = flat[n * d + n:].reshape(n, n).copy()
 
-    model = fit(points, kernel, filt, algorithm=fields["algorithm"], tau=tau)
+    try:
+        model = fit(points, kernel, filt, algorithm=fields["algorithm"], tau=tau)
+    except UsageError as exc:
+        raise DataError(f"{path}: {exc}") from None
     if with_decomp:
         _check_decomposition(eigenvalues, eigenvectors, model.gram.entries, path)
         object.__setattr__(model, "_decomposition",

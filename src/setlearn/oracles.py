@@ -1,22 +1,18 @@
 """Operator-level identities, error-bound calculators and their Monte-Carlo checks.
 
 Nothing here scores points.  The module gives exact finite realizations
-of the quantities the theory argues about, so tests and experiments can
-compare the estimator against them:
+of what the theory argues about, for tests to compare the estimator with:
 
 * the empirical integral operator T_n = (1/n) sum K_{x_i} (x) K_{x_i},
-  represented implicitly by its sample, with Hilbert-Schmidt distances
-  reduced to Gram algebra (no eigendecomposition, no explicit operator),
-* concentration / sample-error / approximation-error / finite-sample
-  bound formulas as plain calculators,
+  held as its sample; its Hilbert-Schmidt norms and distances are sums
+  of squared kernel values, taken over cache-sized tiles,
+* bound formulas (concentration, sample, approximation, finite-sample),
 * a matrix-function perturbation check for Lipschitz filters,
-* the tolerance-rank pseudo-inverse score, the exact lambda -> 0 limit
-  of the spectral-cutoff estimator,
+* the pseudo-inverse score, the lambda -> 0 limit of spectral cutoff,
 * seeded Monte-Carlo harnesses that report observed-vs-bound tables.
 
 The true operator T is never formed; a large reference sample stands in
-for it in the Monte-Carlo checks and the substitution error is the
-reference's own concentration, which the harness reports.
+for it, and the harness reports that substitution's own error bound.
 """
 
 from __future__ import annotations
@@ -40,6 +36,8 @@ __all__ = [
 # Rank tolerance of the pseudo-inverse, relative to the largest singular
 # value; shared with the estimator's null-eigenvalue convention.
 PINV_RCOND = 1e-12
+
+TILE = 256  # default tile edge of the Gram-square sums; such a tile stays in cache
 
 # Sub-stream index reserved for the reference sample of a harness; trial
 # streams use [seed, trial] with trial < 2^31.
@@ -65,23 +63,32 @@ class EmpiricalOperator:
         return self.points.shape[0]
 
 
-def _mean_sq(kernel, X, Y, block):
-    """(1/(|X||Y|)) sum_ij K(x_i, y_j)^2, accumulated blockwise."""
+def _self_sum(kernel, X, block):
+    """sum_ij K(x_i, x_j)^2; K is symmetric, so only upper-triangle tiles."""
     total = 0.0
     for i in range(0, X.shape[0], block):
-        xi = X[i:i + block]
+        for j in range(i, X.shape[0], block):
+            M = kernel._pairwise(X[i:i + block], X[j:j + block])
+            total += (1.0 if i == j else 2.0) * float(np.einsum("ij,ij->", M, M))
+    return total
+
+
+def _row_sums(kernel, X, Y, block):
+    """sum_j K(x_i, y_j)^2 per row; a row's bits do not depend on other rows."""
+    out = np.zeros(X.shape[0])
+    for i in range(0, X.shape[0], block):
         for j in range(0, Y.shape[0], block):
-            M = kernel._pairwise(xi, Y[j:j + block])
-            total += float(np.einsum("ij,ij->", M, M))
-    return total / (X.shape[0] * Y.shape[0])
+            M = kernel._pairwise(X[i:i + block], Y[j:j + block])
+            out[i:i + block] += np.einsum("ij,ij->i", M, M)
+    return out
 
 
-def hs_norm(op, block=4096):
+def hs_norm(op, block=TILE):
     """Hilbert-Schmidt norm of an empirical operator via the Gram identity."""
-    return float(np.sqrt(_mean_sq(op.kernel, op.points, op.points, block)))
+    return float(np.sqrt(_self_sum(op.kernel, op.points, block) / op.n ** 2))
 
 
-def hs_distance(a, b, block=4096):
+def hs_distance(a, b, block=TILE):
     """Hilbert-Schmidt distance between two empirical operators.
 
     Uses the exact identity
@@ -89,13 +96,17 @@ def hs_distance(a, b, block=4096):
         ||T_n - T_m||^2 = (1/n^2) sum K(x,x')^2 + (1/m^2) sum K(y,y')^2
                           - (2/nm) sum K(x,y)^2,
 
-    so no eigendecomposition is needed and memory stays at one block.
+    so no eigendecomposition is needed and memory stays at one tile.  Equal
+    samples take all three terms from one self-sum, so they give exactly 0.
     """
     if a.kernel != b.kernel:
         raise UsageError("hs_distance needs both operators to share one kernel")
-    taa = _mean_sq(a.kernel, a.points, a.points, block)
-    tbb = _mean_sq(b.kernel, b.points, b.points, block)
-    tab = _mean_sq(a.kernel, a.points, b.points, block)
+    taa = _self_sum(a.kernel, a.points, block) / a.n ** 2
+    if np.array_equal(a.points, b.points):
+        tbb = tab = taa
+    else:
+        tbb = _self_sum(b.kernel, b.points, block) / b.n ** 2
+        tab = float(_row_sums(a.kernel, a.points, b.points, block).sum()) / (a.n * b.n)
     sq = taa + tbb - 2.0 * tab
     if sq < -1e-10 * max(taa + tbb, 1e-300):
         raise NumericError("squared distance came out negative beyond round-off")
@@ -227,26 +238,32 @@ def exact_projection_score(g, kx):
 # sample uses its own reserved stream.
 
 
+def _distances(sample_fn, kernel, sizes, trials, ref_size, seed, block):
+    """||T_n - T_ref|| per trial and prefix size n; one stacked cross-term pass."""
+    if trials < 1 or ref_size < 1:
+        raise UsageError(f"need trials, ref_size >= 1, got {trials!r}, {ref_size!r}")
+    ref = _as_points(sample_fn(ref_size, np.random.default_rng([seed, _REF_STREAM])))
+    ref_term = _self_sum(kernel, ref, block) / ref.shape[0] ** 2
+    samples = [_as_points(sample_fn(sizes[-1], np.random.default_rng([seed, t])))
+               for t in range(trials)]
+    rows = _row_sums(kernel, np.concatenate(samples), ref, block).reshape(trials, -1)
+    self_terms = np.array([[_self_sum(kernel, pts[:n], block) / (n * n) for n in sizes]
+                           for pts in samples])
+    cross_terms = np.stack([rows[:, :n].sum(1) / (n * ref.shape[0]) for n in sizes], 1)
+    return np.sqrt(np.maximum(self_terms + ref_term - 2.0 * cross_terms, 0.0))
+
+
 def concentration_trials(sample_fn, kernel, n, delta, trials, ref_size, seed,
-                         block=4096):
+                         block=TILE):
     """Observed ||T_n - T_ref|| per trial against the concentration bound.
 
     ``sample_fn(n, rng)`` draws a sample.  Returns (observed, bound) where
     observed has one HS distance per trial; the violation fraction
     ``(observed > bound).mean()`` should not exceed 2 e^-delta.
     """
-    if trials < 1:
-        raise UsageError(f"need at least one trial, got {trials!r}")
-    ref = _as_points(sample_fn(ref_size, np.random.default_rng([seed, _REF_STREAM])))
-    ref_term = _mean_sq(kernel, ref, ref, block)
     bound = concentration_bound(n, delta)
-    observed = np.empty(trials)
-    for t in range(trials):
-        pts = _as_points(sample_fn(n, np.random.default_rng([seed, t])))
-        self_term = _mean_sq(kernel, pts, pts, block)
-        cross_term = _mean_sq(kernel, pts, ref, block)
-        observed[t] = np.sqrt(max(self_term + ref_term - 2.0 * cross_term, 0.0))
-    return observed, bound
+    observed = _distances(sample_fn, kernel, [n], trials, ref_size, seed, block)
+    return observed[:, 0], bound
 
 
 def bernstein_trials(n, delta, trials, seed):
@@ -267,7 +284,7 @@ def bernstein_trials(n, delta, trials, seed):
 
 
 def convergence_witness(sample_fn, kernel, sizes, trials, ref_size, seed,
-                        block=4096):
+                        block=TILE):
     """Median of sqrt(n)/log(n) * ||T_n - T_ref|| over nested samples.
 
     For each trial one sample of max(sizes) points is drawn and prefixes
@@ -278,23 +295,6 @@ def convergence_witness(sample_fn, kernel, sizes, trials, ref_size, seed,
     sizes = sorted(int(s) for s in sizes)
     if not sizes or sizes[0] < 2:
         raise UsageError("sizes must be integers >= 2")
-    top = sizes[-1]
-    ref = _as_points(sample_fn(ref_size, np.random.default_rng([seed, _REF_STREAM])))
-    ref_term = _mean_sq(kernel, ref, ref, block)
-    scaled = np.empty((trials, len(sizes)))
-    for t in range(trials):
-        pts = _as_points(sample_fn(top, np.random.default_rng([seed, t])))
-        S = kernel._pairwise(pts, pts) ** 2
-        cross_rows = np.empty(top)
-        for j in range(0, ref_size, block):
-            M = kernel._pairwise(pts, ref[j:j + block])
-            if j == 0:
-                cross_rows = np.einsum("ij,ij->i", M, M)
-            else:
-                cross_rows += np.einsum("ij,ij->i", M, M)
-        for idx, n in enumerate(sizes):
-            self_term = float(S[:n, :n].sum()) / (n * n)
-            cross_term = float(cross_rows[:n].sum()) / (n * ref_size)
-            dist = np.sqrt(max(self_term + ref_term - 2.0 * cross_term, 0.0))
-            scaled[t, idx] = np.sqrt(n) / np.log(n) * dist
-    return np.median(scaled, axis=0)
+    scale = np.sqrt(sizes) / np.log(sizes)
+    return np.median(scale * _distances(sample_fn, kernel, sizes, trials, ref_size,
+                                        seed, block), axis=0)

@@ -378,6 +378,14 @@ def test_cli_verify_bounds_concentration_small(tmp_path):
     assert len(body) == 1 + 5
 
 
+@pytest.mark.parametrize("ref_size", ["0", "-5"])
+def test_cli_verify_bounds_rejects_bad_ref_size(tmp_path, ref_size):
+    code = main(["verify-bounds", "--harness", "concentration", "--sigma", "1",
+                 "--n", "50", "--trials", "2", "--ref-size", ref_size,
+                 "--out", str(tmp_path / "c.csv"), "--no-timestamp"])
+    assert code == 2
+
+
 def test_cli_exit_codes(tmp_path, circle_csv):
     # unknown task -> usage error
     assert main(["synth", "--task", "nope", "--out", str(tmp_path / "x.csv"),
@@ -424,3 +432,17 @@ def test_cli_landweber_path(tmp_path, circle_csv):
     m = load_model(model)
     assert m.algorithm == "landweber"
     assert m.filter.iterations == 50
+
+
+# an unknown algorithm, and one that does not match the model's Tikhonov filter
+@pytest.mark.parametrize("algorithm", ["bogus", "landweber"])
+def test_cli_score_rejects_bad_algorithm(tmp_path, circle_csv, algorithm):
+    model = tmp_path / "m.txt"
+    assert main(["train", "--data", str(circle_csv), "--header", "--kernel", "abel",
+                 "--sigma", "0.6", "--filter", "tikhonov", "--lambda", "0.01",
+                 "--out", str(model), "--no-timestamp"]) == 0
+    lines = [f"algorithm={algorithm}" if l.startswith("algorithm=") else l
+             for l in model.read_text().splitlines()]
+    model.write_text("\n".join(lines) + "\n")
+    assert main(["score", "--model", str(model), "--data", str(circle_csv), "--header",
+                 "--out", str(tmp_path / "s.csv"), "--no-timestamp"]) == 3

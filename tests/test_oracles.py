@@ -3,16 +3,19 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from setlearn import (Abel, EmpiricalOperator, KpcaTruncation, Landweber,
-                      SpectralCutoff, Tikhonov, UsageError,
-                      approximation_error_bound, bernstein_bound,
-                      concentration_bound, cross_gram, decompose,
-                      effective_dimension, exact_projection_score,
+from setlearn import (Abel, EmpiricalOperator, Gaussian, KpcaTruncation,
+                      L1Exponential, Landweber, Linear, SpectralCutoff,
+                      Tikhonov, UsageError, approximation_error_bound,
+                      bernstein_bound, concentration_bound, cross_gram,
+                      decompose, effective_dimension, exact_projection_score,
                       finite_sample_bound, fit, gram, get_task, hs_distance,
-                      hs_norm, maurer_check, sample_error_bound, score_batch)
-from setlearn.oracles import (bernstein_trials, concentration_trials,
-                              convergence_witness)
+                      hs_norm, maurer_check, normalize, product_kernel,
+                      sample_error_bound, score_batch)
+from setlearn.oracles import (_row_sums, _self_sum, bernstein_trials,
+                              concentration_trials, convergence_witness)
 
 
 def _op(points, kernel=Abel(1.0)):
@@ -82,6 +85,24 @@ def test_hs_blockwise_equals_direct():
     a = hs_distance(_op(X), _op(Y))
     b = hs_distance(_op(X), _op(Y), block=7)
     npt.assert_allclose(a, b, rtol=1e-13)
+
+
+_SUM_KERNELS = [Abel(0.7), L1Exponential(1.3), Gaussian(0.9), normalize(Linear()),
+                product_kernel([(Abel(1.0), (0, 1)), (Gaussian(0.5), (1, 3))])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kernel=st.sampled_from(_SUM_KERNELS),
+       n=st.integers(1, 40), m=st.integers(1, 40),
+       tile=st.one_of(st.sampled_from([1, 7, 256]), st.integers(41, 80)))
+def test_tiled_sums_match_dense(seed, kernel, n, m, tile):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 3))
+    Y = rng.normal(size=(m, 3))
+    npt.assert_allclose(_self_sum(kernel, X, tile),
+                        (kernel._pairwise(X, X) ** 2).sum(), rtol=1e-12)
+    npt.assert_allclose(_row_sums(kernel, X, Y, tile),
+                        (kernel._pairwise(X, Y) ** 2).sum(1), rtol=1e-12)
 
 
 def test_concentration_bound_values():
@@ -237,6 +258,16 @@ def test_concentration_trials_prefix_property():
     obs5, _ = concentration_trials(task.draw, Abel(1.0), 50, 2.0,
                                    trials=5, ref_size=500, seed=4)
     npt.assert_array_equal(obs[:5], obs5)
+
+
+@pytest.mark.parametrize("n, trials, ref_size",
+                         [(0, 2, 100), (20, 0, 100), (20, 2, 0), (20, 2, -5)])
+def test_harnesses_reject_bad_counts(n, trials, ref_size):
+    task = get_task("circle")
+    with pytest.raises(UsageError):
+        concentration_trials(task.draw, Abel(1.0), n, 2.0, trials, ref_size, seed=0)
+    with pytest.raises(UsageError):
+        convergence_witness(task.draw, Abel(1.0), [n, 30], trials, ref_size, seed=0)
 
 
 def test_bernstein_trials_violation_rate():
