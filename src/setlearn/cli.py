@@ -13,17 +13,18 @@ import sys
 
 import numpy as np
 
-from .data import fmt_value, load_csv, write_table
+from .data import fmt_value as _f, load_csv, write_table
 from .errors import DataError, NumericError, UsageError
-from .estimator import (fit, kpca_lambda_from_rank, member_mask,
-                        regularization_path, score_batch)
+# fit is not called here; bench/tracing.py wraps it under this module's name.
+from .estimator import _fit, fit, member_mask, regularization_path, score_batch  # noqa: F401
 from .evaluation import hausdorff, parzen_score, roc_auc, symdiff_measure
 from .filters import (KpcaTruncation, Landweber, SpectralCutoff, Tikhonov,
-                      decompose, format_filter, parse_filter)
+                      decompose, format_filter, parse_filter, spectrum)
 from .kernels import (_NAMES, SEPARATES_ALL, Linear, format_kernel, gram, normalize,
                       parse_kernel)
 from .model_io import load_model, save_model
-from .oracles import bernstein_trials, concentration_trials, effective_dimension
+from .oracles import (bernstein_trials, concentration_bound, concentration_trials,
+                      effective_dimension)
 from .selection import lambda_curvature, rate_lambda, width_heuristic
 from .synth import get_task, reference_grid, reference_support, sample, task_names
 
@@ -34,10 +35,6 @@ def _warn(msg):
 
 def _say(msg):
     print(msg)
-
-
-def _f(v):
-    return fmt_value(v)
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +91,10 @@ def _resolve_kernel(args, points, warn=True):
     return kernel, note
 
 
-def _resolve_lam(spec, n, decomposition):
+def _resolve_lam(spec, n, eigenvalues):
     spec = spec.strip()
     if spec == "auto":
-        return lambda_curvature(decomposition.eigenvalues), "auto (spectral curvature)"
+        return lambda_curvature(eigenvalues), "auto (spectral curvature)"
     if spec.startswith("rate:"):
         parts = spec[len("rate:"):].split(",")
         try:
@@ -111,49 +108,51 @@ def _resolve_lam(spec, n, decomposition):
         raise UsageError(f"bad --lambda {spec!r}") from None
 
 
-def _resolve_filter(args, n, decomposition):
+def _filter_flags(args):
+    """(family, filter, note) from the filter flags; the filter is None while its
+    lambda awaits the spectrum, and a kPCA component count is left to fit."""
     text = args.filter.strip()
     if any(ch in text for ch in " ="):
-        filt, note = parse_filter(text), "from spec"
-        if isinstance(filt, KpcaTruncation) and filt.lam is None:
-            filt = KpcaTruncation(lam=kpca_lambda_from_rank(decomposition, filt.components))
-            note = "from spec, components resolved"
-        return filt, note
-    if text == "tikhonov":
-        lam, note = _resolve_lam(args.lam, n, decomposition)
-        return Tikhonov(lam), note
-    if text == "cutoff":
-        lam, note = _resolve_lam(args.lam, n, decomposition)
-        return SpectralCutoff(lam), note
+        filt = parse_filter(text)
+        unresolved = isinstance(filt, KpcaTruncation) and filt.lam is None
+        return type(filt), filt, "from spec, components resolved" if unresolved else "from spec"
     if text == "landweber":
         if args.m is None:
             raise UsageError("--filter landweber needs --m")
-        return Landweber(args.m), f"m={args.m}"
-    if text == "kpca":
-        if args.components is not None:
-            lam = kpca_lambda_from_rank(decomposition, args.components)
-            return KpcaTruncation(lam=lam), f"components={args.components}"
-        lam, note = _resolve_lam(args.lam, n, decomposition)
-        return KpcaTruncation(lam=lam), note
-    raise UsageError(
-        f"unknown filter {text!r}; use one of tikhonov, cutoff, landweber, kpca "
-        "or a full filter spec")
+        return Landweber, Landweber(args.m), f"m={args.m}"
+    if text == "kpca" and args.components is not None:
+        return (KpcaTruncation, KpcaTruncation(components=args.components),
+                f"components={args.components}")
+    family = {"tikhonov": Tikhonov, "cutoff": SpectralCutoff, "kpca": KpcaTruncation}.get(text)
+    if family is None:
+        raise UsageError(
+            f"unknown filter {text!r}; use one of tikhonov, cutoff, landweber, kpca "
+            "or a full filter spec")
+    return family, None, None
 
 
-def _build_model(points, args, warn=True):
-    """Resolve kernel and filter against the sample, fit, keep one eigh."""
+def _build_model(points, args, warn=True, vectors=False):
+    """Resolve kernel and filter against the sample and fit, from one Gram
+    matrix and one spectral solve: eigenvalues only when the model scores
+    through its Cholesky factor and the caller needs no eigenvectors, else
+    the decomposition, which the model keeps.  Returns the model, the
+    eigenvalues of K_n/n and the kernel and filter notes."""
     kernel, kernel_note = _resolve_kernel(args, points, warn=warn)
-    G = gram(kernel, points)
-    D = decompose(G)
-    filt, filter_note = _resolve_filter(args, points.shape[0], D)
+    family, filt, filter_note = _filter_flags(args)
     algorithm = None if args.algorithm == "auto" else args.algorithm
-    model = fit(points, kernel, filt, algorithm=algorithm, tau=args.tau)
-    object.__setattr__(model, "_decomposition", D)
-    return model, kernel_note, filter_note
+    G = gram(kernel, points)
+    cholesky = family is Tikhonov and algorithm in (None, "cholesky")
+    D = None if cholesky and not vectors else decompose(G)
+    eigenvalues = spectrum(G) if D is None else D.eigenvalues
+    if filt is None:
+        lam, filter_note = _resolve_lam(args.lam, points.shape[0], eigenvalues)
+        filt = family(lam)
+    model = _fit(points, kernel, filt, algorithm, args.tau, G, D)
+    return model, eigenvalues, kernel_note, filter_note
 
 
 def _config_meta(model, kernel_note, filter_note):
-    meta = [
+    return [
         format_kernel(model.kernel) + (f" ({kernel_note})" if kernel_note else ""),
         format_filter(model.filter) + (f" ({filter_note})" if filter_note else ""),
         f"algorithm={model.algorithm}",
@@ -161,23 +160,18 @@ def _config_meta(model, kernel_note, filter_note):
         f"n={model.n}",
         f"d={model.dim}",
     ]
-    return meta
 
 
-def _summary(model, kernel_note, filter_note):
-    D = model.decomposition()
-    top = ", ".join(_f(v) for v in D.eigenvalues[:5])
-    positive = int(np.count_nonzero(D.eigenvalues > 1e-12))
-    _say(f"n={model.n} d={model.dim}")
-    note = f" ({kernel_note})" if kernel_note else ""
-    _say(f"{format_kernel(model.kernel)}{note}")
-    note = f" ({filter_note})" if filter_note else ""
-    _say(f"{format_filter(model.filter)}{note}")
+def _summary(model, eigenvalues, kernel_note, filter_note):
+    kernel, filt = _config_meta(model, kernel_note, filter_note)[:2]
+    top = ", ".join(_f(v) for v in eigenvalues[:5])
+    positive = int(np.count_nonzero(eigenvalues > 1e-12))
+    _say(f"n={model.n} d={model.dim}\n{kernel}\n{filt}")
     _say(f"algorithm={model.algorithm} tau={_f(model.tau)}")
     _say(f"eigenvalues: top=[{top}] positive={positive}")
     lam = getattr(model.filter, "lam", None)
     if lam is not None:
-        _say(f"effective_dimension(lambda)={_f(effective_dimension(D, lam))}")
+        _say(f"effective_dimension(lambda)={_f(effective_dimension(eigenvalues, lam))}")
 
 
 # ---------------------------------------------------------------------------
@@ -186,17 +180,17 @@ def _summary(model, kernel_note, filter_note):
 
 def cmd_train(args):
     points, source = _train_points(args)
-    model, kernel_note, filter_note = _build_model(points, args)
+    model, eigenvalues, kernel_note, filter_note = _build_model(
+        points, args, vectors=args.store_decomposition)
     save_model(model, args.out, fmt=args.model_format,
                include_decomposition=args.store_decomposition)
-    D = model.decomposition()
     eigs_out = args.eigs_out or (args.out + ".eigs.csv")
     write_table(
         eigs_out, "eigenvalue decay", [source] + _config_meta(model, kernel_note, filter_note),
         ["index", "eigenvalue"],
-        ((i, v) for i, v in enumerate(D.eigenvalues)),
+        ((i, v) for i, v in enumerate(eigenvalues)),
         timestamp=not args.no_timestamp)
-    _summary(model, kernel_note, filter_note)
+    _summary(model, eigenvalues, kernel_note, filter_note)
     _say(f"model written to {args.out}")
     _say(f"eigenvalue decay written to {eigs_out}")
     return 0
@@ -219,11 +213,6 @@ def cmd_score(args):
     _say(f"scored {ds.n} points; members={int(member.sum())} at tau={_f(tau)}")
     _say(f"scores written to {args.out}")
     return 0
-
-
-def _uniform_box(task, n, rng):
-    cols = [rng.uniform(lo, hi, n) for lo, hi in task.bounding_box]
-    return np.column_stack(cols)
 
 
 def cmd_eval(args):
@@ -278,9 +267,10 @@ def _eval_task(args):
     rows = []
     for t in range(args.trials):
         train = task.draw(args.n, np.random.default_rng([args.seed, t, 0]))
-        model, kernel_note, filter_note = _build_model(train, args, warn=(t == 0))
+        model = _build_model(train, args, warn=(t == 0))[0]
         pos = task.draw(n_test, np.random.default_rng([args.seed, t, 1]))
-        neg = _uniform_box(task, n_test, np.random.default_rng([args.seed, t, 2]))
+        rng = np.random.default_rng([args.seed, t, 2])
+        neg = np.column_stack([rng.uniform(lo, hi, n_test) for lo, hi in task.bounding_box])
         X = np.vstack([pos, neg])
         labels = np.r_[np.ones(len(pos), dtype=bool), np.zeros(len(neg), dtype=bool)]
         _, auc = roc_auc(score_batch(model, X), labels)
@@ -290,10 +280,7 @@ def _eval_task(args):
             _, auc_parzen = roc_auc(parzen_score(train, h, X), labels)
         member = member_mask(score_batch(model, grid_points), model.tau)
         dmu = symdiff_measure(member, grid_inside, cell_volume)
-        if member.any():
-            dh = hausdorff(grid_points[member], support)
-        else:
-            dh = np.nan
+        dh = hausdorff(grid_points[member], support) if member.any() else np.nan
         rows.append((t, auc, auc_parzen, dh, dmu))
     body = np.asarray([r[1:] for r in rows], dtype=float)
     summary = [("mean", *body.mean(axis=0))]
@@ -325,7 +312,7 @@ def _parse_grid(text, what, integer=False):
 
 def cmd_sweep(args):
     points, source = _train_points(args)
-    model, kernel_note, filter_note = _build_model(points, args)
+    model, _, kernel_note, filter_note = _build_model(points, args, vectors=True)
     integer_grid = isinstance(model.filter, Landweber)
     lambdas = _parse_grid(args.lambdas, "--lambdas", integer=integer_grid)
     taus = _parse_grid(args.taus, "--taus")
@@ -395,12 +382,13 @@ def cmd_verify_bounds(args):
         meta = [f"harness=concentration", f"task={args.task}",
                 format_kernel(kernel), f"ref_size={args.ref_size}",
                 f"reference stands in for the true operator; its own deviation "
-                f"is bounded by {_f(2.0 * max(args.delta, np.sqrt(2 * args.delta)) / np.sqrt(args.ref_size))} at the same confidence"]
+                f"is bounded by {_f(concentration_bound(args.ref_size, args.delta))} at the same confidence"]
     else:
         observed, bound = bernstein_trials(args.n, args.delta, args.trials, args.seed)
         meta = [f"harness=bernstein", "sample=coin flips in {-1,+1}, M=1, variance=1"]
     violated = observed > bound
     fraction = float(violated.mean())
+    tolerated = _f(2.0 * np.exp(-args.delta))
     write_table(
         args.out, "bound verification",
         meta + [f"trials={args.trials}", f"seed={args.seed}"],
@@ -409,9 +397,9 @@ def cmd_verify_bounds(args):
          for t in range(args.trials)),
         timestamp=not args.no_timestamp,
         footer=[f"violation_fraction={_f(fraction)}",
-                f"tolerated_fraction={_f(2.0 * np.exp(-args.delta))}"])
+                f"tolerated_fraction={tolerated}"])
     _say(f"{args.harness}: violation fraction {_f(fraction)} "
-         f"(tolerated {_f(2.0 * np.exp(-args.delta))}) over {args.trials} trials")
+         f"(tolerated {tolerated}) over {args.trials} trials")
     _say(f"table written to {args.out}")
     return 0
 

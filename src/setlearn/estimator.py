@@ -147,6 +147,11 @@ def fit(points, kernel, filter, algorithm=None, tau=0.0):
         Default membership margin in [0, 1); ``predict_member`` may
         override it per call.
     """
+    return _fit(points, kernel, filter, algorithm, tau)
+
+
+def _fit(points, kernel, filter, algorithm, tau, G=None, decomposition=None):
+    """:func:`fit`, for a caller that holds the Gram (and decomposition) already."""
     pts = np.array(_as_points(points), copy=True)
     if not kernel.unit_diagonal:
         raise UsageError(
@@ -160,16 +165,15 @@ def fit(points, kernel, filter, algorithm=None, tau=0.0):
     if algorithm == "landweber" and not isinstance(filter, Landweber):
         raise UsageError("the landweber path applies only to the Landweber filter")
     tau = _check_tau(tau)
-    G = gram(kernel, pts)
-    decomp = None
+    G = gram(kernel, pts) if G is None else G
     if isinstance(filter, KpcaTruncation) and filter.lam is None:
-        decomp = decompose(G)
-        filter = KpcaTruncation(lam=kpca_lambda_from_rank(decomp, filter.components))
+        decomposition = decompose(G) if decomposition is None else decomposition
+        filter = KpcaTruncation(lam=kpca_lambda_from_rank(decomposition, filter.components))
     pts.setflags(write=False)
     G.entries.setflags(write=False)
     return SupportModel(points=pts, kernel=kernel, filter=filter,
                         algorithm=algorithm, tau=tau, gram=G,
-                        _decomposition=decomp)
+                        _decomposition=decomposition)
 
 
 def _check_query(model, X):
@@ -291,14 +295,14 @@ def _reparameterize(f, value):
 def kpca_lambda_from_rank(decomposition, components):
     """Threshold keeping exactly ``components`` distinct positive eigenvalues.
 
-    Returns the midpoint of the M-th and (M+1)-th distinct positive
-    eigenvalues, so small perturbations of the spectrum do not flip the
-    truncation.
+    Accepts a SpectralDecomposition or a bare eigenvalue vector.  Returns
+    the midpoint of the M-th and (M+1)-th distinct positive eigenvalues,
+    so small perturbations of the spectrum do not flip the truncation.
     """
     M = int(components)
     if M < 1:
         raise UsageError(f"component count must be >= 1, got {components!r}")
-    distinct = np.unique(decomposition.eigenvalues)[::-1]
+    distinct = np.unique(getattr(decomposition, "eigenvalues", decomposition))[::-1]
     distinct = distinct[distinct > 0.0]
     if distinct.size < M + 1:
         raise UsageError(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .filters import lipschitz_constant, r_value
+from .filters import SpectralDecomposition, _prep_spectrum, apply_r, lipschitz_constant
 from .kernels import _as_points
 
 __all__ = [
@@ -200,9 +200,7 @@ def _symmetrized(M, name):
 
 def _filter_matrix(f, M):
     s, V = np.linalg.eigh(M)
-    r = r_value(f, s)   # validates the spectrum lies in [0, 1] up to slack
-    A = (V * r) @ V.T
-    return (A + A.T) / 2.0
+    return apply_r(f, SpectralDecomposition(_prep_spectrum(s)[0], V))  # checks s in [0, 1]
 
 
 def maurer_check(S, T, f):

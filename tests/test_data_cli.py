@@ -2,6 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import setlearn.cli as cli
+import setlearn.estimator as estimator
 from setlearn import DataError, UsageError, load_csv, load_model, write_table
 from setlearn.cli import main
 from setlearn.data import fmt_value
@@ -446,3 +448,38 @@ def test_cli_score_rejects_bad_algorithm(tmp_path, circle_csv, algorithm):
     model.write_text("\n".join(lines) + "\n")
     assert main(["score", "--model", str(model), "--data", str(circle_csv), "--header",
                  "--out", str(tmp_path / "s.csv"), "--no-timestamp"]) == 3
+
+
+_TRAIN = ["train", "--task", "circle", "--n", "60"]
+
+
+@pytest.mark.parametrize("argv, eigh, eigvalsh, grams", [
+    (_TRAIN, 0, 1, 1),
+    (_TRAIN + ["--algorithm", "cholesky", "--lambda", "0.01"], 0, 1, 1),
+    (_TRAIN + ["--store-decomposition"], 1, 0, 1),
+    (_TRAIN + ["--algorithm", "spectral"], 1, 0, 1),
+    (_TRAIN + ["--filter", "cutoff"], 1, 0, 1),
+    (_TRAIN + ["--filter", "kpca", "--components", "3"], 1, 0, 1),
+    (_TRAIN + ["--filter", "landweber", "--m", "5"], 1, 0, 1),
+    (["sweep", "--task", "circle", "--n", "60", "--lambdas", "1e-3,1e-2"], 1, 0, 1),
+    (["eval", "--task", "circle", "--n", "60", "--trials", "2", "--resolution", "16"],
+     0, 2, 2),
+], ids=["train", "train-cholesky-fixed", "store-decomposition", "spectral", "cutoff",
+        "kpca-components", "landweber", "sweep", "eval-task"])
+def test_cli_model_build_solves_once(tmp_path, monkeypatch, argv, eigh, eigvalsh, grams):
+    """One Gram and one spectral solve per model build, eigenvalues only
+    when the model scores through its Cholesky factor."""
+    calls = {"eigh": 0, "eigvalsh": 0, "gram": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    for module in (cli, estimator):
+        monkeypatch.setattr(module, "gram", counted("gram", module.gram))
+    assert main(argv + ["--out", str(tmp_path / "out"), "--no-timestamp"]) == 0
+    assert calls == {"eigh": eigh, "eigvalsh": eigvalsh, "gram": grams}

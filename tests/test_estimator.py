@@ -294,6 +294,13 @@ def test_kpca_lambda_from_rank_boundary_error():
         kpca_lambda_from_rank(D, 2)
 
 
+def test_kpca_lambda_from_rank_accepts_eigenvalues():
+    X = np.random.default_rng(98).normal(size=(12, 2))
+    D = decompose(gram(Abel(1.0), X))
+    for M in (1, 4, 11):
+        assert kpca_lambda_from_rank(D.eigenvalues, M) == kpca_lambda_from_rank(D, M)
+
+
 def test_kpca_rank_selection_keeps_top_eigenspaces():
     rng = np.random.default_rng(97)
     X = rng.normal(size=(9, 2))

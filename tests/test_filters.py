@@ -1,12 +1,14 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from setlearn import (Abel, KpcaTruncation, Landweber, NumericError,
-                      SpectralCutoff, Tikhonov, UsageError, decompose,
-                      format_filter, gram, parse_filter)
+from setlearn import (Abel, Gaussian, KpcaTruncation, Landweber, Linear,
+                      NumericError, SpectralCutoff, Tikhonov, UsageError,
+                      decompose, format_filter, gram, normalize, parse_filter)
 from setlearn.filters import (EIG_SLACK, apply_g, apply_r, g_value,
-                              lipschitz_constant, r_value)
+                              lipschitz_constant, r_value, spectrum)
 
 LIPSCHITZ_FAMILIES = [Tikhonov(0.1), SpectralCutoff(0.1), Landweber(9)]
 
@@ -249,3 +251,23 @@ def test_spec_text_examples():
     assert parse_filter("filter=landweber m=50") == Landweber(50)
     with pytest.raises(UsageError):
         parse_filter("filter=unknown lambda=0.1")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 80), d=st.integers(1, 3),
+       kernel=st.sampled_from([Abel(0.7), Gaussian(0.7), normalize(Linear())]))
+def test_spectrum_matches_decompose(seed, n, d, kernel):
+    X = np.random.default_rng(seed).normal(size=(n, d))
+    G = gram(kernel, X)
+    s = spectrum(G)
+    npt.assert_allclose(s, decompose(G).eigenvalues, rtol=0, atol=1e-12)
+    assert np.all(np.diff(s) <= 0.0)
+    assert s[-1] >= 0.0 and s[0] <= 1.0
+    # a spectrum shifted past either end of [0, 1] is clamped within
+    # EIG_SLACK and refused beyond it
+    eye = n * np.eye(n)
+    assert spectrum(G.entries + (1.0 - s[0] + 0.5 * EIG_SLACK) * eye)[0] == 1.0
+    assert spectrum(G.entries - (s[-1] + 0.5 * EIG_SLACK) * eye)[-1] == 0.0
+    for shift in (1.0 - s[0] + 10 * EIG_SLACK, -s[-1] - 10 * EIG_SLACK):
+        with pytest.raises(NumericError):
+            spectrum(G.entries + shift * eye)
