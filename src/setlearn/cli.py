@@ -131,19 +131,23 @@ def _filter_flags(args):
     return family, None, None
 
 
-def _build_model(points, args, warn=True, vectors=False):
+def _build_model(points, args, warn=True, vectors=False, with_spectrum=False):
     """Resolve kernel and filter against the sample and fit, from one Gram
-    matrix and one spectral solve: eigenvalues only when the model scores
-    through its Cholesky factor and the caller needs no eigenvectors, else
-    the decomposition, which the model keeps.  Returns the model, the
-    eigenvalues of K_n/n and the kernel and filter notes."""
+    matrix and at most one spectral solve.  A model that scores through its
+    Cholesky factor, for a caller that needs no eigenvectors, gets eigenvalues
+    only, and only when the auto lambda or the caller (``with_spectrum``)
+    reads them; every other model gets the decomposition, which it keeps.
+    Returns the model, the eigenvalues of K_n/n (None if not solved) and the
+    kernel and filter notes."""
     kernel, kernel_note = _resolve_kernel(args, points, warn=warn)
     family, filt, filter_note = _filter_flags(args)
     algorithm = None if args.algorithm == "auto" else args.algorithm
     G = gram(kernel, points)
     cholesky = family is Tikhonov and algorithm in (None, "cholesky")
     D = None if cholesky and not vectors else decompose(G)
-    eigenvalues = spectrum(G) if D is None else D.eigenvalues
+    auto_lam = filt is None and args.lam.strip() == "auto"
+    eigenvalues = (D.eigenvalues if D is not None
+                   else spectrum(G) if with_spectrum or auto_lam else None)
     if filt is None:
         lam, filter_note = _resolve_lam(args.lam, points.shape[0], eigenvalues)
         filt = family(lam)
@@ -181,7 +185,7 @@ def _summary(model, eigenvalues, kernel_note, filter_note):
 def cmd_train(args):
     points, source = _train_points(args)
     model, eigenvalues, kernel_note, filter_note = _build_model(
-        points, args, vectors=args.store_decomposition)
+        points, args, vectors=args.store_decomposition, with_spectrum=True)
     save_model(model, args.out, fmt=args.model_format,
                include_decomposition=args.store_decomposition)
     eigs_out = args.eigs_out or (args.out + ".eigs.csv")

@@ -23,6 +23,13 @@ of the fitted model, computed once and cached:
 ``cholesky``
     Tikhonov only: Y = L^-1 K_x and w = 1, where L L' = K_n + n*lam*I;
     one triangular solve per batch.
+
+The factorizations, the triangular solve and the sum over i (``dgemv``)
+run on scipy's OpenBLAS.  numpy bundles a second OpenBLAS with its own
+thread pool, and a threaded call into one pool right after the other runs
+several times slower while the first pool's workers still spin.  Only
+V' K_x stays in numpy, whose product scipy's ``dgemm`` does not reproduce
+bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+from scipy.linalg.blas import dgemv
 
 from .errors import DataError, NumericError, UsageError
 from .filters import (Filter, KpcaTruncation, Landweber, SpectralCutoff,
@@ -112,7 +120,7 @@ def _cholesky(entries, lam):
     M.flat[::n + 1] += n * lam
     try:
         return cho_factor(M, lower=True, overwrite_a=True)
-    except np.linalg.LinAlgError as exc:
+    except LinAlgError as exc:
         raise NumericError(f"Cholesky factorization failed: {exc}") from None
 
 
@@ -200,7 +208,7 @@ def score_batch(model, X):
         D = model.decomposition()
         Y = D.eigenvectors.T @ Kx
         w = _scoring_gains(model.filter, D.eigenvalues) / model.n
-    return np.clip(w @ np.square(Y, out=Y), 0.0, 1.0)
+    return np.clip(_weighted_sum(w, np.square(Y, out=Y)), 0.0, 1.0)
 
 
 def score(model, x):
@@ -223,6 +231,13 @@ def predict_member(model, x, tau=None):
     x = np.asarray(x, dtype=float)
     member = member_mask(score_batch(model, x[None, :] if x.ndim == 1 else x), tau)
     return bool(member[0]) if x.ndim == 1 else member
+
+
+def _weighted_sum(w, Y):
+    """w @ Y by scipy's dgemv on Y in its own memory order, so it is not copied."""
+    if Y.flags.f_contiguous:
+        return dgemv(1.0, Y, w, trans=1)
+    return dgemv(1.0, Y.T, w)
 
 
 def _scoring_gains(f, eigenvalues):
@@ -276,7 +291,7 @@ def regularization_path(model, X, grid):
     out = np.empty((len(grid), X.shape[0]))
     for i, value in enumerate(grid):
         w = _scoring_gains(_reparameterize(model.filter, value), D.eigenvalues) / model.n
-        out[i] = np.clip(w @ W2, 0.0, 1.0)
+        out[i] = np.clip(_weighted_sum(w, W2), 0.0, 1.0)
     return out
 
 

@@ -12,6 +12,10 @@ and all families except the kPCA truncation are Lipschitz on [0, 1] with
 the constant reported by :func:`lipschitz_constant`.  The truncation has a
 jump at its threshold, so its constant is ``None``; perturbation bounds
 that need a Lipschitz filter do not apply to it.
+
+The eigensolve is ``scipy.linalg.eigh`` with dsyevd, the LAPACK routine
+numpy calls too, so that it shares one OpenBLAS and its thread pool with
+the factorization and contraction in :mod:`.estimator` (see there why).
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, eigh
 
 from .errors import NumericError, UsageError
 from .kernels import GramMatrix
@@ -209,10 +214,15 @@ def _eig(g, vectors):
     """Descending eigenvalues of K_n/n clamped to [0, 1], and eigenvectors if asked."""
     A = g.entries if isinstance(g, GramMatrix) else np.asarray(g, dtype=float)
     A = A / A.shape[0]
+    # LAPACK may return finite eigenvalues for a matrix holding a NaN, so
+    # the entries are checked, not the spectrum.
+    if not np.all(np.isfinite(A)):
+        raise NumericError("K_n/n has non-finite entries, so its spectrum is not finite")
     try:
-        s, V = np.linalg.eigh(A) if vectors else (np.linalg.eigvalsh(A), None)
-    except np.linalg.LinAlgError as exc:
+        out = eigh(A, eigvals_only=not vectors, driver="evd", check_finite=False)
+    except LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from None
+    s, V = out if vectors else (out, None)
     s = s[::-1]
     if s[-1] < -EIG_SLACK or s[0] > 1.0 + EIG_SLACK:
         raise NumericError(

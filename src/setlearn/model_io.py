@@ -23,10 +23,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError, UsageError
-from .estimator import fit
+from .estimator import _fit, fit
 from .filters import (EIG_SLACK, SpectralDecomposition, format_filter,
                       parse_filter)
-from .kernels import format_kernel, parse_kernel
+from .kernels import format_kernel, gram, parse_kernel
 
 __all__ = ["save_model", "load_model"]
 
@@ -160,14 +160,14 @@ def load_model(path):
             eigenvectors = flat[n * d + n:].reshape(n, n).copy()
 
     try:
-        model = fit(points, kernel, filt, algorithm=fields["algorithm"], tau=tau)
+        if not with_decomp:
+            return fit(points, kernel, filt, algorithm=fields["algorithm"], tau=tau)
+        G = gram(kernel, points)
+        _check_decomposition(eigenvalues, eigenvectors, G.entries, path)
+        return _fit(points, kernel, filt, fields["algorithm"], tau, G,
+                    SpectralDecomposition(eigenvalues, eigenvectors))
     except UsageError as exc:
         raise DataError(f"{path}: {exc}") from None
-    if with_decomp:
-        _check_decomposition(eigenvalues, eigenvectors, model.gram.entries, path)
-        object.__setattr__(model, "_decomposition",
-                           SpectralDecomposition(eigenvalues, eigenvectors))
-    return model
 
 
 def _check_decomposition(s, V, K, path):

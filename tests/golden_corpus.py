@@ -23,6 +23,9 @@ import sys
 
 import numpy as np
 
+from setlearn import get_task, write_table
+from setlearn.cli import main
+
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 DIGESTS = "SHA256SUMS"
 KEEP = ("README.md", DIGESTS)
@@ -104,7 +107,6 @@ COMMANDS = [
 
 def _labeled_csv(path):
     """Circle points (label 1) against box points (label 0), written like a CLI table."""
-    from setlearn import get_task, write_table
     task = get_task("circle")
     rng = np.random.default_rng(5)
     pos = task.draw(60, rng)
@@ -116,7 +118,6 @@ def _labeled_csv(path):
 
 def generate(directory):
     """Run the matrix in ``directory``; returns {file name: bytes} of everything written."""
-    from setlearn.cli import main
     here = os.getcwd()
     os.chdir(directory)
     try:

@@ -4,6 +4,7 @@ import pytest
 
 import setlearn.cli as cli
 import setlearn.estimator as estimator
+import setlearn.filters as filters
 from setlearn import DataError, UsageError, load_csv, load_model, write_table
 from setlearn.cli import main
 from setlearn.data import fmt_value
@@ -464,11 +465,14 @@ _TRAIN = ["train", "--task", "circle", "--n", "60"]
     (["sweep", "--task", "circle", "--n", "60", "--lambdas", "1e-3,1e-2"], 1, 0, 1),
     (["eval", "--task", "circle", "--n", "60", "--trials", "2", "--resolution", "16"],
      0, 2, 2),
+    (["eval", "--task", "circle", "--n", "60", "--trials", "2", "--resolution", "16",
+      "--lambda", "1e-3"], 0, 0, 2),
 ], ids=["train", "train-cholesky-fixed", "store-decomposition", "spectral", "cutoff",
-        "kpca-components", "landweber", "sweep", "eval-task"])
+        "kpca-components", "landweber", "sweep", "eval-task", "eval-task-fixed"])
 def test_cli_model_build_solves_once(tmp_path, monkeypatch, argv, eigh, eigvalsh, grams):
-    """One Gram and one spectral solve per model build, eigenvalues only
-    when the model scores through its Cholesky factor."""
+    """One Gram and at most one spectral solve per model build: eigenvalues
+    only when the model scores through its Cholesky factor, and none when
+    nothing reads them."""
     calls = {"eigh": 0, "eigvalsh": 0, "gram": 0}
 
     def counted(name, fn):
@@ -477,9 +481,42 @@ def test_cli_model_build_solves_once(tmp_path, monkeypatch, argv, eigh, eigvalsh
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    scipy_eigh = filters.eigh
+
+    def counted_eigh(*args, **kwargs):
+        calls["eigvalsh" if kwargs.get("eigvals_only") else "eigh"] += 1
+        return scipy_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(filters, "eigh", counted_eigh)
     for module in (cli, estimator):
         monkeypatch.setattr(module, "gram", counted("gram", module.gram))
     assert main(argv + ["--out", str(tmp_path / "out"), "--no-timestamp"]) == 0
     assert calls == {"eigh": eigh, "eigvalsh": eigvalsh, "gram": grams}
+
+
+def test_cli_runs_without_numpy_solvers(tmp_path, monkeypatch):
+    """Every solve goes through scipy.linalg: train, eval, sweep and score
+    run with numpy's eigensolvers and Cholesky disabled."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg solver called")
+
+    for name in ("eigh", "eigvalsh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    sample, model = tmp_path / "x.csv", tmp_path / "m.txt"
+    out = ["--out", str(tmp_path / "o.csv"), "--no-timestamp"]
+    assert main(["synth", "--task", "circle", "--n", "80", "--out", str(sample),
+                 "--no-timestamp"]) == 0
+    labeled = tmp_path / "l.csv"
+    rows = load_csv(sample, header=True).points
+    np.savetxt(labeled, np.column_stack([np.vstack([rows, 2 * rows]),
+                                         np.r_[np.ones(80), np.zeros(80)]]), delimiter=",")
+    assert main(["train", "--data", str(sample), "--header", "--lambda", "auto",
+                 "--store-decomposition", "--out", str(model), "--no-timestamp"]) == 0
+    assert main(["eval", "--model", str(model), "--data", str(labeled),
+                 "--label-col", "2"] + out) == 0
+    assert main(["eval", "--task", "circle", "--n", "60", "--trials", "2",
+                 "--resolution", "16"] + out) == 0
+    assert main(["sweep", "--data", str(sample), "--header", "--lambdas", "1e-3,1e-2"]
+                + out) == 0
+    assert main(["score", "--model", str(model), "--data", str(sample), "--header"]
+                + out) == 0

@@ -271,3 +271,16 @@ def test_spectrum_matches_decompose(seed, n, d, kernel):
     for shift in (1.0 - s[0] + 10 * EIG_SLACK, -s[-1] - 10 * EIG_SLACK):
         with pytest.raises(NumericError):
             spectrum(G.entries + shift * eye)
+
+
+@pytest.mark.parametrize("solve", [decompose, spectrum])
+@pytest.mark.parametrize("n, where, value", [
+    (1, (0, 0), np.nan), (2, (0, 0), np.nan), (2, (1, 0), np.inf), (50, (7, 3), np.nan),
+    (50, (0, 0), -np.inf)])
+def test_eig_rejects_non_finite_matrix(solve, n, where, value):
+    """LAPACK can return finite eigenvalues for a matrix holding a NaN (n = 2,
+    NaN on the diagonal); the solve refuses the matrix instead."""
+    A = gram(Abel(0.7), np.random.default_rng(n).normal(size=(n, 2))).entries.copy()
+    A[where] = A[where[::-1]] = value
+    with pytest.raises(NumericError, match="non-finite"):
+        solve(A)
