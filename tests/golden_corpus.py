@@ -34,6 +34,7 @@ DIGEST_ABOVE = 128 * 1024
 _CIRCLE = ["--data", "circle.csv", "--header"]
 _MOONS = ["--data", "moons.csv", "--header"]
 _TASK = ["--n", "80", "--trials", "2", "--resolution", "16"]
+_PRODUCT = "product factors=(abel sigma=1.0 @0:1)+(l1exp sigma=0.5 @1:2)"
 
 # (name, argv).  Later commands read what earlier ones wrote.
 COMMANDS = [
@@ -61,6 +62,10 @@ COMMANDS = [
                                 "--model-format", "binary", "--out", "m_lw.bin"]),
     ("train-gaussian", ["train", *_MOONS, "--kernel", "gaussian", "--sigma", "0.3",
                         "--lambda", "1e-3", "--out", "m_gauss.txt"]),
+    ("train-l1exp", ["train", *_MOONS, "--kernel", "l1exp", "--sigma", "0.5",
+                     "--lambda", "1e-3", "--out", "m_l1exp.txt"]),
+    ("train-product", ["train", *_CIRCLE, "--kernel", _PRODUCT, "--lambda", "auto",
+                       "--out", "m_product.txt"]),
     ("train-decomp-text", ["train", *_CIRCLE, "--lambda", "auto", "--store-decomposition",
                            "--out", "m_decomp.txt"]),
     ("train-decomp-binary", ["train", *_CIRCLE, "--lambda", "1e-3", "--store-decomposition",
@@ -75,6 +80,10 @@ COMMANDS = [
     ("score-cutoff", ["score", "--model", "m_cutoff.txt", *_CIRCLE, "--out", "s_cutoff.csv"]),
     ("score-kpca", ["score", "--model", "m_kpca.txt", *_CIRCLE, "--out", "s_kpca.csv"]),
     ("score-landweber", ["score", "--model", "m_lw.bin", *_CIRCLE, "--out", "s_lw.csv"]),
+    ("score-gaussian", ["score", "--model", "m_gauss.txt", *_CIRCLE, "--out", "s_gauss.csv"]),
+    ("score-l1exp", ["score", "--model", "m_l1exp.txt", *_CIRCLE, "--out", "s_l1exp.csv"]),
+    ("score-product", ["score", "--model", "m_product.txt", *_MOONS,
+                       "--out", "s_product.csv"]),
     ("score-decomp-text", ["score", "--model", "m_decomp.txt", *_MOONS,
                            "--out", "s_decomp.csv"]),
     ("score-decomp-binary", ["score", "--model", "m_decomp.bin", *_MOONS,
@@ -102,6 +111,8 @@ COMMANDS = [
                           "--trials", "40", "--out", "vb_bern.csv"]),
     ("error-usage", ["train", *_CIRCLE, "--lambda", "bogus", "--out", "never.txt"]),
     ("error-data", ["score", "--model", "missing.txt", *_CIRCLE, "--out", "never.csv"]),
+    ("error-numeric", ["train", "--data", "origin.csv", "--header", "--kernel", "linear",
+                       "--lambda", "1e-3", "--out", "never.txt"]),
 ]
 
 
@@ -116,12 +127,19 @@ def _labeled_csv(path):
                 timestamp=False)
 
 
+def _origin_csv(path):
+    """Four corners of the unit square, one at the origin, where x . x = 0."""
+    write_table(path, "origin probe", [], ["x0", "x1"], [(0, 0), (1, 0), (0, 1), (1, 1)],
+                timestamp=False)
+
+
 def generate(directory):
     """Run the matrix in ``directory``; returns {file name: bytes} of everything written."""
     here = os.getcwd()
     os.chdir(directory)
     try:
         _labeled_csv("labeled.csv")
+        _origin_csv("origin.csv")
         for name, argv in COMMANDS:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
