@@ -3,7 +3,7 @@
 Every command writes plot-ready CSV with a ``#`` metadata header and
 prints a short summary.  Exit codes: 0 success, 2 usage error, 3 data
 error, 4 numeric failure.  With ``--no-timestamp`` all outputs are
-byte-deterministic for a fixed configuration and seed.
+byte-deterministic for a fixed configuration, seed and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -263,8 +263,10 @@ def _eval_labeled(args):
 def _eval_task(args):
     if args.trials < 1:
         raise UsageError(f"need at least one trial, got {args.trials!r}")
+    if args.n_test is not None and args.n_test < 1:
+        raise UsageError(f"need at least one test point per class, got {args.n_test!r}")
     task = get_task(args.task)
-    n_test = args.n_test or args.n
+    n_test = args.n if args.n_test is None else args.n_test
     grid_points, grid_inside, cell_volume = reference_grid(task, args.resolution)
     support = reference_support(task, 2000)
     columns = ["trial", "auc_spectral", "auc_parzen", "hausdorff", "symdiff"]

@@ -22,7 +22,8 @@ of the fitted model, computed once and cached:
     check it against.
 ``cholesky``
     Tikhonov only: Y = L^-1 K_x and w = 1, where L L' = K_n + n*lam*I;
-    one triangular solve per batch.
+    one triangular solve per batch.  The solve overwrites the batch's own
+    K_x, which ``cross_gram`` returns column-major, so it copies nothing.
 
 The factorizations, the triangular solve and the sum over i (``dgemv``)
 run on scipy's OpenBLAS.  numpy bundles a second OpenBLAS with its own
@@ -202,7 +203,8 @@ def score_batch(model, X):
     X = _check_query(model, X)
     Kx = cross_gram(model.kernel, model.points, X)
     if model.algorithm == "cholesky":
-        Y = solve_triangular(model._cho_factor()[0], Kx, lower=True, check_finite=False)
+        Y = solve_triangular(model._cho_factor()[0], Kx, lower=True, overwrite_b=True,
+                             check_finite=False)
         w = np.ones(model.n)
     else:
         D = model.decomposition()

@@ -356,12 +356,18 @@ def gram(kernel, points, max_points=MAX_GRAM_POINTS):
 
 
 def cross_gram(kernel, X, Y):
-    """Rectangular matrix K(x_i, y_j) between two point sets."""
+    """Rectangular matrix K(x_i, y_j) between two point sets.
+
+    The result is Fortran-ordered (column-major), the layout LAPACK reads:
+    it is the transposed view of K(y_j, x_i), so a triangular solve on it
+    needs no transposing copy.  The distance kernels give the same bits
+    either way; a ``Linear`` inner product may differ in its last bit.
+    """
     X = _as_points(X, "X")
     Y = _as_points(Y, "Y")
     if X.shape[1] != Y.shape[1]:
         raise DataError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    M = kernel._pairwise(X, Y)
+    M = kernel._pairwise(Y, X).T
     if not np.all(np.isfinite(M)):
         raise NumericError("cross-gram matrix contains non-finite entries")
     return M

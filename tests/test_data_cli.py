@@ -389,6 +389,17 @@ def test_cli_verify_bounds_rejects_bad_ref_size(tmp_path, ref_size):
     assert code == 2
 
 
+@pytest.mark.parametrize("n_test", ["0", "-1"])
+def test_cli_eval_task_rejects_bad_n_test(tmp_path, capsys, n_test):
+    out = tmp_path / "t.csv"
+    code = main(["eval", "--task", "circle", "--n", "40", "--trials", "1",
+                 "--n-test", n_test, "--resolution", "8", "--lambda", "1e-3",
+                 "--out", str(out), "--no-timestamp"])
+    assert code == 2
+    assert "test point" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_exit_codes(tmp_path, circle_csv):
     # unknown task -> usage error
     assert main(["synth", "--task", "nope", "--out", str(tmp_path / "x.csv"),

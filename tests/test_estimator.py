@@ -3,6 +3,9 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
+
+import setlearn.estimator as estimator
 
 from setlearn import (Abel, KpcaTruncation, Landweber, Linear, SpectralCutoff,
                       Tikhonov, UsageError, cross_gram, decompose,
@@ -182,6 +185,26 @@ def test_score_contractions_match_references(seed, n, d, sigma, log_lam, m):
     one_solve = score_batch(fit(pts, kernel, Tikhonov(lam), algorithm="cholesky"), X)
     spectral = score_batch(fit(pts, kernel, Tikhonov(lam), algorithm="spectral"), X)
     assert np.max(np.abs(one_solve - spectral)) <= 1e-8
+
+
+def test_cholesky_scores_solve_in_place_on_column_major_cross_gram(monkeypatch):
+    rng = np.random.default_rng(83)
+    pts = rng.uniform(-1.0, 1.0, (120, 2))
+    X = rng.uniform(-1.2, 1.2, (300, 2))
+    model = fit(pts, Abel(0.8), Tikhonov(1e-3), algorithm="cholesky")
+    calls = []
+
+    def spy(a, b, **kwargs):
+        calls.append((b.flags.f_contiguous, kwargs.get("overwrite_b")))
+        return solve_triangular(a, b, **kwargs)
+
+    monkeypatch.setattr(estimator, "solve_triangular", spy)
+    scores = score_batch(model, X)
+    assert calls == [(True, True)]
+    Kx = np.ascontiguousarray(cross_gram(model.kernel, pts, X))
+    Y = solve_triangular(model._cho_factor()[0], Kx, lower=True, check_finite=False)
+    reference = np.clip(estimator._weighted_sum(np.ones(model.n), np.square(Y)), 0.0, 1.0)
+    npt.assert_array_equal(scores, reference)
 
 
 def test_landweber_score_monotone_in_m():

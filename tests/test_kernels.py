@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setlearn import (DataError, UsageError, Abel, Gaussian, L1Exponential,
                       Linear, Normalized, Product, cross_gram, format_kernel,
@@ -225,6 +227,25 @@ def test_cross_gram_matches_elementwise():
         for j in range(4):
             npt.assert_allclose(C[i, j], kernel_eval(Abel(1.3), X[i], Y[j]),
                                 rtol=1e-15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300), m=st.integers(1, 300),
+       d=st.integers(2, 7), sigma=st.floats(0.2, 3.0))
+def test_cross_gram_is_column_major_pairwise(seed, n, m, d, sigma):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    Y = rng.normal(size=(m, d))
+    product = product_kernel([(Abel(sigma), (0, 1)), (L1Exponential(sigma), (1, d))])
+    for k in (Abel(sigma), L1Exponential(sigma), Gaussian(sigma), product):
+        C = cross_gram(k, X, Y)
+        assert C.flags.f_contiguous
+        npt.assert_array_equal(C, k._pairwise(X, Y))
+    # a BLAS inner product need not sum in the same order once transposed
+    k = normalize(Linear())
+    C = cross_gram(k, X, Y)
+    assert C.flags.f_contiguous
+    assert np.max(np.abs(C - k._pairwise(X, Y))) <= 1e-15
 
 
 def test_symmetry_exact():
