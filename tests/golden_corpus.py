@@ -35,6 +35,8 @@ _CIRCLE = ["--data", "circle.csv", "--header"]
 _MOONS = ["--data", "moons.csv", "--header"]
 _TASK = ["--n", "80", "--trials", "2", "--resolution", "16"]
 _PRODUCT = "product factors=(abel sigma=1.0 @0:1)+(l1exp sigma=0.5 @1:2)"
+# The benchmark's select op at one seed: n = 300 fits on the default 64 x 64 grid.
+_SELECT = ["--task", "two_moons", "--n", "300", "--seed", "41"]
 
 # (name, argv).  Later commands read what earlier ones wrote.
 COMMANDS = [
@@ -105,6 +107,10 @@ COMMANDS = [
                          "--out", "sweep_lw.csv"]),
     ("sweep-500", ["sweep", "--data", "circle500.csv", "--header", "--lambdas", "1e-3,1e-2",
                    "--out", "sweep500.csv"]),
+    ("select-eval", ["eval", *_SELECT, "--trials", "1", "--tau", "0.5",
+                     "--out", "select_eval.csv"]),
+    ("select-sweep", ["sweep", *_SELECT, "--lambdas", "1e-4,3e-4,1e-3,3e-3,1e-2,3e-2",
+                      "--taus", "0.1,0.3", "--out", "select_sweep.csv"]),
     ("verify-concentration", ["verify-bounds", "--harness", "concentration", "--n", "40",
                               "--trials", "20", "--ref-size", "500", "--out", "vb_conc.csv"]),
     ("verify-bernstein", ["verify-bounds", "--harness", "bernstein", "--n", "50",
