@@ -11,7 +11,7 @@ from .errors import DataError, NumericError, UsageError
 from .estimator import (SupportModel, default_algorithm, fit,
                         kpca_lambda_from_rank, landweber_coefficients,
                         member_mask, predict_member, regularization_path,
-                        score, score_batch, tikhonov_coefficients)
+                        score, score_batch)
 from .evaluation import (devroye_wise_member, hausdorff, parzen_score,
                          roc_auc, symdiff_measure)
 from .filters import (EIG_SLACK, Filter, KpcaTruncation, Landweber,
@@ -25,9 +25,8 @@ from .kernels import (SEPARATES_ALL, SEPARATES_LINEAR, SEPARATES_NONE,
 from .model_io import load_model, save_model
 from .oracles import (EmpiricalOperator, approximation_error_bound,
                       bernstein_bound, concentration_bound,
-                      effective_dimension, exact_projection_score,
-                      finite_sample_bound, hs_distance, hs_norm,
-                      maurer_check, sample_error_bound)
+                      effective_dimension, finite_sample_bound,
+                      hs_distance, hs_norm, sample_error_bound)
 from .selection import lambda_curvature, rate_lambda, width_heuristic
 from .synth import (SyntheticTask, get_task, reference_grid,
                     reference_support, sample, support_distance, task_names)
@@ -43,16 +42,16 @@ __all__ = [
     "SyntheticTask", "Tikhonov", "UsageError",
     "approximation_error_bound", "bernstein_bound", "concentration_bound",
     "cross_gram", "decompose", "default_algorithm", "devroye_wise_member",
-    "effective_dimension", "exact_projection_score", "finite_sample_bound",
+    "effective_dimension", "finite_sample_bound",
     "fit", "fmt_value", "format_filter", "format_kernel", "get_task",
     "gram", "hausdorff", "hs_distance", "hs_norm", "induced_metric",
     "kernel_eval", "kpca_lambda_from_rank", "landweber_coefficients",
-    "lambda_curvature", "load_csv", "load_model", "maurer_check",
+    "lambda_curvature", "load_csv", "load_model",
     "member_mask", "metric_matrix", "normalize", "parse_filter",
     "parse_kernel",
     "parzen_score", "predict_member", "product_kernel", "rate_lambda",
     "reference_grid", "reference_support", "regularization_path",
     "roc_auc", "sample", "sample_error_bound", "save_model", "score",
     "score_batch", "support_distance", "symdiff_measure", "task_names",
-    "tikhonov_coefficients", "width_heuristic", "write_table",
+    "width_heuristic", "write_table",
 ]

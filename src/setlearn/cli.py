@@ -261,6 +261,8 @@ def _eval_labeled(args):
 
 
 def _eval_task(args):
+    if args.n < 1:
+        raise UsageError(f"n must be >= 1, got {args.n!r}")
     if args.trials < 1:
         raise UsageError(f"need at least one trial, got {args.trials!r}")
     if args.n_test is not None and args.n_test < 1:

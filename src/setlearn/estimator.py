@@ -25,12 +25,14 @@ of the fitted model, computed once and cached:
     one triangular solve per batch.  The solve overwrites the batch's own
     K_x, which ``cross_gram`` returns column-major, so it copies nothing.
 
-The factorizations, the triangular solve and the sum over i (``dgemv``)
-run on scipy's OpenBLAS.  numpy bundles a second OpenBLAS with its own
-thread pool, and a threaded call into one pool right after the other runs
-several times slower while the first pool's workers still spin.  Only
-V' K_x stays in numpy, whose product scipy's ``dgemm`` does not reproduce
-bit for bit.
+The factorizations, the triangular solve, the product V' K_x (``dgemm``)
+and the sum over i (``dgemv``) all run on scipy's OpenBLAS.  numpy bundles
+a second OpenBLAS with its own thread pool, and a threaded call into one
+pool right after the other runs several times slower while the first
+pool's workers still spin.  V is C-ordered and ``cross_gram`` returns K_x
+column-major, so ``dgemm`` reads V' and K_x in place and copies neither.
+Only the reference iteration :func:`landweber_coefficients`, which no
+score path calls, multiplies in numpy.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
-from scipy.linalg.blas import dgemv
+from scipy.linalg import LinAlgError, cho_factor, solve_triangular
+from scipy.linalg.blas import dgemm, dgemv
 
 from .errors import DataError, NumericError, UsageError
 from .filters import (Filter, KpcaTruncation, Landweber, SpectralCutoff,
@@ -48,7 +50,7 @@ from .kernels import GramMatrix, _as_points, cross_gram, gram
 
 __all__ = [
     "SupportModel", "fit", "score", "score_batch", "predict_member",
-    "member_mask", "tikhonov_coefficients", "landweber_coefficients",
+    "member_mask", "landweber_coefficients",
     "regularization_path", "kpca_lambda_from_rank",
 ]
 
@@ -208,7 +210,7 @@ def score_batch(model, X):
         w = np.ones(model.n)
     else:
         D = model.decomposition()
-        Y = D.eigenvectors.T @ Kx
+        Y = dgemm(1.0, D.eigenvectors.T, Kx)
         w = _scoring_gains(model.filter, D.eigenvalues) / model.n
     return np.clip(_weighted_sum(w, np.square(Y, out=Y)), 0.0, 1.0)
 
@@ -250,17 +252,6 @@ def _scoring_gains(f, eigenvalues):
     return gv
 
 
-def tikhonov_coefficients(g, kx, lam):
-    """Solve (K_n + n*lam*I) alpha = kx by Cholesky.
-
-    ``kx`` may be a vector or a matrix of stacked right-hand sides.
-    """
-    lam = float(lam)
-    if not np.isfinite(lam) or lam <= 0:
-        raise UsageError(f"lam must be positive and finite, got {lam!r}")
-    return cho_solve(_cholesky(g.entries, lam), np.asarray(kx, dtype=float))
-
-
 def landweber_coefficients(g, kx, iterations):
     """Landweber recursion alpha <- alpha + (kx - K_n alpha)/n, run m+1 times.
 
@@ -289,7 +280,8 @@ def regularization_path(model, X, grid):
     X = _check_query(model, X)
     D = model.decomposition()
     Kx = cross_gram(model.kernel, model.points, X)
-    W2 = np.square(D.eigenvectors.T @ Kx)
+    W2 = dgemm(1.0, D.eigenvectors.T, Kx)
+    np.square(W2, out=W2)
     out = np.empty((len(grid), X.shape[0]))
     for i, value in enumerate(grid):
         w = _scoring_gains(_reparameterize(model.filter, value), D.eigenvalues) / model.n

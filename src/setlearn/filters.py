@@ -15,7 +15,9 @@ that need a Lipschitz filter do not apply to it.
 
 The eigensolve is ``scipy.linalg.eigh`` with dsyevd, the LAPACK routine
 numpy calls too, so that it shares one OpenBLAS and its thread pool with
-the factorization and contraction in :mod:`.estimator` (see there why).
+the factorization, the product V' K_x and the sums in :mod:`.estimator`
+(see there why).  Filters act on the spectrum only; no matrix r(K_n/n) or
+g(K_n/n) is ever formed.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ EIG_SLACK = 1e-8
 __all__ = [
     "Filter", "Tikhonov", "SpectralCutoff", "Landweber", "KpcaTruncation",
     "SpectralDecomposition", "r_value", "g_value", "lipschitz_constant",
-    "decompose", "spectrum", "apply_r", "apply_g", "parse_filter",
+    "decompose", "spectrum", "parse_filter",
     "format_filter", "EIG_SLACK",
 ]
 
@@ -245,22 +247,6 @@ def decompose(g):
 def spectrum(g):
     """Eigenvalues of K_n/n as :func:`decompose` gives them, at about half its cost."""
     return _eig(g, vectors=False)[0]
-
-
-def apply_r(f, decomposition):
-    """The matrix r(K_n/n), exactly symmetric."""
-    r = _r(f, decomposition.eigenvalues)
-    V = decomposition.eigenvectors
-    M = (V * r) @ V.T
-    return (M + M.T) / 2.0
-
-
-def apply_g(f, decomposition):
-    """The matrix g(K_n/n), exactly symmetric."""
-    gv = _g(f, decomposition.eigenvalues)
-    V = decomposition.eigenvectors
-    M = (V * gv) @ V.T
-    return (M + M.T) / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,6 @@ of what the theory argues about, for tests to compare the estimator with:
   held as its sample; its Hilbert-Schmidt norms and distances are sums
   of squared kernel values, taken over cache-sized tiles,
 * bound formulas (concentration, sample, approximation, finite-sample),
-* a matrix-function perturbation check for Lipschitz filters,
-* the pseudo-inverse score, the lambda -> 0 limit of spectral cutoff,
 * seeded Monte-Carlo harnesses that report observed-vs-bound tables.
 
 The true operator T is never formed; a large reference sample stands in
@@ -22,20 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .filters import SpectralDecomposition, _prep_spectrum, apply_r, lipschitz_constant
 from .kernels import _as_points
 
 __all__ = [
     "EmpiricalOperator", "hs_norm", "hs_distance",
     "concentration_bound", "effective_dimension", "sample_error_bound",
     "approximation_error_bound", "finite_sample_bound", "bernstein_bound",
-    "maurer_check", "exact_projection_score",
     "concentration_trials", "bernstein_trials", "convergence_witness",
 ]
-
-# Rank tolerance of the pseudo-inverse, relative to the largest singular
-# value; shared with the estimator's null-eigenvalue convention.
-PINV_RCOND = 1e-12
 
 TILE = 256  # default tile edge of the Gram-square sums; such a tile stays in cache
 
@@ -182,52 +174,6 @@ def bernstein_bound(m_bound, variance, n, delta):
     if m_bound <= 0 or variance <= 0 or n < 1 or delta <= 0:
         raise UsageError("bernstein_bound needs M > 0, variance > 0, n >= 1, delta > 0")
     return m_bound * delta / n + np.sqrt(2.0 * variance * delta / n)
-
-
-# ---------------------------------------------------------------------------
-# Matrix-function perturbation and the projection score.
-
-
-def _symmetrized(M, name):
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise UsageError(f"{name} must be a square matrix")
-    scale = max(float(np.max(np.abs(M))), 1.0)
-    if np.max(np.abs(M - M.T)) > 1e-10 * scale:
-        raise UsageError(f"{name} is not symmetric")
-    return (M + M.T) / 2.0
-
-
-def _filter_matrix(f, M):
-    s, V = np.linalg.eigh(M)
-    return apply_r(f, SpectralDecomposition(_prep_spectrum(s)[0], V))  # checks s in [0, 1]
-
-
-def maurer_check(S, T, f):
-    """Frobenius norms (lhs, rhs) of ||r(S) - r(T)|| <= L ||S - T||.
-
-    The caller asserts lhs <= rhs * (1 + 1e-10); equality is attained in
-    degenerate cases, so the slack absorbs round-off only.
-    """
-    L = lipschitz_constant(f)
-    if L is None:
-        raise UsageError("the perturbation bound needs a Lipschitz filter")
-    S = _symmetrized(S, "S")
-    T = _symmetrized(T, "T")
-    lhs = float(np.linalg.norm(_filter_matrix(f, S) - _filter_matrix(f, T), "fro"))
-    rhs = float(L * np.linalg.norm(S - T, "fro"))
-    return lhs, rhs
-
-
-def exact_projection_score(g, kx):
-    """k_x' K_n^+ k_x with a tolerance-rank pseudo-inverse.
-
-    The squared norm of the projection of K_x onto the span of the
-    training sections; the lambda -> 0 limit of spectral-cutoff scores.
-    """
-    kx = np.asarray(kx, dtype=float)
-    P = np.linalg.pinv(g.entries, rcond=PINV_RCOND, hermitian=True)
-    return float(kx @ P @ kx)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,91 @@
+"""Reference computations that only the tests use.
+
+Dense matrix functions of the spectrum, the Cholesky solve for Tikhonov
+coefficients, the pseudo-inverse score and a matrix-function perturbation
+check.  The library scores through one contraction over a factor of the
+fitted model (see ``setlearn.estimator``); these build the operators the
+theory speaks about explicitly, so the tests can compare the two.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.linalg import cho_solve
+
+from setlearn.errors import UsageError
+from setlearn.estimator import _cholesky
+from setlearn.filters import (SpectralDecomposition, _g, _prep_spectrum, _r,
+                              lipschitz_constant)
+
+# Rank tolerance of the pseudo-inverse, relative to the largest singular
+# value; shared with the estimator's null-eigenvalue convention.
+PINV_RCOND = 1e-12
+
+
+def apply_r(f, decomposition):
+    """The matrix r(K_n/n), exactly symmetric."""
+    r = _r(f, decomposition.eigenvalues)
+    V = decomposition.eigenvectors
+    M = (V * r) @ V.T
+    return (M + M.T) / 2.0
+
+
+def apply_g(f, decomposition):
+    """The matrix g(K_n/n), exactly symmetric."""
+    gv = _g(f, decomposition.eigenvalues)
+    V = decomposition.eigenvectors
+    M = (V * gv) @ V.T
+    return (M + M.T) / 2.0
+
+
+def tikhonov_coefficients(g, kx, lam):
+    """Solve (K_n + n*lam*I) alpha = kx by Cholesky.
+
+    ``kx`` may be a vector or a matrix of stacked right-hand sides.
+    """
+    lam = float(lam)
+    if not np.isfinite(lam) or lam <= 0:
+        raise UsageError(f"lam must be positive and finite, got {lam!r}")
+    return cho_solve(_cholesky(g.entries, lam), np.asarray(kx, dtype=float))
+
+
+def _symmetrized(M, name):
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise UsageError(f"{name} must be a square matrix")
+    scale = max(float(np.max(np.abs(M))), 1.0)
+    if np.max(np.abs(M - M.T)) > 1e-10 * scale:
+        raise UsageError(f"{name} is not symmetric")
+    return (M + M.T) / 2.0
+
+
+def _filter_matrix(f, M):
+    s, V = np.linalg.eigh(M)
+    return apply_r(f, SpectralDecomposition(_prep_spectrum(s)[0], V))  # checks s in [0, 1]
+
+
+def maurer_check(S, T, f):
+    """Frobenius norms (lhs, rhs) of ||r(S) - r(T)|| <= L ||S - T||.
+
+    The caller asserts lhs <= rhs * (1 + 1e-10); equality is attained in
+    degenerate cases, so the slack absorbs round-off only.
+    """
+    L = lipschitz_constant(f)
+    if L is None:
+        raise UsageError("the perturbation bound needs a Lipschitz filter")
+    S = _symmetrized(S, "S")
+    T = _symmetrized(T, "T")
+    lhs = float(np.linalg.norm(_filter_matrix(f, S) - _filter_matrix(f, T), "fro"))
+    rhs = float(L * np.linalg.norm(S - T, "fro"))
+    return lhs, rhs
+
+
+def exact_projection_score(g, kx):
+    """k_x' K_n^+ k_x with a tolerance-rank pseudo-inverse.
+
+    The squared norm of the projection of K_x onto the span of the
+    training sections; the lambda -> 0 limit of spectral-cutoff scores.
+    """
+    kx = np.asarray(kx, dtype=float)
+    P = np.linalg.pinv(g.entries, rcond=PINV_RCOND, hermitian=True)
+    return float(kx @ P @ kx)

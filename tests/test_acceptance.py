@@ -20,6 +20,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from _reference import exact_projection_score, maurer_check
 from setlearn.cli import main as cli_main
 from setlearn.estimator import (fit, landweber_coefficients, member_mask,
                                 score_batch)
@@ -30,8 +31,7 @@ from setlearn.kernels import Abel, cross_gram, gram
 from setlearn.model_io import load_model, save_model
 from setlearn.oracles import (approximation_error_bound, bernstein_bound,
                               concentration_trials, effective_dimension,
-                              exact_projection_score, finite_sample_bound,
-                              maurer_check, sample_error_bound)
+                              finite_sample_bound, sample_error_bound)
 from setlearn.selection import lambda_curvature, rate_lambda, width_heuristic
 from setlearn.synth import (get_task, reference_grid, reference_support,
                             sample)

@@ -400,6 +400,17 @@ def test_cli_eval_task_rejects_bad_n_test(tmp_path, capsys, n_test):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_cli_eval_task_rejects_bad_n(tmp_path, capsys, n):
+    out = tmp_path / "t.csv"
+    code = main(["eval", "--task", "two_moons", "--n", n, "--trials", "1",
+                 "--resolution", "8", "--lambda", "1e-3", "--out", str(out),
+                 "--no-timestamp"])
+    assert code == 2
+    assert "n must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_exit_codes(tmp_path, circle_csv):
     # unknown task -> usage error
     assert main(["synth", "--task", "nope", "--out", str(tmp_path / "x.csv"),

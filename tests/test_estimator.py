@@ -4,16 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dgemm
 
 import setlearn.estimator as estimator
 
-from setlearn import (Abel, KpcaTruncation, Landweber, Linear, SpectralCutoff,
-                      Tikhonov, UsageError, cross_gram, decompose,
-                      default_algorithm, fit, gram, kpca_lambda_from_rank,
-                      landweber_coefficients, predict_member,
-                      regularization_path, score, score_batch,
-                      tikhonov_coefficients)
-from setlearn.filters import apply_r
+from _reference import apply_r, tikhonov_coefficients
+from setlearn import (Abel, Gaussian, KpcaTruncation, L1Exponential,
+                      Landweber, Linear, SpectralCutoff, Tikhonov, UsageError,
+                      cross_gram, decompose, default_algorithm, fit, gram,
+                      kpca_lambda_from_rank, landweber_coefficients, normalize,
+                      predict_member, product_kernel, regularization_path,
+                      score, score_batch)
+from setlearn.filters import r_value
 
 # two Abel(1) points at distance log 2, so K12 = 1/2 exactly up to rounding
 TWO_POINTS = np.array([[0.0], [np.log(2.0)]])
@@ -205,6 +207,66 @@ def test_cholesky_scores_solve_in_place_on_column_major_cross_gram(monkeypatch):
     Y = solve_triangular(model._cho_factor()[0], Kx, lower=True, check_finite=False)
     reference = np.clip(estimator._weighted_sum(np.ones(model.n), np.square(Y)), 0.0, 1.0)
     npt.assert_array_equal(scores, reference)
+
+
+def test_spectral_products_run_on_scipy_dgemm_without_copies(monkeypatch):
+    rng = np.random.default_rng(89)
+    pts = rng.uniform(-1.0, 1.0, (120, 2))
+    X = rng.uniform(-1.2, 1.2, (300, 2))
+    calls = []
+
+    def spy(alpha, a, b, **kwargs):
+        calls.append((a.flags.f_contiguous, b.flags.f_contiguous, kwargs))
+        return dgemm(alpha, a, b, **kwargs)
+
+    monkeypatch.setattr(estimator, "dgemm", spy)
+    Kx = cross_gram(Abel(0.8), pts, X)
+
+    def reference(model, f):
+        D = model.decomposition()
+        w = estimator._scoring_gains(f, D.eigenvalues) / model.n
+        return np.clip(np.square(D.eigenvectors.T @ Kx).T @ w, 0.0, 1.0)
+
+    for f, algorithm in [(Tikhonov(1e-3), "spectral"), (Landweber(20), "landweber")]:
+        model = fit(pts, Abel(0.8), f, algorithm=algorithm)
+        npt.assert_allclose(score_batch(model, X), reference(model, f), rtol=0, atol=1e-13)
+    grid = [1e-4, 1e-3, 1e-2]
+    model = fit(pts, Abel(0.8), Tikhonov(1e-3))
+    path = regularization_path(model, X, grid)
+    for row, lam in zip(path, grid):
+        npt.assert_allclose(row, reference(model, Tikhonov(lam)), rtol=0, atol=1e-13)
+    assert calls == [(True, True, {})] * 3
+
+
+_IDENTITY_KERNELS = [
+    lambda s, d: Abel(s), lambda s, d: Gaussian(s), lambda s, d: L1Exponential(s),
+    lambda s, d: normalize(Linear()),
+    lambda s, d: product_kernel([(Abel(s), (0, 1)), (Gaussian(s), (1, d))]),
+]
+_IDENTITY_MODELS = [
+    lambda lam, m: (Tikhonov(lam), "cholesky"),
+    lambda lam, m: (Tikhonov(lam), "spectral"),
+    lambda lam, m: (Landweber(m), "landweber"),
+    lambda lam, m: (SpectralCutoff(lam), "spectral"),
+    lambda lam, m: (KpcaTruncation(lam=lam), "spectral"),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(5, 80), d=st.integers(2, 3),
+       kernel=st.integers(0, len(_IDENTITY_KERNELS) - 1),
+       model=st.integers(0, len(_IDENTITY_MODELS) - 1),
+       sigma=st.floats(0.3, 2.0), log_lam=st.floats(-4.0, 0.0), m=st.integers(0, 60))
+def test_mean_training_score_identity(seed, n, d, kernel, model, sigma, log_lam, m):
+    # tr(K_n/n) = 1 for a unit-diagonal kernel, so 1 - mean_i F_n(x_i) is
+    # sum_j s_j (1 - r(s_j)) over the spectrum, on every filter and path
+    pts = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, d))
+    k = _IDENTITY_KERNELS[kernel](sigma, d)
+    f, algorithm = _IDENTITY_MODELS[model](10.0 ** log_lam, m)
+    s = decompose(gram(k, pts)).eigenvalues
+    fitted = fit(pts, k, f, algorithm=algorithm)
+    gap = 1.0 - np.mean(score_batch(fitted, pts))
+    assert abs(gap - np.sum(s * (1.0 - r_value(f, s)))) <= 1e-12
 
 
 def test_landweber_score_monotone_in_m():

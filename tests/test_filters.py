@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import apply_g, apply_r
 from setlearn import (Abel, Gaussian, KpcaTruncation, Landweber, Linear,
                       NumericError, SpectralCutoff, Tikhonov, UsageError,
                       decompose, format_filter, gram, normalize, parse_filter)
-from setlearn.filters import (EIG_SLACK, apply_g, apply_r, g_value,
-                              lipschitz_constant, r_value, spectrum)
+from setlearn.filters import (EIG_SLACK, g_value, lipschitz_constant, r_value,
+                              spectrum)
 
 LIPSCHITZ_FAMILIES = [Tikhonov(0.1), SpectralCutoff(0.1), Landweber(9)]
 

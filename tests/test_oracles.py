@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import exact_projection_score, maurer_check
 from setlearn import (Abel, EmpiricalOperator, Gaussian, KpcaTruncation,
                       L1Exponential, Landweber, Linear, SpectralCutoff,
                       Tikhonov, UsageError, approximation_error_bound,
                       bernstein_bound, concentration_bound, cross_gram,
-                      decompose, effective_dimension, exact_projection_score,
-                      finite_sample_bound, fit, gram, get_task, hs_distance,
-                      hs_norm, maurer_check, normalize, product_kernel,
-                      sample_error_bound, score_batch)
+                      decompose, effective_dimension, finite_sample_bound,
+                      fit, gram, get_task, hs_distance, hs_norm, normalize,
+                      product_kernel, sample_error_bound, score_batch)
 from setlearn.oracles import (_row_sums, _self_sum, bernstein_trials,
                               concentration_trials, convergence_witness)
 
