@@ -238,10 +238,8 @@ def predict_member(model, x, tau=None):
 
 
 def _weighted_sum(w, Y):
-    """w @ Y by scipy's dgemv on Y in its own memory order, so it is not copied."""
-    if Y.flags.f_contiguous:
-        return dgemv(1.0, Y, w, trans=1)
-    return dgemv(1.0, Y.T, w)
+    """w @ Y by scipy's dgemv.  Every score path's Y is column-major, so it is not copied."""
+    return dgemv(1.0, Y, w, trans=1)
 
 
 def _scoring_gains(f, eigenvalues):
