@@ -15,15 +15,12 @@ payload.  The header is key=value, one per line; lines starting with
 Loading rebuilds the model through the normal fit path, so a round trip
 reproduces scores to better than 1e-12 (exactly, in fact, for the text
 format since %.17g round-trips every double).  A stored decomposition is
-checked against the rebuilt Gram matrix before it is trusted; the check's
-products run through scipy's ``dgemm``, so a load followed by a score
-stays on the one OpenBLAS the estimator uses (see :mod:`.estimator`).
+checked against the rebuilt Gram matrix before it is trusted.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 
 from .errors import DataError, UsageError
 from .estimator import _fit, fit
@@ -188,12 +185,11 @@ def _check_decomposition(s, V, K, path):
     if abs(s.sum() - np.trace(K) / n) > EIG_SLACK * n:
         raise DataError(f"{path}: stored eigenvalues do not sum to trace(K_n/n)")
     k = min(n, _CHECKED_PAIRS)
-    Vk = np.asfortranarray(V[:, :k])
-    # K is exactly symmetric, so K.T is K in the column-major order dgemm reads.
-    residual = np.linalg.norm(dgemm(1.0 / n, K.T, Vk) - Vk * s[:k], axis=0).max()
+    Vk = V[:, :k]
+    residual = np.linalg.norm(K @ Vk / n - Vk * s[:k], axis=0).max()
     if residual > EIG_SLACK:
         raise DataError(
             f"{path}: stored eigenpairs do not match the Gram matrix "
             f"(residual {residual:.3e})")
-    if np.abs(dgemm(1.0, Vk, Vk, trans_a=1) - np.eye(k)).max() > EIG_SLACK:
+    if np.abs(Vk.T @ Vk - np.eye(k)).max() > EIG_SLACK:
         raise DataError(f"{path}: stored eigenvectors are not orthonormal")
