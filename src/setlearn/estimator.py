@@ -9,8 +9,10 @@ approaches 1 on the support of the sampling distribution and falls off
 away from it when the kernel separates the support.  The estimated set is
 the superlevel set {x : F_n(x) >= 1 - tau}.
 
-Every score path is one contraction F = sum_i w_i * Y_i^2 over a factor
-of the fitted model, computed once and cached:
+Every score path is one contraction F = sum_i w_i * Y_i^2 over one factor
+of the fitted model: the eigendecomposition, which ``fit`` builds, or the
+Cholesky factor, which the first score builds, so that a model that is
+only saved (CLI ``train``) never factorizes.
 
 ``spectral``
     Y = V' K_x and w = g(s)/n from the eigendecomposition K_n/n = V diag(s) V'.
@@ -38,6 +40,7 @@ score path calls, multiplies in numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, solve_triangular
@@ -76,11 +79,12 @@ def _check_tau(tau):
 
 @dataclass(frozen=True, eq=False)
 class SupportModel:
-    """Fitted state: training points, kernel, filter and cached factorizations.
+    """Fitted state: training points, kernel, filter and the factor it scores through.
 
-    Immutable after fit; the arrays are marked read-only.  The lazy caches
-    (eigendecomposition, Cholesky factor) are derived state and do not
-    change what the model computes.
+    Immutable after fit; the arrays are marked read-only.  ``decomposition``
+    is the eigendecomposition of K_n/n, which ``fit`` builds for the
+    ``spectral`` and ``landweber`` paths; a ``cholesky`` model holds one only
+    when its caller handed one in, and is otherwise ``None``.
     """
 
     points: np.ndarray
@@ -89,8 +93,7 @@ class SupportModel:
     algorithm: str
     tau: float
     gram: GramMatrix
-    _decomposition: SpectralDecomposition = field(default=None, repr=False)
-    _cho: tuple = field(default=None, repr=False, compare=False)
+    decomposition: SpectralDecomposition = field(default=None, repr=False)
 
     @property
     def n(self):
@@ -100,16 +103,10 @@ class SupportModel:
     def dim(self):
         return self.points.shape[1]
 
-    def decomposition(self):
-        """Eigendecomposition of K_n/n, computed on first use and cached."""
-        if self._decomposition is None:
-            object.__setattr__(self, "_decomposition", decompose(self.gram))
-        return self._decomposition
-
-    def _cho_factor(self):
-        if self._cho is None:
-            object.__setattr__(self, "_cho", _cholesky(self.gram.entries, self.filter.lam))
-        return self._cho
+    @cached_property
+    def cholesky(self):
+        """Lower Cholesky factor of K_n + n*lam*I, built on first use."""
+        return _cholesky(self.gram.entries, self.filter.lam)
 
 
 def _cholesky(entries, lam):
@@ -177,14 +174,15 @@ def _fit(points, kernel, filter, algorithm, tau, G=None, decomposition=None):
         raise UsageError("the landweber path applies only to the Landweber filter")
     tau = _check_tau(tau)
     G = gram(kernel, pts) if G is None else G
+    if decomposition is None and algorithm != "cholesky":
+        decomposition = decompose(G)
     if isinstance(filter, KpcaTruncation) and filter.lam is None:
-        decomposition = decompose(G) if decomposition is None else decomposition
         filter = KpcaTruncation(lam=kpca_lambda_from_rank(decomposition, filter.components))
     pts.setflags(write=False)
     G.entries.setflags(write=False)
     return SupportModel(points=pts, kernel=kernel, filter=filter,
                         algorithm=algorithm, tau=tau, gram=G,
-                        _decomposition=decomposition)
+                        decomposition=decomposition)
 
 
 def _check_query(model, X):
@@ -205,11 +203,11 @@ def score_batch(model, X):
     X = _check_query(model, X)
     Kx = cross_gram(model.kernel, model.points, X)
     if model.algorithm == "cholesky":
-        Y = solve_triangular(model._cho_factor()[0], Kx, lower=True, overwrite_b=True,
+        Y = solve_triangular(model.cholesky[0], Kx, lower=True, overwrite_b=True,
                              check_finite=False)
         w = np.ones(model.n)
     else:
-        D = model.decomposition()
+        D = model.decomposition
         Y = dgemm(1.0, D.eigenvectors.T, Kx)
         w = _scoring_gains(model.filter, D.eigenvalues) / model.n
     return np.clip(_weighted_sum(w, np.square(Y, out=Y)), 0.0, 1.0)
@@ -276,7 +274,7 @@ def regularization_path(model, X, grid):
     if not grid:
         raise UsageError("empty regularization grid")
     X = _check_query(model, X)
-    D = model.decomposition()
+    D = model.decomposition or decompose(model.gram)
     Kx = cross_gram(model.kernel, model.points, X)
     W2 = dgemm(1.0, D.eigenvectors.T, Kx)
     np.square(W2, out=W2)

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh
 
 from .errors import NumericError, UsageError
-from .kernels import GramMatrix
+from .kernels import GramMatrix, _parse_float, _parse_kv
 
 # Eigenvalues of K_n/n may stray outside [0, 1] by round-off; values within
 # this slack are clamped, values beyond it are an error.
@@ -281,21 +281,13 @@ def parse_filter(text):
     tokens = [t for t in body.split() if t]
     if not tokens:
         raise UsageError("empty filter spec")
-    name, rest = tokens[0], tokens[1:]
-    kvs = {}
-    for tok in rest:
-        if "=" not in tok:
-            raise UsageError(f"expected key=value, got {tok!r}")
-        key, val = tok.split("=", 1)
-        kvs[key] = val
+    name = tokens[0]
+    kvs = _parse_kv(tokens[1:], {"lambda", "m", "components"}, "filter")
 
     def need_float(key):
         if key not in kvs:
             raise UsageError(f"filter {name!r} needs {key}=")
-        try:
-            return float(kvs.pop(key))
-        except ValueError:
-            raise UsageError(f"bad {key}: {kvs[key]!r}") from None
+        return _parse_float(kvs.pop(key), key)
 
     def need_int(key):
         raw = kvs.pop(key)

@@ -422,14 +422,17 @@ def _split_top(text, sep):
     return parts
 
 
-def _parse_kv(tokens, allowed):
+def _parse_kv(tokens, allowed, what="kernel"):
+    """``key=value`` tokens as a dict; an unknown or repeated key is a usage error."""
     out = {}
     for tok in tokens:
         if "=" not in tok:
             raise UsageError(f"expected key=value, got {tok!r}")
         key, val = tok.split("=", 1)
         if key not in allowed:
-            raise UsageError(f"unknown kernel option {key!r}")
+            raise UsageError(f"unknown {what} option {key!r}")
+        if key in out:
+            raise UsageError(f"repeated {what} option {key!r}")
         out[key] = val
     return out
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .estimator import _fit, fit
-from .filters import (EIG_SLACK, SpectralDecomposition, format_filter,
+from .filters import (EIG_SLACK, SpectralDecomposition, decompose, format_filter,
                       parse_filter)
 from .kernels import format_kernel, gram, parse_kernel
 
@@ -45,7 +45,7 @@ def save_model(model, path, fmt="text", include_decomposition=False):
     """Write a model to ``path`` in the text or binary container."""
     if fmt not in ("text", "binary"):
         raise UsageError(f"format must be 'text' or 'binary', got {fmt!r}")
-    decomp = model.decomposition() if include_decomposition else None
+    decomp = (model.decomposition or decompose(model.gram)) if include_decomposition else None
     head = [
         _MAGIC,
         f"format={fmt}",

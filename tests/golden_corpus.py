@@ -116,6 +116,8 @@ COMMANDS = [
     ("verify-bernstein", ["verify-bounds", "--harness", "bernstein", "--n", "50",
                           "--trials", "40", "--out", "vb_bern.csv"]),
     ("error-usage", ["train", *_CIRCLE, "--lambda", "bogus", "--out", "never.txt"]),
+    ("error-filter-spec", ["train", *_CIRCLE, "--filter", "tikhonov lambda=abc",
+                           "--out", "never.txt"]),
     ("error-data", ["score", "--model", "missing.txt", *_CIRCLE, "--out", "never.csv"]),
     ("error-numeric", ["train", "--data", "origin.csv", "--header", "--kernel", "linear",
                        "--lambda", "1e-3", "--out", "never.txt"]),

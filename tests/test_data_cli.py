@@ -5,7 +5,8 @@ import pytest
 import setlearn.cli as cli
 import setlearn.estimator as estimator
 import setlearn.filters as filters
-from setlearn import DataError, UsageError, load_csv, load_model, write_table
+from setlearn import (Abel, DataError, Landweber, Tikhonov, UsageError, fit, load_csv,
+                      load_model, save_model, score_batch, write_table)
 from setlearn.cli import main
 from setlearn.data import fmt_value
 
@@ -473,47 +474,96 @@ def test_cli_score_rejects_bad_algorithm(tmp_path, circle_csv, algorithm):
                  "--out", str(tmp_path / "s.csv"), "--no-timestamp"]) == 3
 
 
+def test_cli_bad_filter_number_exits_2_on_flag_and_3_in_model_file(tmp_path, circle_csv):
+    model = tmp_path / "m.txt"
+    train = ["train", "--data", str(circle_csv), "--header", "--kernel", "abel",
+             "--sigma", "0.6", "--out", str(model), "--no-timestamp"]
+    assert main(train + ["--filter", "tikhonov lambda=abc"]) == 2
+    assert main(train + ["--filter", "tikhonov lambda=0.01"]) == 0
+    lines = ["filter=tikhonov lambda=abc" if l.startswith("filter=") else l
+             for l in model.read_text().splitlines()]
+    model.write_text("\n".join(lines) + "\n")
+    assert main(["score", "--model", str(model), "--data", str(circle_csv), "--header",
+                 "--out", str(tmp_path / "s.csv"), "--no-timestamp"]) == 3
+
+
 _TRAIN = ["train", "--task", "circle", "--n", "60"]
 
 
-@pytest.mark.parametrize("argv, eigh, eigvalsh, grams", [
-    (_TRAIN, 0, 1, 1),
-    (_TRAIN + ["--algorithm", "cholesky", "--lambda", "0.01"], 0, 1, 1),
-    (_TRAIN + ["--store-decomposition"], 1, 0, 1),
-    (_TRAIN + ["--algorithm", "spectral"], 1, 0, 1),
-    (_TRAIN + ["--filter", "cutoff"], 1, 0, 1),
-    (_TRAIN + ["--filter", "kpca", "--components", "3"], 1, 0, 1),
-    (_TRAIN + ["--filter", "landweber", "--m", "5"], 1, 0, 1),
-    (["sweep", "--task", "circle", "--n", "60", "--lambdas", "1e-3,1e-2"], 1, 0, 1),
-    (["eval", "--task", "circle", "--n", "60", "--trials", "2", "--resolution", "16"],
-     0, 2, 2),
-    (["eval", "--task", "circle", "--n", "60", "--trials", "2", "--resolution", "16",
-      "--lambda", "1e-3"], 0, 0, 2),
-], ids=["train", "train-cholesky-fixed", "store-decomposition", "spectral", "cutoff",
-        "kpca-components", "landweber", "sweep", "eval-task", "eval-task-fixed"])
-def test_cli_model_build_solves_once(tmp_path, monkeypatch, argv, eigh, eigvalsh, grams):
-    """One Gram and at most one spectral solve per model build: eigenvalues
-    only when the model scores through its Cholesky factor, and none when
-    nothing reads them."""
-    calls = {"eigh": 0, "eigvalsh": 0, "gram": 0}
+def _count_solves(monkeypatch):
+    """Count, from here on, full eigensolves (``eigh``), eigenvalue-only
+    solves (``eigvalsh``), Cholesky factorizations and Gram builds."""
+    calls = {"eigh": 0, "eigvalsh": 0, "cho_factor": 0, "gram": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls["eigvalsh" if kwargs.get("eigvals_only") else name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    scipy_eigh = filters.eigh
-
-    def counted_eigh(*args, **kwargs):
-        calls["eigvalsh" if kwargs.get("eigvals_only") else "eigh"] += 1
-        return scipy_eigh(*args, **kwargs)
-
-    monkeypatch.setattr(filters, "eigh", counted_eigh)
+    monkeypatch.setattr(filters, "eigh", counted("eigh", filters.eigh))
+    monkeypatch.setattr(estimator, "cho_factor", counted("cho_factor", estimator.cho_factor))
     for module in (cli, estimator):
         monkeypatch.setattr(module, "gram", counted("gram", module.gram))
+    return calls
+
+
+@pytest.mark.parametrize("argv, eigh, eigvalsh, cho, grams", [
+    (_TRAIN, 0, 1, 0, 1),
+    (_TRAIN + ["--algorithm", "cholesky", "--lambda", "0.01"], 0, 1, 0, 1),
+    (_TRAIN + ["--store-decomposition"], 1, 0, 0, 1),
+    (_TRAIN + ["--algorithm", "spectral"], 1, 0, 0, 1),
+    (_TRAIN + ["--filter", "cutoff"], 1, 0, 0, 1),
+    (_TRAIN + ["--filter", "kpca", "--components", "3"], 1, 0, 0, 1),
+    (_TRAIN + ["--filter", "landweber", "--m", "5"], 1, 0, 0, 1),
+    (["sweep", "--task", "circle", "--n", "60", "--lambdas", "1e-3,1e-2"], 1, 0, 0, 1),
+    (["eval", "--task", "circle", "--n", "60", "--trials", "2", "--resolution", "16"],
+     0, 2, 2, 2),
+    (["eval", "--task", "circle", "--n", "60", "--trials", "2", "--resolution", "16",
+      "--lambda", "1e-3"], 0, 0, 2, 2),
+], ids=["train", "train-cholesky-fixed", "store-decomposition", "spectral", "cutoff",
+        "kpca-components", "landweber", "sweep", "eval-task", "eval-task-fixed"])
+def test_cli_model_build_solves_once(tmp_path, monkeypatch, argv, eigh, eigvalsh, cho, grams):
+    """One Gram and at most one spectral solve per model build: eigenvalues
+    only when the model scores through its Cholesky factor, and none when
+    nothing reads them.  The Cholesky factor is built only by a score, so
+    ``train`` never factorizes."""
+    calls = _count_solves(monkeypatch)
     assert main(argv + ["--out", str(tmp_path / "out"), "--no-timestamp"]) == 0
-    assert calls == {"eigh": eigh, "eigvalsh": eigvalsh, "gram": grams}
+    assert calls == {"eigh": eigh, "eigvalsh": eigvalsh, "cho_factor": cho, "gram": grams}
+
+
+def test_api_fit_and_load_solve_once(tmp_path, monkeypatch):
+    """``fit`` builds the eigendecomposition for the spectral and Landweber
+    paths; a Cholesky model factorizes on its first score and keeps the
+    factor.  A loaded model solves as its fit does, and not at all when the
+    file stores the decomposition."""
+    rng = np.random.default_rng(97)
+    pts, X = rng.uniform(-1.0, 1.0, (40, 2)), rng.uniform(-1.2, 1.2, (30, 2))
+    spectral = fit(pts, Abel(0.8), Tikhonov(1e-2), algorithm="spectral")
+    cholesky = fit(pts, Abel(0.8), Tikhonov(1e-2))
+    files = {"spectral": tmp_path / "s.txt", "cholesky": tmp_path / "c.txt",
+             "stored": tmp_path / "d.txt"}
+    save_model(spectral, files["spectral"])
+    save_model(cholesky, files["cholesky"])
+    save_model(cholesky, files["stored"], include_decomposition=True)
+    calls = _count_solves(monkeypatch)
+
+    def solves(build):
+        """(eigensolves, Cholesky factorizations) at build and after two scores."""
+        calls.update(dict.fromkeys(calls, 0))
+        model = build()
+        at_build = calls["eigh"], calls["cho_factor"]
+        score_batch(model, X)
+        score_batch(model, X)
+        return at_build, (calls["eigh"], calls["cho_factor"])
+
+    for f, algorithm in [(Tikhonov(1e-2), "spectral"), (Landweber(10), "landweber")]:
+        assert solves(lambda: fit(pts, Abel(0.8), f, algorithm=algorithm)) == ((1, 0), (1, 0))
+    assert solves(lambda: fit(pts, Abel(0.8), Tikhonov(1e-2))) == ((0, 0), (0, 1))
+    assert solves(lambda: load_model(files["spectral"])) == ((1, 0), (1, 0))
+    assert solves(lambda: load_model(files["cholesky"])) == ((0, 0), (0, 1))
+    assert solves(lambda: load_model(files["stored"])) == ((0, 0), (0, 1))
 
 
 def test_cli_runs_without_numpy_solvers(tmp_path, monkeypatch):

@@ -23,12 +23,12 @@ TWO_POINTS = np.array([[0.0], [np.log(2.0)]])
 
 def test_fit_single_point_decomposition():
     m = fit(np.array([[0.0, 0.0]]), Abel(1.0), Tikhonov(0.1))
-    npt.assert_allclose(m.decomposition().eigenvalues, [1.0])
+    npt.assert_allclose(decompose(m.gram).eigenvalues, [1.0])
 
 
 def test_fit_two_point_spectrum():
     m = fit(TWO_POINTS, Abel(1.0), Tikhonov(0.1))
-    npt.assert_allclose(m.decomposition().eigenvalues, [0.75, 0.25], rtol=1e-14)
+    npt.assert_allclose(decompose(m.gram).eigenvalues, [0.75, 0.25], rtol=1e-14)
 
 
 def test_score_single_point_tikhonov():
@@ -204,7 +204,7 @@ def test_cholesky_scores_solve_in_place_on_column_major_cross_gram(monkeypatch):
     scores = score_batch(model, X)
     assert calls == [(True, True)]
     Kx = np.ascontiguousarray(cross_gram(model.kernel, pts, X))
-    Y = solve_triangular(model._cho_factor()[0], Kx, lower=True, check_finite=False)
+    Y = solve_triangular(model.cholesky[0], Kx, lower=True, check_finite=False)
     reference = np.clip(estimator._weighted_sum(np.ones(model.n), np.square(Y)), 0.0, 1.0)
     npt.assert_array_equal(scores, reference)
 
@@ -223,7 +223,7 @@ def test_spectral_products_run_on_scipy_dgemm_without_copies(monkeypatch):
     Kx = cross_gram(Abel(0.8), pts, X)
 
     def reference(model, f):
-        D = model.decomposition()
+        D = decompose(model.gram)
         w = estimator._scoring_gains(f, D.eigenvalues) / model.n
         return np.clip(np.square(D.eigenvectors.T @ Kx).T @ w, 0.0, 1.0)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _reference import apply_g, apply_r
@@ -252,6 +252,33 @@ def test_spec_text_examples():
     assert parse_filter("filter=landweber m=50") == Landweber(50)
     with pytest.raises(UsageError):
         parse_filter("filter=unknown lambda=0.1")
+    for text in ["tikhonov lambda=abc", "tikhonov lambda=", "landweber m=1.5",
+                 "tikhonov lambda=1 lambda=2", "kpca components=3 components=4"]:
+        with pytest.raises(UsageError):
+            parse_filter(text)
+
+
+# Specs built from the parser's own names and keys, with arbitrary values
+# mixed with well-formed ones, reach its number and option branches far
+# more often than free text does.
+_FILTER_SPECS = st.tuples(
+    st.sampled_from(["tikhonov", "cutoff", "landweber", "kpca"]),
+    st.lists(st.tuples(st.sampled_from(["lambda", "m", "components"]),
+                       st.one_of(st.text(max_size=8), st.sampled_from(["0.5", "1e-3", "3"])))
+             .map("=".join), max_size=3),
+).map(lambda t: " ".join([t[0], *t[1]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_FILTER_SPECS)
+@example(text="tikhonov lambda=")
+@example(text="tikhonov lambda=abc")
+def test_parse_filter_round_trips_or_raises_usage_error(text):
+    try:
+        f = parse_filter(text)
+    except UsageError:
+        return
+    assert parse_filter(format_filter(f)) == f
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setlearn import (DataError, UsageError, Abel, Gaussian, L1Exponential,
@@ -296,3 +296,31 @@ def test_spec_text_examples():
         parse_kernel("kernel=abel")
     with pytest.raises(UsageError):
         parse_kernel("kernel=unknown sigma=1")
+    for text in ["abel sigma=abc", "abel sigma=1 sigma=2",
+                 "normalized inner=(linear) inner=(linear)"]:
+        with pytest.raises(UsageError):
+            parse_kernel(text)
+
+
+# Specs built from the parser's own names and keys, with arbitrary values
+# mixed with well-formed ones (nested specs included).
+_KERNEL_SPECS = st.tuples(
+    st.sampled_from(["abel", "l1exp", "gaussian", "linear", "normalized", "product"]),
+    st.lists(st.tuples(st.sampled_from(["sigma", "inner", "factors"]),
+                       st.one_of(st.text(max_size=8),
+                                 st.sampled_from(["0.5", "(linear)", "(abel sigma=1)",
+                                                  "(abel sigma=1 @0:1)+(linear @1:2)"])))
+             .map("=".join), max_size=3),
+).map(lambda t: " ".join([t[0], *t[1]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_KERNEL_SPECS)
+@example(text="abel sigma=")
+@example(text="abel sigma=1 sigma=2")
+def test_parse_kernel_round_trips_or_raises_usage_error(text):
+    try:
+        k = parse_kernel(text)
+    except UsageError:
+        return
+    assert parse_kernel(format_kernel(k)) == k

@@ -5,8 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from setlearn import (Abel, DataError, KpcaTruncation, Landweber,
-                      SpectralCutoff, SpectralDecomposition, Tikhonov, fit,
-                      load_model, save_model, score_batch)
+                      SpectralCutoff, SpectralDecomposition, Tikhonov, decompose,
+                      fit, load_model, save_model, score_batch)
 
 
 def _random_model(seed=0, filt=None, tau=0.25):
@@ -55,11 +55,11 @@ def test_round_trip_all_filters(tmp_path, filt):
 @pytest.mark.parametrize("fmt", ["text", "binary"])
 def test_round_trip_with_decomposition(tmp_path, fmt):
     m = _random_model(seed=5)
-    D = m.decomposition()
+    D = decompose(m.gram)
     path = tmp_path / "model.full"
     save_model(m, path, fmt=fmt, include_decomposition=True)
     loaded = load_model(path)
-    D2 = loaded.decomposition()
+    D2 = loaded.decomposition
     npt.assert_allclose(D2.eigenvalues, D.eigenvalues, atol=1e-15)
     npt.assert_allclose(D2.eigenvectors, D.eigenvectors, atol=1e-15)
 
@@ -87,8 +87,8 @@ def _scaled_leading_eigenvector(s, V):
                                     _scaled_leading_eigenvector])
 def test_load_rejects_tampered_decomposition(tmp_path, fmt, tamper):
     m = _random_model(seed=11)
-    D = m.decomposition()
-    bad = replace(m, _decomposition=SpectralDecomposition(*tamper(D.eigenvalues, D.eigenvectors)))
+    D = decompose(m.gram)
+    bad = replace(m, decomposition=SpectralDecomposition(*tamper(D.eigenvalues, D.eigenvectors)))
     path = tmp_path / "model.full"
     save_model(bad, path, fmt=fmt, include_decomposition=True)
     with pytest.raises(DataError):
