@@ -19,8 +19,8 @@ for f in (Tikhonov(0.1), SpectralCutoff(0.1), Landweber(9), KpcaTruncation(0.1))
     lip = "none (not Lipschitz)" if L is None else f"{L:g}"
     print(f"  {format_filter(f):28s} r={np.round(r_value(f, s), 3)}  L={lip}")
 
-# r = s * g holds across families; Landweber realizes it exactly because
-# r is computed as s*g from a stable geometric sum.
+# r = s * g holds across families to a few ulps; Landweber evaluates
+# r = 1 - (1-s)^(m+1) in full precision and takes g = r/s from it.
 f = Landweber(9)
 print(f"\nlandweber r - s*g: {np.max(np.abs(r_value(f, s) - s * g_value(f, s)))}")
 

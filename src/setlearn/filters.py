@@ -45,6 +45,9 @@ __all__ = [
 def _check_lam(lam):
     if not np.isfinite(lam) or lam <= 0:
         raise UsageError(f"regularization parameter must be positive and finite, got {lam!r}")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(1.0 / np.float64(lam)):
+            raise UsageError(f"regularization parameter {lam!r} is so small that 1/lambda overflows")
     return float(lam)
 
 
@@ -87,6 +90,8 @@ class Landweber(Filter):
         m = self.iterations
         if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
             raise UsageError(f"iteration count must be a nonnegative integer, got {m!r}")
+        if m >= 2 ** 1023:   # r and g evaluate m + 1 as a float
+            raise UsageError(f"iteration count must be below 2**1023, got {m!r}")
         object.__setattr__(self, "iterations", int(m))
 
 
@@ -132,14 +137,18 @@ def _prep_spectrum(sigma):
     return np.clip(s, 0.0, 1.0), shape
 
 
+def _landweber_r(s, m):
+    # 1 - (1-s)^(m+1) as -expm1((m+1) log1p(-s)): full relative precision,
+    # at most 1, and non-decreasing in s, which s * g rounded is not.
+    with np.errstate(divide="ignore"):
+        return -np.expm1((m + 1) * np.log1p(-s))
+
+
 def _landweber_g(s, m):
-    # sum_{k=0}^{m} (1-s)^k, evaluated as -expm1((m+1) log1p(-s)) / s.
-    # Full relative precision for every s in (0, 1]; the limit m+1 at s=0.
+    # sum_{k=0}^{m} (1-s)^k = r(s) / s, with its limit m+1 at s=0.
     out = np.full_like(s, float(m + 1))
     pos = s > 0
-    with np.errstate(divide="ignore"):
-        t = (m + 1) * np.log1p(-s[pos])
-    out[pos] = -np.expm1(t) / s[pos]
+    out[pos] = _landweber_r(s[pos], m) / s[pos]
     return out
 
 
@@ -149,9 +158,7 @@ def _r(f, s):
     if isinstance(f, SpectralCutoff):
         return np.where(s > f.lam, 1.0, s / f.lam)
     if isinstance(f, Landweber):
-        # r = s * g keeps the consistency identity exact; the product can
-        # overshoot 1.0 by an ulp, clamp it.
-        return np.minimum(s * _landweber_g(s, f.iterations), 1.0)
+        return _landweber_r(s, f.iterations)
     if isinstance(f, KpcaTruncation):
         return (s >= _kpca_lam(f)).astype(float)
     raise UsageError(f"unknown filter {f!r}")

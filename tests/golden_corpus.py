@@ -118,6 +118,12 @@ COMMANDS = [
     ("error-usage", ["train", *_CIRCLE, "--lambda", "bogus", "--out", "never.txt"]),
     ("error-filter-spec", ["train", *_CIRCLE, "--filter", "tikhonov lambda=abc",
                            "--out", "never.txt"]),
+    ("error-filter-unknown", ["train", *_CIRCLE, "--filter", "bogus", "--out", "never.txt"]),
+    ("error-kernel-unknown", ["train", *_CIRCLE, "--kernel", "bogus", "--out", "never.txt"]),
+    ("error-landweber-no-m", ["train", *_CIRCLE, "--filter", "landweber", "--out", "never.txt"]),
+    ("error-kpca-spec", ["train", *_CIRCLE, "--filter", "filter=kpca", "--out", "never.txt"]),
+    ("error-landweber-spec", ["train", *_CIRCLE, "--filter", "landweber m=1.5",
+                              "--out", "never.txt"]),
     ("error-data", ["score", "--model", "missing.txt", *_CIRCLE, "--out", "never.csv"]),
     ("error-numeric", ["train", "--data", "origin.csv", "--header", "--kernel", "linear",
                        "--lambda", "1e-3", "--out", "never.txt"]),

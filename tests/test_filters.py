@@ -312,3 +312,33 @@ def test_eig_rejects_non_finite_matrix(solve, n, where, value):
     A[where] = A[where[::-1]] = value
     with pytest.raises(NumericError, match="non-finite"):
         solve(A)
+
+
+# Every strength a spec can carry: lam any positive finite float, m any
+# nonnegative integer.  The constructor may refuse a strength; one it
+# accepts must give a filter that keeps the invariants.
+_STRENGTHS = st.one_of(
+    st.tuples(st.sampled_from([Tikhonov, SpectralCutoff, KpcaTruncation]),
+              st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+    st.tuples(st.just(Landweber), st.integers(min_value=0)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(spec=_STRENGTHS, s=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+@example(spec=(Tikhonov, 5e-324), s=[0.0])
+@example(spec=(Landweber, 280), s=[0.125, 0.14515713378109776])
+@example(spec=(Landweber, 10 ** 400), s=[0.5])
+def test_filter_invariants_hold_on_the_unit_interval(spec, s):
+    """r maps [0, 1] into [0, 1], equals s * g within a few ulps and never
+    decreases in s, for every family at every strength it accepts."""
+    family, strength = spec
+    try:
+        f = family(strength)
+    except UsageError:
+        return
+    s = np.sort(np.asarray(s))
+    r, g = r_value(f, s), g_value(f, s)
+    assert np.all((r >= 0.0) & (r <= 1.0)), r
+    assert np.all(np.abs(r - s * g) <= 4 * np.spacing(r)), (r, s * g)
+    assert np.all(np.diff(r) >= 0.0), r
