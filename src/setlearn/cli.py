@@ -16,10 +16,11 @@ import numpy as np
 from .data import fmt_value as _f, load_csv, write_table
 from .errors import DataError, NumericError, UsageError
 # fit is not called here; bench/tracing.py wraps it under this module's name.
-from .estimator import _fit, fit, member_mask, regularization_path, score_batch  # noqa: F401
+from .estimator import (ALGORITHMS, _fit, fit, member_mask,  # noqa: F401
+                        regularization_path, score_batch)
 from .evaluation import hausdorff, parzen_score, roc_auc, symdiff_measure
-from .filters import (KpcaTruncation, Landweber, SpectralCutoff, Tikhonov,
-                      decompose, format_filter, parse_filter, spectrum)
+from .filters import (_FILTERS, KpcaTruncation, Landweber, Tikhonov, decompose,
+                      format_filter, parse_filter, spectrum)
 from .kernels import (_NAMES, SEPARATES_ALL, Linear, format_kernel, gram, normalize,
                       parse_kernel)
 from .model_io import load_model, save_model
@@ -72,14 +73,14 @@ def _resolve_kernel(args, points, warn=True):
     text = args.kernel.strip()
     if any(ch in text for ch in " =("):
         kernel, note = parse_kernel(text), "from spec"
-    elif text == "linear":
+    elif text == Linear.name:
         kernel, note = Linear(), ""
     elif text in _NAMES:
         sigma, note = _resolve_sigma(args.sigma, points)
         kernel = _NAMES[text](sigma)
     else:
         raise UsageError(
-            f"unknown kernel {text!r}; use one of abel, l1exp, gaussian, linear "
+            f"unknown kernel {text!r}; use one of {', '.join([*_NAMES, Linear.name])} "
             "or a full kernel spec")
     if not kernel.unit_diagonal:
         kernel = normalize(kernel)
@@ -116,18 +117,19 @@ def _filter_flags(args):
         filt = parse_filter(text)
         unresolved = isinstance(filt, KpcaTruncation) and filt.lam is None
         return type(filt), filt, "from spec, components resolved" if unresolved else "from spec"
-    if text == "landweber":
-        if args.m is None:
-            raise UsageError("--filter landweber needs --m")
-        return Landweber, Landweber(args.m), f"m={args.m}"
-    if text == "kpca" and args.components is not None:
-        return (KpcaTruncation, KpcaTruncation(components=args.components),
-                f"components={args.components}")
-    family = {"tikhonov": Tikhonov, "cutoff": SpectralCutoff, "kpca": KpcaTruncation}.get(text)
+    family = _FILTERS.get(text)
     if family is None:
         raise UsageError(
-            f"unknown filter {text!r}; use one of tikhonov, cutoff, landweber, kpca "
+            f"unknown filter {text!r}; use one of {', '.join(_FILTERS)} "
             "or a full filter spec")
+    # A bare name takes its strength from the first flag named after one of its
+    # spec keys; --lambda, which may be auto or a rate, waits for the spectrum.
+    for key, field in family.keys.items():
+        value = getattr(args, key, None)
+        if value is not None:
+            return family, family(**{field: value}), f"{key}={value}"
+    if "lambda" not in family.keys:
+        raise UsageError(f"--filter {text} needs --{next(iter(family.keys))}")
     return family, None, None
 
 
@@ -424,11 +426,11 @@ def _add_config_flags(sp, with_data=True):
         sp.add_argument("--task", help="synthetic task: " + ", ".join(task_names()))
         sp.add_argument("--n", type=int, default=200, help="sample size for --task")
     sp.add_argument("--kernel", default="abel",
-                    help="abel | l1exp | gaussian | linear, or a full kernel spec")
+                    help=" | ".join([*_NAMES, Linear.name]) + ", or a full kernel spec")
     sp.add_argument("--sigma", default="auto",
                     help="kernel width: a number, auto, or auto:<k>")
     sp.add_argument("--filter", default="tikhonov",
-                    help="tikhonov | cutoff | landweber | kpca, or a full filter spec")
+                    help=" | ".join(_FILTERS) + ", or a full filter spec")
     sp.add_argument("--lambda", dest="lam", default="auto",
                     help="regularization: a number, auto, or rate:s,b")
     sp.add_argument("--m", type=int, help="landweber iteration count")
@@ -436,7 +438,7 @@ def _add_config_flags(sp, with_data=True):
     sp.add_argument("--tau", type=float, default=0.0,
                     help="membership margin in [0, 1)")
     sp.add_argument("--algorithm", default="auto",
-                    choices=["auto", "spectral", "cholesky", "landweber"])
+                    choices=["auto", *ALGORITHMS])
 
 
 def _add_out_flags(sp):

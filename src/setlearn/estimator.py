@@ -48,7 +48,7 @@ from scipy.linalg.blas import dgemm, dgemv
 
 from .errors import DataError, NumericError, UsageError
 from .filters import (Filter, KpcaTruncation, Landweber, SpectralCutoff,
-                      SpectralDecomposition, Tikhonov, _g, decompose)
+                      SpectralDecomposition, Tikhonov, _known, decompose)
 from .kernels import GramMatrix, _as_points, cross_gram, gram
 
 __all__ = [
@@ -161,6 +161,7 @@ def fit(points, kernel, filter, algorithm=None, tau=0.0):
 def _fit(points, kernel, filter, algorithm, tau, G=None, decomposition=None):
     """:func:`fit`, for a caller that holds the Gram (and decomposition) already."""
     pts = np.array(_as_points(points), copy=True)
+    _known(filter)
     if not kernel.unit_diagonal:
         raise UsageError(
             "support estimation needs a unit-diagonal kernel; wrap it with normalize()")
@@ -241,7 +242,7 @@ def _weighted_sum(w, Y):
 
 
 def _scoring_gains(f, eigenvalues):
-    gv = _g(f, eigenvalues)
+    gv = f._g(eigenvalues)
     if isinstance(f, SpectralCutoff):
         gv = gv.copy()
         gv[eigenvalues <= NULL_EIG] = 0.0
@@ -280,21 +281,9 @@ def regularization_path(model, X, grid):
     np.square(W2, out=W2)
     out = np.empty((len(grid), X.shape[0]))
     for i, value in enumerate(grid):
-        w = _scoring_gains(_reparameterize(model.filter, value), D.eigenvalues) / model.n
+        w = _scoring_gains(model.filter.at(value), D.eigenvalues) / model.n
         out[i] = np.clip(_weighted_sum(w, W2), 0.0, 1.0)
     return out
-
-
-def _reparameterize(f, value):
-    if isinstance(f, Tikhonov):
-        return Tikhonov(float(value))
-    if isinstance(f, SpectralCutoff):
-        return SpectralCutoff(float(value))
-    if isinstance(f, Landweber):
-        return Landweber(int(value))
-    if isinstance(f, KpcaTruncation):
-        return KpcaTruncation(lam=float(value))
-    raise UsageError(f"unknown filter {f!r}")
 
 
 def kpca_lambda_from_rank(decomposition, components):

@@ -4,7 +4,7 @@ A filter is described by two functions of an eigenvalue sigma in [0, 1]:
 the profile r(sigma) actually applied to the spectrum and the gain
 g(sigma) = r(sigma) / sigma.  Every family satisfies
 
-* r maps [0, 1] into [0, 1] and r(0) = 0,
+* r maps [0, 1] into [0, 1], r(0) = 0, and r does not decrease in sigma,
 * r(sigma) -> 1 pointwise as the regularization vanishes,
 * r = sigma * g exactly (a few ulps),
 
@@ -12,6 +12,9 @@ and all families except the kPCA truncation are Lipschitz on [0, 1] with
 the constant reported by :func:`lipschitz_constant`.  The truncation has a
 jump at its threshold, so its constant is ``None``; perturbation bounds
 that need a Lipschitz filter do not apply to it.
+
+Each family is declared once, on its spec class (see :class:`Filter`); the
+parser, the formatter and the command line read one table of them, ``_FILTERS``.
 
 The eigensolve is ``scipy.linalg.eigh`` with dsyevd, the LAPACK routine
 numpy calls too, so that it shares one OpenBLAS and its thread pool with
@@ -28,7 +31,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh
 
 from .errors import NumericError, UsageError
-from .kernels import GramMatrix, _parse_float, _parse_kv
+from .kernels import GramMatrix, _parse_kv, _parse_number
 
 # Eigenvalues of K_n/n may stray outside [0, 1] by round-off; values within
 # this slack are clamped, values beyond it are an error.
@@ -45,35 +48,68 @@ __all__ = [
 def _check_lam(lam):
     if not np.isfinite(lam) or lam <= 0:
         raise UsageError(f"regularization parameter must be positive and finite, got {lam!r}")
-    with np.errstate(over="ignore"):
-        if not np.isfinite(1.0 / np.float64(lam)):
-            raise UsageError(f"regularization parameter {lam!r} is so small that 1/lambda overflows")
+    if 1.0 / float(lam) == np.inf:
+        raise UsageError(f"regularization parameter {lam!r} is so small that 1/lambda overflows")
     return float(lam)
 
 
 @dataclass(frozen=True)
 class Filter:
-    """Base class for filter specs."""
+    """Base class for filter specs; each family is declared once, on its class.
+
+    ``name`` is its text name; ``keys`` maps spec keys to fields, whose
+    annotations say float or int.  ``_r``/``_g`` evaluate r and g on a clamped
+    spectrum, ``lipschitz()`` is r's Lipschitz constant or ``None``, and
+    ``at(value)`` rebuilds the filter at another regularization strength.
+    """
+
+    name = None
+    keys = {}
 
 
 @dataclass(frozen=True)
-class Tikhonov(Filter):
+class _Threshold(Filter):
+    """A family regularized by one threshold ``lam``, Lipschitz with constant 1/lam."""
+
+    lam: float
+
+    keys = {"lambda": "lam"}
+
+    def __post_init__(self):
+        object.__setattr__(self, "lam", _check_lam(self.lam))
+
+    def lipschitz(self):
+        return 1.0 / self.lam
+
+    def at(self, value):
+        return type(self)(float(value))
+
+
+class Tikhonov(_Threshold):
     """r(s) = s / (s + lam), g(s) = 1 / (s + lam)."""
 
-    lam: float
+    name = "tikhonov"
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _check_lam(self.lam))
+    def _r(self, s):
+        return s / (s + self.lam)
+
+    def _g(self, s):
+        return 1.0 / (s + self.lam)
 
 
-@dataclass(frozen=True)
-class SpectralCutoff(Filter):
+class SpectralCutoff(_Threshold):
     """r(s) = 1 above lam, s / lam at or below; g(s) = 1/s resp. 1/lam."""
 
-    lam: float
+    name = "cutoff"
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _check_lam(self.lam))
+    def _r(self, s):
+        return np.where(s > self.lam, 1.0, s / self.lam)
+
+    def _g(self, s):
+        out = np.full_like(s, 1.0 / self.lam)
+        above = s > self.lam
+        out[above] = 1.0 / s[above]
+        return out
 
 
 @dataclass(frozen=True)
@@ -86,6 +122,9 @@ class Landweber(Filter):
 
     iterations: int
 
+    name = "landweber"
+    keys = {"m": "iterations"}
+
     def __post_init__(self):
         m = self.iterations
         if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
@@ -93,6 +132,25 @@ class Landweber(Filter):
         if m >= 2 ** 1023:   # r and g evaluate m + 1 as a float
             raise UsageError(f"iteration count must be below 2**1023, got {m!r}")
         object.__setattr__(self, "iterations", int(m))
+
+    def _r(self, s):
+        # -expm1((m+1) log1p(-s)): full relative precision, at most 1, and
+        # non-decreasing in s, which s * g rounded is not.
+        with np.errstate(divide="ignore"):
+            return -np.expm1((self.iterations + 1) * np.log1p(-s))
+
+    def _g(self, s):
+        # r(s) / s, with its limit m+1 at s=0.
+        out = np.full_like(s, float(self.iterations + 1))
+        pos = s > 0
+        out[pos] = self._r(s[pos]) / s[pos]
+        return out
+
+    def lipschitz(self):
+        return float(self.iterations + 1)
+
+    def at(self, value):
+        return Landweber(int(value))
 
 
 @dataclass(frozen=True)
@@ -107,6 +165,9 @@ class KpcaTruncation(Filter):
     lam: float = None
     components: int = None
 
+    name = "kpca"
+    keys = {"lambda": "lam", "components": "components"}
+
     def __post_init__(self):
         if (self.lam is None) == (self.components is None):
             raise UsageError("kpca truncation needs exactly one of lam= or components=")
@@ -118,13 +179,37 @@ class KpcaTruncation(Filter):
                 raise UsageError(f"component count must be a positive integer, got {c!r}")
             object.__setattr__(self, "components", int(c))
 
+    def _kept(self, s):
+        if self.lam is None:
+            raise UsageError(
+                "kpca truncation by component count has no threshold yet; "
+                "fitting resolves it against the spectrum (kpca_lambda_from_rank)")
+        return s >= self.lam
 
-def _kpca_lam(f):
-    if f.lam is None:
-        raise UsageError(
-            "kpca truncation by component count has no threshold yet; "
-            "fitting resolves it against the spectrum (kpca_lambda_from_rank)")
-    return f.lam
+    def _r(self, s):
+        return self._kept(s).astype(float)
+
+    def _g(self, s):
+        out = np.zeros_like(s)
+        kept = self._kept(s)   # threshold > 0, so kept entries are positive
+        out[kept] = 1.0 / s[kept]
+        return out
+
+    def lipschitz(self):
+        return None
+
+    def at(self, value):
+        return KpcaTruncation(lam=float(value))
+
+
+_FILTERS = {f.name: f for f in (Tikhonov, SpectralCutoff, Landweber, KpcaTruncation)}
+
+
+def _known(f, fault="unknown filter"):
+    """``f`` itself if it is a spec of a declared family, else a usage error."""
+    if not isinstance(f, Filter) or f.name not in _FILTERS:
+        raise UsageError(f"{fault} {f!r}")
+    return f
 
 
 def _prep_spectrum(sigma):
@@ -137,74 +222,23 @@ def _prep_spectrum(sigma):
     return np.clip(s, 0.0, 1.0), shape
 
 
-def _landweber_r(s, m):
-    # 1 - (1-s)^(m+1) as -expm1((m+1) log1p(-s)): full relative precision,
-    # at most 1, and non-decreasing in s, which s * g rounded is not.
-    with np.errstate(divide="ignore"):
-        return -np.expm1((m + 1) * np.log1p(-s))
-
-
-def _landweber_g(s, m):
-    # sum_{k=0}^{m} (1-s)^k = r(s) / s, with its limit m+1 at s=0.
-    out = np.full_like(s, float(m + 1))
-    pos = s > 0
-    out[pos] = _landweber_r(s[pos], m) / s[pos]
-    return out
-
-
-def _r(f, s):
-    if isinstance(f, Tikhonov):
-        return s / (s + f.lam)
-    if isinstance(f, SpectralCutoff):
-        return np.where(s > f.lam, 1.0, s / f.lam)
-    if isinstance(f, Landweber):
-        return _landweber_r(s, f.iterations)
-    if isinstance(f, KpcaTruncation):
-        return (s >= _kpca_lam(f)).astype(float)
-    raise UsageError(f"unknown filter {f!r}")
-
-
-def _g(f, s):
-    if isinstance(f, Tikhonov):
-        return 1.0 / (s + f.lam)
-    if isinstance(f, SpectralCutoff):
-        out = np.full_like(s, 1.0 / f.lam)
-        above = s > f.lam
-        out[above] = 1.0 / s[above]
-        return out
-    if isinstance(f, Landweber):
-        return _landweber_g(s, f.iterations)
-    if isinstance(f, KpcaTruncation):
-        out = np.zeros_like(s)
-        kept = s >= _kpca_lam(f)   # threshold > 0, so kept entries are positive
-        out[kept] = 1.0 / s[kept]
-        return out
-    raise UsageError(f"unknown filter {f!r}")
-
-
 def r_value(f, sigma):
     """Filter profile r(sigma); scalar in, scalar out, arrays vectorized."""
     s, shape = _prep_spectrum(sigma)
-    r = _r(f, s)
+    r = _known(f)._r(s)
     return float(r[0]) if shape == () else r.reshape(shape)
 
 
 def g_value(f, sigma):
     """Filter gain g(sigma) = r(sigma) / sigma extended continuously to 0."""
     s, shape = _prep_spectrum(sigma)
-    g = _g(f, s)
+    g = _known(f)._g(s)
     return float(g[0]) if shape == () else g.reshape(shape)
 
 
 def lipschitz_constant(f):
     """Lipschitz constant of r on [0, 1], or None for the kPCA truncation."""
-    if isinstance(f, (Tikhonov, SpectralCutoff)):
-        return 1.0 / f.lam
-    if isinstance(f, Landweber):
-        return float(f.iterations + 1)
-    if isinstance(f, KpcaTruncation):
-        return None
-    raise UsageError(f"unknown filter {f!r}")
+    return _known(f).lipschitz()
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,18 +300,10 @@ def spectrum(g):
 
 def format_filter(f, prefix=True):
     """Serialize a filter spec to its text form."""
-    head = "filter=" if prefix else ""
-    if isinstance(f, Tikhonov):
-        return f"{head}tikhonov lambda={f.lam!r}"
-    if isinstance(f, SpectralCutoff):
-        return f"{head}cutoff lambda={f.lam!r}"
-    if isinstance(f, Landweber):
-        return f"{head}landweber m={f.iterations}"
-    if isinstance(f, KpcaTruncation):
-        if f.lam is not None:
-            return f"{head}kpca lambda={f.lam!r}"
-        return f"{head}kpca components={f.components}"
-    raise UsageError(f"cannot serialize filter {f!r}")
+    _known(f, "cannot serialize filter")
+    options = [f"{key}={getattr(f, field)!r}" for key, field in f.keys.items()
+               if getattr(f, field) is not None]
+    return ("filter=" if prefix else "") + " ".join([f.name, *options])
 
 
 def parse_filter(text):
@@ -285,41 +311,20 @@ def parse_filter(text):
     body = text.strip()
     if body.startswith("filter="):
         body = body[len("filter="):]
-    tokens = [t for t in body.split() if t]
+    tokens = body.split()
     if not tokens:
         raise UsageError("empty filter spec")
     name = tokens[0]
-    kvs = _parse_kv(tokens[1:], {"lambda", "m", "components"}, "filter")
-
-    def need_float(key):
-        if key not in kvs:
-            raise UsageError(f"filter {name!r} needs {key}=")
-        return _parse_float(kvs.pop(key), key)
-
-    def need_int(key):
-        raw = kvs.pop(key)
-        try:
-            return int(raw)
-        except ValueError:
-            raise UsageError(f"bad {key}: {raw!r}") from None
-
-    if name == "tikhonov":
-        out = Tikhonov(need_float("lambda"))
-    elif name == "cutoff":
-        out = SpectralCutoff(need_float("lambda"))
-    elif name == "landweber":
-        if "m" not in kvs:
-            raise UsageError("filter 'landweber' needs m=")
-        out = Landweber(need_int("m"))
-    elif name == "kpca":
-        if "lambda" in kvs:
-            out = KpcaTruncation(lam=need_float("lambda"))
-        elif "components" in kvs:
-            out = KpcaTruncation(components=need_int("components"))
-        else:
-            raise UsageError("filter 'kpca' needs lambda= or components=")
-    else:
+    kvs = _parse_kv(tokens[1:], {k for f in _FILTERS.values() for k in f.keys}, "filter")
+    family = _FILTERS.get(name)
+    if family is None:
         raise UsageError(f"unknown filter {name!r}")
+    key = next((k for k in family.keys if k in kvs), None)
+    if key is None:
+        raise UsageError(f"filter {name!r} needs {' or '.join(k + '=' for k in family.keys)}")
+    field = family.keys[key]
+    kind = int if family.__dataclass_fields__[field].type == "int" else float
+    out = family(**{field: _parse_number(kvs.pop(key), key, kind)})
     if kvs:
         raise UsageError(f"unknown filter option {next(iter(kvs))!r}")
     return out

@@ -13,6 +13,10 @@ on pairs of dense real vectors.  Specs carry two documented properties:
     completely separating; the Gaussian kernel is not, which is why it is
     a poor default for set estimation even though it is a fine smoother.
 
+The width kernels share one implementation, exp(-d(x, y) / scale); each
+declares its text name and distance d on its class, and the parser, the
+formatter and the command line read the table of them, ``_NAMES``.
+
 All evaluation is elementwise-deterministic: the same pair of points gives
 bit-identical values regardless of batch shape or argument order.
 """
@@ -74,66 +78,61 @@ class Kernel:
 
 
 @dataclass(frozen=True)
-class Abel(Kernel):
+class _Exponential(Kernel):
+    """exp(-cdist(x, y, metric) / scale), unit-diagonal.
+
+    Each family declares its text ``name`` and distance ``metric``; the
+    scale is the width ``sigma`` unless the family says otherwise.
+    """
+
+    sigma: float
+
+    unit_diagonal = True
+    separating = SEPARATES_ALL
+
+    def __post_init__(self):
+        object.__setattr__(self, "sigma", _check_width(self.sigma))
+
+    def _scale(self):
+        return self.sigma
+
+    def _pairwise(self, X, Y):
+        return np.exp(-cdist(X, Y, self.metric) / self._scale())
+
+    def _diag(self, X):
+        return np.ones(X.shape[0])
+
+
+class Abel(_Exponential):
     """exp(-||x - y|| / sigma), completely separating."""
 
-    sigma: float
-
-    unit_diagonal = True
-    separating = SEPARATES_ALL
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", _check_width(self.sigma))
-
-    def _pairwise(self, X, Y):
-        return np.exp(-cdist(X, Y, "euclidean") / self.sigma)
-
-    def _diag(self, X):
-        return np.ones(X.shape[0])
+    name = "abel"
+    metric = "euclidean"
 
 
-@dataclass(frozen=True)
-class L1Exponential(Kernel):
+class L1Exponential(_Exponential):
     """exp(-||x - y||_1 / sigma), completely separating."""
 
-    sigma: float
-
-    unit_diagonal = True
-    separating = SEPARATES_ALL
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", _check_width(self.sigma))
-
-    def _pairwise(self, X, Y):
-        return np.exp(-cdist(X, Y, "cityblock") / self.sigma)
-
-    def _diag(self, X):
-        return np.ones(X.shape[0])
+    name = "l1exp"
+    metric = "cityblock"
 
 
-@dataclass(frozen=True)
-class Gaussian(Kernel):
+class Gaussian(_Exponential):
     """exp(-||x - y||^2 / sigma^2).  Smooth but not separating."""
 
-    sigma: float
-
-    unit_diagonal = True
+    name = "gaussian"
+    metric = "sqeuclidean"
     separating = SEPARATES_NONE
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", _check_width(self.sigma))
-
-    def _pairwise(self, X, Y):
-        return np.exp(-cdist(X, Y, "sqeuclidean") / (self.sigma * self.sigma))
-
-    def _diag(self, X):
-        return np.ones(X.shape[0])
+    def _scale(self):
+        return self.sigma * self.sigma
 
 
 @dataclass(frozen=True)
 class Linear(Kernel):
     """x . y, separates affine subspaces only.  Not unit-diagonal."""
 
+    name = "linear"
     unit_diagonal = False
     separating = SEPARATES_LINEAR
 
@@ -380,20 +379,16 @@ def cross_gram(kernel, X, Y):
 #   kernel=normalized inner=(linear)
 #   kernel=product factors=(abel sigma=1.0 @0:2)+(l1exp sigma=2.0 @2:3)
 
-_NAMES = {"abel": Abel, "l1exp": L1Exponential, "gaussian": Gaussian}
+_NAMES = {k.name: k for k in (Abel, L1Exponential, Gaussian)}
 
 
 def format_kernel(kernel, prefix=True):
     """Serialize a kernel spec to its text form."""
     head = "kernel=" if prefix else ""
-    if isinstance(kernel, Abel):
-        return f"{head}abel sigma={kernel.sigma!r}"
-    if isinstance(kernel, L1Exponential):
-        return f"{head}l1exp sigma={kernel.sigma!r}"
-    if isinstance(kernel, Gaussian):
-        return f"{head}gaussian sigma={kernel.sigma!r}"
+    if isinstance(kernel, _Exponential):
+        return f"{head}{kernel.name} sigma={kernel.sigma!r}"
     if isinstance(kernel, Linear):
-        return f"{head}linear"
+        return f"{head}{kernel.name}"
     if isinstance(kernel, Normalized):
         return f"{head}normalized inner=({format_kernel(kernel.inner, prefix=False)})"
     if isinstance(kernel, Product):
@@ -437,9 +432,9 @@ def _parse_kv(tokens, allowed, what="kernel"):
     return out
 
 
-def _parse_float(text, what):
+def _parse_number(text, what, kind=float):
     try:
-        return float(text)
+        return kind(text)
     except ValueError:
         raise UsageError(f"bad {what}: {text!r}") from None
 
@@ -461,8 +456,8 @@ def parse_kernel(text):
         kvs = _parse_kv(rest, {"sigma"})
         if "sigma" not in kvs:
             raise UsageError(f"kernel {name!r} needs sigma=")
-        return _NAMES[name](_parse_float(kvs["sigma"], "sigma"))
-    if name == "linear":
+        return _NAMES[name](_parse_number(kvs["sigma"], "sigma"))
+    if name == Linear.name:
         if rest:
             raise UsageError("kernel 'linear' takes no options")
         return Linear()

@@ -14,7 +14,7 @@ from scipy.linalg import cho_solve
 
 from setlearn.errors import UsageError
 from setlearn.estimator import _cholesky
-from setlearn.filters import (SpectralDecomposition, _g, _prep_spectrum, _r,
+from setlearn.filters import (SpectralDecomposition, _prep_spectrum,
                               lipschitz_constant)
 
 # Rank tolerance of the pseudo-inverse, relative to the largest singular
@@ -24,7 +24,7 @@ PINV_RCOND = 1e-12
 
 def apply_r(f, decomposition):
     """The matrix r(K_n/n), exactly symmetric."""
-    r = _r(f, decomposition.eigenvalues)
+    r = f._r(decomposition.eigenvalues)
     V = decomposition.eigenvectors
     M = (V * r) @ V.T
     return (M + M.T) / 2.0
@@ -32,7 +32,7 @@ def apply_r(f, decomposition):
 
 def apply_g(f, decomposition):
     """The matrix g(K_n/n), exactly symmetric."""
-    gv = _g(f, decomposition.eigenvalues)
+    gv = f._g(decomposition.eigenvalues)
     V = decomposition.eigenvectors
     M = (V * gv) @ V.T
     return (M + M.T) / 2.0
