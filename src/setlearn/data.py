@@ -11,6 +11,7 @@ byte-deterministic unless a timestamp line is requested.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -45,27 +46,34 @@ def load_csv(path, header=False, label_col=None):
     Raises DataError with the offending row and column on ragged or
     non-numeric input, or on an empty file.
     """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = blob.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}: row {row} is not UTF-8 text") from None
     rows = []
     first_data_line = True
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if first_data_line and header:
-                first_data_line = False
-                continue
+    # newline=None splits lines as a text-mode file does: on \n, \r\n and \r.
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if first_data_line and header:
             first_data_line = False
-            cells = [c for c in (line.split(",") if "," in line else line.split()) if c != ""]
-            values = []
-            for col, cell in enumerate(cells, start=1):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {lineno}, column {col}: "
-                        f"could not parse {cell.strip()!r} as a number") from None
-            rows.append((lineno, values))
+            continue
+        first_data_line = False
+        cells = [c for c in (line.split(",") if "," in line else line.split()) if c != ""]
+        values = []
+        for col, cell in enumerate(cells, start=1):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {lineno}, column {col}: "
+                    f"could not parse {cell.strip()!r} as a number") from None
+        rows.append((lineno, values))
     if not rows:
         raise DataError(f"{path}: no data rows")
     width = len(rows[0][1])

@@ -75,14 +75,18 @@ def save_model(model, path, fmt="text", include_decomposition=False):
                 fh.write(np.ascontiguousarray(decomp.eigenvectors, dtype="<f8").tobytes())
 
 
+def _ascii(data, path, what):
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: {what} is not ascii") from None
+
+
 def _parse_header(blob, path):
     idx = blob.find(_MARKER)
     if idx < 0 or (idx > 0 and blob[idx - 1:idx] != b"\n"):
         raise DataError(f"{path}: not a model file (missing data: section)")
-    try:
-        head = blob[:idx].decode("ascii")
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: header is not ascii") from None
+    head = _ascii(blob[:idx], path, "header")
     fields = {}
     for line in head.splitlines():
         line = line.strip()
@@ -101,7 +105,7 @@ def _parse_header(blob, path):
 
 def _text_rows(payload, path):
     rows = []
-    for lineno, line in enumerate(payload.decode("ascii").splitlines(), start=1):
+    for lineno, line in enumerate(_ascii(payload, path, "data section").splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -124,6 +128,8 @@ def load_model(path):
         tau = float(fields["tau"])
     except ValueError:
         raise DataError(f"{path}: bad n/d/tau header values") from None
+    if n < 0 or d < 0:
+        raise DataError(f"{path}: n and d must be nonnegative, got n={n} d={d}")
     try:
         kernel = parse_kernel(fields["kernel"])
         filt = parse_filter(fields["filter"])

@@ -124,6 +124,12 @@ COMMANDS = [
     ("error-kpca-spec", ["train", *_CIRCLE, "--filter", "filter=kpca", "--out", "never.txt"]),
     ("error-landweber-spec", ["train", *_CIRCLE, "--filter", "landweber m=1.5",
                               "--out", "never.txt"]),
+    ("error-csv-encoding", ["train", "--data", "latin1.csv", "--lambda", "1e-3",
+                            "--out", "never.txt"]),
+    ("error-model-encoding", ["score", "--model", "m_latin1.txt", *_CIRCLE,
+                              "--out", "never.csv"]),
+    ("error-model-counts", ["score", "--model", "m_negative.bin", *_CIRCLE,
+                            "--out", "never.csv"]),
     ("error-data", ["score", "--model", "missing.txt", *_CIRCLE, "--out", "never.csv"]),
     ("error-numeric", ["train", "--data", "origin.csv", "--header", "--kernel", "linear",
                        "--lambda", "1e-3", "--out", "never.txt"]),
@@ -147,6 +153,19 @@ def _origin_csv(path):
                 timestamp=False)
 
 
+def _malformed_inputs():
+    """A CSV holding a byte that is not UTF-8, a text model whose data section
+    holds a byte that is not ascii, and a binary model with negative n and d."""
+    head = (b"# support model v1\nformat=%s\nkernel=abel sigma=1.0\n"
+            b"filter=tikhonov lambda=0.1\nalgorithm=cholesky\ntau=0.0\n"
+            b"n=%d\nd=%d\ndecomposition=none\ndata:\n")
+    for name, blob in [("latin1.csv", b"1,2\n3,\xff4\n"),
+                       ("m_latin1.txt", head % (b"text", 1, 2) + b"0.5 \xe9\n"),
+                       ("m_negative.bin", head % (b"binary", -1, -1) + bytes(8))]:
+        with open(name, "wb") as fh:
+            fh.write(blob)
+
+
 def generate(directory):
     """Run the matrix in ``directory``; returns {file name: bytes} of everything written."""
     here = os.getcwd()
@@ -154,6 +173,7 @@ def generate(directory):
     try:
         _labeled_csv("labeled.csv")
         _origin_csv("origin.csv")
+        _malformed_inputs()
         for name, argv in COMMANDS:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

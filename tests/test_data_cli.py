@@ -1,6 +1,11 @@
+import os
+import tempfile
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import setlearn.cli as cli
 import setlearn.estimator as estimator
@@ -72,6 +77,63 @@ def test_load_csv_non_finite_rejected(tmp_path):
     p.write_text("0,0\nnan,1\n")
     with pytest.raises(DataError):
         load_csv(p)
+
+
+def test_load_csv_non_utf8_names_row(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_bytes(b"1,2\n3,\xff4\n")
+    with pytest.raises(DataError, match="row 2 is not UTF-8 text"):
+        load_csv(p)
+
+
+_CELLS = [[b"0.5", b"1.25"], [b"-2", b"3e-3"], [b"7", b"8"]]
+
+
+@st.composite
+def _mutated_csvs(draw):
+    """A small two-column table, truncated, with a flipped bit, a header row
+    of another width, a non-finite cell or a row of another width."""
+    rows = [list(r) for r in _CELLS]
+    kind = draw(st.sampled_from(["truncate", "flip", "header", "non-finite", "dims"]))
+    if kind == "header":
+        rows.insert(0, [b"x%d" % i for i in range(draw(st.integers(0, 4)))])
+    elif kind == "non-finite":
+        rows[draw(st.integers(0, 2))][draw(st.integers(0, 1))] = draw(
+            st.sampled_from([b"nan", b"inf", b"-inf", b"NaN", b"1e999"]))
+    elif kind == "dims":
+        i = draw(st.integers(0, 2))
+        rows[i] = rows[i][:1] if draw(st.booleans()) else rows[i] + [b"0"]
+    blob = b"# probe\n" + b"".join(b",".join(r) + b"\n" for r in rows)
+    if kind == "truncate":
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    if kind == "flip":
+        i = draw(st.integers(0, len(blob) - 1))
+        return blob[:i] + bytes([blob[i] ^ (1 << draw(st.integers(0, 7)))]) + blob[i + 1:]
+    return blob
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=_mutated_csvs(), header=st.booleans())
+@example(blob=b"1,2\n3,\xff4\n", header=False)
+def test_mutated_csv_loads_or_raises_data_error(blob, header):
+    """Each mutated table loads as finite points or raises DataError, and the
+    CLI's score on it exits 0 or 3."""
+    with tempfile.TemporaryDirectory() as d:
+        path, model = os.path.join(d, "x.csv"), os.path.join(d, "m.txt")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        save_model(fit(np.array([[0.0, 0.0], [1.0, 0.5], [0.2, 2.0]]), Abel(0.6),
+                       Tikhonov(0.01)), model)
+        flag = ["--header"] if header else []
+        try:
+            ds = load_csv(path, header=header)
+        except DataError:
+            ds = None
+        else:
+            assert ds.points.ndim == 2 and np.all(np.isfinite(ds.points))
+        rc = main(["score", "--model", model, "--data", path, *flag,
+                   "--out", os.path.join(d, "s.csv"), "--no-timestamp"])
+        assert rc == (3 if ds is None or ds.dim != 2 else 0)
 
 
 def test_load_csv_label_column(tmp_path):

@@ -1,12 +1,19 @@
+import functools
+import os
+import re
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from setlearn import (Abel, DataError, KpcaTruncation, Landweber,
-                      SpectralCutoff, SpectralDecomposition, Tikhonov, decompose,
-                      fit, load_model, save_model, score_batch)
+                      SpectralCutoff, SpectralDecomposition, Tikhonov, UsageError,
+                      decompose, fit, load_model, save_model, score_batch, write_table)
+from setlearn.cli import main
 
 
 def _random_model(seed=0, filt=None, tau=0.25):
@@ -146,3 +153,100 @@ def test_text_payload_uses_full_precision(tmp_path):
     path = tmp_path / "model.txt"
     save_model(m, path)
     npt.assert_array_equal(load_model(path).points, m.points)
+
+
+def test_load_rejects_non_ascii_text_payload(tmp_path):
+    path = tmp_path / "model.txt"
+    save_model(_random_model(seed=11), path)
+    head, payload = path.read_bytes().split(b"data:\n")
+    path.write_bytes(head + b"data:\n" + b"\xe9" + payload)
+    with pytest.raises(DataError, match="data section is not ascii"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_load_rejects_negative_header_counts(tmp_path, fmt):
+    path = tmp_path / "model"
+    save_model(_random_model(seed=12), path, fmt=fmt)
+    head = path.read_bytes().split(b"data:\n")[0]
+    head = head.replace(b"\nn=17\n", b"\nn=-1\n").replace(b"\nd=3\n", b"\nd=-1\n")
+    path.write_bytes(head + b"data:\n" + bytes(8))
+    with pytest.raises(DataError, match="n and d must be nonnegative"):
+        load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# Mutated model files: each loads as a working model or raises DataError, and
+# the CLI's score on it exits 0 or 3.
+
+
+@functools.cache
+def _model_bytes(fmt, decomposition):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m")
+        save_model(_random_model(seed=13), path, fmt=fmt, include_decomposition=decomposition)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+_NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+_HEADER = (b"# support model v1\nformat=%s\nkernel=abel sigma=0.8\nfilter=tikhonov lambda=0.01\n"
+           b"algorithm=cholesky\ntau=0.25\nn=%d\nd=%d\ndecomposition=none\ndata:\n")
+
+
+@st.composite
+def _mutated_models(draw):
+    blob = _model_bytes(draw(st.sampled_from(["text", "binary"])), draw(st.booleans()))
+    head, payload = blob.split(b"data:\n")
+    binary = b"format=binary" in head
+    kind = draw(st.sampled_from(["truncate", "flip", "count", "non-finite", "dims"]))
+    if kind == "truncate":
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    if kind == "flip":
+        i = draw(st.integers(0, len(blob) - 1))
+        return blob[:i] + bytes([blob[i] ^ (1 << draw(st.integers(0, 7)))]) + blob[i + 1:]
+    if kind == "count":   # each count kept, negated or replaced
+        for key, value in ((b"n", 17), (b"d", 3)):
+            value = draw(st.sampled_from([value, -value]) | st.integers(-3, 40))
+            head = re.sub(rb"(?m)^" + key + rb"=\d+$", b"%s=%d" % (key, value), head)
+    elif kind == "non-finite" and binary:
+        i = 8 * draw(st.integers(0, len(payload) // 8 - 1))
+        payload = payload[:i] + np.float64(draw(_NON_FINITE)).tobytes() + payload[i + 8:]
+    elif binary:   # dims: the same payload read as one point, or as 1-d points
+        n = draw(st.sampled_from([1, 17 * 3]))
+        head = re.sub(rb"(?m)^n=\d+$", b"n=%d" % n, head)
+        head = re.sub(rb"(?m)^d=\d+$", b"d=%d" % (17 * 3 // n), head)
+    else:          # non-finite or dims on a text line
+        lines = payload.splitlines()
+        i = draw(st.integers(0, len(lines) - 1))
+        cells = lines[i].split()
+        if kind == "non-finite":
+            cells[draw(st.integers(0, len(cells) - 1))] = repr(draw(_NON_FINITE)).encode()
+        else:
+            cells = cells[:-1] if draw(st.booleans()) else cells + [b"0.5"]
+        lines[i] = b" ".join(cells)
+        payload = b"\n".join(lines) + b"\n"
+    return head + b"data:\n" + payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=_mutated_models())
+@example(blob=_HEADER % (b"binary", -1, -1) + bytes(8))
+@example(blob=_HEADER % (b"text", 1, 3) + b"\xb1.8 -3.1 0.96\n")
+def test_mutated_model_file_loads_or_raises_data_error(blob):
+    with tempfile.TemporaryDirectory() as d:
+        path, data = os.path.join(d, "m"), os.path.join(d, "x.csv")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        write_table(data, "probe", [], ["x0", "x1", "x2"], [(0.1, 0.2, 0.3), (1, 2, 3)],
+                    timestamp=False)
+        try:
+            model = load_model(path)
+        except (DataError, UsageError):
+            model = None
+        else:
+            scores = score_batch(model, model.points)
+            assert np.all((scores >= 0.0) & (scores <= 1.0))
+        rc = main(["score", "--model", path, "--data", data, "--header",
+                   "--out", os.path.join(d, "s.csv"), "--no-timestamp"])
+        assert rc == (3 if model is None or model.dim != 3 else 0)
