@@ -40,13 +40,26 @@ class SyntheticTask:
         return self._sampler(int(n), rng)
 
 
-def _arc_distance(points, center, flip):
-    """Distance to a unit half-circle arc (angles 0..pi), optionally flipped.
+def _unit_circle(t):
+    """Points at angles ``t`` on the unit circle."""
+    return np.column_stack([np.cos(t), np.sin(t)])
 
-    ``flip`` maps a point into the arc's canonical frame; the moons are
-    reflections of one another, so one arc routine serves both.
-    """
-    p = flip(points - center) if center is not None else flip(points)
+
+def _upper(P):
+    """The upper moon is the unit half-circle arc itself."""
+    return P
+
+
+def _lower(P):
+    """The reflection (x, y) -> (1 - x, 0.5 - y) between the arc and the lower
+    moon; its own inverse, so it maps points both ways."""
+    return np.column_stack([1.0 - P[:, 0], 0.5 - P[:, 1]])
+
+
+def _arc_distance(points, flip):
+    """Distance to a moon: ``flip`` (:func:`_upper` or :func:`_lower`) maps
+    the points into the frame of the unit half-circle arc (angles 0..pi)."""
+    p = flip(points)
     r = np.hypot(p[:, 0], p[:, 1])
     on_arc = p[:, 1] >= 0.0
     radial = np.abs(r - 1.0)
@@ -55,30 +68,26 @@ def _arc_distance(points, center, flip):
     return np.where(on_arc, radial, d_end)
 
 
+def _circle_distance(P):
+    return np.abs(np.hypot(P[:, 0], P[:, 1]) - 1.0)
+
+
 def _circle_points(m, radius=1.0, center=(0.0, 0.0)):
     t = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
     return np.column_stack([center[0] + radius * np.cos(t),
                             center[1] + radius * np.sin(t)])
 
 
-def _half_arc_points(m, upper=True):
-    t = np.linspace(0.0, np.pi, m)
-    x, y = np.cos(t), np.sin(t)
-    if upper:
-        return np.column_stack([x, y])
-    return np.column_stack([1.0 - x, 0.5 - y])
+def _half_arc_points(m, flip):
+    return flip(_unit_circle(np.linspace(0.0, np.pi, m)))
 
 
 def _make_circle():
     def sampler(n, rng):
-        t = rng.uniform(0.0, 2.0 * np.pi, n)
-        return np.column_stack([np.cos(t), np.sin(t)])
-
-    def distance(P):
-        return np.abs(np.hypot(P[:, 0], P[:, 1]) - 1.0)
+        return _unit_circle(rng.uniform(0.0, 2.0 * np.pi, n))
 
     return SyntheticTask("circle", 2, ((-1.5, 1.5), (-1.5, 1.5)), True,
-                         sampler, _circle_points, distance)
+                         sampler, _circle_points, _circle_distance)
 
 
 def _make_circle_noise(eta=0.05):
@@ -87,11 +96,8 @@ def _make_circle_noise(eta=0.05):
         r = 1.0 + eta * rng.standard_normal(n)
         return np.column_stack([r * np.cos(t), r * np.sin(t)])
 
-    def distance(P):
-        return np.abs(np.hypot(P[:, 0], P[:, 1]) - 1.0)
-
     return SyntheticTask("circle_noise", 2, ((-1.5, 1.5), (-1.5, 1.5)), True,
-                         sampler, _circle_points, distance)
+                         sampler, _circle_points, _circle_distance)
 
 
 def _make_segment():
@@ -109,55 +115,36 @@ def _make_segment():
                          sampler, support, distance)
 
 
-def _moon_sampler(upper):
-    def sampler(n, rng):
-        t = rng.uniform(0.0, np.pi, n)
-        if upper:
-            return np.column_stack([np.cos(t), np.sin(t)])
-        return np.column_stack([1.0 - np.cos(t), 0.5 - np.sin(t)])
-    return sampler
-
-
-def _upper_dist(P):
-    return _arc_distance(P, None, lambda q: q)
-
-
-def _lower_dist(P):
-    return _arc_distance(P, None, lambda q: np.column_stack([1.0 - q[:, 0], 0.5 - q[:, 1]]))
-
-
 _MOON_BOX = ((-1.5, 2.5), (-1.0, 1.5))
 
 
 def _make_two_moons():
-    up, low = _moon_sampler(True), _moon_sampler(False)
-
     def sampler(n, rng):
         pick = rng.integers(0, 2, n).astype(bool)
         pts = np.empty((n, 2))
         # draw both streams from one generator to keep the mix exchangeable
         t = rng.uniform(0.0, np.pi, n)
-        pts[pick] = np.column_stack([np.cos(t[pick]), np.sin(t[pick])])
-        pts[~pick] = np.column_stack([1.0 - np.cos(t[~pick]), 0.5 - np.sin(t[~pick])])
+        pts[pick] = _unit_circle(t[pick])
+        pts[~pick] = _lower(_unit_circle(t[~pick]))
         return pts
 
     def support(m):
         half = m // 2
-        return np.vstack([_half_arc_points(half, True),
-                          _half_arc_points(m - half, False)])
+        return np.vstack([_half_arc_points(half, _upper),
+                          _half_arc_points(m - half, _lower)])
 
     def distance(P):
-        return np.minimum(_upper_dist(P), _lower_dist(P))
+        return np.minimum(_arc_distance(P, _upper), _arc_distance(P, _lower))
 
     return SyntheticTask("two_moons", 2, _MOON_BOX, True, sampler, support, distance)
 
 
 def _make_moon(which):
-    upper = which == "moon_upper"
+    flip = _upper if which == "moon_upper" else _lower
     return SyntheticTask(
-        which, 2, _MOON_BOX, True, _moon_sampler(upper),
-        lambda m: _half_arc_points(m, upper),
-        _upper_dist if upper else _lower_dist)
+        which, 2, _MOON_BOX, True,
+        lambda n, rng: flip(_unit_circle(rng.uniform(0.0, np.pi, n))),
+        lambda m: _half_arc_points(m, flip), lambda P: _arc_distance(P, flip))
 
 
 def _make_two_circles():
@@ -166,7 +153,7 @@ def _make_two_circles():
     def sampler(n, rng):
         pick = rng.integers(0, 2, n)
         t = rng.uniform(0.0, 2.0 * np.pi, n)
-        return centers[pick] + np.column_stack([np.cos(t), np.sin(t)])
+        return centers[pick] + _unit_circle(t)
 
     def support(m):
         half = m // 2
