@@ -122,8 +122,8 @@ def _filter_flags(args):
         raise UsageError(
             f"unknown filter {text!r}; use one of {', '.join(_FILTERS)} "
             "or a full filter spec")
-    # A bare name takes its strength from the first flag named after one of its
-    # spec keys; --lambda, which may be auto or a rate, waits for the spectrum.
+    # A bare name takes its strength from the first flag named after a spec key.
+    # --lambda is args.lam, not args.lambda: auto or a rate waits for the spectrum.
     for key, field in family.keys.items():
         value = getattr(args, key, None)
         if value is not None:
