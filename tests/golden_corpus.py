@@ -124,6 +124,18 @@ COMMANDS = [
     ("error-kpca-spec", ["train", *_CIRCLE, "--filter", "filter=kpca", "--out", "never.txt"]),
     ("error-landweber-spec", ["train", *_CIRCLE, "--filter", "landweber m=1.5",
                               "--out", "never.txt"]),
+    ("error-kernel-no-sigma", ["train", *_CIRCLE, "--kernel", "kernel=abel",
+                               "--out", "never.txt"]),
+    ("error-kernel-option", ["train", *_CIRCLE, "--kernel", "abel width=2",
+                             "--out", "never.txt"]),
+    ("error-kernel-linear-option", ["train", *_CIRCLE, "--kernel", "linear sigma=1",
+                                    "--out", "never.txt"]),
+    ("error-kernel-normalized-group", ["train", *_CIRCLE, "--kernel",
+                                       "normalized inner=linear", "--out", "never.txt"]),
+    ("error-kernel-product-slice", ["train", *_CIRCLE, "--kernel",
+                                    "product factors=(abel sigma=1)", "--out", "never.txt"]),
+    ("error-kernel-sigma", ["train", *_CIRCLE, "--kernel", "gaussian sigma=abc",
+                            "--out", "never.txt"]),
     ("error-csv-encoding", ["train", "--data", "latin1.csv", "--lambda", "1e-3",
                             "--out", "never.txt"]),
     ("error-model-encoding", ["score", "--model", "m_latin1.txt", *_CIRCLE,
