@@ -45,7 +45,7 @@ print(f"parses back equal: {parse_kernel(spec) == prod}")
 # the identity on kernels that already have one).
 lin = normalize(Linear())
 pts = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]])
-print(f"\nnormalized linear diagonal: {np.diag(gram(lin, pts).entries)}")
+print(f"\nnormalized linear diagonal: {np.diag(gram(lin, pts))}")
 print(f"normalize(abel) is abel: {normalize(k) is k}")
 
 # Pairwise distances under the induced metric; the diagonal is exactly 0.

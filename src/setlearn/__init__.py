@@ -18,7 +18,7 @@ from .filters import (EIG_SLACK, Filter, KpcaTruncation, Landweber,
                       SpectralCutoff, SpectralDecomposition, Tikhonov,
                       decompose, format_filter, parse_filter)
 from .kernels import (SEPARATES_ALL, SEPARATES_LINEAR, SEPARATES_NONE,
-                      Abel, Gaussian, GramMatrix, Kernel, L1Exponential,
+                      Abel, Gaussian, Kernel, L1Exponential,
                       Linear, Normalized, Product, cross_gram, format_kernel,
                       gram, induced_metric, kernel_eval, metric_matrix,
                       normalize, parse_kernel, product_kernel)
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Abel", "Dataset", "DataError", "EIG_SLACK", "EmpiricalOperator",
-    "Filter", "Gaussian", "GramMatrix", "Kernel", "KpcaTruncation",
+    "Filter", "Gaussian", "Kernel", "KpcaTruncation",
     "L1Exponential", "Landweber", "Linear", "Normalized", "NumericError",
     "Product", "SEPARATES_ALL", "SEPARATES_LINEAR", "SEPARATES_NONE",
     "SpectralCutoff", "SpectralDecomposition", "SupportModel",

@@ -19,10 +19,9 @@ from .errors import DataError, NumericError, UsageError
 from .estimator import (ALGORITHMS, _fit, fit, member_mask,  # noqa: F401
                         regularization_path, score_batch)
 from .evaluation import hausdorff, parzen_score, roc_auc, symdiff_measure
-from .filters import (_FILTERS, KpcaTruncation, Landweber, Tikhonov, decompose,
-                      format_filter, parse_filter, spectrum)
-from .kernels import (_NAMES, SEPARATES_ALL, Linear, format_kernel, gram, normalize,
-                      parse_kernel)
+from .filters import (_FILTERS, KpcaTruncation, Landweber, decompose, format_filter,
+                      parse_filter, spectrum)
+from .kernels import _KERNELS, SEPARATES_ALL, format_kernel, gram, normalize, parse_kernel
 from .model_io import load_model, save_model
 from .oracles import (bernstein_trials, concentration_bound, concentration_trials,
                       effective_dimension)
@@ -69,19 +68,25 @@ def _resolve_sigma(spec, points):
         raise UsageError(f"bad --sigma {spec!r}") from None
 
 
+# The families a bare --kernel name can give: those whose options are plain
+# numbers, that is none or the width, which --sigma supplies.
+_BARE_KERNELS = {name: k for name, k in _KERNELS.items() if not any(k.keys.values())}
+
+
 def _resolve_kernel(args, points, warn=True):
     text = args.kernel.strip()
+    family = _BARE_KERNELS.get(text)
     if any(ch in text for ch in " =("):
         kernel, note = parse_kernel(text), "from spec"
-    elif text == Linear.name:
-        kernel, note = Linear(), ""
-    elif text in _NAMES:
-        sigma, note = _resolve_sigma(args.sigma, points)
-        kernel = _NAMES[text](sigma)
-    else:
+    elif family is None:
         raise UsageError(
-            f"unknown kernel {text!r}; use one of {', '.join([*_NAMES, Linear.name])} "
+            f"unknown kernel {text!r}; use one of {', '.join(_BARE_KERNELS)} "
             "or a full kernel spec")
+    elif family.keys:
+        sigma, note = _resolve_sigma(args.sigma, points)
+        kernel = family(sigma)
+    else:
+        kernel, note = family(), ""
     if not kernel.unit_diagonal:
         kernel = normalize(kernel)
         if warn:
@@ -145,7 +150,7 @@ def _build_model(points, args, warn=True, vectors=False, with_spectrum=False):
     family, filt, filter_note = _filter_flags(args)
     algorithm = None if args.algorithm == "auto" else args.algorithm
     G = gram(kernel, points)
-    cholesky = family is Tikhonov and algorithm in (None, "cholesky")
+    cholesky = family.algorithm == "cholesky" and algorithm in (None, "cholesky")
     D = None if cholesky and not vectors else decompose(G)
     auto_lam = filt is None and args.lam.strip() == "auto"
     eigenvalues = (D.eigenvalues if D is not None
@@ -426,7 +431,7 @@ def _add_config_flags(sp, with_data=True):
         sp.add_argument("--task", help="synthetic task: " + ", ".join(task_names()))
         sp.add_argument("--n", type=int, default=200, help="sample size for --task")
     sp.add_argument("--kernel", default="abel",
-                    help=" | ".join([*_NAMES, Linear.name]) + ", or a full kernel spec")
+                    help=" | ".join(_BARE_KERNELS) + ", or a full kernel spec")
     sp.add_argument("--sigma", default="auto",
                     help="kernel width: a number, auto, or auto:<k>")
     sp.add_argument("--filter", default="tikhonov",

@@ -47,9 +47,9 @@ from scipy.linalg import LinAlgError, cho_factor, solve_triangular
 from scipy.linalg.blas import dgemm, dgemv
 
 from .errors import DataError, NumericError, UsageError
-from .filters import (Filter, KpcaTruncation, Landweber, SpectralCutoff,
-                      SpectralDecomposition, Tikhonov, _known, decompose)
-from .kernels import GramMatrix, _as_points, cross_gram, gram
+from .filters import (_FILTERS, Filter, KpcaTruncation, SpectralCutoff,
+                      SpectralDecomposition, _known, decompose)
+from .kernels import _as_points, cross_gram, gram
 
 __all__ = [
     "SupportModel", "fit", "score", "score_batch", "predict_member",
@@ -92,7 +92,7 @@ class SupportModel:
     filter: Filter
     algorithm: str
     tau: float
-    gram: GramMatrix
+    gram: np.ndarray
     decomposition: SpectralDecomposition = field(default=None, repr=False)
 
     @property
@@ -106,7 +106,7 @@ class SupportModel:
     @cached_property
     def cholesky(self):
         """Lower Cholesky factor of K_n + n*lam*I, built on first use."""
-        return _cholesky(self.gram.entries, self.filter.lam)
+        return _cholesky(self.gram, self.filter.lam)
 
 
 def _cholesky(entries, lam):
@@ -125,13 +125,8 @@ def _cholesky(entries, lam):
 
 
 def default_algorithm(filter):
-    """Default score path for a filter: the triangular solve for Tikhonov,
-    the polynomial gain for Landweber, the eigendecomposition otherwise."""
-    if isinstance(filter, Tikhonov):
-        return "cholesky"
-    if isinstance(filter, Landweber):
-        return "landweber"
-    return "spectral"
+    """Default score path for a filter: the one its family owns (``Filter.algorithm``)."""
+    return filter.algorithm
 
 
 def fit(points, kernel, filter, algorithm=None, tau=0.0):
@@ -169,10 +164,9 @@ def _fit(points, kernel, filter, algorithm, tau, G=None, decomposition=None):
         algorithm = default_algorithm(filter)
     if algorithm not in ALGORITHMS:
         raise UsageError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-    if algorithm == "cholesky" and not isinstance(filter, Tikhonov):
-        raise UsageError("the cholesky path applies only to the Tikhonov filter")
-    if algorithm == "landweber" and not isinstance(filter, Landweber):
-        raise UsageError("the landweber path applies only to the Landweber filter")
+    if algorithm not in ("spectral", filter.algorithm):
+        owner = next(f for f in _FILTERS.values() if f.algorithm == algorithm)
+        raise UsageError(f"the {algorithm} path applies only to the {owner.__name__} filter")
     tau = _check_tau(tau)
     G = gram(kernel, pts) if G is None else G
     if decomposition is None and algorithm != "cholesky":
@@ -180,7 +174,7 @@ def _fit(points, kernel, filter, algorithm, tau, G=None, decomposition=None):
     if isinstance(filter, KpcaTruncation) and filter.lam is None:
         filter = KpcaTruncation(lam=kpca_lambda_from_rank(decomposition, filter.components))
     pts.setflags(write=False)
-    G.entries.setflags(write=False)
+    G.setflags(write=False)
     return SupportModel(points=pts, kernel=kernel, filter=filter,
                         algorithm=algorithm, tau=tau, gram=G,
                         decomposition=decomposition)
@@ -256,11 +250,10 @@ def landweber_coefficients(g, kx, iterations):
     polynomial identity, so the iterative and spectral paths agree to
     round-off.
     """
-    K = g.entries
-    n = g.n
+    n = g.shape[0]
     alpha = np.zeros_like(np.asarray(kx, dtype=float))
     for _ in range(iterations + 1):
-        alpha += (kx - K @ alpha) / n
+        alpha += (kx - g @ alpha) / n
     return alpha
 
 

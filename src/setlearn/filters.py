@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh
 
 from .errors import NumericError, UsageError
-from .kernels import GramMatrix, _parse_kv, _parse_number
+from .kernels import _parse_kv, _parse_number
 
 # Eigenvalues of K_n/n may stray outside [0, 1] by round-off; values within
 # this slack are clamped, values beyond it are an error.
@@ -58,13 +58,15 @@ class Filter:
     """Base class for filter specs; each family is declared once, on its class.
 
     ``name`` is its text name; ``keys`` maps spec keys to fields, whose
-    annotations say float or int.  ``_r``/``_g`` evaluate r and g on a clamped
+    annotations say float or int; ``algorithm`` is the score path it owns
+    and fits through by default.  ``_r``/``_g`` evaluate r and g on a clamped
     spectrum, ``lipschitz()`` is r's Lipschitz constant or ``None``, and
     ``at(value)`` rebuilds the filter at another regularization strength.
     """
 
     name = None
     keys = {}
+    algorithm = "spectral"
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,7 @@ class Tikhonov(_Threshold):
     """r(s) = s / (s + lam), g(s) = 1 / (s + lam)."""
 
     name = "tikhonov"
+    algorithm = "cholesky"
 
     def _r(self, s):
         return s / (s + self.lam)
@@ -124,6 +127,7 @@ class Landweber(Filter):
 
     name = "landweber"
     keys = {"m": "iterations"}
+    algorithm = "landweber"
 
     def __post_init__(self):
         m = self.iterations
@@ -255,8 +259,7 @@ class SpectralDecomposition:
 
 def _eig(g, vectors):
     """Descending eigenvalues of K_n/n clamped to [0, 1], and eigenvectors if asked."""
-    A = g.entries if isinstance(g, GramMatrix) else np.asarray(g, dtype=float)
-    A = A / A.shape[0]
+    A = np.asarray(g, dtype=float) / len(g)
     # LAPACK may return finite eigenvalues for a matrix holding a NaN, so
     # the entries are checked, not the spectrum.
     if not np.all(np.isfinite(A)):
@@ -275,7 +278,7 @@ def _eig(g, vectors):
 
 
 def decompose(g):
-    """Eigendecomposition of K_n / n for a Gram matrix (or raw array).
+    """Eigendecomposition of K_n / n for a Gram matrix.
 
     One O(n^3) factorization; everything downstream (scores at any
     regularization strength, filter application, threshold selection) is

@@ -13,9 +13,10 @@ on pairs of dense real vectors.  Specs carry two documented properties:
     completely separating; the Gaussian kernel is not, which is why it is
     a poor default for set estimation even though it is a fine smoother.
 
-The width kernels share one implementation, exp(-d(x, y) / scale); each
-declares its text name and distance d on its class, and the parser, the
-formatter and the command line read the table of them, ``_NAMES``.
+Each family is declared once, on its class (see :class:`Kernel`); the
+parser, the formatter and the command line read one table of them,
+``_KERNELS``.  The width kernels share one implementation,
+exp(-d(x, y) / scale), and each declares its distance d.
 
 All evaluation is elementwise-deterministic: the same pair of points gives
 bit-identical values regardless of batch shape or argument order.
@@ -42,7 +43,7 @@ SEPARATES_NONE = "none"
 
 __all__ = [
     "Kernel", "Abel", "L1Exponential", "Gaussian", "Linear", "Normalized",
-    "Product", "GramMatrix", "kernel_eval", "induced_metric", "metric_matrix",
+    "Product", "kernel_eval", "induced_metric", "metric_matrix",
     "normalize", "product_kernel", "gram", "cross_gram", "parse_kernel",
     "format_kernel", "EPS_PSD", "MAX_GRAM_POINTS",
     "SEPARATES_ALL", "SEPARATES_LINEAR", "SEPARATES_NONE",
@@ -68,7 +69,23 @@ def _as_points(points, name="points"):
 
 @dataclass(frozen=True)
 class Kernel:
-    """Base class for kernel specs.  Subclasses implement ``_pairwise``/``_diag``."""
+    """Base class for kernel specs; each family is declared once, on its class.
+
+    ``name`` is its text name; ``keys`` maps each spec key to the value form
+    its "needs" message quotes.  The options are the numeric fields named by
+    the keys unless the family formats and parses its own (``_options`` and
+    ``_parse``).  Subclasses implement ``_pairwise``/``_diag``.
+    """
+
+    name = None
+    keys = {}
+
+    def _options(self):
+        return [f"{key}={getattr(self, key)!r}" for key in self.keys]
+
+    @classmethod
+    def _parse(cls, options):
+        return cls(**{key: _parse_number(text, key) for key, text in options.items()})
 
     def _pairwise(self, X, Y):
         raise NotImplementedError
@@ -87,6 +104,7 @@ class _Exponential(Kernel):
 
     sigma: float
 
+    keys = {"sigma": ""}
     unit_diagonal = True
     separating = SEPARATES_ALL
 
@@ -149,6 +167,8 @@ class Normalized(Kernel):
 
     inner: Kernel
 
+    name = "normalized"
+    keys = {"inner": "(...)"}
     unit_diagonal = True
 
     @property
@@ -170,6 +190,13 @@ class Normalized(Kernel):
         self._normalizer(X)
         return np.ones(X.shape[0])
 
+    def _options(self):
+        return [f"inner=({format_kernel(self.inner, prefix=False)})"]
+
+    @classmethod
+    def _parse(cls, options):
+        return normalize(parse_kernel(_strip_group(options["inner"])))
+
 
 @dataclass(frozen=True)
 class Product(Kernel):
@@ -181,6 +208,9 @@ class Product(Kernel):
     """
 
     factors: tuple
+
+    name = "product"
+    keys = {"factors": "(...)+(...)"}
 
     @property
     def dim(self):
@@ -215,6 +245,25 @@ class Product(Kernel):
         for k, (a, b) in self.factors:
             out *= k._diag(X[:, a:b])
         return out
+
+    def _options(self):
+        return ["factors=" + "+".join(f"({format_kernel(k, prefix=False)} @{a}:{b})"
+                                      for k, (a, b) in self.factors)]
+
+    @classmethod
+    def _parse(cls, options):
+        factors = []
+        for part in _split_top(options["factors"], "+"):
+            pieces = _split_top(_strip_group(part), "@")
+            if len(pieces) != 2:
+                raise UsageError(f"product factor needs one @start:stop slice: {part!r}")
+            spec, slc = pieces[0].strip(), pieces[1].strip()
+            try:
+                a, b = (int(s) for s in slc.split(":"))
+            except ValueError:
+                raise UsageError(f"bad slice {slc!r}") from None
+            factors.append((parse_kernel(spec), (a, b)))
+        return product_kernel(factors)
 
 
 def product_kernel(factors):
@@ -276,28 +325,11 @@ def kernel_eval(kernel, x, y):
 
 
 def induced_metric(kernel, x, y):
-    """Distance sqrt(K(x,x) + K(y,y) - 2 K(x,y)) in the feature space."""
-    x = _as_points(x, "x")
-    y = _as_points(y, "y")
-    if x.shape[1] != y.shape[1]:
-        raise DataError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
-    kxx = float(kernel._diag(x)[0])
-    if np.array_equal(x, y):
-        # the radicand is zero analytically; evaluating it numerically can
-        # leave round-off when diagonal and pairwise paths sum differently
-        return 0.0
-    kyy = float(kernel._diag(y)[0])
-    kxy = float(kernel._pairwise(x, y)[0, 0])
-    return _metric_from_parts(kxx + kyy - 2.0 * kxy, kxx + kyy)
-
-
-def _metric_from_parts(sq, scale):
-    sq = np.asarray(sq, dtype=float)
-    tol = 1e-12 * max(1.0, float(np.max(scale)) if np.size(scale) else 1.0)
-    if np.any(sq < -tol):
-        raise NumericError("negative squared distance beyond round-off tolerance")
-    out = np.sqrt(np.maximum(sq, 0.0))
-    return float(out) if out.ndim == 0 else out
+    """Distance sqrt(K(x,x) + K(y,y) - 2 K(x,y)) in the feature space, 0 at x = y."""
+    x, y = _as_points(x, "x"), _as_points(y, "y")
+    # a self-distance is zero analytically; evaluating it numerically can
+    # leave round-off when diagonal and pairwise paths sum differently
+    return float(metric_matrix(kernel, x, None if np.array_equal(x, y) else y)[0, 0])
 
 
 def metric_matrix(kernel, X, Y=None):
@@ -317,18 +349,10 @@ def metric_matrix(kernel, X, Y=None):
     if self_distances:
         sq = (sq + sq.T) / 2.0
         np.fill_diagonal(sq, 0.0)
-    return _metric_from_parts(sq, dx[:, None] + dy[None, :])
-
-
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """Symmetric matrix of kernel values on a point sample."""
-
-    entries: np.ndarray
-
-    @property
-    def n(self):
-        return self.entries.shape[0]
+    tol = 1e-12 * max(1.0, float(np.max(dx)) + float(np.max(dy)))
+    if np.any(sq < -tol):
+        raise NumericError("negative squared distance beyond round-off tolerance")
+    return np.sqrt(np.maximum(sq, 0.0))
 
 
 def gram(kernel, points, max_points=MAX_GRAM_POINTS):
@@ -351,7 +375,7 @@ def gram(kernel, points, max_points=MAX_GRAM_POINTS):
         np.fill_diagonal(M, 1.0)
     if not np.all(np.isfinite(M)):
         raise NumericError("gram matrix contains non-finite entries")
-    return GramMatrix(M)
+    return M
 
 
 def cross_gram(kernel, X, Y):
@@ -379,23 +403,14 @@ def cross_gram(kernel, X, Y):
 #   kernel=normalized inner=(linear)
 #   kernel=product factors=(abel sigma=1.0 @0:2)+(l1exp sigma=2.0 @2:3)
 
-_NAMES = {k.name: k for k in (Abel, L1Exponential, Gaussian)}
+_KERNELS = {k.name: k for k in (Abel, L1Exponential, Gaussian, Linear, Normalized, Product)}
 
 
 def format_kernel(kernel, prefix=True):
     """Serialize a kernel spec to its text form."""
-    head = "kernel=" if prefix else ""
-    if isinstance(kernel, _Exponential):
-        return f"{head}{kernel.name} sigma={kernel.sigma!r}"
-    if isinstance(kernel, Linear):
-        return f"{head}{kernel.name}"
-    if isinstance(kernel, Normalized):
-        return f"{head}normalized inner=({format_kernel(kernel.inner, prefix=False)})"
-    if isinstance(kernel, Product):
-        parts = "+".join(
-            f"({format_kernel(k, prefix=False)} @{a}:{b})" for k, (a, b) in kernel.factors)
-        return f"{head}product factors={parts}"
-    raise UsageError(f"cannot serialize kernel {kernel!r}")
+    if not isinstance(kernel, Kernel) or kernel.name not in _KERNELS:
+        raise UsageError(f"cannot serialize kernel {kernel!r}")
+    return ("kernel=" if prefix else "") + " ".join([kernel.name, *kernel._options()])
 
 
 def _split_top(text, sep):
@@ -452,38 +467,16 @@ def parse_kernel(text):
     if not tokens:
         raise UsageError("empty kernel spec")
     name, rest = tokens[0], tokens[1:]
-    if name in _NAMES:
-        kvs = _parse_kv(rest, {"sigma"})
-        if "sigma" not in kvs:
-            raise UsageError(f"kernel {name!r} needs sigma=")
-        return _NAMES[name](_parse_number(kvs["sigma"], "sigma"))
-    if name == Linear.name:
-        if rest:
-            raise UsageError("kernel 'linear' takes no options")
-        return Linear()
-    if name == "normalized":
-        kvs = _parse_kv(rest, {"inner"})
-        if "inner" not in kvs:
-            raise UsageError("kernel 'normalized' needs inner=(...)")
-        return normalize(parse_kernel(_strip_group(kvs["inner"])))
-    if name == "product":
-        kvs = _parse_kv(rest, {"factors"})
-        if "factors" not in kvs:
-            raise UsageError("kernel 'product' needs factors=(...)+(...)")
-        factors = []
-        for part in _split_top(kvs["factors"], "+"):
-            inner = _strip_group(part)
-            pieces = _split_top(inner, "@")
-            if len(pieces) != 2:
-                raise UsageError(f"product factor needs one @start:stop slice: {part!r}")
-            spec, slc = pieces[0].strip(), pieces[1].strip()
-            try:
-                a, b = (int(s) for s in slc.split(":"))
-            except ValueError:
-                raise UsageError(f"bad slice {slc!r}") from None
-            factors.append((parse_kernel(spec), (a, b)))
-        return product_kernel(factors)
-    raise UsageError(f"unknown kernel {name!r}")
+    family = _KERNELS.get(name)
+    if family is None:
+        raise UsageError(f"unknown kernel {name!r}")
+    if rest and not family.keys:
+        raise UsageError(f"kernel {name!r} takes no options")
+    options = _parse_kv(rest, family.keys)
+    for key, form in family.keys.items():
+        if key not in options:
+            raise UsageError(f"kernel {name!r} needs {key}={form}")
+    return family._parse(options)
 
 
 def _strip_group(text):

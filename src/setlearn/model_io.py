@@ -169,7 +169,7 @@ def load_model(path):
         if not with_decomp:
             return fit(points, kernel, filt, algorithm=fields["algorithm"], tau=tau)
         G = gram(kernel, points)
-        _check_decomposition(eigenvalues, eigenvectors, G.entries, path)
+        _check_decomposition(eigenvalues, eigenvectors, G, path)
         return _fit(points, kernel, filt, fields["algorithm"], tau, G,
                     SpectralDecomposition(eigenvalues, eigenvectors))
     except UsageError as exc:

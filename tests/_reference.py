@@ -46,7 +46,7 @@ def tikhonov_coefficients(g, kx, lam):
     lam = float(lam)
     if not np.isfinite(lam) or lam <= 0:
         raise UsageError(f"lam must be positive and finite, got {lam!r}")
-    return cho_solve(_cholesky(g.entries, lam), np.asarray(kx, dtype=float))
+    return cho_solve(_cholesky(g, lam), np.asarray(kx, dtype=float))
 
 
 def _symmetrized(M, name):
@@ -87,5 +87,5 @@ def exact_projection_score(g, kx):
     training sections; the lambda -> 0 limit of spectral-cutoff scores.
     """
     kx = np.asarray(kx, dtype=float)
-    P = np.linalg.pinv(g.entries, rcond=PINV_RCOND, hermitian=True)
+    P = np.linalg.pinv(g, rcond=PINV_RCOND, hermitian=True)
     return float(kx @ P @ kx)

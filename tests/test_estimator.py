@@ -142,7 +142,7 @@ def test_tikhonov_coefficients_residual():
         kx = np.exp(-np.linalg.norm(X - rng.normal(size=3), axis=1))
         lam = 10.0 ** rng.uniform(-4, -1)
         alpha = tikhonov_coefficients(G, kx, lam)
-        residual = (G.entries + 25 * lam * np.eye(25)) @ alpha - kx
+        residual = (G + 25 * lam * np.eye(25)) @ alpha - kx
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(kx)
 
 

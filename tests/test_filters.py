@@ -174,7 +174,7 @@ def test_decompose_single_entry():
 def test_decompose_two_by_two_closed_form():
     c = 0.5
     G = gram(Abel(1.0), [[0.0], [np.log(2.0)]])  # K12 = 1/2
-    npt.assert_allclose(G.entries[0, 1], c, rtol=1e-15)
+    npt.assert_allclose(G[0, 1], c, rtol=1e-15)
     D = decompose(G)
     npt.assert_allclose(D.eigenvalues, [(1 + c) / 2, (1 - c) / 2], rtol=1e-14)
 
@@ -184,7 +184,7 @@ def test_decompose_reconstruction_and_trace():
     X = rng.normal(size=(6, 2))
     G = gram(Abel(1.0), X)
     D = decompose(G)
-    A = G.entries / 6
+    A = G / 6
     R = (D.eigenvectors * D.eigenvalues) @ D.eigenvectors.T
     err = np.linalg.norm(R - A) / np.linalg.norm(A)
     assert err <= 6 * 1e-12
@@ -195,8 +195,7 @@ def test_decompose_reconstruction_and_trace():
 
 
 def test_decompose_rejects_out_of_range_spectrum():
-    from setlearn import GramMatrix
-    bad = GramMatrix(np.array([[4.0, 0.0], [0.0, 1.0]]))  # eigenvalue 2 of G/2
+    bad = np.array([[4.0, 0.0], [0.0, 1.0]])  # eigenvalue 2 of G/2
     with pytest.raises(NumericError):
         decompose(bad)
 
@@ -223,7 +222,7 @@ def test_apply_r_landweber_matches_matrix_polynomial():
     rng = np.random.default_rng(37)
     X = rng.normal(size=(4, 2))
     G = gram(Abel(1.0), X)
-    A = G.entries / 4
+    A = G / 4
     m = 6
     D = decompose(G)
     P = np.eye(4) - np.linalg.matrix_power(np.eye(4) - A, m + 1)
@@ -294,11 +293,11 @@ def test_spectrum_matches_decompose(seed, n, d, kernel):
     # a spectrum shifted past either end of [0, 1] is clamped within
     # EIG_SLACK and refused beyond it
     eye = n * np.eye(n)
-    assert spectrum(G.entries + (1.0 - s[0] + 0.5 * EIG_SLACK) * eye)[0] == 1.0
-    assert spectrum(G.entries - (s[-1] + 0.5 * EIG_SLACK) * eye)[-1] == 0.0
+    assert spectrum(G + (1.0 - s[0] + 0.5 * EIG_SLACK) * eye)[0] == 1.0
+    assert spectrum(G - (s[-1] + 0.5 * EIG_SLACK) * eye)[-1] == 0.0
     for shift in (1.0 - s[0] + 10 * EIG_SLACK, -s[-1] - 10 * EIG_SLACK):
         with pytest.raises(NumericError):
-            spectrum(G.entries + shift * eye)
+            spectrum(G + shift * eye)
 
 
 @pytest.mark.parametrize("solve", [decompose, spectrum])
@@ -308,7 +307,7 @@ def test_spectrum_matches_decompose(seed, n, d, kernel):
 def test_eig_rejects_non_finite_matrix(solve, n, where, value):
     """LAPACK can return finite eigenvalues for a matrix holding a NaN (n = 2,
     NaN on the diagonal); the solve refuses the matrix instead."""
-    A = gram(Abel(0.7), np.random.default_rng(n).normal(size=(n, 2))).entries.copy()
+    A = gram(Abel(0.7), np.random.default_rng(n).normal(size=(n, 2))).copy()
     A[where] = A[where[::-1]] = value
     with pytest.raises(NumericError, match="non-finite"):
         solve(A)
