@@ -154,7 +154,9 @@ class Landweber(Filter):
         return float(self.iterations + 1)
 
     def at(self, value):
-        return Landweber(int(value))
+        if isinstance(value, (float, np.floating)) and value.is_integer():
+            value = int(value)
+        return Landweber(value)
 
 
 @dataclass(frozen=True)
@@ -329,5 +331,9 @@ def parse_filter(text):
     kind = int if family.__dataclass_fields__[field].type == "int" else float
     out = family(**{field: _parse_number(kvs.pop(key), key, kind)})
     if kvs:
-        raise UsageError(f"unknown filter option {next(iter(kvs))!r}")
+        key = next(iter(kvs))
+        if key in family.keys:
+            raise UsageError(
+                f"filter {name!r} takes only one of {' or '.join(k + '=' for k in family.keys)}")
+        raise UsageError(f"unknown filter option {key!r}")
     return out

@@ -110,6 +110,8 @@ class _Exponential(Kernel):
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", _check_width(self.sigma))
+        if self._scale() == 0.0:   # exp(-0/0) is NaN where two points coincide
+            raise UsageError(f"kernel width {self.sigma!r} is so small that its scale underflows")
 
     def _scale(self):
         return self.sigma
@@ -272,7 +274,8 @@ def product_kernel(factors):
     The slices must tile the coordinate range 0..d with no gap or overlap
     (any order is accepted and factors are sorted by start).  ``slice``
     objects with explicit start and stop are accepted too.  A single
-    factor spanning all coordinates is returned as-is.
+    factor stays a one-factor product, which keeps its slice and so the
+    dimension it checks.
     """
     normalized = []
     for k, where in factors:
@@ -297,8 +300,6 @@ def product_kernel(factors):
             raise UsageError(
                 f"factor slices must tile 0..d; gap or overlap at coordinate {cursor}")
         cursor = b
-    if len(factors) == 1:
-        return factors[0][0]
     return Product(tuple(factors))
 
 

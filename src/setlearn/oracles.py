@@ -114,8 +114,8 @@ def concentration_bound(n, delta):
     """2 * max(delta, sqrt(2 delta)) / sqrt(n), violated with prob <= 2 e^-delta."""
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n!r}")
-    if delta <= 0:
-        raise UsageError(f"delta must be positive, got {delta!r}")
+    if not 0 < delta < np.inf:
+        raise UsageError(f"delta must be positive and finite, got {delta!r}")
     return 2.0 * max(delta, np.sqrt(2.0 * delta)) / np.sqrt(n)
 
 
@@ -134,8 +134,8 @@ def effective_dimension(decomposition, lam):
 
 def sample_error_bound(n, lam, delta, effective_dim):
     """delta/(n lam) + sqrt(2 delta N(lam) / (n lam))."""
-    if n < 1 or lam <= 0 or delta <= 0 or effective_dim < 0:
-        raise UsageError("sample_error_bound needs n >= 1, lam > 0, delta > 0, N >= 0")
+    if n < 1 or lam <= 0 or not 0 < delta < np.inf or effective_dim < 0:
+        raise UsageError("sample_error_bound needs n >= 1, lam > 0, finite delta > 0, N >= 0")
     return delta / (n * lam) + np.sqrt(2.0 * delta * effective_dim / (n * lam))
 
 
@@ -157,8 +157,8 @@ def finite_sample_bound(n, delta, s, b, c_s, d_b):
     statement carries C_s v (D_b (2 delta v sqrt(2 delta))) instead, which
     differs; the two disagree and we follow the proof.
     """
-    if n < 1 or delta <= 0 or c_s <= 0:
-        raise UsageError("finite_sample_bound needs n >= 1, delta > 0, C_s > 0")
+    if n < 1 or not 0 < delta < np.inf or c_s <= 0:
+        raise UsageError("finite_sample_bound needs n >= 1, finite delta > 0, C_s > 0")
     if not 0.0 < s <= 1.0:
         raise UsageError(f"s must lie in (0, 1], got {s!r}")
     if not 0.0 <= b <= 1.0:
@@ -171,8 +171,9 @@ def finite_sample_bound(n, delta, s, b, c_s, d_b):
 
 def bernstein_bound(m_bound, variance, n, delta):
     """M delta / n + sqrt(2 sigma^2 delta / n) for bounded vector averages."""
-    if m_bound <= 0 or variance <= 0 or n < 1 or delta <= 0:
-        raise UsageError("bernstein_bound needs M > 0, variance > 0, n >= 1, delta > 0")
+    if m_bound <= 0 or variance <= 0 or n < 1 or not 0 < delta < np.inf:
+        raise UsageError(
+            "bernstein_bound needs M > 0, variance > 0, n >= 1, finite delta > 0")
     return m_bound * delta / n + np.sqrt(2.0 * variance * delta / n)
 
 

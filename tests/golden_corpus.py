@@ -136,6 +136,9 @@ COMMANDS = [
                                     "product factors=(abel sigma=1)", "--out", "never.txt"]),
     ("error-kernel-sigma", ["train", *_CIRCLE, "--kernel", "gaussian sigma=abc",
                             "--out", "never.txt"]),
+    ("error-delta-nan", ["verify-bounds", "--harness", "bernstein", "--delta", "nan",
+                         "--out", "never.csv"]),
+    ("error-delta-nan-concentration", ["verify-bounds", "--delta", "nan", "--out", "never.csv"]),
     ("error-csv-encoding", ["train", "--data", "latin1.csv", "--lambda", "1e-3",
                             "--out", "never.txt"]),
     ("error-model-encoding", ["score", "--model", "m_latin1.txt", *_CIRCLE,
@@ -143,6 +146,8 @@ COMMANDS = [
     ("error-model-counts", ["score", "--model", "m_negative.bin", *_CIRCLE,
                             "--out", "never.csv"]),
     ("error-data", ["score", "--model", "missing.txt", *_CIRCLE, "--out", "never.csv"]),
+    ("error-product-dim", ["train", *_CIRCLE, "--kernel", "product factors=(abel sigma=1 @0:1)",
+                           "--lambda", "1e-3", "--out", "never.txt"]),
     ("error-numeric", ["train", "--data", "origin.csv", "--header", "--kernel", "linear",
                        "--lambda", "1e-3", "--out", "never.txt"]),
 ]

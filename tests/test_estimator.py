@@ -330,6 +330,12 @@ def test_regularization_path_landweber_grid():
     assert np.all(np.diff(P, axis=0) >= -1e-12)
 
 
+def test_regularization_path_refuses_a_fractional_landweber_count():
+    m = fit(TWO_POINTS, Abel(1.0), Landweber(5))
+    with pytest.raises(UsageError):
+        regularization_path(m, TWO_POINTS, [5.7])
+
+
 def test_regularization_path_rejects_empty_grid():
     m = fit(TWO_POINTS, Abel(1.0), Tikhonov(0.1))
     with pytest.raises(UsageError):

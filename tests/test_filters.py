@@ -257,6 +257,23 @@ def test_spec_text_examples():
             parse_filter(text)
 
 
+def test_kpca_spec_with_both_keys_names_the_choice():
+    with pytest.raises(UsageError) as err:
+        parse_filter("kpca lambda=0.1 components=3")
+    assert str(err.value) == "filter 'kpca' takes only one of lambda= or components="
+    with pytest.raises(UsageError, match="unknown filter option 'm'"):
+        parse_filter("kpca lambda=0.1 m=3")
+
+
+def test_landweber_at_refuses_a_non_integral_count():
+    assert Landweber(5).at(7) == Landweber(7)
+    assert Landweber(5).at(7.0) == Landweber(7)
+    assert Landweber(5).at(np.float64(7.0)) == Landweber(7)
+    for bad in (5.7, np.float64(0.5), np.nan, np.inf, -1.0):
+        with pytest.raises(UsageError, match="iteration count"):
+            Landweber(5).at(bad)
+
+
 # Specs built from the parser's own names and keys, with arbitrary values
 # mixed with well-formed ones, reach its number and option branches far
 # more often than free text does.

@@ -10,7 +10,7 @@ from setlearn import (DataError, UsageError, Abel, Gaussian, L1Exponential,
                       Linear, Normalized, Product, cross_gram, format_kernel,
                       gram, induced_metric, kernel_eval, metric_matrix,
                       normalize, parse_kernel, product_kernel)
-from setlearn.kernels import EPS_PSD, MAX_GRAM_POINTS
+from setlearn.kernels import _KERNELS, EPS_PSD, MAX_GRAM_POINTS
 
 # High-precision reference values, frozen from a 40-digit evaluation.
 EXP_M1 = 0.36787944117144233      # e^-1
@@ -59,6 +59,15 @@ def test_bandwidth_must_be_positive():
     for bad in (0.0, -1.0, np.nan):
         with pytest.raises(UsageError):
             Abel(bad)
+
+
+def test_gaussian_width_whose_square_underflows_is_refused():
+    # sigma**2 == 0 would give exp(-0/0) = NaN wherever two points coincide
+    for bad in (1e-320, 1e-170):
+        with pytest.raises(UsageError, match="underflows"):
+            Gaussian(bad)
+    assert Gaussian(1e-150).sigma == 1e-150   # its square, 1e-300, is still normal
+    assert Abel(1e-320).sigma == 1e-320
 
 
 def test_metric_zero_at_identical_points():
@@ -162,9 +171,15 @@ def test_product_diagonal_one_for_unit_factors():
     assert p.unit_diagonal
 
 
-def test_product_singleton_is_the_factor():
-    k = Abel(0.9)
-    assert product_kernel([(k, slice(0, 3))]) is k
+def test_product_single_factor_keeps_its_slice():
+    p = product_kernel([(Abel(0.9), slice(0, 1))])
+    assert p == Product(((Abel(0.9), (0, 1)),))
+    assert parse_kernel(format_kernel(p)) == p
+    assert format_kernel(p) == "kernel=product factors=(abel sigma=0.9 @0:1)"
+    npt.assert_array_equal(gram(p, [[0.0], [1.0]]), gram(Abel(0.9), [[0.0], [1.0]]))
+    # the slice covers one coordinate, so 2-d data is refused, not fit in full
+    with pytest.raises(DataError):
+        gram(p, [[0.0, 0.0], [1.0, 1.0]])
 
 
 def test_product_rejects_bad_slices():
@@ -302,11 +317,11 @@ def test_spec_text_examples():
             parse_kernel(text)
 
 
-# Specs built from the parser's own names and keys, with arbitrary values
-# mixed with well-formed ones (nested specs included).
+# Specs built from the parser's own table of names and keys, with arbitrary
+# values mixed with well-formed ones (nested specs included).
 _KERNEL_SPECS = st.tuples(
-    st.sampled_from(["abel", "l1exp", "gaussian", "linear", "normalized", "product"]),
-    st.lists(st.tuples(st.sampled_from(["sigma", "inner", "factors"]),
+    st.sampled_from(list(_KERNELS)),
+    st.lists(st.tuples(st.sampled_from(sorted({k for f in _KERNELS.values() for k in f.keys})),
                        st.one_of(st.text(max_size=8),
                                  st.sampled_from(["0.5", "(linear)", "(abel sigma=1)",
                                                   "(abel sigma=1 @0:1)+(linear @1:2)"])))

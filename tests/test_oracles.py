@@ -110,6 +110,17 @@ def test_concentration_bound_values():
     assert concentration_bound(100, 0.5) == 0.2
 
 
+@pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, np.inf])
+def test_bounds_refuse_a_delta_not_positive_and_finite(delta):
+    for call in (lambda: concentration_bound(100, delta),
+                 lambda: sample_error_bound(100, 0.1, delta, 5.0),
+                 lambda: finite_sample_bound(100, delta, 1.0, 1.0, 1.0, 1.0),
+                 lambda: bernstein_bound(1.0, 1.0, 100, delta),
+                 lambda: bernstein_trials(10, delta, 3, 0)):
+        with pytest.raises(UsageError, match="delta"):
+            call()
+
+
 def test_effective_dimension_examples():
     D = decompose(gram(Abel(1.0), [[0.0], [np.log(2.0)]]))
     npt.assert_allclose(effective_dimension(D, 0.25), 1.25, rtol=1e-12)
