@@ -154,9 +154,8 @@ class Landweber(Filter):
         return float(self.iterations + 1)
 
     def at(self, value):
-        if isinstance(value, (float, np.floating)) and value.is_integer():
-            value = int(value)
-        return Landweber(value)
+        integral = isinstance(value, (float, np.floating)) and value.is_integer()
+        return Landweber(int(value) if integral else value)
 
 
 @dataclass(frozen=True)
@@ -254,10 +253,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def n(self):
-        return self.eigenvalues.shape[0]
-
 
 def _eig(g, vectors):
     """Descending eigenvalues of K_n/n clamped to [0, 1], and eigenvectors if asked."""
@@ -324,16 +319,16 @@ def parse_filter(text):
     family = _FILTERS.get(name)
     if family is None:
         raise UsageError(f"unknown filter {name!r}")
-    key = next((k for k in family.keys if k in kvs), None)
-    if key is None:
-        raise UsageError(f"filter {name!r} needs {' or '.join(k + '=' for k in family.keys)}")
+    given = [k for k in family.keys if k in kvs]
+    choices = " or ".join(k + "=" for k in family.keys)
+    if not given:
+        raise UsageError(f"filter {name!r} needs {choices}")
+    if len(given) > 1:
+        raise UsageError(f"filter {name!r} takes only one of {choices}")
+    key = given[0]
     field = family.keys[key]
     kind = int if family.__dataclass_fields__[field].type == "int" else float
     out = family(**{field: _parse_number(kvs.pop(key), key, kind)})
     if kvs:
-        key = next(iter(kvs))
-        if key in family.keys:
-            raise UsageError(
-                f"filter {name!r} takes only one of {' or '.join(k + '=' for k in family.keys)}")
-        raise UsageError(f"unknown filter option {key!r}")
+        raise UsageError(f"unknown filter option {next(iter(kvs))!r}")
     return out

@@ -172,8 +172,7 @@ def finite_sample_bound(n, delta, s, b, c_s, d_b):
 def bernstein_bound(m_bound, variance, n, delta):
     """M delta / n + sqrt(2 sigma^2 delta / n) for bounded vector averages."""
     if m_bound <= 0 or variance <= 0 or n < 1 or not 0 < delta < np.inf:
-        raise UsageError(
-            "bernstein_bound needs M > 0, variance > 0, n >= 1, finite delta > 0")
+        raise UsageError("bernstein_bound needs M > 0, variance > 0, n >= 1, finite delta > 0")
     return m_bound * delta / n + np.sqrt(2.0 * variance * delta / n)
 
 
