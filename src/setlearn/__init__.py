@@ -8,8 +8,7 @@ on the support and decays away from it.
 
 from .data import Dataset, fmt_value, load_csv, write_table
 from .errors import DataError, NumericError, UsageError
-from .estimator import (SupportModel, default_algorithm, fit,
-                        kpca_lambda_from_rank, landweber_coefficients,
+from .estimator import (SupportModel, fit, kpca_lambda_from_rank, landweber_coefficients,
                         member_mask, predict_member, regularization_path,
                         score, score_batch)
 from .evaluation import (devroye_wise_member, hausdorff, parzen_score,
@@ -41,7 +40,7 @@ __all__ = [
     "SpectralCutoff", "SpectralDecomposition", "SupportModel",
     "SyntheticTask", "Tikhonov", "UsageError",
     "approximation_error_bound", "bernstein_bound", "concentration_bound",
-    "cross_gram", "decompose", "default_algorithm", "devroye_wise_member",
+    "cross_gram", "decompose", "devroye_wise_member",
     "effective_dimension", "finite_sample_bound",
     "fit", "fmt_value", "format_filter", "format_kernel", "get_task",
     "gram", "hausdorff", "hs_distance", "hs_norm", "induced_metric",

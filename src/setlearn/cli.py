@@ -16,8 +16,8 @@ import numpy as np
 from .data import fmt_value as _f, load_csv, write_table
 from .errors import DataError, NumericError, UsageError
 # fit is not called here; bench/tracing.py wraps it under this module's name.
-from .estimator import (ALGORITHMS, _fit, fit, member_mask,  # noqa: F401
-                        regularization_path, score_batch)
+from .estimator import (ALGORITHMS, _fit, _score_path, fit,  # noqa: F401
+                        member_mask, regularization_path, score_batch)
 from .evaluation import hausdorff, parzen_score, roc_auc, symdiff_measure
 from .filters import (_FILTERS, KpcaTruncation, Landweber, decompose, format_filter,
                       parse_filter, spectrum)
@@ -31,10 +31,6 @@ from .synth import get_task, reference_grid, reference_support, sample, task_nam
 
 def _warn(msg):
     print(f"warning: {msg}", file=sys.stderr)
-
-
-def _say(msg):
-    print(msg)
 
 
 # ---------------------------------------------------------------------------
@@ -138,23 +134,21 @@ def _filter_flags(args):
     return family, None, None
 
 
-def _build_model(points, args, warn=True, vectors=False, with_spectrum=False):
-    """Resolve kernel and filter against the sample and fit, from one Gram
-    matrix and at most one spectral solve.  A model that scores through its
-    Cholesky factor, for a caller that needs no eigenvectors, gets eigenvalues
-    only, and only when the auto lambda or the caller (``with_spectrum``)
-    reads them; every other model gets the decomposition, which it keeps.
-    Returns the model, the eigenvalues of K_n/n (None if not solved) and the
-    kernel and filter notes."""
+def _build_model(points, args, warn=True, vectors=False):
+    """Resolve kernel, filter and score path against the sample and fit, from
+    one Gram matrix and at most one spectral solve.  A path the filter cannot
+    take is refused before the Gram is built.  A model that scores through
+    its Cholesky factor, for a caller that needs no eigenvectors, gets
+    eigenvalues only, and only when the auto lambda reads them; every other
+    model gets the decomposition, which it keeps.  Returns the model, the
+    eigenvalues of K_n/n (None if not solved) and the kernel and filter notes."""
     kernel, kernel_note = _resolve_kernel(args, points, warn=warn)
     family, filt, filter_note = _filter_flags(args)
-    algorithm = None if args.algorithm == "auto" else args.algorithm
+    algorithm = _score_path(family, None if args.algorithm == "auto" else args.algorithm)
     G = gram(kernel, points)
-    cholesky = family.algorithm == "cholesky" and algorithm in (None, "cholesky")
-    D = None if cholesky and not vectors else decompose(G)
+    D = None if algorithm == "cholesky" and not vectors else decompose(G)
     auto_lam = filt is None and args.lam.strip() == "auto"
-    eigenvalues = (D.eigenvalues if D is not None
-                   else spectrum(G) if with_spectrum or auto_lam else None)
+    eigenvalues = D.eigenvalues if D is not None else spectrum(G) if auto_lam else None
     if filt is None:
         lam, filter_note = _resolve_lam(args.lam, points.shape[0], eigenvalues)
         filt = family(lam)
@@ -177,12 +171,12 @@ def _summary(model, eigenvalues, kernel_note, filter_note):
     kernel, filt = _config_meta(model, kernel_note, filter_note)[:2]
     top = ", ".join(_f(v) for v in eigenvalues[:5])
     positive = int(np.count_nonzero(eigenvalues > 1e-12))
-    _say(f"n={model.n} d={model.dim}\n{kernel}\n{filt}")
-    _say(f"algorithm={model.algorithm} tau={_f(model.tau)}")
-    _say(f"eigenvalues: top=[{top}] positive={positive}")
+    print(f"n={model.n} d={model.dim}\n{kernel}\n{filt}")
+    print(f"algorithm={model.algorithm} tau={_f(model.tau)}")
+    print(f"eigenvalues: top=[{top}] positive={positive}")
     lam = getattr(model.filter, "lam", None)
     if lam is not None:
-        _say(f"effective_dimension(lambda)={_f(effective_dimension(eigenvalues, lam))}")
+        print(f"effective_dimension(lambda)={_f(effective_dimension(eigenvalues, lam))}")
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +186,9 @@ def _summary(model, eigenvalues, kernel_note, filter_note):
 def cmd_train(args):
     points, source = _train_points(args)
     model, eigenvalues, kernel_note, filter_note = _build_model(
-        points, args, vectors=args.store_decomposition, with_spectrum=True)
+        points, args, vectors=args.store_decomposition)
+    if eigenvalues is None:
+        eigenvalues = spectrum(model.gram)
     save_model(model, args.out, fmt=args.model_format,
                include_decomposition=args.store_decomposition)
     eigs_out = args.eigs_out or (args.out + ".eigs.csv")
@@ -202,27 +198,38 @@ def cmd_train(args):
         ((i, v) for i, v in enumerate(eigenvalues)),
         timestamp=not args.no_timestamp)
     _summary(model, eigenvalues, kernel_note, filter_note)
-    _say(f"model written to {args.out}")
-    _say(f"eigenvalue decay written to {eigs_out}")
+    print(f"model written to {args.out}")
+    print(f"eigenvalue decay written to {eigs_out}")
     return 0
 
 
-def cmd_score(args):
+def _load_and_score(args, label_col=None):
+    """The saved model, the test set, its scores and the metadata lines naming them."""
     model = load_model(args.model)
-    ds = load_csv(args.data, header=args.header)
-    scores = score_batch(model, ds.points)
+    ds = load_csv(args.data, header=args.header, label_col=label_col)
+    meta = [f"model={args.model}", f"data={args.data}",
+            format_kernel(model.kernel), format_filter(model.filter)]
+    return model, ds, score_batch(model, ds.points), meta
+
+
+def _parzen_auc(kernel, train, X, labels):
+    """AUC of the Parzen baseline at the kernel's width; NaN for a kernel without one."""
+    h = getattr(kernel, "sigma", None)
+    return np.nan if h is None else roc_auc(parzen_score(train, h, X), labels)[1]
+
+
+def cmd_score(args):
+    model, ds, scores, meta = _load_and_score(args)
     tau = model.tau if args.tau is None else args.tau
     member = member_mask(scores, tau)
     write_table(
         args.out, "scores",
-        [f"model={args.model}", f"data={args.data}",
-         format_kernel(model.kernel), format_filter(model.filter),
-         f"tau={_f(tau)}", f"n_train={model.n}", f"n_test={ds.n}"],
+        meta + [f"tau={_f(tau)}", f"n_train={model.n}", f"n_test={ds.n}"],
         ["index", "score", "member"],
         ((i, s, m) for i, (s, m) in enumerate(zip(scores, member))),
         timestamp=not args.no_timestamp)
-    _say(f"scored {ds.n} points; members={int(member.sum())} at tau={_f(tau)}")
-    _say(f"scores written to {args.out}")
+    print(f"scored {ds.n} points; members={int(member.sum())} at tau={_f(tau)}")
+    print(f"scores written to {args.out}")
     return 0
 
 
@@ -239,31 +246,23 @@ def _eval_labeled(args):
         raise UsageError("--model evaluation needs --data")
     if args.label_col is None:
         raise UsageError("AUC needs labels: pass --label-col")
-    model = load_model(args.model)
-    ds = load_csv(args.data, header=args.header, label_col=args.label_col)
-    scores = score_batch(model, ds.points)
+    model, ds, scores, meta = _load_and_score(args, label_col=args.label_col)
     roc, auc = roc_auc(scores, ds.labels)
-    h = getattr(model.kernel, "sigma", None)
-    auc_parzen = np.nan
-    if h is not None:
-        _, auc_parzen = roc_auc(parzen_score(model.points, h, ds.points), ds.labels)
+    auc_parzen = _parzen_auc(model.kernel, model.points, ds.points, ds.labels)
     write_table(
         args.out, "evaluation",
-        [f"model={args.model}", f"data={args.data}",
-         format_kernel(model.kernel), format_filter(model.filter),
-         f"positives={int(ds.labels.sum())}", f"negatives={int((~ds.labels).sum())}"],
+        meta + [f"positives={int(ds.labels.sum())}", f"negatives={int((~ds.labels).sum())}"],
         ["trial", "auc_spectral", "auc_parzen"],
         [(0, auc, auc_parzen)],
         timestamp=not args.no_timestamp)
     if args.roc_out:
-        write_table(args.roc_out, "roc curve",
-                    [f"model={args.model}", f"data={args.data}", f"auc={_f(auc)}"],
+        write_table(args.roc_out, "roc curve", meta[:2] + [f"auc={_f(auc)}"],
                     ["fpr", "tpr"], ((p[0], p[1]) for p in roc),
                     timestamp=not args.no_timestamp)
-        _say(f"roc points written to {args.roc_out}")
-    _say(f"auc_spectral={_f(auc)}" +
-         ("" if h is None else f" auc_parzen={_f(auc_parzen)}"))
-    _say(f"evaluation written to {args.out}")
+        print(f"roc points written to {args.roc_out}")
+    print(f"auc_spectral={_f(auc)}" +
+          ("" if np.isnan(auc_parzen) else f" auc_parzen={_f(auc_parzen)}"))
+    print(f"evaluation written to {args.out}")
     return 0
 
 
@@ -289,10 +288,7 @@ def _eval_task(args):
         X = np.vstack([pos, neg])
         labels = np.r_[np.ones(len(pos), dtype=bool), np.zeros(len(neg), dtype=bool)]
         _, auc = roc_auc(score_batch(model, X), labels)
-        h = getattr(model.kernel, "sigma", None)
-        auc_parzen = np.nan
-        if h is not None:
-            _, auc_parzen = roc_auc(parzen_score(train, h, X), labels)
+        auc_parzen = _parzen_auc(model.kernel, train, X, labels)
         member = member_mask(score_batch(model, grid_points), model.tau)
         dmu = symdiff_measure(member, grid_inside, cell_volume)
         dh = hausdorff(grid_points[member], support) if member.any() else np.nan
@@ -309,9 +305,9 @@ def _eval_task(args):
     write_table(args.out, "task evaluation", meta, columns, rows + summary,
                 timestamp=not args.no_timestamp)
     for label, *vals in summary:
-        _say(label + ": " + " ".join(
+        print(label + ": " + " ".join(
             f"{c}={_f(v)}" for c, v in zip(columns[1:], vals)))
-    _say(f"evaluation written to {args.out}")
+    print(f"evaluation written to {args.out}")
     return 0
 
 
@@ -349,15 +345,14 @@ def cmd_sweep(args):
                 for j in range(path.shape[1]):
                     yield (lam, tau, j, path[i, j], members[j])
 
-    meta = [source, test_note,
-            format_kernel(model.kernel) + (f" ({kernel_note})" if kernel_note else ""),
+    meta = [source, test_note, _config_meta(model, kernel_note, filter_note)[0],
             f"filter_family={type(model.filter).__name__}",
             f"lambdas={len(lambdas)}", f"taus={len(taus)}", f"points={path.shape[1]}"]
     write_table(args.out, "regularization sweep", meta,
                 ["lambda", "tau", "index", "score", "member"], rows(),
                 timestamp=not args.no_timestamp)
-    _say(f"sweep over {len(lambdas)} lambdas x {len(taus)} taus x {path.shape[1]} points")
-    _say(f"sweep written to {args.out}")
+    print(f"sweep over {len(lambdas)} lambdas x {len(taus)} taus x {path.shape[1]} points")
+    print(f"sweep written to {args.out}")
     return 0
 
 
@@ -369,7 +364,7 @@ def cmd_synth(args):
                 [f"task={args.task}", f"n={args.n}", f"seed={args.seed}"],
                 cols, (tuple(row) for row in pts),
                 timestamp=not args.no_timestamp)
-    _say(f"{args.n} points from task {args.task} written to {args.out}")
+    print(f"{args.n} points from task {args.task} written to {args.out}")
     if args.grid_out:
         points, inside, cell_volume = reference_grid(task, args.resolution)
         write_table(args.grid_out, "reference grid",
@@ -379,7 +374,7 @@ def cmd_synth(args):
                     cols + ["inside"],
                     (tuple(row) + (bool(flag),) for row, flag in zip(points, inside)),
                     timestamp=not args.no_timestamp)
-        _say(f"reference grid written to {args.grid_out}")
+        print(f"reference grid written to {args.grid_out}")
     return 0
 
 
@@ -413,9 +408,9 @@ def cmd_verify_bounds(args):
         timestamp=not args.no_timestamp,
         footer=[f"violation_fraction={_f(fraction)}",
                 f"tolerated_fraction={tolerated}"])
-    _say(f"{args.harness}: violation fraction {_f(fraction)} "
-         f"(tolerated {tolerated}) over {args.trials} trials")
-    _say(f"table written to {args.out}")
+    print(f"{args.harness}: violation fraction {_f(fraction)} "
+          f"(tolerated {tolerated}) over {args.trials} trials")
+    print(f"table written to {args.out}")
     return 0
 
 
@@ -423,13 +418,12 @@ def cmd_verify_bounds(args):
 # Parser.
 
 
-def _add_config_flags(sp, with_data=True):
-    if with_data:
-        sp.add_argument("--data", help="CSV of training points")
-        sp.add_argument("--header", action="store_true",
-                        help="skip the first row of CSV inputs")
-        sp.add_argument("--task", help="synthetic task: " + ", ".join(task_names()))
-        sp.add_argument("--n", type=int, default=200, help="sample size for --task")
+def _add_config_flags(sp):
+    sp.add_argument("--data", help="CSV of training points")
+    sp.add_argument("--header", action="store_true",
+                    help="skip the first row of CSV inputs")
+    sp.add_argument("--task", help="synthetic task: " + ", ".join(task_names()))
+    sp.add_argument("--n", type=int, default=200, help="sample size for --task")
     sp.add_argument("--kernel", default="abel",
                     help=" | ".join(_BARE_KERNELS) + ", or a full kernel spec")
     sp.add_argument("--sigma", default="auto",

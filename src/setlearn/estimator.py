@@ -124,11 +124,6 @@ def _cholesky(entries, lam):
         raise NumericError(f"Cholesky factorization failed: {exc}") from None
 
 
-def default_algorithm(filter):
-    """Default score path for a filter: the one its family owns (``Filter.algorithm``)."""
-    return filter.algorithm
-
-
 def fit(points, kernel, filter, algorithm=None, tau=0.0):
     """Fit a support model to a sample.
 
@@ -143,14 +138,27 @@ def fit(points, kernel, filter, algorithm=None, tau=0.0):
         is resolved here to a concrete threshold against the spectrum.
     algorithm : str, optional
         "spectral" (any filter), "cholesky" (Tikhonov only) or
-        "landweber" (Landweber only).  Defaults per filter via
-        :func:`default_algorithm`; the regularization path always goes
-        through the decomposition whatever the model's score path.
+        "landweber" (Landweber only).  Defaults to the path the filter's
+        family owns (``Filter.algorithm``); the regularization path always
+        goes through the decomposition whatever the model's score path.
     tau : float
         Default membership margin in [0, 1); ``predict_member`` may
         override it per call.
     """
     return _fit(points, kernel, filter, algorithm, tau)
+
+
+def _score_path(family, algorithm):
+    """The score path of a filter family (class or spec): its own path for
+    None, else ``algorithm`` if it is ``spectral`` or the family's own."""
+    if algorithm is None:
+        return family.algorithm
+    if algorithm not in ALGORITHMS:
+        raise UsageError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    if algorithm not in ("spectral", family.algorithm):
+        owner = next(f for f in _FILTERS.values() if f.algorithm == algorithm)
+        raise UsageError(f"the {algorithm} path applies only to the {owner.__name__} filter")
+    return algorithm
 
 
 def _fit(points, kernel, filter, algorithm, tau, G=None, decomposition=None):
@@ -160,13 +168,7 @@ def _fit(points, kernel, filter, algorithm, tau, G=None, decomposition=None):
     if not kernel.unit_diagonal:
         raise UsageError(
             "support estimation needs a unit-diagonal kernel; wrap it with normalize()")
-    if algorithm is None:
-        algorithm = default_algorithm(filter)
-    if algorithm not in ALGORITHMS:
-        raise UsageError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-    if algorithm not in ("spectral", filter.algorithm):
-        owner = next(f for f in _FILTERS.values() if f.algorithm == algorithm)
-        raise UsageError(f"the {algorithm} path applies only to the {owner.__name__} filter")
+    algorithm = _score_path(filter, algorithm)
     tau = _check_tau(tau)
     G = gram(kernel, pts) if G is None else G
     if decomposition is None and algorithm != "cholesky":
@@ -196,16 +198,12 @@ def score_batch(model, X):
     w = 1 on the Cholesky factor (``cholesky``).
     """
     X = _check_query(model, X)
+    if model.algorithm != "cholesky":
+        return _spectral_scores(model, X, [model.filter])[0]
     Kx = cross_gram(model.kernel, model.points, X)
-    if model.algorithm == "cholesky":
-        Y = solve_triangular(model.cholesky[0], Kx, lower=True, overwrite_b=True,
-                             check_finite=False)
-        w = np.ones(model.n)
-    else:
-        D = model.decomposition
-        Y = dgemm(1.0, D.eigenvectors.T, Kx)
-        w = _scoring_gains(model.filter, D.eigenvalues) / model.n
-    return np.clip(_weighted_sum(w, np.square(Y, out=Y)), 0.0, 1.0)
+    Y = solve_triangular(model.cholesky[0], Kx, lower=True, overwrite_b=True,
+                         check_finite=False)
+    return np.clip(_weighted_sum(np.ones(model.n), np.square(Y, out=Y)), 0.0, 1.0)
 
 
 def score(model, x):
@@ -228,6 +226,19 @@ def predict_member(model, x, tau=None):
     x = np.asarray(x, dtype=float)
     member = member_mask(score_batch(model, x[None, :] if x.ndim == 1 else x), tau)
     return bool(member[0]) if x.ndim == 1 else member
+
+
+def _spectral_scores(model, X, filters):
+    """Scores through the eigendecomposition, one row per filter: Y = V' K_x
+    and its square once, then F = (g(s)/n) @ Y^2 for each filter, clipped."""
+    D = model.decomposition or decompose(model.gram)
+    Y = dgemm(1.0, D.eigenvectors.T, cross_gram(model.kernel, model.points, X))
+    np.square(Y, out=Y)
+    out = np.empty((len(filters), X.shape[0]))
+    for i, f in enumerate(filters):
+        w = _scoring_gains(f, D.eigenvalues) / model.n
+        out[i] = np.clip(_weighted_sum(w, Y), 0.0, 1.0)
+    return out
 
 
 def _weighted_sum(w, Y):
@@ -268,15 +279,7 @@ def regularization_path(model, X, grid):
     if not grid:
         raise UsageError("empty regularization grid")
     X = _check_query(model, X)
-    D = model.decomposition or decompose(model.gram)
-    Kx = cross_gram(model.kernel, model.points, X)
-    W2 = dgemm(1.0, D.eigenvectors.T, Kx)
-    np.square(W2, out=W2)
-    out = np.empty((len(grid), X.shape[0]))
-    for i, value in enumerate(grid):
-        w = _scoring_gains(model.filter.at(value), D.eigenvalues) / model.n
-        out[i] = np.clip(_weighted_sum(w, W2), 0.0, 1.0)
-    return out
+    return _spectral_scores(model, X, [model.filter.at(value) for value in grid])
 
 
 def kpca_lambda_from_rank(decomposition, components):

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError, UsageError
-from .kernels import _as_points, metric_matrix
+from .kernels import _point_pair, metric_matrix
 
 __all__ = [
     "hausdorff", "symdiff_measure", "roc_auc",
@@ -27,10 +27,7 @@ def hausdorff(A, B, kernel=None):
     Euclidean by default; pass a kernel spec to use the metric it induces.
     Both sets must be nonempty.
     """
-    A = _as_points(A, "A")
-    B = _as_points(B, "B")
-    if A.shape[1] != B.shape[1]:
-        raise DataError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+    A, B = _point_pair(A, B, ("A", "B"))
     D = cdist(A, B) if kernel is None else metric_matrix(kernel, A, B)
     return float(max(D.min(axis=1).max(), D.min(axis=0).max()))
 
@@ -110,14 +107,11 @@ def parzen_score(train, h, x):
     to one); ROC comparisons are unaffected.  A 1-d ``x`` gives a float,
     a 2-d batch gives a vector.
     """
-    train = _as_points(train, "train")
     if not h > 0:
         raise UsageError(f"bandwidth must be positive, got {h!r}")
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    X = _as_points(x[None, :] if single else x, "x")
-    if X.shape[1] != train.shape[1]:
-        raise DataError(f"dimension mismatch: {X.shape[1]} vs {train.shape[1]}")
+    X, train = _point_pair(x[None, :] if single else x, train, ("x", "train"))
     n, d = train.shape
     vals = np.exp(-cdist(X, train) / h).sum(axis=1) / (n * h ** d)
     return float(vals[0]) if single else vals
@@ -128,13 +122,10 @@ def devroye_wise_member(train, eps, x):
 
     A 1-d ``x`` gives a bool, a 2-d batch gives a bool vector.
     """
-    train = _as_points(train, "train")
     if not eps > 0:
         raise UsageError(f"radius must be positive, got {eps!r}")
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    X = _as_points(x[None, :] if single else x, "x")
-    if X.shape[1] != train.shape[1]:
-        raise DataError(f"dimension mismatch: {X.shape[1]} vs {train.shape[1]}")
+    X, train = _point_pair(x[None, :] if single else x, train, ("x", "train"))
     member = cdist(X, train).min(axis=1) <= eps
     return bool(member[0]) if single else member

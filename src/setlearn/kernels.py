@@ -67,6 +67,22 @@ def _as_points(points, name="points"):
     return arr
 
 
+def _point_pair(X, Y, names=("X", "Y")):
+    """Two point sets as :func:`_as_points` checks them, of one dimension."""
+    X, Y = _as_points(X, names[0]), _as_points(Y, names[1])
+    if X.shape[1] != Y.shape[1]:
+        raise DataError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
+    return X, Y
+
+
+def _single_pair(x, y, caller, batch):
+    """One point each, as a (1, d) pair; ``batch`` names the functions for batches."""
+    x, y = _point_pair(x, y, ("x", "y"))
+    if x.shape[0] != 1 or y.shape[0] != 1:
+        raise DataError(f"{caller} expects single points, use {batch} for batches")
+    return x, y
+
+
 @dataclass(frozen=True)
 class Kernel:
     """Base class for kernel specs; each family is declared once, on its class.
@@ -316,18 +332,13 @@ def normalize(kernel):
 
 def kernel_eval(kernel, x, y):
     """Evaluate K(x, y) for a single pair of points."""
-    x = _as_points(x, "x")
-    y = _as_points(y, "y")
-    if x.shape != (1, x.shape[1]) or y.shape != (1, y.shape[1]):
-        raise DataError("kernel_eval expects single points, use gram/cross_gram for batches")
-    if x.shape[1] != y.shape[1]:
-        raise DataError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+    x, y = _single_pair(x, y, "kernel_eval", "gram/cross_gram")
     return float(kernel._pairwise(x, y)[0, 0])
 
 
 def induced_metric(kernel, x, y):
     """Distance sqrt(K(x,x) + K(y,y) - 2 K(x,y)) in the feature space, 0 at x = y."""
-    x, y = _as_points(x, "x"), _as_points(y, "y")
+    x, y = _single_pair(x, y, "induced_metric", "metric_matrix")
     # a self-distance is zero analytically; evaluating it numerically can
     # leave round-off when diagonal and pairwise paths sum differently
     return float(metric_matrix(kernel, x, None if np.array_equal(x, y) else y)[0, 0])
@@ -339,11 +350,8 @@ def metric_matrix(kernel, X, Y=None):
     With one argument the result is the self-distance matrix, whose
     diagonal is exactly zero.
     """
-    X = _as_points(X, "X")
     self_distances = Y is None
-    Y = X if self_distances else _as_points(Y, "Y")
-    if X.shape[1] != Y.shape[1]:
-        raise DataError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
+    X, Y = _point_pair(X, X if self_distances else Y)
     dx = kernel._diag(X)
     dy = dx if self_distances else kernel._diag(Y)
     sq = dx[:, None] + dy[None, :] - 2.0 * kernel._pairwise(X, Y)
@@ -356,7 +364,7 @@ def metric_matrix(kernel, X, Y=None):
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def gram(kernel, points, max_points=MAX_GRAM_POINTS):
+def gram(kernel, points):
     """Assemble the Gram matrix K(x_i, x_j) for a sample.
 
     The result is exactly symmetric and, for unit-diagonal kernels, has an
@@ -365,9 +373,9 @@ def gram(kernel, points, max_points=MAX_GRAM_POINTS):
     the kernels, not re-verified here (an O(n^3) check).
     """
     pts = _as_points(points)
-    if pts.shape[0] > max_points:
+    if pts.shape[0] > MAX_GRAM_POINTS:
         raise UsageError(
-            f"gram matrix for n={pts.shape[0]} exceeds the cap of {max_points} points")
+            f"gram matrix for n={pts.shape[0]} exceeds the cap of {MAX_GRAM_POINTS} points")
     M = kernel._pairwise(pts, pts)
     # BLAS-backed products are not guaranteed to return exactly symmetric
     # output, so enforce it.
@@ -387,10 +395,7 @@ def cross_gram(kernel, X, Y):
     needs no transposing copy.  The distance kernels give the same bits
     either way; a ``Linear`` inner product may differ in its last bit.
     """
-    X = _as_points(X, "X")
-    Y = _as_points(Y, "Y")
-    if X.shape[1] != Y.shape[1]:
-        raise DataError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
+    X, Y = _point_pair(X, Y)
     M = kernel._pairwise(Y, X).T
     if not np.all(np.isfinite(M)):
         raise NumericError("cross-gram matrix contains non-finite entries")

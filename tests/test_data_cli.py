@@ -570,28 +570,35 @@ def _count_solves(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("argv, eigh, eigvalsh, cho, grams", [
-    (_TRAIN, 0, 1, 0, 1),
-    (_TRAIN + ["--algorithm", "cholesky", "--lambda", "0.01"], 0, 1, 0, 1),
-    (_TRAIN + ["--store-decomposition"], 1, 0, 0, 1),
-    (_TRAIN + ["--algorithm", "spectral"], 1, 0, 0, 1),
-    (_TRAIN + ["--filter", "cutoff"], 1, 0, 0, 1),
-    (_TRAIN + ["--filter", "kpca", "--components", "3"], 1, 0, 0, 1),
-    (_TRAIN + ["--filter", "landweber", "--m", "5"], 1, 0, 0, 1),
-    (["sweep", "--task", "circle", "--n", "60", "--lambdas", "1e-3,1e-2"], 1, 0, 0, 1),
+@pytest.mark.parametrize("argv, rc, eigh, eigvalsh, cho, grams", [
+    (_TRAIN, 0, 0, 1, 0, 1),
+    (_TRAIN + ["--algorithm", "cholesky", "--lambda", "0.01"], 0, 0, 1, 0, 1),
+    (_TRAIN + ["--store-decomposition"], 0, 1, 0, 0, 1),
+    (_TRAIN + ["--algorithm", "spectral"], 0, 1, 0, 0, 1),
+    (_TRAIN + ["--filter", "cutoff"], 0, 1, 0, 0, 1),
+    (_TRAIN + ["--filter", "kpca", "--components", "3"], 0, 1, 0, 0, 1),
+    (_TRAIN + ["--filter", "landweber", "--m", "5"], 0, 1, 0, 0, 1),
+    (["sweep", "--task", "circle", "--n", "60", "--lambdas", "1e-3,1e-2"], 0, 1, 0, 0, 1),
     (["eval", "--task", "circle", "--n", "60", "--trials", "2", "--resolution", "16"],
-     0, 2, 2, 2),
+     0, 0, 2, 2, 2),
     (["eval", "--task", "circle", "--n", "60", "--trials", "2", "--resolution", "16",
-      "--lambda", "1e-3"], 0, 0, 2, 2),
+      "--lambda", "1e-3"], 0, 0, 0, 2, 2),
+    (_TRAIN + ["--filter", "cutoff", "--lambda", "1e-3", "--algorithm", "cholesky"],
+     2, 0, 0, 0, 0),
+    (_TRAIN + ["--filter", "landweber", "--m", "5", "--algorithm", "cholesky"],
+     2, 0, 0, 0, 0),
 ], ids=["train", "train-cholesky-fixed", "store-decomposition", "spectral", "cutoff",
-        "kpca-components", "landweber", "sweep", "eval-task", "eval-task-fixed"])
-def test_cli_model_build_solves_once(tmp_path, monkeypatch, argv, eigh, eigvalsh, cho, grams):
+        "kpca-components", "landweber", "sweep", "eval-task", "eval-task-fixed",
+        "cutoff-cholesky-refused", "landweber-cholesky-refused"])
+def test_cli_model_build_solves_once(tmp_path, monkeypatch, argv, rc, eigh, eigvalsh, cho,
+                                     grams):
     """One Gram and at most one spectral solve per model build: eigenvalues
     only when the model scores through its Cholesky factor, and none when
     nothing reads them.  The Cholesky factor is built only by a score, so
-    ``train`` never factorizes."""
+    ``train`` never factorizes.  A score path the filter cannot take is
+    refused before the Gram is built."""
     calls = _count_solves(monkeypatch)
-    assert main(argv + ["--out", str(tmp_path / "out"), "--no-timestamp"]) == 0
+    assert main(argv + ["--out", str(tmp_path / "out"), "--no-timestamp"]) == rc
     assert calls == {"eigh": eigh, "eigvalsh": eigvalsh, "cho_factor": cho, "gram": grams}
 
 

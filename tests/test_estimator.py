@@ -11,7 +11,7 @@ import setlearn.estimator as estimator
 from _reference import apply_r, tikhonov_coefficients
 from setlearn import (Abel, Gaussian, KpcaTruncation, L1Exponential,
                       Landweber, Linear, SpectralCutoff, Tikhonov, UsageError,
-                      cross_gram, decompose, default_algorithm, fit, gram,
+                      cross_gram, decompose, fit, gram,
                       kpca_lambda_from_rank, landweber_coefficients, normalize,
                       predict_member, product_kernel, regularization_path,
                       score, score_batch)
@@ -111,10 +111,10 @@ def test_fit_rejects_incompatible_algorithm():
 
 
 def test_default_algorithm_per_filter():
-    assert default_algorithm(Tikhonov(0.1)) == "cholesky"
-    assert default_algorithm(Landweber(5)) == "landweber"
-    assert default_algorithm(SpectralCutoff(0.1)) == "spectral"
-    assert default_algorithm(KpcaTruncation(lam=0.1)) == "spectral"
+    """Without an ``algorithm``, a model scores through the path its filter's family owns."""
+    for f, path in [(Tikhonov(0.1), "cholesky"), (Landweber(5), "landweber"),
+                    (SpectralCutoff(0.1), "spectral"), (KpcaTruncation(lam=0.1), "spectral")]:
+        assert fit(TWO_POINTS, Abel(1.0), f).algorithm == path
 
 
 def test_tikhonov_coefficients_single_point():
@@ -282,14 +282,17 @@ def test_landweber_score_monotone_in_m():
     assert prev > 0.97
 
 
-def test_regularization_path_single_lambda_equals_fit():
+@pytest.mark.parametrize("f, value, algorithm", [
+    (Tikhonov(0.05), 0.05, "spectral"), (SpectralCutoff(0.05), 0.05, "spectral"),
+    (KpcaTruncation(lam=0.05), 0.05, "spectral"), (Landweber(5), 5, "landweber"),
+], ids=["tikhonov", "cutoff", "kpca", "landweber"])
+def test_regularization_path_single_lambda_equals_fit(f, value, algorithm):
+    """A one-value path at the model's own strength is its score, bit for bit."""
     rng = np.random.default_rng(71)
     X = rng.normal(size=(15, 2))
     T = rng.normal(size=(6, 2))
-    m = fit(X, Abel(1.0), Tikhonov(0.05), algorithm="spectral")
-    P = regularization_path(m, T, [0.05])
-    direct = score_batch(m, T)
-    assert np.max(np.abs(P[0] - direct)) <= 1e-10
+    m = fit(X, Abel(1.0), f, algorithm=algorithm)
+    assert np.array_equal(regularization_path(m, T, [value])[0], score_batch(m, T))
 
 
 def test_regularization_path_single_point_values():

@@ -48,6 +48,15 @@ def test_kernel_eval_rejects_dimension_mismatch():
         kernel_eval(Abel(1.0), [0.0, 0.0], [1.0])
 
 
+@pytest.mark.parametrize("single", [kernel_eval, induced_metric])
+def test_single_pair_functions_reject_batches(single):
+    """A 2-row batch on either side is refused, not read as its first row."""
+    with pytest.raises(DataError, match="expects single points"):
+        single(Abel(1.0), [[0.0, 0.0], [5.0, 5.0]], [[1.0, 0.0], [9.0, 9.0]])
+    with pytest.raises(DataError, match="expects single points"):
+        single(Abel(1.0), [0.0, 0.0], [[1.0, 0.0], [9.0, 9.0]])
+
+
 def test_kernel_eval_rejects_non_finite():
     with pytest.raises(DataError):
         kernel_eval(Abel(1.0), [np.nan], [1.0])
