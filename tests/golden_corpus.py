@@ -141,6 +141,7 @@ COMMANDS = [
     ("error-delta-nan-concentration", ["verify-bounds", "--delta", "nan", "--out", "never.csv"]),
     ("error-bernstein-n", ["verify-bounds", "--harness", "bernstein", "--n", "0",
                            "--out", "never.csv"]),
+    ("error-ref-size", ["verify-bounds", "--ref-size", "0", "--out", "never.csv"]),
     ("error-csv-encoding", ["train", "--data", "latin1.csv", "--lambda", "1e-3",
                             "--out", "never.txt"]),
     ("error-model-encoding", ["score", "--model", "m_latin1.txt", *_CIRCLE,
