@@ -9,10 +9,10 @@ bound; the theory tolerates a fraction of at most 2*exp(-delta).
 
 import numpy as np
 
-from setlearn import (Abel, EmpiricalOperator, approximation_error_bound,
-                      bernstein_bound, concentration_bound,
-                      effective_dimension, finite_sample_bound, get_task,
-                      hs_distance, hs_norm, sample, sample_error_bound)
+from setlearn import (Abel, approximation_error_bound, bernstein_bound,
+                      concentration_bound, effective_dimension,
+                      finite_sample_bound, get_task, hs_distance, hs_norm,
+                      sample, sample_error_bound)
 from setlearn.oracles import bernstein_trials, concentration_trials
 
 n, delta = 100, 2.0
@@ -27,13 +27,13 @@ print(f"finite-sample bound (s=b=1, n=1024): "
 print(f"bernstein bound:           {bernstein_bound(1.0, 1.0, n, delta):.4f}")
 
 # Hilbert-Schmidt geometry of empirical operators, computed from Gram
-# algebra alone -- no eigendecomposition, no explicit operator.
+# algebra alone -- no eigendecomposition, no explicit operator.  An
+# operator T_n is given, like a Gram matrix, by a kernel and its sample.
 task = get_task("circle")
 kernel = Abel(1.0)
-a = EmpiricalOperator(sample(task, 80, seed=1), kernel)
-b = EmpiricalOperator(sample(task, 80, seed=2), kernel)
-print(f"\n||T_80|| = {hs_norm(a):.4f} (at most 1 for unit-diagonal kernels)")
-print(f"||T_80 - T_80'|| = {hs_distance(a, b):.4f} (two independent draws)")
+a, b = sample(task, 80, seed=1), sample(task, 80, seed=2)
+print(f"\n||T_80|| = {hs_norm(kernel, a):.4f} (at most 1 for unit-diagonal kernels)")
+print(f"||T_80 - T_80'|| = {hs_distance(kernel, a, b):.4f} (two independent draws)")
 
 # Monte-Carlo check at desk scale: a large reference sample stands in
 # for the true operator.

@@ -22,10 +22,10 @@ from .kernels import (SEPARATES_ALL, SEPARATES_LINEAR, SEPARATES_NONE,
                       gram, induced_metric, kernel_eval, metric_matrix,
                       normalize, parse_kernel, product_kernel)
 from .model_io import load_model, save_model
-from .oracles import (EmpiricalOperator, approximation_error_bound,
-                      bernstein_bound, concentration_bound,
-                      effective_dimension, finite_sample_bound,
-                      hs_distance, hs_norm, sample_error_bound)
+from .oracles import (approximation_error_bound, bernstein_bound,
+                      concentration_bound, effective_dimension,
+                      finite_sample_bound, hs_distance, hs_norm,
+                      sample_error_bound)
 from .selection import lambda_curvature, rate_lambda, width_heuristic
 from .synth import (SyntheticTask, get_task, reference_grid,
                     reference_support, sample, support_distance, task_names)
@@ -33,8 +33,8 @@ from .synth import (SyntheticTask, get_task, reference_grid,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Abel", "Dataset", "DataError", "EIG_SLACK", "EmpiricalOperator",
-    "Filter", "Gaussian", "Kernel", "KpcaTruncation",
+    "Abel", "Dataset", "DataError", "EIG_SLACK", "Filter", "Gaussian",
+    "Kernel", "KpcaTruncation",
     "L1Exponential", "Landweber", "Linear", "Normalized", "NumericError",
     "Product", "SEPARATES_ALL", "SEPARATES_LINEAR", "SEPARATES_NONE",
     "SpectralCutoff", "SpectralDecomposition", "SupportModel",

@@ -4,8 +4,8 @@ Nothing here scores points.  The module gives exact finite realizations
 of what the theory argues about, for tests to compare the estimator with:
 
 * the empirical integral operator T_n = (1/n) sum K_{x_i} (x) K_{x_i},
-  held as its sample; its Hilbert-Schmidt norms and distances are sums
-  of squared kernel values, taken over cache-sized tiles,
+  given as (kernel, points) like ``gram``; its Hilbert-Schmidt norms and
+  distances are sums of squared kernel values, taken over cache-sized tiles,
 * bound formulas (concentration, sample, approximation, finite-sample),
 * seeded Monte-Carlo harnesses that report observed-vs-bound tables.
 
@@ -15,73 +15,69 @@ for it, and the harness reports that substitution's own error bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .kernels import _as_points
+from .kernels import _as_points, _point_pair
 
 __all__ = [
-    "EmpiricalOperator", "hs_norm", "hs_distance",
+    "hs_norm", "hs_distance",
     "concentration_bound", "effective_dimension", "sample_error_bound",
     "approximation_error_bound", "finite_sample_bound", "bernstein_bound",
-    "concentration_trials", "bernstein_trials", "convergence_witness",
+    "concentration_trials", "bernstein_trials",
 ]
 
-TILE = 256  # default tile edge of the Gram-square sums; such a tile stays in cache
+TILE = 256  # tile edge of the Gram-square sums; such a tile stays in cache
 
 # Sub-stream index reserved for the reference sample of a harness; trial
 # streams use [seed, trial] with trial < 2^31.
 _REF_STREAM = 2 ** 31
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalOperator:
-    """T_n = (1/n) sum of K(x_i, .)-projectors, held as (sample, kernel).
-
-    For unit-diagonal kernels tr T_n = 1 exactly; the Hilbert-Schmidt
-    norm is at most the trace norm, so hs_norm(op) <= 1.
-    """
-
-    points: np.ndarray
-    kernel: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", _as_points(self.points))
-
-    @property
-    def n(self):
-        return self.points.shape[0]
-
-
-def _self_sum(kernel, X, block):
+def _self_sum(kernel, X):
     """sum_ij K(x_i, x_j)^2; K is symmetric, so only upper-triangle tiles."""
     total = 0.0
-    for i in range(0, X.shape[0], block):
-        for j in range(i, X.shape[0], block):
-            M = kernel._pairwise(X[i:i + block], X[j:j + block])
+    for i in range(0, X.shape[0], TILE):
+        for j in range(i, X.shape[0], TILE):
+            M = kernel._pairwise(X[i:i + TILE], X[j:j + TILE])
             total += (1.0 if i == j else 2.0) * float(np.einsum("ij,ij->", M, M))
     return total
 
 
-def _row_sums(kernel, X, Y, block):
+def _row_sums(kernel, X, Y):
     """sum_j K(x_i, y_j)^2 per row; a row's bits do not depend on other rows."""
     out = np.zeros(X.shape[0])
-    for i in range(0, X.shape[0], block):
-        for j in range(0, Y.shape[0], block):
-            M = kernel._pairwise(X[i:i + block], Y[j:j + block])
-            out[i:i + block] += np.einsum("ij,ij->i", M, M)
+    for i in range(0, X.shape[0], TILE):
+        for j in range(0, Y.shape[0], TILE):
+            M = kernel._pairwise(X[i:i + TILE], Y[j:j + TILE])
+            out[i:i + TILE] += np.einsum("ij,ij->i", M, M)
     return out
 
 
-def hs_norm(op, block=TILE):
-    """Hilbert-Schmidt norm of an empirical operator via the Gram identity."""
-    return float(np.sqrt(_self_sum(op.kernel, op.points, block) / op.n ** 2))
+def _hs_from_sums(taa, tbb, tab):
+    """sqrt(taa + tbb - 2 tab) from normalized Gram-square sums (scalars or arrays).
+
+    The square of a distance is never negative; round-off below zero is
+    clamped, a larger negative value means the kernel is not PSD.
+    """
+    sq = taa + tbb - 2.0 * tab
+    if np.any(sq < -1e-10 * np.maximum(taa + tbb, 1e-300)):
+        raise NumericError("squared distance came out negative beyond round-off")
+    return np.sqrt(np.maximum(sq, 0.0))
 
 
-def hs_distance(a, b, block=TILE):
-    """Hilbert-Schmidt distance between two empirical operators.
+def hs_norm(kernel, points):
+    """Hilbert-Schmidt norm of T_n via the Gram identity.
+
+    For unit-diagonal kernels tr T_n = 1 exactly; the Hilbert-Schmidt
+    norm is at most the trace norm, so the result is at most 1.
+    """
+    X = _as_points(points)
+    return float(np.sqrt(_self_sum(kernel, X) / X.shape[0] ** 2))
+
+
+def hs_distance(kernel, X, Y):
+    """Hilbert-Schmidt distance between the empirical operators of two samples.
 
     Uses the exact identity
 
@@ -91,18 +87,15 @@ def hs_distance(a, b, block=TILE):
     so no eigendecomposition is needed and memory stays at one tile.  Equal
     samples take all three terms from one self-sum, so they give exactly 0.
     """
-    if a.kernel != b.kernel:
-        raise UsageError("hs_distance needs both operators to share one kernel")
-    taa = _self_sum(a.kernel, a.points, block) / a.n ** 2
-    if np.array_equal(a.points, b.points):
+    X, Y = _point_pair(X, Y)
+    n, m = X.shape[0], Y.shape[0]
+    taa = _self_sum(kernel, X) / n ** 2
+    if np.array_equal(X, Y):
         tbb = tab = taa
     else:
-        tbb = _self_sum(b.kernel, b.points, block) / b.n ** 2
-        tab = float(_row_sums(a.kernel, a.points, b.points, block).sum()) / (a.n * b.n)
-    sq = taa + tbb - 2.0 * tab
-    if sq < -1e-10 * max(taa + tbb, 1e-300):
-        raise NumericError("squared distance came out negative beyond round-off")
-    return float(np.sqrt(max(sq, 0.0)))
+        tbb = _self_sum(kernel, Y) / m ** 2
+        tab = float(_row_sums(kernel, X, Y).sum()) / (n * m)
+    return float(_hs_from_sums(taa, tbb, tab))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +104,7 @@ def hs_distance(a, b, block=TILE):
 
 
 def _check_n_delta(n, delta):
-    if n < 1:
+    if not n >= 1:
         raise UsageError(f"n must be >= 1, got {n!r}")
     if not 0 < delta < np.inf:
         raise UsageError(f"delta must be positive and finite, got {delta!r}")
@@ -129,7 +122,7 @@ def effective_dimension(decomposition, lam):
     Decreasing in lambda, tends to the rank as lambda -> 0.  Accepts a
     SpectralDecomposition or a bare eigenvalue vector.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise UsageError(f"lambda must be positive, got {lam!r}")
     s = np.asarray(getattr(decomposition, "eigenvalues", decomposition), dtype=float)
     s = s[s > 0.0]
@@ -139,18 +132,18 @@ def effective_dimension(decomposition, lam):
 def sample_error_bound(n, lam, delta, effective_dim):
     """delta/(n lam) + sqrt(2 delta N(lam) / (n lam))."""
     _check_n_delta(n, delta)
-    if lam <= 0 or effective_dim < 0:
+    if not (lam > 0 and effective_dim >= 0):
         raise UsageError("sample_error_bound needs lam > 0, N >= 0")
     return delta / (n * lam) + np.sqrt(2.0 * delta * effective_dim / (n * lam))
 
 
 def approximation_error_bound(lam, s, c_s):
     """C_s * lambda^s for source smoothness s in (0, 1]."""
-    if lam <= 0:
+    if not lam > 0:
         raise UsageError(f"lambda must be positive, got {lam!r}")
     if not 0.0 < s <= 1.0:
         raise UsageError(f"s must lie in (0, 1], got {s!r}")
-    if c_s <= 0:
+    if not c_s > 0:
         raise UsageError(f"C_s must be positive, got {c_s!r}")
     return c_s * lam ** s
 
@@ -163,13 +156,13 @@ def finite_sample_bound(n, delta, s, b, c_s, d_b):
     differs; the two disagree and we follow the proof.
     """
     _check_n_delta(n, delta)
-    if c_s <= 0:
+    if not c_s > 0:
         raise UsageError(f"C_s must be positive, got {c_s!r}")
     if not 0.0 < s <= 1.0:
         raise UsageError(f"s must lie in (0, 1], got {s!r}")
     if not 0.0 <= b <= 1.0:
         raise UsageError(f"b must lie in [0, 1], got {b!r}")
-    if d_b < 1.0:
+    if not d_b >= 1.0:
         raise UsageError(f"D_b must be >= 1, got {d_b!r}")
     constant = max(c_s, 2.0 * d_b * max(delta, np.sqrt(2.0 * delta)))
     return constant * float(n) ** (-s / (2.0 * s + b + 1.0))
@@ -178,7 +171,7 @@ def finite_sample_bound(n, delta, s, b, c_s, d_b):
 def bernstein_bound(m_bound, variance, n, delta):
     """M delta / n + sqrt(2 sigma^2 delta / n) for bounded vector averages."""
     _check_n_delta(n, delta)
-    if m_bound <= 0 or variance <= 0:
+    if not (m_bound > 0 and variance > 0):
         raise UsageError("bernstein_bound needs M > 0, variance > 0")
     return m_bound * delta / n + np.sqrt(2.0 * variance * delta / n)
 
@@ -189,32 +182,25 @@ def bernstein_bound(m_bound, variance, n, delta):
 # sample uses its own reserved stream.
 
 
-def _distances(sample_fn, kernel, sizes, trials, ref_size, seed, block):
-    """||T_n - T_ref|| per trial and prefix size n; one stacked cross-term pass."""
-    if trials < 1 or ref_size < 1:
-        raise UsageError(f"need trials, ref_size >= 1, got {trials!r}, {ref_size!r}")
-    ref = _as_points(sample_fn(ref_size, np.random.default_rng([seed, _REF_STREAM])))
-    ref_term = _self_sum(kernel, ref, block) / ref.shape[0] ** 2
-    samples = [_as_points(sample_fn(sizes[-1], np.random.default_rng([seed, t])))
-               for t in range(trials)]
-    rows = _row_sums(kernel, np.concatenate(samples), ref, block).reshape(trials, -1)
-    self_terms = np.array([[_self_sum(kernel, pts[:n], block) / (n * n) for n in sizes]
-                           for pts in samples])
-    cross_terms = np.stack([rows[:, :n].sum(1) / (n * ref.shape[0]) for n in sizes], 1)
-    return np.sqrt(np.maximum(self_terms + ref_term - 2.0 * cross_terms, 0.0))
-
-
-def concentration_trials(sample_fn, kernel, n, delta, trials, ref_size, seed,
-                         block=TILE):
+def concentration_trials(sample_fn, kernel, n, delta, trials, ref_size, seed):
     """Observed ||T_n - T_ref|| per trial against the concentration bound.
 
     ``sample_fn(n, rng)`` draws a sample.  Returns (observed, bound) where
     observed has one HS distance per trial; the violation fraction
-    ``(observed > bound).mean()`` should not exceed 2 e^-delta.
+    ``(observed > bound).mean()`` should not exceed 2 e^-delta.  The cross
+    terms of all trials come from one stacked pass over the reference.
     """
     bound = concentration_bound(n, delta)
-    observed = _distances(sample_fn, kernel, [n], trials, ref_size, seed, block)
-    return observed[:, 0], bound
+    if trials < 1 or ref_size < 1:
+        raise UsageError(f"need trials, ref_size >= 1, got {trials!r}, {ref_size!r}")
+    ref = _as_points(sample_fn(ref_size, np.random.default_rng([seed, _REF_STREAM])))
+    samples = [_as_points(sample_fn(n, np.random.default_rng([seed, t])))
+               for t in range(trials)]
+    rows = _row_sums(kernel, np.concatenate(samples), ref).reshape(trials, -1)
+    self_terms = np.array([_self_sum(kernel, pts) / (n * n) for pts in samples])
+    observed = _hs_from_sums(self_terms, _self_sum(kernel, ref) / ref.shape[0] ** 2,
+                             rows.sum(1) / (n * ref.shape[0]))
+    return observed, bound
 
 
 def bernstein_trials(n, delta, trials, seed):
@@ -232,20 +218,3 @@ def bernstein_trials(n, delta, trials, seed):
         flips = rng.integers(0, 2, size=n) * 2.0 - 1.0
         observed[t] = abs(float(flips.mean()))
     return observed, bound
-
-
-def convergence_witness(sample_fn, kernel, sizes, trials, ref_size, seed,
-                        block=TILE):
-    """Median of sqrt(n)/log(n) * ||T_n - T_ref|| over nested samples.
-
-    For each trial one sample of max(sizes) points is drawn and prefixes
-    give the nested T_n.  Returns the per-size medians; the scaled
-    distance should be nonincreasing in n when concentration holds at the
-    sqrt(n)/log(n) rate.
-    """
-    sizes = sorted(int(s) for s in sizes)
-    if not sizes or sizes[0] < 2:
-        raise UsageError("sizes must be integers >= 2")
-    scale = np.sqrt(sizes) / np.log(sizes)
-    return np.median(scale * _distances(sample_fn, kernel, sizes, trials, ref_size,
-                                        seed, block), axis=0)

@@ -70,7 +70,7 @@ def rate_lambda(n, s=1.0, b=1.0):
     The defaults s = b = 1 are the most favourable case; Abel(1) on the
     uniform unit circle has s = b = 1/2.
     """
-    if n < 1:
+    if not n >= 1:
         raise UsageError(f"n must be >= 1, got {n!r}")
     if not 0.0 < s <= 1.0:
         raise UsageError(f"s must lie in (0, 1], got {s!r}")

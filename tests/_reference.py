@@ -1,8 +1,8 @@
 """Reference computations that only the tests use.
 
 Dense matrix functions of the spectrum, the Cholesky solve for Tikhonov
-coefficients, the pseudo-inverse score and a matrix-function perturbation
-check.  The library scores through one contraction over a factor of the
+coefficients, the pseudo-inverse score, a matrix-function perturbation
+check and a convergence-rate witness for the empirical operator.  The library scores through one contraction over a factor of the
 fitted model (see ``setlearn.estimator``); these build the operators the
 theory speaks about explicitly, so the tests can compare the two.
 """
@@ -16,6 +16,8 @@ from setlearn.errors import UsageError
 from setlearn.estimator import _cholesky
 from setlearn.filters import (SpectralDecomposition, _prep_spectrum,
                               lipschitz_constant)
+from setlearn.kernels import _as_points
+from setlearn.oracles import _REF_STREAM, _hs_from_sums, _row_sums, _self_sum
 
 # Rank tolerance of the pseudo-inverse, relative to the largest singular
 # value; shared with the estimator's null-eigenvalue convention.
@@ -89,3 +91,28 @@ def exact_projection_score(g, kx):
     kx = np.asarray(kx, dtype=float)
     P = np.linalg.pinv(g, rcond=PINV_RCOND, hermitian=True)
     return float(kx @ P @ kx)
+
+
+def convergence_witness(sample_fn, kernel, sizes, trials, ref_size, seed):
+    """Median of sqrt(n)/log(n) * ||T_n - T_ref|| over nested samples.
+
+    For each trial one sample of max(sizes) points is drawn, on the
+    streams ``concentration_trials`` uses, and prefixes give the nested
+    T_n.  Returns the per-size medians; the scaled distance should be
+    nonincreasing in n when concentration holds at the sqrt(n)/log(n) rate.
+    """
+    sizes = sorted(int(s) for s in sizes)
+    if not sizes or sizes[0] < 2:
+        raise UsageError("sizes must be integers >= 2")
+    if trials < 1 or ref_size < 1:
+        raise UsageError(f"need trials, ref_size >= 1, got {trials!r}, {ref_size!r}")
+    ref = _as_points(sample_fn(ref_size, np.random.default_rng([seed, _REF_STREAM])))
+    ref_term = _self_sum(kernel, ref) / ref.shape[0] ** 2
+    samples = [_as_points(sample_fn(sizes[-1], np.random.default_rng([seed, t])))
+               for t in range(trials)]
+    rows = _row_sums(kernel, np.concatenate(samples), ref).reshape(trials, -1)
+    self_terms = np.array([[_self_sum(kernel, pts[:n]) / (n * n) for n in sizes]
+                           for pts in samples])
+    cross_terms = np.stack([rows[:, :n].sum(1) / (n * ref.shape[0]) for n in sizes], 1)
+    scale = np.sqrt(sizes) / np.log(sizes)
+    return np.median(scale * _hs_from_sums(self_terms, ref_term, cross_terms), axis=0)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -6,33 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import exact_projection_score, maurer_check
-from setlearn import (Abel, EmpiricalOperator, Gaussian, KpcaTruncation,
-                      L1Exponential, Landweber, Linear, SpectralCutoff,
-                      Tikhonov, UsageError, approximation_error_bound,
-                      bernstein_bound, concentration_bound, cross_gram,
-                      decompose, effective_dimension, finite_sample_bound,
-                      fit, gram, get_task, hs_distance, hs_norm, normalize,
-                      product_kernel, sample_error_bound, score_batch)
+from _reference import convergence_witness, exact_projection_score, maurer_check
+from setlearn import (Abel, DataError, Gaussian, KpcaTruncation,
+                      L1Exponential, Landweber, Linear, NumericError,
+                      SpectralCutoff, Tikhonov, UsageError,
+                      approximation_error_bound, bernstein_bound,
+                      concentration_bound, cross_gram, decompose,
+                      effective_dimension, finite_sample_bound, fit, gram,
+                      get_task, hs_distance, hs_norm, normalize,
+                      product_kernel, rate_lambda, sample_error_bound,
+                      score_batch)
+from setlearn import oracles
 from setlearn.oracles import (_row_sums, _self_sum, bernstein_trials,
-                              concentration_trials, convergence_witness)
-
-
-def _op(points, kernel=Abel(1.0)):
-    return EmpiricalOperator(np.asarray(points, dtype=float), kernel)
+                              concentration_trials)
 
 
 def test_hs_distance_zero_on_identical_samples():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(12, 2))
-    assert hs_distance(_op(X), _op(X)) == 0.0
+    assert hs_distance(Abel(1.0), X, X) == 0.0
 
 
 def test_hs_distance_far_singletons():
     # Abel(1) at distance 50: K(x,y) ~ 2e-22, so the distance is sqrt(2)
-    a = _op([[0.0]])
-    b = _op([[50.0]])
-    npt.assert_allclose(hs_distance(a, b), math.sqrt(2.0), rtol=1e-14)
+    npt.assert_allclose(hs_distance(Abel(1.0), [[0.0]], [[50.0]]), math.sqrt(2.0),
+                        rtol=1e-14)
 
 
 def test_hs_distance_singleton_expansion():
@@ -41,38 +40,39 @@ def test_hs_distance_singleton_expansion():
     k = Abel(1.0)
     kxy = math.exp(-1.3)
     expected = math.sqrt(2.0 - 2.0 * kxy ** 2)
-    npt.assert_allclose(hs_distance(_op(x, k), _op(y, k)), expected, rtol=1e-12)
+    npt.assert_allclose(hs_distance(k, x, y), expected, rtol=1e-12)
 
 
 def test_hs_distance_same_singleton_point():
-    assert hs_distance(_op([[0.5, 0.5]]), _op([[0.5, 0.5]])) == 0.0
+    assert hs_distance(Abel(1.0), [[0.5, 0.5]], [[0.5, 0.5]]) == 0.0
 
 
 def test_hs_distance_metric_axioms():
     rng = np.random.default_rng(5)
-    ops = [_op(rng.normal(size=(rng.integers(3, 9), 2))) for _ in range(4)]
-    for a in ops:
-        for b in ops:
-            dab = hs_distance(a, b)
+    k = Abel(1.0)
+    samples = [rng.normal(size=(rng.integers(3, 9), 2)) for _ in range(4)]
+    for a in samples:
+        for b in samples:
+            dab = hs_distance(k, a, b)
             assert dab >= 0.0
-            npt.assert_allclose(dab, hs_distance(b, a), rtol=1e-12)
-    for a in ops:
-        for b in ops:
-            for c in ops:
-                assert (hs_distance(a, c)
-                        <= hs_distance(a, b) + hs_distance(b, c) + 1e-12)
+            npt.assert_allclose(dab, hs_distance(k, b, a), rtol=1e-12)
+    for a in samples:
+        for b in samples:
+            for c in samples:
+                assert (hs_distance(k, a, c)
+                        <= hs_distance(k, a, b) + hs_distance(k, b, c) + 1e-12)
 
 
-def test_hs_distance_rejects_kernel_mismatch():
-    with pytest.raises(UsageError):
-        hs_distance(_op([[0.0]], Abel(1.0)), _op([[0.0]], Abel(2.0)))
+def test_hs_distance_rejects_dimension_mismatch():
+    with pytest.raises(DataError, match="dimension mismatch"):
+        hs_distance(Abel(1.0), [[0, 1]], [[0]])
 
 
 def test_hs_norm_trace_identity():
     # ||T_n||_HS^2 = mean of K^2 entries <= trace T_n = 1
     rng = np.random.default_rng(7)
     X = rng.normal(size=(25, 3))
-    v = hs_norm(_op(X))
+    v = hs_norm(Abel(1.0), X)
     G = gram(Abel(1.0), X)
     npt.assert_allclose(v, math.sqrt((G ** 2).mean()), rtol=1e-12)
     assert v <= 1.0 + 1e-12
@@ -82,8 +82,9 @@ def test_hs_blockwise_equals_direct():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(30, 2))
     Y = rng.normal(size=(21, 2))
-    a = hs_distance(_op(X), _op(Y))
-    b = hs_distance(_op(X), _op(Y), block=7)
+    a = hs_distance(Abel(1.0), X, Y)
+    with mock.patch.object(oracles, "TILE", 7):
+        b = hs_distance(Abel(1.0), X, Y)
     npt.assert_allclose(a, b, rtol=1e-13)
 
 
@@ -99,10 +100,11 @@ def test_tiled_sums_match_dense(seed, kernel, n, m, tile):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, 3))
     Y = rng.normal(size=(m, 3))
-    npt.assert_allclose(_self_sum(kernel, X, tile),
-                        (kernel._pairwise(X, X) ** 2).sum(), rtol=1e-12)
-    npt.assert_allclose(_row_sums(kernel, X, Y, tile),
-                        (kernel._pairwise(X, Y) ** 2).sum(1), rtol=1e-12)
+    with mock.patch.object(oracles, "TILE", tile):
+        npt.assert_allclose(_self_sum(kernel, X),
+                            (kernel._pairwise(X, X) ** 2).sum(), rtol=1e-12)
+        npt.assert_allclose(_row_sums(kernel, X, Y),
+                            (kernel._pairwise(X, Y) ** 2).sum(1), rtol=1e-12)
 
 
 def test_concentration_bound_values():
@@ -119,6 +121,35 @@ def test_bounds_refuse_a_delta_not_positive_and_finite(delta):
                  lambda: bernstein_trials(10, delta, 3, 0)):
         with pytest.raises(UsageError, match="delta"):
             call()
+
+
+_NAN_CALLS = {
+    "concentration_bound-n": lambda v: concentration_bound(v, 1.0),
+    "effective_dimension-lam": lambda v: effective_dimension([0.5, 0.1], v),
+    "sample_error_bound-n": lambda v: sample_error_bound(v, 0.1, 1.0, 5.0),
+    "sample_error_bound-lam": lambda v: sample_error_bound(100, v, 1.0, 5.0),
+    "sample_error_bound-N": lambda v: sample_error_bound(100, 0.1, 1.0, v),
+    "approximation_error_bound-lam": lambda v: approximation_error_bound(v, 0.5, 2.0),
+    "approximation_error_bound-s": lambda v: approximation_error_bound(0.1, v, 2.0),
+    "approximation_error_bound-C_s": lambda v: approximation_error_bound(0.1, 0.5, v),
+    "finite_sample_bound-n": lambda v: finite_sample_bound(v, 1.0, 1.0, 1.0, 1.0, 1.0),
+    "finite_sample_bound-s": lambda v: finite_sample_bound(100, 1.0, v, 1.0, 1.0, 1.0),
+    "finite_sample_bound-b": lambda v: finite_sample_bound(100, 1.0, 1.0, v, 1.0, 1.0),
+    "finite_sample_bound-C_s": lambda v: finite_sample_bound(100, 1.0, 1.0, 1.0, v, 1.0),
+    "finite_sample_bound-D_b": lambda v: finite_sample_bound(100, 1.0, 1.0, 1.0, 1.0, v),
+    "bernstein_bound-M": lambda v: bernstein_bound(v, 1.0, 100, 1.0),
+    "bernstein_bound-variance": lambda v: bernstein_bound(1.0, v, 100, 1.0),
+    "bernstein_bound-n": lambda v: bernstein_bound(1.0, 1.0, v, 1.0),
+    "rate_lambda-n": lambda v: rate_lambda(v),
+    "rate_lambda-s": lambda v: rate_lambda(100, s=v),
+    "rate_lambda-b": lambda v: rate_lambda(100, b=v),
+}
+
+
+@pytest.mark.parametrize("call", _NAN_CALLS.values(), ids=_NAN_CALLS.keys())
+def test_bounds_refuse_a_nan_parameter(call):
+    with pytest.raises(UsageError):
+        call(np.nan)
 
 
 def test_effective_dimension_examples():
@@ -279,6 +310,20 @@ def test_harnesses_reject_bad_counts(n, trials, ref_size):
         concentration_trials(task.draw, Abel(1.0), n, 2.0, trials, ref_size, seed=0)
     with pytest.raises(UsageError):
         convergence_witness(task.draw, Abel(1.0), [n, 30], trials, ref_size, seed=0)
+
+
+class _OffDiagonalHeavy:
+    """K(x, x) = 1 and K(x, y) = 2 for x != y: symmetric but not PSD."""
+
+    def _pairwise(self, X, Y):
+        return np.where((X[:, None, :] == Y[None, :, :]).all(-1), 1.0, 2.0)
+
+
+def test_concentration_trials_refuse_a_negative_square():
+    # each sample's square comes out near -3/n - 3/ref_size, far below round-off
+    task = get_task("circle")
+    with pytest.raises(NumericError, match="negative beyond round-off"):
+        concentration_trials(task.draw, _OffDiagonalHeavy(), 20, 2.0, 3, 50, seed=0)
 
 
 def test_bernstein_trials_violation_rate():
