@@ -5,7 +5,9 @@ of what the theory argues about, for tests to compare the estimator with:
 
 * the empirical integral operator T_n = (1/n) sum K_{x_i} (x) K_{x_i},
   given as (kernel, points) like ``gram``; its Hilbert-Schmidt norms and
-  distances are sums of squared kernel values, taken over cache-sized tiles,
+  distances are sums of squared kernel values, taken over cache-sized tiles
+  that the calling thread shares with one helper thread per further usable
+  core, and added in tile order, so the sums do not depend on the core count,
 * bound formulas (concentration, sample, approximation, finite-sample),
 * seeded Monte-Carlo harnesses that report observed-vs-bound tables.
 
@@ -14,6 +16,11 @@ for it, and the harness reports that substitution's own error bound.
 """
 
 from __future__ import annotations
+
+import itertools
+import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,23 +41,65 @@ TILE = 256  # tile edge of the Gram-square sums; such a tile stays in cache
 _REF_STREAM = 2 ** 31
 
 
+def _cores():
+    """Cores this process may run on (the affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_tiles(fn, items):
+    """[fn(x) for x in items], shared by the caller and one helper per further core.
+
+    cdist and exp release the GIL, so tiles run in parallel.  Items go out
+    through a shared counter and each result lands at its item's index; an
+    error in any thread reaches the caller after every helper has stopped.
+    """
+    items = list(items)
+    out = [None] * len(items)
+    ticket = itertools.count()
+
+    def work():
+        while (k := next(ticket)) < len(items):
+            out[k] = fn(items[k])
+
+    helpers = min(_cores(), len(items)) - 1
+    if helpers < 1:
+        work()
+        return out
+    with ThreadPoolExecutor(helpers) as pool:
+        futures = [pool.submit(work) for _ in range(helpers)]
+        work()
+        for f in futures:
+            f.result()
+    return out
+
+
 def _self_sum(kernel, X):
     """sum_ij K(x_i, x_j)^2; K is symmetric, so only upper-triangle tiles."""
-    total = 0.0
-    for i in range(0, X.shape[0], TILE):
-        for j in range(i, X.shape[0], TILE):
-            M = kernel._pairwise(X[i:i + TILE], X[j:j + TILE])
-            total += (1.0 if i == j else 2.0) * float(np.einsum("ij,ij->", M, M))
+    def tile(ij):
+        i, j = ij
+        M = kernel._pairwise(X[i:i + TILE], X[j:j + TILE])
+        return (1.0 if i == j else 2.0) * float(np.einsum("ij,ij->", M, M))
+
+    n = X.shape[0]
+    total = 0.0  # added in tile order; sum() compensates on Python >= 3.12
+    for value in _map_tiles(tile, [(i, j) for i in range(0, n, TILE)
+                                   for j in range(i, n, TILE)]):
+        total += value
     return total
 
 
 def _row_sums(kernel, X, Y):
     """sum_j K(x_i, y_j)^2 per row; a row's bits do not depend on other rows."""
     out = np.zeros(X.shape[0])
-    for i in range(0, X.shape[0], TILE):
+
+    def band(i):
         for j in range(0, Y.shape[0], TILE):
             M = kernel._pairwise(X[i:i + TILE], Y[j:j + TILE])
             out[i:i + TILE] += np.einsum("ij,ij->i", M, M)
+
+    _map_tiles(band, range(0, X.shape[0], TILE))
     return out
 
 
@@ -84,8 +133,9 @@ def hs_distance(kernel, X, Y):
         ||T_n - T_m||^2 = (1/n^2) sum K(x,x')^2 + (1/m^2) sum K(y,y')^2
                           - (2/nm) sum K(x,y)^2,
 
-    so no eigendecomposition is needed and memory stays at one tile.  Equal
-    samples take all three terms from one self-sum, so they give exactly 0.
+    so no eigendecomposition is needed and memory stays at one tile per
+    thread.  Equal samples take all three terms from one self-sum, so they
+    give exactly 0.
     """
     X, Y = _point_pair(X, Y)
     n, m = X.shape[0], Y.shape[0]
@@ -182,6 +232,13 @@ def bernstein_bound(m_bound, variance, n, delta):
 # sample uses its own reserved stream.
 
 
+def _check_counts(**counts):
+    """Refuse a harness count that is not an integer; callers check ranges first."""
+    for name, value in counts.items():
+        if not isinstance(value, numbers.Integral):
+            raise UsageError(f"{name} must be an integer, got {value!r}")
+
+
 def concentration_trials(sample_fn, kernel, n, delta, trials, ref_size, seed):
     """Observed ||T_n - T_ref|| per trial against the concentration bound.
 
@@ -193,6 +250,7 @@ def concentration_trials(sample_fn, kernel, n, delta, trials, ref_size, seed):
     bound = concentration_bound(n, delta)
     if trials < 1 or ref_size < 1:
         raise UsageError(f"need trials, ref_size >= 1, got {trials!r}, {ref_size!r}")
+    _check_counts(n=n, trials=trials, ref_size=ref_size)
     ref = _as_points(sample_fn(ref_size, np.random.default_rng([seed, _REF_STREAM])))
     samples = [_as_points(sample_fn(n, np.random.default_rng([seed, t])))
                for t in range(trials)]
@@ -212,6 +270,7 @@ def bernstein_trials(n, delta, trials, seed):
     if trials < 1:
         raise UsageError(f"need at least one trial, got {trials!r}")
     bound = bernstein_bound(1.0, 1.0, n, delta)
+    _check_counts(n=n, trials=trials)
     observed = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng([seed, t])

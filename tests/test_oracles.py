@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -105,6 +107,65 @@ def test_tiled_sums_match_dense(seed, kernel, n, m, tile):
                             (kernel._pairwise(X, X) ** 2).sum(), rtol=1e-12)
         npt.assert_allclose(_row_sums(kernel, X, Y),
                             (kernel._pairwise(X, Y) ** 2).sum(1), rtol=1e-12)
+
+
+def _report_cores(monkeypatch, cores):
+    monkeypatch.setattr(oracles.os, "sched_getaffinity",
+                        lambda pid: set(range(cores)), raising=False)
+
+
+def test_tile_sums_do_not_depend_on_the_thread_count(monkeypatch):
+    task = get_task("circle")
+    rng = np.random.default_rng(8)
+    X, Y = task.draw(150, rng), task.draw(70, rng)
+    monkeypatch.setattr(oracles, "TILE", 32)
+    results = []
+    for cores in (1, 4):
+        _report_cores(monkeypatch, cores)
+        results.append([_self_sum(Abel(1.0), X), _row_sums(Abel(1.0), X, Y),
+                        concentration_trials(task.draw, Abel(1.0), 40, 2.0, 5, 100,
+                                             seed=1)[0]])
+    for serial, threaded in zip(*results):
+        assert np.array_equal(serial, threaded)
+
+
+class _SlowAbel:
+    """Abel(1) that records which threads evaluate its tiles."""
+
+    def __init__(self):
+        self.idents = set()
+
+    def _pairwise(self, X, Y):
+        self.idents.add(threading.get_ident())
+        time.sleep(0.005)
+        return Abel(1.0)._pairwise(X, Y)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_tiles_run_on_one_thread_per_reported_core(monkeypatch, cores):
+    X = np.random.default_rng(2).normal(size=(64, 2))
+    monkeypatch.setattr(oracles, "TILE", 16)
+    _report_cores(monkeypatch, cores)
+    for sums in (lambda k: _self_sum(k, X), lambda k: _row_sums(k, X, X)):
+        kernel = _SlowAbel()
+        sums(kernel)
+        if cores == 1:
+            assert kernel.idents == {threading.get_ident()}
+        else:
+            assert len(kernel.idents) >= 2
+
+
+def test_an_error_in_a_tile_reaches_the_caller(monkeypatch):
+    X = np.random.default_rng(4).normal(size=(80, 2))
+    X[70] = 0.0  # K(x, x) = 0 in the last tile
+    monkeypatch.setattr(oracles, "TILE", 16)
+    _report_cores(monkeypatch, 2)
+    before = threading.active_count()
+    with pytest.raises(NumericError, match="^cannot normalize: K"):
+        hs_norm(normalize(Linear()), X)
+    with pytest.raises(NumericError, match="^cannot normalize: K"):
+        _row_sums(normalize(Linear()), X, X[:10])
+    assert threading.active_count() == before
 
 
 def test_concentration_bound_values():
@@ -310,6 +371,18 @@ def test_harnesses_reject_bad_counts(n, trials, ref_size):
         concentration_trials(task.draw, Abel(1.0), n, 2.0, trials, ref_size, seed=0)
     with pytest.raises(UsageError):
         convergence_witness(task.draw, Abel(1.0), [n, 30], trials, ref_size, seed=0)
+
+
+@pytest.mark.parametrize("n, trials, ref_size",
+                         [(20.5, 2, 50), (20, 2, 50.5), (20, 2, np.nan),
+                          (20, np.nan, 50), (20, 2.5, 50)])
+def test_harnesses_refuse_non_integral_counts(n, trials, ref_size):
+    task = get_task("circle")
+    with pytest.raises(UsageError, match="must be an integer"):
+        concentration_trials(task.draw, Abel(1.0), n, 2.0, trials, ref_size, seed=0)
+    if ref_size == 50:  # the Bernstein harness takes no reference size
+        with pytest.raises(UsageError, match="must be an integer"):
+            bernstein_trials(n, 2.0, trials, seed=0)
 
 
 class _OffDiagonalHeavy:
