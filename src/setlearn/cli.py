@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
+from itertools import repeat
 
 import numpy as np
 
@@ -195,7 +197,7 @@ def cmd_train(args):
     write_table(
         eigs_out, "eigenvalue decay", [source] + _config_meta(model, kernel_note, filter_note),
         ["index", "eigenvalue"],
-        ((i, v) for i, v in enumerate(eigenvalues)),
+        enumerate(eigenvalues.tolist()),
         timestamp=not args.no_timestamp)
     _summary(model, eigenvalues, kernel_note, filter_note)
     print(f"model written to {args.out}")
@@ -226,7 +228,7 @@ def cmd_score(args):
         args.out, "scores",
         meta + [f"tau={_f(tau)}", f"n_train={model.n}", f"n_test={ds.n}"],
         ["index", "score", "member"],
-        ((i, s, m) for i, (s, m) in enumerate(zip(scores, member))),
+        ((i, s, m) for i, (s, m) in enumerate(zip(scores.tolist(), member.tolist()))),
         timestamp=not args.no_timestamp)
     print(f"scored {ds.n} points; members={int(member.sum())} at tau={_f(tau)}")
     print(f"scores written to {args.out}")
@@ -339,11 +341,11 @@ def cmd_sweep(args):
     path = regularization_path(model, test, lambdas)
 
     def rows():
-        for i, lam in enumerate(lambdas):
+        index = range(path.shape[1])
+        for lam, scores in zip(lambdas, path):
             for tau in taus:
-                members = member_mask(path[i], tau)
-                for j in range(path.shape[1]):
-                    yield (lam, tau, j, path[i, j], members[j])
+                yield from zip(repeat(lam), repeat(tau), index, scores.tolist(),
+                               member_mask(scores, tau).tolist())
 
     meta = [source, test_note, _config_meta(model, kernel_note, filter_note)[0],
             f"filter_family={type(model.filter).__name__}",
@@ -520,9 +522,13 @@ def build_parser():
     return p
 
 
+# One parser per process: parse_args leaves it as it was, and argparse looks up
+# sys.stderr and the terminal width only when it prints.
+_parser = cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

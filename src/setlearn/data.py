@@ -6,7 +6,9 @@ package emits can be read back.  Errors carry row/column diagnostics.
 
 Output: RFC-4180-style CSV with a ``#``-prefixed metadata header, ``\\n``
 line endings and all floats printed with 9 significant digits.  Output is
-byte-deterministic unless a timestamp line is requested.
+byte-deterministic unless a timestamp line is requested.  Rows are rendered
+in bulk, each column with the one %-format :func:`fmt_value` uses on all its
+cells, so the bytes are those of :func:`fmt_value` applied cell by cell.
 """
 
 from __future__ import annotations
@@ -14,12 +16,16 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain, islice
 
 import numpy as np
 
 from .errors import DataError
 
 __all__ = ["Dataset", "load_csv", "write_table", "fmt_value"]
+
+# Rows that write_table renders with one %; bounds the cells held at once.
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,6 +116,28 @@ def fmt_value(v):
     return f"{float(v):.9g}"
 
 
+def _format_of(kind):
+    """The %-format fmt_value amounts to for values of type ``kind``."""
+    if issubclass(kind, (bool, np.bool_, int, np.integer)):
+        return "%d"
+    return "%s" if issubclass(kind, str) else "%.9g"
+
+
+def _render_rows(rows, width):
+    """CSV lines for a list of rows, with one % over all their cells."""
+    if set(map(len, rows)) - {width}:
+        bad = next(n for n in map(len, rows) if n != width)
+        raise ValueError(f"row width {bad} does not match header {width}")
+    formats, columns = [], []
+    for column in zip(*rows):
+        kinds = {_format_of(kind) for kind in set(map(type, column))}
+        mixed = len(kinds) > 1   # such a column goes through fmt_value cell by cell
+        formats.append("%s" if mixed else kinds.pop())
+        columns.append(map(fmt_value, column) if mixed else column)
+    cells = tuple(chain.from_iterable(zip(*columns)))
+    return "\n".join([",".join(formats)] * len(rows)) % cells
+
+
 def write_table(path, title, meta, columns, rows, timestamp=True, footer=None):
     """Write a CSV table with a ``#`` metadata header.
 
@@ -123,10 +151,9 @@ def write_table(path, title, meta, columns, rows, timestamp=True, footer=None):
         lines.append(f"# generated={now}")
     lines.extend(f"# {entry}" for entry in meta)
     lines.append(",".join(columns))
-    for row in rows:
-        if len(row) != len(columns):
-            raise ValueError(f"row width {len(row)} does not match header {len(columns)}")
-        lines.append(",".join(fmt_value(v) for v in row))
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        lines.append(_render_rows(chunk, len(columns)))
     if footer:
         lines.extend(f"# {entry}" for entry in footer)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -113,10 +113,11 @@ def _cholesky(entries, lam):
     """Lower Cholesky factor of K_n + n*lam*I, as ``cho_factor`` returns it.
 
     The matrix is built in one Fortran-ordered copy of the Gram entries and
-    factorized in place; the upper triangle is left as scratch.
+    factorized in place; the upper triangle is left as scratch.  The copy is
+    of ``entries.T``, a straight copy that equals the exactly symmetric Gram.
     """
     n = entries.shape[0]
-    M = np.array(entries, dtype=float, order="F")
+    M = np.array(entries.T, dtype=float, order="F")
     M.flat[::n + 1] += n * lam
     try:
         return cho_factor(M, lower=True, overwrite_a=True)

@@ -261,8 +261,10 @@ def _eig(g, vectors):
     # the entries are checked, not the spectrum.
     if not np.all(np.isfinite(A)):
         raise NumericError("K_n/n has non-finite entries, so its spectrum is not finite")
+    # In place on A's Fortran view A.T, which equals A for an exactly symmetric Gram.
     try:
-        out = eigh(A, eigvals_only=not vectors, driver="evd", check_finite=False)
+        out = eigh(A.T, overwrite_a=True, eigvals_only=not vectors, driver="evd",
+                   check_finite=False)
     except LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from None
     s, V = out if vectors else (out, None)
@@ -279,14 +281,17 @@ def decompose(g):
 
     One O(n^3) factorization; everything downstream (scores at any
     regularization strength, filter application, threshold selection) is
-    O(n^2) or cheaper per use.
+    O(n^2) or cheaper per use.  It overwrites one scaled copy of ``g``, whose
+    upper triangle it reads (exact for :func:`.gram`'s symmetric matrices),
+    and needs LAPACK's 2 n^2 of workspace besides.
     """
     s, V = _eig(g, vectors=True)
     return SpectralDecomposition(s, np.ascontiguousarray(V[:, ::-1]))
 
 
 def spectrum(g):
-    """Eigenvalues of K_n/n as :func:`decompose` gives them, at about half its cost."""
+    """Eigenvalues of K_n/n as :func:`decompose` gives them, at about half its
+    cost and in place in the same way, with O(n) workspace besides."""
     return _eig(g, vectors=False)[0]
 
 

@@ -7,7 +7,8 @@ payload.  The header is key=value, one per line; lines starting with
 ``text``
     one point per line, coordinates printed with %.17g (lossless for
     float64); an optional stored decomposition follows as one line of
-    eigenvalues and then one line per eigenvector-matrix row.
+    eigenvalues and then one line per eigenvector-matrix row, each block
+    rendered with one row format, one ``%`` per few thousand values.
 ``binary``
     raw little-endian float64, C order: the points, then optionally the
     eigenvalues and the eigenvector matrix.
@@ -37,8 +38,16 @@ _MARKER = b"data:\n"
 _CHECKED_PAIRS = 8
 
 
-def _fmt(v):
-    return f"{v:.17g}"
+# Values a text payload renders with one %; bounds the Python floats held at once.
+_CHUNK_VALUES = 1 << 16
+
+
+def _text_lines(block):
+    """The rows of a 2-d block as ascii lines of %.17g values."""
+    line = " ".join(["%.17g"] * block.shape[1]) + "\n"
+    step = _CHUNK_VALUES // max(block.shape[1], 1) + 1
+    for part in (block[i:i + step] for i in range(0, len(block), step)):
+        yield ((line * len(part)) % tuple(part.ravel().tolist())).encode("ascii")
 
 
 def save_model(model, path, fmt="text", include_decomposition=False):
@@ -58,21 +67,16 @@ def save_model(model, path, fmt="text", include_decomposition=False):
         f"decomposition={'eigh' if decomp is not None else 'none'}",
         "data:",
     ]
-    header = ("\n".join(head) + "\n").encode("ascii")
+    blocks = [model.points]
+    if decomp is not None:
+        blocks += [decomp.eigenvalues[None, :], decomp.eigenvectors]
     with open(path, "wb") as fh:
-        fh.write(header)
-        if fmt == "text":
-            for row in model.points:
-                fh.write((" ".join(_fmt(v) for v in row) + "\n").encode("ascii"))
-            if decomp is not None:
-                fh.write((" ".join(_fmt(v) for v in decomp.eigenvalues) + "\n").encode("ascii"))
-                for row in decomp.eigenvectors:
-                    fh.write((" ".join(_fmt(v) for v in row) + "\n").encode("ascii"))
-        else:
-            fh.write(np.ascontiguousarray(model.points, dtype="<f8").tobytes())
-            if decomp is not None:
-                fh.write(np.ascontiguousarray(decomp.eigenvalues, dtype="<f8").tobytes())
-                fh.write(np.ascontiguousarray(decomp.eigenvectors, dtype="<f8").tobytes())
+        fh.write(("\n".join(head) + "\n").encode("ascii"))
+        for block in blocks:
+            if fmt == "text":
+                fh.writelines(_text_lines(block))
+            else:
+                fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
 def _ascii(data, path, what):
@@ -190,6 +194,9 @@ def _check_decomposition(s, V, K, path):
         raise DataError(f"{path}: stored eigenvalues lie outside [0, 1]")
     if abs(s.sum() - np.trace(K) / n) > EIG_SLACK * n:
         raise DataError(f"{path}: stored eigenvalues do not sum to trace(K_n/n)")
+    # Orthonormal columns have entries in [-1, 1]; larger ones could overflow below.
+    if np.any(np.abs(V) > 1.0 + EIG_SLACK):
+        raise DataError(f"{path}: stored eigenvectors are not orthonormal")
     k = min(n, _CHECKED_PAIRS)
     Vk = V[:, :k]
     residual = np.linalg.norm(K @ Vk / n - Vk * s[:k], axis=0).max()

@@ -2,7 +2,8 @@
 
 Dense matrix functions of the spectrum, the Cholesky solve for Tikhonov
 coefficients, the pseudo-inverse score, a matrix-function perturbation
-check and a convergence-rate witness for the empirical operator.  The library scores through one contraction over a factor of the
+check, a convergence-rate witness for the empirical operator, and the
+cell-by-cell renderings of CSV tables and text model payloads.  The library scores through one contraction over a factor of the
 fitted model (see ``setlearn.estimator``); these build the operators the
 theory speaks about explicitly, so the tests can compare the two.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_solve
 
+from setlearn.data import fmt_value
 from setlearn.errors import UsageError
 from setlearn.estimator import _cholesky
 from setlearn.filters import (SpectralDecomposition, _prep_spectrum,
@@ -116,3 +118,17 @@ def convergence_witness(sample_fn, kernel, sizes, trials, ref_size, seed):
     cross_terms = np.stack([rows[:, :n].sum(1) / (n * ref.shape[0]) for n in sizes], 1)
     scale = np.sqrt(sizes) / np.log(sizes)
     return np.median(scale * _hs_from_sums(self_terms, ref_term, cross_terms), axis=0)
+
+
+def table_body(rows):
+    """The data lines of a CSV table, each cell through ``fmt_value``."""
+    return "".join(",".join(map(fmt_value, row)) + "\n" for row in rows)
+
+
+def text_payload(model, decomposition=None):
+    """The text model payload, each value formatted on its own with %.17g."""
+    blocks = [model.points]
+    if decomposition is not None:
+        blocks += [[decomposition.eigenvalues], decomposition.eigenvectors]
+    return "".join(" ".join(f"{v:.17g}" for v in row) + "\n"
+                   for block in blocks for row in block).encode("ascii")

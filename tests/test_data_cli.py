@@ -1,4 +1,7 @@
+import argparse
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -14,6 +17,8 @@ from setlearn import (Abel, DataError, Landweber, Tikhonov, UsageError, fit, loa
                       load_model, save_model, score_batch, write_table)
 from setlearn.cli import main
 from setlearn.data import fmt_value
+
+from _reference import table_body
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +173,63 @@ def test_write_table_timestamp_toggle(tmp_path):
     write_table(b, "t", [], ["x"], [(1,)], timestamp=True)
     assert "generated=" not in a.read_text()
     assert "generated=" in b.read_text()
+
+
+_FLOATS = (st.floats() | st.sampled_from(
+    [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308]))
+_CELL_KINDS = {
+    "bool": st.booleans(),
+    "np.bool_": st.booleans().map(np.bool_),
+    "int": st.integers(-10**30, 10**30),
+    "np.int64": st.integers(-2**63, 2**63 - 1).map(np.int64),
+    "np.uint64": st.integers(0, 2**64 - 1).map(np.uint64),
+    "float": _FLOATS,
+    "np.float64": _FLOATS.map(np.float64),
+    "np.float32": st.floats(width=32).map(np.float32),
+    "str": st.text(st.characters(codec="utf-8")),
+}
+
+
+@st.composite
+def _tables(draw):
+    """Rows whose columns each hold one cell kind, or a mix of them."""
+    kinds = draw(st.lists(st.sampled_from([*_CELL_KINDS, "mixed"]), min_size=1, max_size=4))
+    cells = [st.one_of(*_CELL_KINDS.values()) if k == "mixed" else _CELL_KINDS[k]
+             for k in kinds]
+    return draw(st.lists(st.tuples(*cells), max_size=12)), len(kinds)
+
+
+def _table_text(path, rows, width):
+    write_table(path, "t", [], [f"c{i}" for i in range(width)], rows, timestamp=False)
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_tables())
+@example(table=([(0, 0.5), (1, 0.25), ("mean", 0.375), ("std", 0.17677669529663687)], 2))
+def test_write_table_matches_cell_by_cell_formatting(table):
+    """Column formats give the bytes of fmt_value on every cell, for a list
+    of rows and for a one-shot generator of them."""
+    rows, width = table
+    with tempfile.TemporaryDirectory() as d:
+        text = _table_text(os.path.join(d, "a.csv"), rows, width)
+        assert _table_text(os.path.join(d, "b.csv"), (r for r in rows), width) == text
+    header = "# t\n" + ",".join(f"c{i}" for i in range(width)) + "\n"
+    assert text == header + table_body(rows)
+
+
+def test_write_table_width_mismatch_writes_no_file(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"^row width 3 does not match header 2$"):
+        write_table(path, "t", [], ["a", "b"], iter([(1, 2.0), (3, 4.0, 5.0), (6,)]))
+    assert not path.exists()
+
+
+def test_write_table_without_rows_writes_its_header(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, "t", ["k=v"], ["a", "b"], iter([]), timestamp=False, footer=["end"])
+    assert path.read_bytes() == b"# t\n# k=v\na,b\n# end\n"
 
 
 def test_fmt_value_nine_significant_digits():
@@ -509,6 +571,57 @@ def test_cli_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_cli_builds_its_parser_once_per_process(tmp_path, monkeypatch):
+    argv = ["synth", "--task", "circle", "--n", "5", "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(argv) == 0
+    assert built == []
+
+
+def test_cli_after_a_rejected_flag_writes_what_a_fresh_process_writes(tmp_path, capfd,
+                                                                       monkeypatch):
+    """The parser reused after an argparse rejection prints and writes the bytes
+    of a new process, for the rejection and for the valid call after it."""
+    monkeypatch.setenv("COLUMNS", "80")
+    bad = ["train", "--bogus"]
+    good = ["train", "--task", "circle", "--n", "30", "--out", str(tmp_path / "m.txt"),
+            "--no-timestamp"]
+    outputs = [tmp_path / "m.txt", tmp_path / "m.txt.eigs.csv"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+         os.environ.get("PYTHONPATH", "")])}
+
+    def fresh(argv):
+        done = subprocess.run([sys.executable, "-m", "setlearn", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        return done.returncode, done.stdout, done.stderr
+
+    main(good)
+    capfd.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    assert main(good) == 0
+    in_process = capfd.readouterr()
+    written = [p.read_bytes() for p in outputs]
+    for p in outputs:
+        p.unlink()
+    code, err_out, err = fresh(bad)
+    assert (code, err_out) == (2, "")
+    code, out, fresh_err = fresh(good)
+    assert (code, fresh_err) == (0, "")
+    assert in_process.err == err
+    assert in_process.out == out
+    assert [p.read_bytes() for p in outputs] == written
 
 
 def test_cli_landweber_path(tmp_path, circle_csv):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -192,6 +194,22 @@ def test_decompose_reconstruction_and_trace():
     assert np.all(np.diff(D.eigenvalues) <= 0)
     assert np.all(D.eigenvalues >= 0.0) and np.all(D.eigenvalues <= 1.0)
     npt.assert_allclose(D.eigenvectors.T @ D.eigenvectors, np.eye(6), atol=1e-12)
+
+
+@pytest.mark.parametrize("solve, bound", [(spectrum, 1.25), (decompose, 3.25)])
+def test_spectral_solve_peak_memory(solve, bound):
+    """The solve works in place on its one copy of K_n/n: the peak allocation,
+    in units of n^2 doubles, is that copy plus LAPACK's workspace (about 2 n^2
+    for the eigenvectors, O(n) for the eigenvalues)."""
+    n = 400
+    G = gram(Abel(1.0), np.random.default_rng(30).normal(size=(n, 2)))
+    tracemalloc.start()
+    try:
+        solve(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8.0 * n * n) <= bound
 
 
 def test_decompose_rejects_out_of_range_spectrum():

@@ -15,6 +15,8 @@ from setlearn import (Abel, DataError, KpcaTruncation, Landweber,
                       decompose, fit, load_model, save_model, score_batch, write_table)
 from setlearn.cli import main
 
+from _reference import text_payload
+
 
 def _random_model(seed=0, filt=None, tau=0.25):
     rng = np.random.default_rng(seed)
@@ -175,6 +177,24 @@ def test_load_rejects_negative_header_counts(tmp_path, fmt):
         load_model(path)
 
 
+@pytest.mark.parametrize("decomposition", [False, True])
+def test_text_payload_matches_value_by_value_formatting(tmp_path, decomposition):
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(40, 3)) * np.array([1e-300, 1.0, 1e300]) ** 0.5
+    m = fit(X, Abel(0.8), Tikhonov(0.01))
+    path = tmp_path / "m.txt"
+    save_model(m, path, include_decomposition=decomposition)
+    payload = path.read_bytes().split(b"data:\n", 1)[1]
+    assert payload == text_payload(m, decompose(m.gram) if decomposition else None)
+
+
+def test_eigenvector_entry_beyond_one_is_refused(tmp_path):
+    path = tmp_path / "m.bin"
+    path.write_bytes(_with_eigenvector_entry(1e300))
+    with pytest.raises(DataError, match="stored eigenvectors are not orthonormal"):
+        load_model(path)
+
+
 # ---------------------------------------------------------------------------
 # Mutated model files: each loads as a working model or raises DataError, and
 # the CLI's score on it exits 0 or 3.
@@ -187,6 +207,13 @@ def _model_bytes(fmt, decomposition):
         save_model(_random_model(seed=13), path, fmt=fmt, include_decomposition=decomposition)
         with open(path, "rb") as fh:
             return fh.read()
+
+
+def _with_eigenvector_entry(value):
+    """The binary model with its decomposition, V[0, 0] replaced by ``value``."""
+    blob = _model_bytes("binary", True)
+    i = blob.index(b"data:\n") + len(b"data:\n") + 8 * (17 * 3 + 17)
+    return blob[:i] + np.float64(value).tobytes() + blob[i + 8:]
 
 
 _NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
@@ -233,6 +260,7 @@ def _mutated_models(draw):
 @given(blob=_mutated_models())
 @example(blob=_HEADER % (b"binary", -1, -1) + bytes(8))
 @example(blob=_HEADER % (b"text", 1, 3) + b"\xb1.8 -3.1 0.96\n")
+@example(blob=_with_eigenvector_entry(1e300))
 def test_mutated_model_file_loads_or_raises_data_error(blob):
     with tempfile.TemporaryDirectory() as d:
         path, data = os.path.join(d, "m"), os.path.join(d, "x.csv")
