@@ -133,7 +133,8 @@ class _Exponential(Kernel):
         return self.sigma
 
     def _pairwise(self, X, Y):
-        return np.exp(-cdist(X, Y, self.metric) / self._scale())
+        with np.errstate(over="ignore"):   # a quotient past the float range gives exp(-inf) = 0
+            return np.exp(-cdist(X, Y, self.metric) / self._scale())
 
     def _diag(self, X):
         return np.ones(X.shape[0])

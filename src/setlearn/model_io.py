@@ -13,10 +13,12 @@ payload.  The header is key=value, one per line; lines starting with
     raw little-endian float64, C order: the points, then optionally the
     eigenvalues and the eigenvector matrix.
 
-Loading rebuilds the model through the normal fit path, so a round trip
-reproduces scores to better than 1e-12 (exactly, in fact, for the text
-format since %.17g round-trips every double).  A stored decomposition is
-checked against the rebuilt Gram matrix before it is trusted.
+Loading decodes either payload to one float64 vector, slices it once and
+rebuilds the model through the normal fit path, so a round trip reproduces
+scores to better than 1e-12 (exactly, in fact, for the text format since
+%.17g round-trips every double).  A stored decomposition is checked against
+the rebuilt Gram matrix before it is trusted.  Text loads at the pace of
+string-to-double conversion (~0.5 s per million values): store a decomposition as binary.
 """
 
 from __future__ import annotations
@@ -107,16 +109,34 @@ def _parse_header(blob, path):
     return fields, blob[idx + len(_MARKER):]
 
 
-def _text_rows(payload, path):
-    rows = []
-    for lineno, line in enumerate(_ascii(payload, path, "data section").splitlines(), start=1):
-        if not line.strip():
-            continue
+def _payload_values(payload, path, fmt, n, d, with_decomp):
+    """The payload as one float64 vector: points (n*d), eigenvalues (n), eigenvectors (n*n).
+
+    Header counts are checked against the payload (its byte length, or its line
+    count and then each line's width) before anything is sized from them.
+    """
+    if fmt == "binary":
+        expect = 8 * (n * d + (n + n * n if with_decomp else 0))
+        if len(payload) != expect:
+            raise DataError(f"{path}: binary payload is {len(payload)} bytes, expected {expect}")
+        return np.frombuffer(payload, dtype="<f8").astype(float)
+    text = _ascii(payload, path, "data section").splitlines()
+    lines = [(lineno, line) for lineno, line in enumerate(text, start=1) if line.strip()]
+    expect = n + (1 + n if with_decomp else 0)
+    if len(lines) != expect:
+        raise DataError(f"{path}: expected {expect} data lines, found {len(lines)}")
+    values = []
+    for k, (lineno, line) in enumerate(lines):
+        tokens = line.split()
+        width = d if k < n else n   # a point line, then the decomposition lines
+        if len(tokens) != width:
+            raise DataError(
+                f"{path}: data line {lineno} holds {len(tokens)} values, expected {width}")
         try:
-            rows.append([float(t) for t in line.split()])
+            values += map(float, tokens)
         except ValueError:
             raise DataError(f"{path}: non-numeric value in data line {lineno}") from None
-    return rows
+    return np.array(values, dtype=float)
 
 
 def load_model(path):
@@ -143,35 +163,12 @@ def load_model(path):
     if not with_decomp and fields["decomposition"] != "none":
         raise DataError(f"{path}: unknown decomposition {fields['decomposition']!r}")
 
-    if fmt == "text":
-        rows = _text_rows(payload, path)
-        expect = n + (1 + n if with_decomp else 0)
-        if len(rows) != expect:
-            raise DataError(f"{path}: expected {expect} data lines, found {len(rows)}")
-        points = rows[:n]
-        if any(len(r) != d for r in points):
-            raise DataError(f"{path}: point rows must have {d} columns")
-        points = np.asarray(points, dtype=float).reshape(n, d)
-        if with_decomp:
-            eigenvalues = np.asarray(rows[n], dtype=float)
-            vec_rows = rows[n + 1:]
-            if eigenvalues.shape != (n,) or any(len(r) != n for r in vec_rows):
-                raise DataError(f"{path}: stored decomposition has wrong shape")
-            eigenvectors = np.asarray(vec_rows, dtype=float).reshape(n, n)
-    else:
-        expect = n * d + (n + n * n if with_decomp else 0)
-        if len(payload) != 8 * expect:
-            raise DataError(
-                f"{path}: binary payload is {len(payload)} bytes, expected {8 * expect}")
-        flat = np.frombuffer(payload, dtype="<f8").astype(float)
-        points = flat[:n * d].reshape(n, d)
-        if with_decomp:
-            eigenvalues = flat[n * d:n * d + n].copy()
-            eigenvectors = flat[n * d + n:].reshape(n, n).copy()
-
+    flat = _payload_values(payload, path, fmt, n, d, with_decomp)
+    points = flat[:n * d].reshape(n, d)
     try:
         if not with_decomp:
             return fit(points, kernel, filt, algorithm=fields["algorithm"], tau=tau)
+        eigenvalues, eigenvectors = flat[n * d:n * d + n], flat[n * d + n:].reshape(n, n)
         G = gram(kernel, points)
         _check_decomposition(eigenvalues, eigenvectors, G, path)
         return _fit(points, kernel, filt, fields["algorithm"], tau, G,

@@ -6,8 +6,8 @@ of what the theory argues about, for tests to compare the estimator with:
 * the empirical integral operator T_n = (1/n) sum K_{x_i} (x) K_{x_i},
   given as (kernel, points) like ``gram``; its Hilbert-Schmidt norms and
   distances are sums of squared kernel values, taken over cache-sized tiles
-  that the calling thread shares with one helper thread per further usable
-  core, and added in tile order, so the sums do not depend on the core count,
+  on a standard thread pool with one worker per usable core, and added in
+  tile order, so the sums do not depend on the core count,
 * bound formulas (concentration, sample, approximation, finite-sample),
 * seeded Monte-Carlo harnesses that report observed-vs-bound tables.
 
@@ -17,7 +17,6 @@ for it, and the harness reports that substitution's own error bound.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -49,30 +48,17 @@ def _cores():
 
 
 def _map_tiles(fn, items):
-    """[fn(x) for x in items], shared by the caller and one helper per further core.
+    """[fn(x) for x in a sequence of items], one worker thread per usable core.
 
-    cdist and exp release the GIL, so tiles run in parallel.  Items go out
-    through a shared counter and each result lands at its item's index; an
-    error in any thread reaches the caller after every helper has stopped.
+    cdist and exp release the GIL, so tiles run in parallel.  Results come
+    back in item order; an error in any tile reaches the caller after every
+    worker has stopped.
     """
-    items = list(items)
-    out = [None] * len(items)
-    ticket = itertools.count()
-
-    def work():
-        while (k := next(ticket)) < len(items):
-            out[k] = fn(items[k])
-
-    helpers = min(_cores(), len(items)) - 1
-    if helpers < 1:
-        work()
-        return out
-    with ThreadPoolExecutor(helpers) as pool:
-        futures = [pool.submit(work) for _ in range(helpers)]
-        work()
-        for f in futures:
-            f.result()
-    return out
+    workers = min(_cores(), len(items))
+    if workers < 2:
+        return list(map(fn, items))
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _self_sum(kernel, X):
@@ -92,15 +78,14 @@ def _self_sum(kernel, X):
 
 def _row_sums(kernel, X, Y):
     """sum_j K(x_i, y_j)^2 per row; a row's bits do not depend on other rows."""
-    out = np.zeros(X.shape[0])
-
     def band(i):
+        sums = np.zeros(X[i:i + TILE].shape[0])
         for j in range(0, Y.shape[0], TILE):
             M = kernel._pairwise(X[i:i + TILE], Y[j:j + TILE])
-            out[i:i + TILE] += np.einsum("ij,ij->i", M, M)
+            sums += np.einsum("ij,ij->i", M, M)
+        return sums
 
-    _map_tiles(band, range(0, X.shape[0], TILE))
-    return out
+    return np.concatenate(_map_tiles(band, range(0, X.shape[0], TILE)))
 
 
 def _hs_from_sums(taa, tbb, tab):
@@ -134,8 +119,8 @@ def hs_distance(kernel, X, Y):
                           - (2/nm) sum K(x,y)^2,
 
     so no eigendecomposition is needed and memory stays at one tile per
-    thread.  Equal samples take all three terms from one self-sum, so they
-    give exactly 0.
+    pool worker.  Equal samples take all three terms from one self-sum, so
+    they give exactly 0.
     """
     X, Y = _point_pair(X, Y)
     n, m = X.shape[0], Y.shape[0]

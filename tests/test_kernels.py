@@ -10,6 +10,7 @@ from setlearn import (DataError, UsageError, Abel, Gaussian, L1Exponential,
                       Linear, Normalized, Product, cross_gram, format_kernel,
                       gram, induced_metric, kernel_eval, metric_matrix,
                       normalize, parse_kernel, product_kernel)
+from setlearn.cli import main
 from setlearn.kernels import _KERNELS, EPS_PSD, MAX_GRAM_POINTS
 
 # High-precision reference values, frozen from a 40-digit evaluation.
@@ -77,6 +78,24 @@ def test_gaussian_width_whose_square_underflows_is_refused():
             Gaussian(bad)
     assert Gaussian(1e-150).sigma == 1e-150   # its square, 1e-300, is still normal
     assert Abel(1e-320).sigma == 1e-320
+
+
+@pytest.mark.parametrize("family, cli_sigma", [(Abel, "1e-320"), (L1Exponential, "1e-320"),
+                                               (Gaussian, "1e-160")])
+def test_width_kernel_underflows_to_zero_without_a_warning(tmp_path, capsys, family,
+                                                          cli_sigma):
+    # distance / scale overflows to inf, and exp(-inf) = 0 is the exact kernel value
+    kernel = family(1e-160)
+    X = np.array([[0.0, 0.0], [1e150, 0.0]])
+    assert np.array_equal(gram(kernel, X), np.eye(2))
+    assert cross_gram(kernel, X[:1], X[1:])[0, 0] == 0.0
+    # the CLI sigma puts unit distances past the float range the same way
+    rc = main(["verify-bounds", "--kernel", family.name, "--sigma", cli_sigma, "--n", "5",
+               "--trials", "2", "--ref-size", "10", "--out", str(tmp_path / "v.csv")])
+    err = capsys.readouterr().err
+    assert rc == 0
+    assert [line for line in err.splitlines()
+            if not line.startswith("warning: kernel is not completely separating")] == []
 
 
 def test_metric_zero_at_identical_points():

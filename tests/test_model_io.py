@@ -2,6 +2,7 @@ import functools
 import os
 import re
 import tempfile
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -125,7 +126,7 @@ def test_load_rejects_truncated_text(tmp_path):
     save_model(m, path)
     lines = path.read_text().splitlines()
     (tmp_path / "cut.txt").write_text("\n".join(lines[:-3]) + "\n")
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="expected 17 data lines, found 14$"):
         load_model(tmp_path / "cut.txt")
 
 
@@ -134,9 +135,75 @@ def test_load_rejects_truncated_binary(tmp_path):
     path = tmp_path / "model.bin"
     save_model(m, path, fmt="binary")
     raw = path.read_bytes()
-    (tmp_path / "cut.bin").write_bytes(raw[:-16])
-    with pytest.raises(DataError):
-        load_model(tmp_path / "cut.bin")
+    for cut in (16, 8):
+        (tmp_path / "cut.bin").write_bytes(raw[:-cut])
+        with pytest.raises(DataError, match=f"binary payload is {8 * 51 - cut} bytes, "
+                                            f"expected {8 * 51}$"):
+            load_model(tmp_path / "cut.bin")
+
+
+def _edit_text_line(path, k, edit):
+    """Rewrite the k-th payload line of a text model through ``edit(cells)``."""
+    head, payload = path.read_bytes().split(b"data:\n")
+    lines = payload.splitlines()
+    lines[k] = b" ".join(edit(lines[k].split()))
+    path.write_bytes(head + b"data:\n" + b"\n".join(lines) + b"\n")
+
+
+@pytest.mark.parametrize("k, width", [(0, 3), (16, 3), (17, 17), (18, 17), (34, 17)])
+@pytest.mark.parametrize("change", [-1, 1])
+def test_load_names_a_text_line_of_the_wrong_width(tmp_path, k, width, change):
+    # lines 0-16 hold points (d=3), 17 the eigenvalues and 18-34 eigenvector rows (n=17)
+    path = tmp_path / "model.txt"
+    save_model(_random_model(seed=15), path, include_decomposition=True)
+    _edit_text_line(path, k, lambda cells: cells[:-1] if change < 0 else cells + [b"0.5"])
+    with pytest.raises(DataError, match=f"data line {k + 1} holds {width + change} values, "
+                                        f"expected {width}$"):
+        load_model(path)
+
+
+def test_load_names_a_non_numeric_text_line(tmp_path):
+    path = tmp_path / "model.txt"
+    save_model(_random_model(seed=16), path, include_decomposition=True)
+    _edit_text_line(path, 20, lambda cells: cells[:4] + [b"0.5x"] + cells[5:])
+    with pytest.raises(DataError, match="non-numeric value in data line 21$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("fmt, message", [
+    ("text", "expected 1000000000000 data lines, found 17$"),
+    ("binary", "binary payload is 408 bytes, expected 24000000000000$")])
+def test_load_refuses_a_forged_count_before_allocating(tmp_path, fmt, message):
+    path = tmp_path / "model"
+    save_model(_random_model(seed=17), path, fmt=fmt)
+    path.write_bytes(path.read_bytes().replace(b"\nn=17\n", b"\nn=%d\n" % 10 ** 12))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=message):
+            load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_text_and_binary_decompositions_load_to_the_same_bits(tmp_path):
+    X = np.random.default_rng(18).normal(size=(300, 2))
+    m = fit(X, Abel(0.5), Tikhonov(0.01))
+    loaded = []
+    for fmt in ("text", "binary"):
+        path = tmp_path / f"model.{fmt}"
+        save_model(m, path, fmt=fmt, include_decomposition=True)
+        loaded.append(load_model(path))
+    text, binary = loaded
+    # the text payload parsed one value at a time with float()
+    lines = (tmp_path / "model.text").read_text().split("data:\n")[1].splitlines()
+    rows = [[float(t) for t in line.split()] for line in lines]
+    expected = (np.array(rows[:300]), np.array(rows[300]), np.array(rows[301:]))
+    for model in (text, binary):
+        got = (model.points, model.decomposition.eigenvalues, model.decomposition.eigenvectors)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
 
 
 def test_load_rejects_corrupt_header(tmp_path):
