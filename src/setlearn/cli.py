@@ -215,9 +215,17 @@ def _load_and_score(args, label_col=None):
 
 
 def _parzen_auc(kernel, train, X, labels):
-    """AUC of the Parzen baseline at the kernel's width; NaN for a kernel without one."""
+    """AUC of the Parzen baseline at the kernel's width; NaN for a kernel without
+    one, or with a warning for a width at which the baseline leaves the float range."""
     h = getattr(kernel, "sigma", None)
-    return np.nan if h is None else roc_auc(parzen_score(train, h, X), labels)[1]
+    if h is None:
+        return np.nan
+    try:
+        scores = parzen_score(train, h, X)
+    except NumericError as exc:
+        _warn(f"auc_parzen is nan: {exc}")
+        return np.nan
+    return roc_auc(scores, labels)[1]
 
 
 def cmd_score(args):

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import DataError, UsageError
-from .kernels import _point_pair, metric_matrix
+from .errors import DataError, NumericError, UsageError
+from .kernels import Abel, _point_pair, metric_matrix
 
 __all__ = [
     "hausdorff", "symdiff_measure", "roc_auc",
@@ -105,7 +105,9 @@ def parzen_score(train, h, x):
 
     Deliberately unnormalized (the profile exp(-||u||) does not integrate
     to one); ROC comparisons are unaffected.  A 1-d ``x`` gives a float,
-    a 2-d batch gives a vector.
+    a 2-d batch gives a vector.  The sum is the ``Abel(h)`` block.  A
+    bandwidth whose n h^d, or n / (n h^d), the bound on every score, is
+    not a positive finite float is refused with a ``NumericError``.
     """
     if not h > 0:
         raise UsageError(f"bandwidth must be positive, got {h!r}")
@@ -113,7 +115,15 @@ def parzen_score(train, h, x):
     single = x.ndim == 1
     X, train = _point_pair(x[None, :] if single else x, train, ("x", "train"))
     n, d = train.shape
-    vals = np.exp(-cdist(X, train) / h).sum(axis=1) / (n * h ** d)
+    try:
+        norm = n * float(h) ** d
+    except OverflowError:
+        norm = np.inf
+    if not (0.0 < norm < np.inf and n / norm < np.inf):
+        raise NumericError(
+            f"bandwidth {h!r} leaves the Parzen normalizer 1/(n*h^d) outside "
+            f"the float range at n={n}, d={d}")
+    vals = Abel(h)._pairwise(X, train).sum(axis=1) / norm
     return float(vals[0]) if single else vals
 
 

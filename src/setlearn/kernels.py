@@ -18,6 +18,13 @@ parser, the formatter and the command line read one table of them,
 ``_KERNELS``.  The width kernels share one implementation,
 exp(-d(x, y) / scale), and each declares its distance d.
 
+Each block of kernel values is built in one buffer: the width kernels
+scale and exponentiate the array ``cdist`` returns in place, the
+normalized and product kernels divide or multiply into their inner
+block, and ``gram`` symmetrizes tile by tile.  The bits are those of the
+out-of-place formulas: d / (-s) is -(d / s) in IEEE arithmetic, 1 * a is
+a, and (a + b) * 0.5 is (a + b) / 2.
+
 All evaluation is elementwise-deterministic: the same pair of points gives
 bit-identical values regardless of batch shape or argument order.
 """
@@ -36,6 +43,10 @@ EPS_PSD = 1e-10
 
 # Dense Gram matrices above this point count are refused (memory guard).
 MAX_GRAM_POINTS = 10000
+
+# Tile edge of the blockwise passes over a Gram (here and in the oracles'
+# sums); a 256 x 256 tile of doubles stays in cache.
+TILE = 256
 
 SEPARATES_ALL = "complete"
 SEPARATES_LINEAR = "linear"
@@ -133,8 +144,10 @@ class _Exponential(Kernel):
         return self.sigma
 
     def _pairwise(self, X, Y):
+        D = cdist(X, Y, self.metric)
         with np.errstate(over="ignore"):   # a quotient past the float range gives exp(-inf) = 0
-            return np.exp(-cdist(X, Y, self.metric) / self._scale())
+            np.divide(D, -self._scale(), out=D)
+        return np.exp(D, out=D)
 
     def _diag(self, X):
         return np.ones(X.shape[0])
@@ -201,9 +214,9 @@ class Normalized(Kernel):
         return d
 
     def _pairwise(self, X, Y):
-        dx = self._normalizer(X)
-        dy = self._normalizer(Y)
-        return self.inner._pairwise(X, Y) / np.sqrt(np.outer(dx, dy))
+        S = np.outer(self._normalizer(X), self._normalizer(Y))
+        M = self.inner._pairwise(X, Y)
+        return np.divide(M, np.sqrt(S, out=S), out=M)
 
     def _diag(self, X):
         self._normalizer(X)
@@ -253,9 +266,10 @@ class Product(Kernel):
     def _pairwise(self, X, Y):
         self._check_dim(X)
         self._check_dim(Y)
-        out = np.ones((X.shape[0], Y.shape[0]))
-        for k, (a, b) in self.factors:
-            out *= k._pairwise(X[:, a:b], Y[:, a:b])
+        blocks = (k._pairwise(X[:, a:b], Y[:, a:b]) for k, (a, b) in self.factors)
+        out = next(blocks)
+        for block in blocks:
+            out *= block
         return out
 
     def _diag(self, X):
@@ -357,12 +371,25 @@ def metric_matrix(kernel, X, Y=None):
     dy = dx if self_distances else kernel._diag(Y)
     sq = dx[:, None] + dy[None, :] - 2.0 * kernel._pairwise(X, Y)
     if self_distances:
-        sq = (sq + sq.T) / 2.0
+        _symmetrize(sq)
         np.fill_diagonal(sq, 0.0)
     tol = 1e-12 * max(1.0, float(np.max(dx)) + float(np.max(dy)))
     if np.any(sq < -tol):
         raise NumericError("negative squared distance beyond round-off tolerance")
     return np.sqrt(np.maximum(sq, 0.0))
+
+
+def _symmetrize(M):
+    """Set M to (M + M.T) / 2 in place, one pair of tiles at a time."""
+    n = M.shape[0]
+    buf = np.empty((min(n, TILE),) * 2)
+    for i in range(0, n, TILE):
+        for j in range(i, n, TILE):
+            upper, lower = M[i:i + TILE, j:j + TILE], M[j:j + TILE, i:i + TILE]
+            S = np.add(upper, lower.T, out=buf[:upper.shape[0], :upper.shape[1]])
+            S *= 0.5
+            upper[...] = S
+            lower[...] = S.T
 
 
 def gram(kernel, points):
@@ -380,7 +407,7 @@ def gram(kernel, points):
     M = kernel._pairwise(pts, pts)
     # BLAS-backed products are not guaranteed to return exactly symmetric
     # output, so enforce it.
-    M = (M + M.T) / 2.0
+    _symmetrize(M)
     if kernel.unit_diagonal:
         np.fill_diagonal(M, 1.0)
     if not np.all(np.isfinite(M)):

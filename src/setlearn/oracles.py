@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .kernels import _as_points, _point_pair
+from .kernels import TILE, _as_points, _point_pair
 
 __all__ = [
     "hs_norm", "hs_distance",
@@ -32,8 +32,6 @@ __all__ = [
     "approximation_error_bound", "finite_sample_bound", "bernstein_bound",
     "concentration_trials", "bernstein_trials",
 ]
-
-TILE = 256  # tile edge of the Gram-square sums; such a tile stays in cache
 
 # Sub-stream index reserved for the reference sample of a harness; trial
 # streams use [seed, trial] with trial < 2^31.

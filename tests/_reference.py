@@ -2,23 +2,27 @@
 
 Dense matrix functions of the spectrum, the Cholesky solve for Tikhonov
 coefficients, the pseudo-inverse score, a matrix-function perturbation
-check, a convergence-rate witness for the empirical operator, and the
-cell-by-cell renderings of CSV tables and text model payloads.  The library scores through one contraction over a factor of the
-fitted model (see ``setlearn.estimator``); these build the operators the
-theory speaks about explicitly, so the tests can compare the two.
+check, a convergence-rate witness for the empirical operator, the
+out-of-place formulas of the kernel blocks, Grams, self-distances and
+Parzen scores, and the cell-by-cell renderings of CSV tables and text
+model payloads.  The library scores through one contraction over a
+factor of the fitted model (see ``setlearn.estimator``); these build the
+operators the theory speaks about explicitly, so the tests can compare
+the two.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import cho_solve
+from scipy.spatial.distance import cdist
 
 from setlearn.data import fmt_value
 from setlearn.errors import UsageError
 from setlearn.estimator import _cholesky
 from setlearn.filters import (SpectralDecomposition, _prep_spectrum,
                               lipschitz_constant)
-from setlearn.kernels import _as_points
+from setlearn.kernels import Linear, Normalized, Product, _as_points
 from setlearn.oracles import _REF_STREAM, _hs_from_sums, _row_sums, _self_sum
 
 # Rank tolerance of the pseudo-inverse, relative to the largest singular
@@ -118,6 +122,51 @@ def convergence_witness(sample_fn, kernel, sizes, trials, ref_size, seed):
     cross_terms = np.stack([rows[:, :n].sum(1) / (n * ref.shape[0]) for n in sizes], 1)
     scale = np.sqrt(sizes) / np.log(sizes)
     return np.median(scale * _hs_from_sums(self_terms, ref_term, cross_terms), axis=0)
+
+
+def kernel_block(kernel, X, Y):
+    """K(x_i, y_j) by the out-of-place formulas, each operation on a fresh array."""
+    if isinstance(kernel, Linear):
+        return X @ Y.T
+    if isinstance(kernel, Normalized):
+        dx, dy = kernel._normalizer(X), kernel._normalizer(Y)
+        return kernel_block(kernel.inner, X, Y) / np.sqrt(np.outer(dx, dy))
+    if isinstance(kernel, Product):
+        out = np.ones((X.shape[0], Y.shape[0]))
+        for k, (a, b) in kernel.factors:
+            out *= kernel_block(k, X[:, a:b], Y[:, a:b])
+        return out
+    with np.errstate(over="ignore"):
+        return np.exp(-cdist(X, Y, kernel.metric) / kernel._scale())
+
+
+def gram_matrix(kernel, points):
+    """The Gram matrix, symmetrized as a whole: (M + M.T) / 2."""
+    M = kernel_block(kernel, points, points)
+    M = (M + M.T) / 2.0
+    if kernel.unit_diagonal:
+        np.fill_diagonal(M, 1.0)
+    return M
+
+
+def cross_gram_matrix(kernel, X, Y):
+    """K(x_i, y_j) as the transposed block K(y_j, x_i)."""
+    return kernel_block(kernel, Y, X).T
+
+
+def self_distances(kernel, points):
+    """Induced-metric distances within one sample, symmetrized as a whole."""
+    d = kernel._diag(points)
+    sq = d[:, None] + d[None, :] - 2.0 * kernel_block(kernel, points, points)
+    sq = (sq + sq.T) / 2.0
+    np.fill_diagonal(sq, 0.0)
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def parzen_scores(train, h, X):
+    """(1/(n h^d)) sum_i exp(-||x - x_i|| / h) for a batch of points."""
+    n, d = train.shape
+    return np.exp(-cdist(X, train) / h).sum(axis=1) / (n * h ** d)
 
 
 def table_body(rows):

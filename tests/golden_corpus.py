@@ -95,6 +95,15 @@ COMMANDS = [
                       "--label-col", "2", "--out", "e_auto.csv", "--roc-out", "roc.csv"]),
     ("eval-labeled-decomp", ["eval", "--model", "m_decomp.txt", "--data", "labeled.csv",
                              "--header", "--label-col", "2", "--out", "e_decomp.csv"]),
+    # Widths at which the Parzen baseline's normalizer 1/(n h^d) leaves the float range.
+    ("train-wide", ["train", *_CIRCLE, "--sigma", "1e200", "--lambda", "0.1",
+                    "--out", "m_wide.txt"]),
+    ("eval-labeled-wide", ["eval", "--model", "m_wide.txt", "--data", "labeled.csv",
+                           "--header", "--label-col", "2", "--out", "e_wide.csv"]),
+    ("train-narrow", ["train", *_CIRCLE, "--sigma", "1e-170", "--lambda", "0.1",
+                      "--out", "m_narrow.txt"]),
+    ("eval-labeled-narrow", ["eval", "--model", "m_narrow.txt", "--data", "labeled.csv",
+                             "--header", "--label-col", "2", "--out", "e_narrow.csv"]),
     ("eval-task-auto", ["eval", "--task", "circle", *_TASK, "--out", "task_auto.csv"]),
     ("eval-task-fixed", ["eval", "--task", "circle", *_TASK, "--lambda", "1e-3",
                          "--out", "task_fixed.csv"]),

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from setlearn import (Abel, DataError, UsageError, devroye_wise_member,
+from setlearn import (Abel, DataError, NumericError, UsageError, devroye_wise_member,
                       hausdorff, induced_metric, parzen_score, roc_auc,
                       symdiff_measure)
 from setlearn.evaluation import _average_ranks
@@ -211,8 +211,30 @@ def test_parzen_batch_matches_loop():
 
 
 def test_parzen_validates_h():
-    with pytest.raises(UsageError):
-        parzen_score(np.array([[0.0]]), 0.0, [0.0])
+    for h in (0.0, -1.0, math.nan):
+        with pytest.raises(UsageError, match="bandwidth must be positive"):
+            parzen_score(np.array([[0.0]]), h, [0.0])
+
+
+@pytest.mark.parametrize("h, d", [
+    (1e200, 2),            # h^d overflows (a Python float raises OverflowError)
+    (np.float64(1e200), 2),
+    (math.inf, 1),
+    (1e-170, 2),           # h^d underflows to 0
+    (1e-160, 2),           # h^d is subnormal: n h^d is finite, n / (n h^d) is not
+])
+def test_parzen_refuses_a_normalizer_outside_the_float_range(h, d):
+    train = np.zeros((3, d))
+    with pytest.raises(NumericError, match=r"Parzen normalizer 1/\(n\*h\^d\) outside "
+                                           r"the float range at n=3, d=%d" % d):
+        parzen_score(train, h, np.zeros(d))
+
+
+def test_parzen_at_the_edge_of_the_float_range_is_finite():
+    # h^d = 1e-300 and 1e300: the normalizer and every score stay finite
+    for h in (1e-150, 1e150):
+        v = parzen_score(np.zeros((2, 2)), h, np.array([[0.0, 0.0], [1.0, 0.0]]))
+        assert np.all(np.isfinite(v)) and v[0] > 0
 
 
 def test_devroye_wise_membership():

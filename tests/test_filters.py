@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from _reference import apply_g, apply_r
 from setlearn import (Abel, Gaussian, KpcaTruncation, Landweber, Linear,
                       NumericError, SpectralCutoff, Tikhonov, UsageError,
-                      decompose, format_filter, gram, normalize, parse_filter)
+                      cross_gram, decompose, format_filter, gram, normalize,
+                      parse_filter, parzen_score)
 from setlearn.filters import (EIG_SLACK, g_value, lipschitz_constant, r_value,
                               spectrum)
 
@@ -203,13 +204,34 @@ def test_spectral_solve_peak_memory(solve, bound):
     for the eigenvectors, O(n) for the eigenvalues)."""
     n = 400
     G = gram(Abel(1.0), np.random.default_rng(30).normal(size=(n, 2)))
+    assert _peak_in_n2(lambda: solve(G), n) <= bound
+
+
+def _peak_in_n2(call, n):
+    """Peak traced allocation of call(), in units of n^2 doubles."""
     tracemalloc.start()
     try:
-        solve(G)
+        call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8.0 * n * n) <= bound
+    return peak / (8.0 * n * n)
+
+
+@pytest.mark.parametrize("block, bound", [
+    (lambda k, X, Y: k._pairwise(X, Y), 1.1),
+    (lambda k, X, Y: cross_gram(k, X, Y), 1.25),
+    (lambda k, X, Y: gram(k, X), 1.65),
+    (lambda k, X, Y: parzen_score(X, k.sigma, Y), 1.1),
+], ids=["pairwise", "cross_gram", "gram", "parzen_score"])
+def test_kernel_block_peak_memory(block, bound):
+    """Each n x n kernel block is built in the one array cdist returns: the
+    peak is that array, plus cross_gram's finiteness mask (n^2 / 8), plus the
+    Gram's one tile-pair buffer (256^2 doubles) and numpy's iteration buffer."""
+    n = 400
+    rng = np.random.default_rng(31)
+    X, Y = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
+    assert _peak_in_n2(lambda: block(Abel(1.0), X, Y), n) <= bound
 
 
 def test_decompose_rejects_out_of_range_spectrum():

@@ -5,11 +5,14 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
+from _reference import (cross_gram_matrix, gram_matrix, kernel_block, parzen_scores,
+                        self_distances)
 from setlearn import (DataError, UsageError, Abel, Gaussian, L1Exponential,
                       Linear, Normalized, Product, cross_gram, format_kernel,
                       gram, induced_metric, kernel_eval, metric_matrix,
-                      normalize, parse_kernel, product_kernel)
+                      normalize, parse_kernel, parzen_score, product_kernel)
 from setlearn.cli import main
 from setlearn.kernels import _KERNELS, EPS_PSD, MAX_GRAM_POINTS
 
@@ -96,6 +99,57 @@ def test_width_kernel_underflows_to_zero_without_a_warning(tmp_path, capsys, fam
     assert rc == 0
     assert [line for line in err.splitlines()
             if not line.startswith("warning: kernel is not completely separating")] == []
+
+
+# Block shapes on both sides of the 256-point tile, and widths from the
+# overflow edge (distance / width past the float range) to wide.
+_SIZES = st.sampled_from([1, 2, 17, 255, 256, 257, 400])
+_WIDTHS = st.sampled_from([1e-320, 1e-300, 1e-160, 0.05, 0.7, 2.0, 1e150])
+_FAMILIES = {
+    "abel": Abel, "l1exp": L1Exponential, "gaussian": Gaussian,
+    "normalized": lambda s: normalize(Linear()),
+    "linear": lambda s: Linear(),
+    "product": lambda s: product_kernel([(Abel(s), (0, 1)), (Gaussian(1.0), (1, 2)),
+                                         (normalize(Linear()), (2, 3))]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(sorted(_FAMILIES)), sigma=_WIDTHS, n=_SIZES, m=_SIZES,
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(family="abel", sigma=1e-320, n=257, m=255, seed=0)
+@example(family="gaussian", sigma=1e-160, n=256, m=400, seed=1)
+@example(family="normalized", sigma=1.0, n=400, m=257, seed=2)
+@example(family="linear", sigma=1.0, n=400, m=1, seed=3)
+@example(family="product", sigma=1e-300, n=255, m=400, seed=4)
+def test_blocks_match_the_out_of_place_formulas_bit_for_bit(family, sigma, n, m, seed):
+    """Every block built in one buffer equals the fresh-array formulas exactly."""
+    try:
+        kernel = _FAMILIES[family](sigma)
+    except UsageError:   # a Gaussian scale that underflows to 0 is refused
+        assert family == "gaussian"
+        return
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 3))
+    Y = np.vstack([X[:1], rng.normal(size=(m - 1, 3))])   # one coincident pair
+    assert np.array_equal(kernel._pairwise(X, Y), kernel_block(kernel, X, Y))
+    assert np.array_equal(gram(kernel, X), gram_matrix(kernel, X))
+    assert np.array_equal(cross_gram(kernel, X, Y), cross_gram_matrix(kernel, X, Y))
+    assert np.array_equal(metric_matrix(kernel, X), self_distances(kernel, X))
+    if family in ("abel", "l1exp", "gaussian") and sigma <= 1e-160:
+        # distance / width overflows to inf, and exp(-inf) = 0 exactly
+        assert np.array_equal(cross_gram(kernel, X, Y), (cdist(X, Y) == 0).astype(float))
+    if family == "abel" and 0.05 <= sigma <= 2.0:
+        assert np.array_equal(parzen_score(X, sigma, Y), parzen_scores(X, sigma, Y))
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+def test_gram_symmetrizes_tile_pairs_as_the_whole_matrix(n, monkeypatch):
+    # the kernels' own blocks come out exactly symmetric, so give gram one that is not
+    rng = np.random.default_rng(n)
+    M = rng.normal(size=(n, n))
+    monkeypatch.setattr(Linear, "_pairwise", lambda self, X, Y: M.copy())
+    assert np.array_equal(gram(Linear(), rng.normal(size=(n, 2))), (M + M.T) / 2.0)
 
 
 def test_metric_zero_at_identical_points():
