@@ -2,8 +2,10 @@
 
 Every command writes plot-ready CSV with a ``#`` metadata header and
 prints a short summary.  Exit codes: 0 success, 2 usage error, 3 data
-error, 4 numeric failure.  With ``--no-timestamp`` all outputs are
-byte-deterministic for a fixed configuration, seed and BLAS thread count.
+error, 4 numeric failure or an array too large to allocate (a size flag
+such as ``--n`` or ``--resolution`` set too high).  With ``--no-timestamp``
+all outputs are byte-deterministic for a fixed configuration, seed and
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from .errors import DataError, NumericError, UsageError
 from .estimator import (ALGORITHMS, _fit, _score_path, fit,  # noqa: F401
                         member_mask, regularization_path, score_batch)
 from .evaluation import hausdorff, parzen_score, roc_auc, symdiff_measure
-from .filters import (_FILTERS, KpcaTruncation, Landweber, decompose, format_filter,
-                      parse_filter, spectrum)
-from .kernels import _KERNELS, SEPARATES_ALL, format_kernel, gram, normalize, parse_kernel
+from .filters import _FILTERS, KpcaTruncation, Landweber, decompose, format_filter, spectrum
+from .kernels import _KERNELS, SEPARATES_ALL, _parse_spec, format_kernel, gram, normalize
 from .model_io import load_model, save_model
 from .oracles import (bernstein_trials, concentration_bound, concentration_trials,
                       effective_dimension)
@@ -66,24 +67,32 @@ def _resolve_sigma(spec, points):
         raise UsageError(f"bad --sigma {spec!r}") from None
 
 
-# The families a bare --kernel name can give: those whose options are plain
-# numbers, that is none or the width, which --sigma supplies.
-_BARE_KERNELS = {name: k for name, k in _KERNELS.items() if not any(k.keys.values())}
+# The families a bare --kernel name can give: those whose only option, if
+# any, is the width, which --sigma supplies.
+_BARE_KERNELS = {name: k for name, k in _KERNELS.items() if set(k.keys) <= {"sigma"}}
+
+
+def _spec_flag(text, what, table, bare):
+    """(family, spec) from a --kernel or --filter value: a full spec is parsed
+    against ``table``, and a bare family name from ``bare`` gives (family, None),
+    for the other flags to complete."""
+    text = text.strip()
+    if any(ch in text for ch in " =("):
+        spec = _parse_spec(text, what, table)
+        return type(spec), spec
+    if text not in bare:
+        raise UsageError(
+            f"unknown {what} {text!r}; use one of {', '.join(bare)} or a full {what} spec")
+    return bare[text], None
 
 
 def _resolve_kernel(args, points, warn=True):
-    text = args.kernel.strip()
-    family = _BARE_KERNELS.get(text)
-    if any(ch in text for ch in " =("):
-        kernel, note = parse_kernel(text), "from spec"
-    elif family is None:
-        raise UsageError(
-            f"unknown kernel {text!r}; use one of {', '.join(_BARE_KERNELS)} "
-            "or a full kernel spec")
-    elif family.keys:
+    family, kernel = _spec_flag(args.kernel, "kernel", _KERNELS, _BARE_KERNELS)
+    note = "from spec"
+    if kernel is None and family.keys:
         sigma, note = _resolve_sigma(args.sigma, points)
         kernel = family(sigma)
-    else:
+    elif kernel is None:
         kernel, note = family(), ""
     if not kernel.unit_diagonal:
         kernel = normalize(kernel)
@@ -115,16 +124,10 @@ def _resolve_lam(spec, n, eigenvalues):
 def _filter_flags(args):
     """(family, filter, note) from the filter flags; the filter is None while its
     lambda awaits the spectrum, and a kPCA component count is left to fit."""
-    text = args.filter.strip()
-    if any(ch in text for ch in " ="):
-        filt = parse_filter(text)
+    family, filt = _spec_flag(args.filter, "filter", _FILTERS, _FILTERS)
+    if filt is not None:
         unresolved = isinstance(filt, KpcaTruncation) and filt.lam is None
-        return type(filt), filt, "from spec, components resolved" if unresolved else "from spec"
-    family = _FILTERS.get(text)
-    if family is None:
-        raise UsageError(
-            f"unknown filter {text!r}; use one of {', '.join(_FILTERS)} "
-            "or a full filter spec")
+        return family, filt, "from spec, components resolved" if unresolved else "from spec"
     # A bare name takes its strength from the first flag named after a spec key.
     # --lambda is args.lam, not args.lambda: auto or a rate waits for the spectrum.
     for key, field in family.keys.items():
@@ -132,7 +135,7 @@ def _filter_flags(args):
         if value is not None:
             return family, family(**{field: value}), f"{key}={value}"
     if "lambda" not in family.keys:
-        raise UsageError(f"--filter {text} needs --{next(iter(family.keys))}")
+        raise UsageError(f"--filter {family.name} needs --{next(iter(family.keys))}")
     return family, None, None
 
 
@@ -545,6 +548,6 @@ def main(argv=None):
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NumericError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4

@@ -105,22 +105,17 @@ def load_csv(path, header=False, label_col=None):
     return Dataset(points=table, labels=labels, source=str(path))
 
 
-def fmt_value(v):
-    """Render one CSV cell: ints verbatim, bools as 0/1, floats with %.9g."""
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, str):
-        return v
-    return f"{float(v):.9g}"
-
-
 def _format_of(kind):
-    """The %-format fmt_value amounts to for values of type ``kind``."""
+    """The %-format of a CSV cell of type ``kind``: ints verbatim, bools as
+    0/1, strings as they are, anything else a float with %.9g."""
     if issubclass(kind, (bool, np.bool_, int, np.integer)):
         return "%d"
     return "%s" if issubclass(kind, str) else "%.9g"
+
+
+def fmt_value(v):
+    """Render one CSV cell with the %-format of its type."""
+    return _format_of(type(v)) % (v,)
 
 
 def _render_rows(rows, width):

@@ -2,6 +2,7 @@
 
 The command line maps these onto exit codes, so library code should prefer
 them over bare ValueError/RuntimeError wherever the failure is contractual.
+It also maps ``MemoryError`` (an array too large to allocate) to exit code 4.
 """
 
 

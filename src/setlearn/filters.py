@@ -13,8 +13,10 @@ the constant reported by :func:`lipschitz_constant`.  The truncation has a
 jump at its threshold, so its constant is ``None``; perturbation bounds
 that need a Lipschitz filter do not apply to it.
 
-Each family is declared once, on its spec class (see :class:`Filter`); the
-parser, the formatter and the command line read one table of them, ``_FILTERS``.
+Each family is declared once, on its spec class (see :class:`Filter`), the
+way kernel families are (:class:`.kernels._Spec`); the one spec parser and
+formatter of :mod:`.kernels` and the command line read one table of them,
+``_FILTERS``.
 
 The eigensolve is ``scipy.linalg.eigh`` with dsyevd, the LAPACK routine
 numpy calls too, so that it shares one OpenBLAS and its thread pool with
@@ -31,7 +33,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh
 
 from .errors import NumericError, UsageError
-from .kernels import _parse_kv, _parse_number
+from .kernels import _Spec, _format_spec, _parse_spec
 
 # Eigenvalues of K_n/n may stray outside [0, 1] by round-off; values within
 # this slack are clamped, values beyond it are an error.
@@ -54,18 +56,15 @@ def _check_lam(lam):
 
 
 @dataclass(frozen=True)
-class Filter:
-    """Base class for filter specs; each family is declared once, on its class.
+class Filter(_Spec):
+    """Base class for filter specs (see :class:`.kernels._Spec`).
 
-    ``name`` is its text name; ``keys`` maps spec keys to fields, whose
-    annotations say float or int; ``algorithm`` is the score path it owns
-    and fits through by default.  ``_r``/``_g`` evaluate r and g on a clamped
-    spectrum, ``lipschitz()`` is r's Lipschitz constant or ``None``, and
-    ``at(value)`` rebuilds the filter at another regularization strength.
+    ``algorithm`` is the score path a family owns and fits through by
+    default.  ``_r``/``_g`` evaluate r and g on a clamped spectrum,
+    ``lipschitz()`` is r's Lipschitz constant or ``None``, and ``at(value)``
+    rebuilds the filter at another regularization strength.
     """
 
-    name = None
-    keys = {}
     algorithm = "spectral"
 
 
@@ -210,10 +209,10 @@ class KpcaTruncation(Filter):
 _FILTERS = {f.name: f for f in (Tikhonov, SpectralCutoff, Landweber, KpcaTruncation)}
 
 
-def _known(f, fault="unknown filter"):
+def _known(f):
     """``f`` itself if it is a spec of a declared family, else a usage error."""
     if not isinstance(f, Filter) or f.name not in _FILTERS:
-        raise UsageError(f"{fault} {f!r}")
+        raise UsageError(f"unknown filter {f!r}")
     return f
 
 
@@ -305,35 +304,9 @@ def spectrum(g):
 
 def format_filter(f, prefix=True):
     """Serialize a filter spec to its text form."""
-    _known(f, "cannot serialize filter")
-    options = [f"{key}={getattr(f, field)!r}" for key, field in f.keys.items()
-               if getattr(f, field) is not None]
-    return ("filter=" if prefix else "") + " ".join([f.name, *options])
+    return _format_spec(f, "filter", _FILTERS, prefix)
 
 
 def parse_filter(text):
     """Parse the text form produced by :func:`format_filter`."""
-    body = text.strip()
-    if body.startswith("filter="):
-        body = body[len("filter="):]
-    tokens = body.split()
-    if not tokens:
-        raise UsageError("empty filter spec")
-    name = tokens[0]
-    kvs = _parse_kv(tokens[1:], {k for f in _FILTERS.values() for k in f.keys}, "filter")
-    family = _FILTERS.get(name)
-    if family is None:
-        raise UsageError(f"unknown filter {name!r}")
-    given = [k for k in family.keys if k in kvs]
-    choices = " or ".join(k + "=" for k in family.keys)
-    if not given:
-        raise UsageError(f"filter {name!r} needs {choices}")
-    if len(given) > 1:
-        raise UsageError(f"filter {name!r} takes only one of {choices}")
-    key = given[0]
-    field = family.keys[key]
-    kind = int if family.__dataclass_fields__[field].type == "int" else float
-    out = family(**{field: _parse_number(kvs.pop(key), key, kind)})
-    if kvs:
-        raise UsageError(f"unknown filter option {next(iter(kvs))!r}")
-    return out
+    return _parse_spec(text, "filter", _FILTERS)

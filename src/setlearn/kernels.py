@@ -13,10 +13,11 @@ on pairs of dense real vectors.  Specs carry two documented properties:
     completely separating; the Gaussian kernel is not, which is why it is
     a poor default for set estimation even though it is a fine smoother.
 
-Each family is declared once, on its class (see :class:`Kernel`); the
-parser, the formatter and the command line read one table of them,
-``_KERNELS``.  The width kernels share one implementation,
-exp(-d(x, y) / scale), and each declares its distance d.
+Each family is declared once, on its class, the way every kernel and
+filter family is (see :class:`_Spec`); one parser (:func:`_parse_spec`)
+and one formatter (:func:`_format_spec`) serve both kinds, and kernels
+read one table of families, ``_KERNELS``.  The width kernels share one
+implementation, exp(-d(x, y) / scale), and each declares its distance d.
 
 Each block of kernel values is built in one buffer: the width kernels
 scale and exponentiate the array ``cdist`` returns in place, the
@@ -94,25 +95,39 @@ def _single_pair(x, y, caller, batch):
     return x, y
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """Base class for kernel specs; each family is declared once, on its class.
+class _Spec:
+    """A kernel or filter family, declared once, on its class.
 
-    ``name`` is its text name; ``keys`` maps each spec key to the value form
-    its "needs" message quotes.  The options are the numeric fields named by
-    the keys unless the family formats and parses its own (``_options`` and
-    ``_parse``).  Subclasses implement ``_pairwise``/``_diag``.
+    ``name`` is its text name; ``keys`` maps each spec key to the field it
+    sets.  The options are ``key=value`` for each field that is set, and a
+    key's value is read back as a number of its field's annotated type,
+    unless the family formats and parses its own (``_options`` and
+    ``_parse``).  :func:`_parse_spec` and :func:`_format_spec` serve both
+    kinds.
     """
 
     name = None
     keys = {}
 
     def _options(self):
-        return [f"{key}={getattr(self, key)!r}" for key in self.keys]
+        return [f"{key}={value!r}" for key, field in self.keys.items()
+                if (value := getattr(self, field)) is not None]
 
     @classmethod
-    def _parse(cls, options):
-        return cls(**{key: _parse_number(text, key) for key, text in options.items()})
+    def _parse(cls, key, text):
+        field = cls.keys[key]
+        kind = int if cls.__dataclass_fields__[field].type == "int" else float
+        try:
+            value = kind(text)
+        except ValueError:
+            raise UsageError(f"bad {key}: {text!r}") from None
+        return cls(**{field: value})
+
+
+@dataclass(frozen=True)
+class Kernel(_Spec):
+    """Base class for kernel specs (see :class:`_Spec`); subclasses implement
+    ``_pairwise``/``_diag``."""
 
     def _pairwise(self, X, Y):
         raise NotImplementedError
@@ -131,7 +146,7 @@ class _Exponential(Kernel):
 
     sigma: float
 
-    keys = {"sigma": ""}
+    keys = {"sigma": "sigma"}
     unit_diagonal = True
     separating = SEPARATES_ALL
 
@@ -200,7 +215,7 @@ class Normalized(Kernel):
     inner: Kernel
 
     name = "normalized"
-    keys = {"inner": "(...)"}
+    keys = {"inner": "inner"}
     unit_diagonal = True
 
     @property
@@ -226,8 +241,8 @@ class Normalized(Kernel):
         return [f"inner=({format_kernel(self.inner, prefix=False)})"]
 
     @classmethod
-    def _parse(cls, options):
-        return normalize(parse_kernel(_strip_group(options["inner"])))
+    def _parse(cls, key, text):
+        return normalize(parse_kernel(_strip_group(text)))
 
 
 @dataclass(frozen=True)
@@ -242,7 +257,7 @@ class Product(Kernel):
     factors: tuple
 
     name = "product"
-    keys = {"factors": "(...)+(...)"}
+    keys = {"factors": "factors"}
 
     @property
     def dim(self):
@@ -284,9 +299,9 @@ class Product(Kernel):
                                       for k, (a, b) in self.factors)]
 
     @classmethod
-    def _parse(cls, options):
+    def _parse(cls, key, text):
         factors = []
-        for part in _split_top(options["factors"], "+"):
+        for part in _split_top(text, "+"):
             pieces = _split_top(_strip_group(part), "@")
             if len(pieces) != 2:
                 raise UsageError(f"product factor needs one @start:stop slice: {part!r}")
@@ -440,15 +455,20 @@ def cross_gram(kernel, X, Y):
 _KERNELS = {k.name: k for k in (Abel, L1Exponential, Gaussian, Linear, Normalized, Product)}
 
 
+def _format_spec(spec, what, table, prefix):
+    """``[what=]name key=value ...`` for a spec of a family in ``table``."""
+    if not isinstance(spec, _Spec) or spec.name not in table:
+        raise UsageError(f"cannot serialize {what} {spec!r}")
+    return (f"{what}=" if prefix else "") + " ".join([spec.name, *spec._options()])
+
+
 def format_kernel(kernel, prefix=True):
     """Serialize a kernel spec to its text form."""
-    if not isinstance(kernel, Kernel) or kernel.name not in _KERNELS:
-        raise UsageError(f"cannot serialize kernel {kernel!r}")
-    return ("kernel=" if prefix else "") + " ".join([kernel.name, *kernel._options()])
+    return _format_spec(kernel, "kernel", _KERNELS, prefix)
 
 
-def _split_top(text, sep):
-    """Split on ``sep`` at parenthesis depth zero."""
+def _split_top(text, sep=None):
+    """Split on ``sep`` (by default any whitespace) at parenthesis depth zero."""
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         if ch == "(":
@@ -457,7 +477,7 @@ def _split_top(text, sep):
             depth -= 1
             if depth < 0:
                 raise UsageError(f"unbalanced parentheses in {text!r}")
-        elif ch == sep and depth == 0:
+        elif depth == 0 and (ch.isspace() if sep is None else ch == sep):
             parts.append(text[start:i])
             start = i + 1
     if depth != 0:
@@ -466,7 +486,7 @@ def _split_top(text, sep):
     return parts
 
 
-def _parse_kv(tokens, allowed, what="kernel"):
+def _parse_kv(tokens, allowed, what):
     """``key=value`` tokens as a dict; an unknown or repeated key is a usage error."""
     out = {}
     for tok in tokens:
@@ -481,36 +501,38 @@ def _parse_kv(tokens, allowed, what="kernel"):
     return out
 
 
-def _parse_number(text, what, kind=float):
-    try:
-        return kind(text)
-    except ValueError:
-        raise UsageError(f"bad {what}: {text!r}") from None
+def _parse_spec(text, what, table):
+    """Parse ``[what=]name key=value ...`` into a spec of a family in ``table``.
+
+    The leading ``what=`` is optional so the same parser serves model files
+    and bare command-line values.  A family with keys takes exactly one.
+    """
+    body = text.strip()
+    if body.startswith(what + "="):
+        body = body[len(what) + 1:]
+    tokens = [t for t in _split_top(body) if t]
+    if not tokens:
+        raise UsageError(f"empty {what} spec")
+    name, rest = tokens[0], tokens[1:]
+    family = table.get(name)
+    if family is None:
+        raise UsageError(f"unknown {what} {name!r}")
+    if not family.keys:
+        if rest:
+            raise UsageError(f"{what} {name!r} takes no options")
+        return family()
+    options = _parse_kv(rest, family.keys, what)
+    choices = " or ".join(key + "=" for key in family.keys)
+    if not options:
+        raise UsageError(f"{what} {name!r} needs {choices}")
+    if len(options) > 1:
+        raise UsageError(f"{what} {name!r} takes only one of {choices}")
+    return family._parse(*options.popitem())
 
 
 def parse_kernel(text):
-    """Parse the text form produced by :func:`format_kernel`.
-
-    The leading ``kernel=`` is optional so the same parser serves model
-    files and bare command-line values.
-    """
-    body = text.strip()
-    if body.startswith("kernel="):
-        body = body[len("kernel="):]
-    tokens = [t for t in _split_top(body, " ") if t]
-    if not tokens:
-        raise UsageError("empty kernel spec")
-    name, rest = tokens[0], tokens[1:]
-    family = _KERNELS.get(name)
-    if family is None:
-        raise UsageError(f"unknown kernel {name!r}")
-    if rest and not family.keys:
-        raise UsageError(f"kernel {name!r} takes no options")
-    options = _parse_kv(rest, family.keys)
-    for key, form in family.keys.items():
-        if key not in options:
-            raise UsageError(f"kernel {name!r} needs {key}={form}")
-    return family._parse(options)
+    """Parse the text form produced by :func:`format_kernel`."""
+    return _parse_spec(text, "kernel", _KERNELS)
 
 
 def _strip_group(text):

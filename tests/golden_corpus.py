@@ -133,6 +133,8 @@ COMMANDS = [
     ("error-kpca-spec", ["train", *_CIRCLE, "--filter", "filter=kpca", "--out", "never.txt"]),
     ("error-landweber-spec", ["train", *_CIRCLE, "--filter", "landweber m=1.5",
                               "--out", "never.txt"]),
+    ("error-landweber-lambda", ["train", *_CIRCLE, "--filter", "landweber lambda=1",
+                                "--out", "never.txt"]),
     ("error-kernel-no-sigma", ["train", *_CIRCLE, "--kernel", "kernel=abel",
                                "--out", "never.txt"]),
     ("error-kernel-option", ["train", *_CIRCLE, "--kernel", "abel width=2",

@@ -536,6 +536,25 @@ def test_cli_eval_task_rejects_bad_n(tmp_path, capsys, n):
     assert not out.exists()
 
 
+# Each size puts one array past the 128 TiB address space of x86-64 user
+# space (10**7 per grid axis: 10**14 cells), so the allocation is refused at
+# once whatever the overcommit setting.
+@pytest.mark.parametrize("argv", [
+    ["synth", "--task", "circle", "--n", "10", "--grid-out", "g.csv",
+     "--resolution", str(10 ** 7)],
+    ["eval", "--task", "circle", "--n", "20", "--trials", "1", "--lambda", "1e-3",
+     "--resolution", str(10 ** 7)],
+    ["synth", "--task", "circle", "--n", str(10 ** 14)],
+    ["eval", "--task", "circle", "--n", "20", "--trials", "1", "--lambda", "1e-3",
+     "--resolution", "8", "--n-test", str(10 ** 14)],
+], ids=["synth-resolution", "eval-resolution", "synth-n", "eval-n-test"])
+def test_cli_reports_an_allocation_too_large_for_memory(tmp_path, capsys, argv):
+    code = main(argv + ["--out", str(tmp_path / "out.csv"), "--no-timestamp"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_cli_exit_codes(tmp_path, circle_csv):
     # unknown task -> usage error
     assert main(["synth", "--task", "nope", "--out", str(tmp_path / "x.csv"),
