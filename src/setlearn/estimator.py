@@ -11,8 +11,8 @@ the superlevel set {x : F_n(x) >= 1 - tau}.
 
 Every score path is one contraction F = sum_i w_i * Y_i^2 over one factor
 of the fitted model: the eigendecomposition, which ``fit`` builds, or the
-Cholesky factor, which the first score builds, so that a model that is
-only saved (CLI ``train``) never factorizes.
+inverse Cholesky factor, which the first score builds, so that a model
+that is only saved (CLI ``train``) never factorizes.
 
 ``spectral``
     Y = V' K_x and w = g(s)/n from the eigendecomposition K_n/n = V diag(s) V'.
@@ -23,11 +23,13 @@ only saved (CLI ``train``) never factorizes.
     iteration (:func:`landweber_coefficients`) is the reference the tests
     check it against.
 ``cholesky``
-    Tikhonov only: Y = L^-1 K_x and w = 1, where L L' = K_n + n*lam*I;
-    one triangular solve per batch.  The solve overwrites the batch's own
-    K_x, which ``cross_gram`` returns column-major, so it copies nothing.
+    Tikhonov only: Y = W K_x and w = 1, where W = L^-1 and L L' = K_n + n*lam*I;
+    one triangular product with the cached inverse factor per batch
+    (``dtrmm``).  The product overwrites the batch's own K_x, which
+    ``cross_gram`` returns column-major, so it copies nothing.  W is
+    inverted once per model (``dtrtri``), in place on the Cholesky factor.
 
-The factorizations, the triangular solve, the product V' K_x (``dgemm``)
+The factorizations, the triangular product, the product V' K_x (``dgemm``)
 and the sum over i (``dgemv``) all run on scipy's OpenBLAS.  numpy bundles
 a second OpenBLAS with its own thread pool, and a threaded call into one
 pool right after the other runs several times slower while the first
@@ -43,8 +45,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, solve_triangular
-from scipy.linalg.blas import dgemm, dgemv
+from scipy.linalg import LinAlgError, cho_factor
+from scipy.linalg.blas import dgemm, dgemv, dtrmm
+from scipy.linalg.lapack import dtrtri
 
 from .errors import DataError, NumericError, UsageError
 from .filters import (_FILTERS, Filter, KpcaTruncation, SpectralCutoff,
@@ -84,7 +87,9 @@ class SupportModel:
     Immutable after fit; the arrays are marked read-only.  ``decomposition``
     is the eigendecomposition of K_n/n, which ``fit`` builds for the
     ``spectral`` and ``landweber`` paths; a ``cholesky`` model holds one only
-    when its caller handed one in, and is otherwise ``None``.
+    when its caller handed one in, and is otherwise ``None``.  A
+    ``cholesky`` model scores through ``inverse_factor``, built on its first
+    score.
     """
 
     points: np.ndarray
@@ -104,9 +109,20 @@ class SupportModel:
         return self.points.shape[1]
 
     @cached_property
-    def cholesky(self):
-        """Lower Cholesky factor of K_n + n*lam*I, built on first use."""
-        return _cholesky(self.gram, self.filter.lam)
+    def inverse_factor(self):
+        """W = L^-1 for the lower Cholesky factor L of K_n + n*lam*I, built on
+        first use.
+
+        W is inverted in place on the one n x n buffer that ``_cholesky``
+        factorizes, so its lower triangle is W and its upper triangle is
+        scratch; ``dtrmm(lower=1)`` reads only the lower one.
+        """
+        W, info = dtrtri(_cholesky(self.gram, self.filter.lam)[0], lower=1, overwrite_c=1)
+        # min and max propagate nan and inf without an n x n mask.
+        if info != 0 or not (np.isfinite(W.min()) and np.isfinite(W.max())):
+            raise NumericError("inverting the Cholesky factor failed: "
+                               "K_n + n*lambda*I is too ill-conditioned")
+        return W
 
 
 def _cholesky(entries, lam):
@@ -115,12 +131,17 @@ def _cholesky(entries, lam):
     The matrix is built in one Fortran-ordered copy of the Gram entries and
     factorized in place; the upper triangle is left as scratch.  The copy is
     of ``entries.T``, a straight copy that equals the exactly symmetric Gram.
+    The Gram is finite by construction, so once n*lam is, ``cho_factor``
+    skips its finiteness scan.
     """
     n = entries.shape[0]
+    shift = n * lam
+    if not np.isfinite(shift):
+        raise NumericError(f"n*lambda overflows the float range (n={n}, lambda={lam!r})")
     M = np.array(entries.T, dtype=float, order="F")
-    M.flat[::n + 1] += n * lam
+    M.flat[::n + 1] += shift
     try:
-        return cho_factor(M, lower=True, overwrite_a=True)
+        return cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError as exc:
         raise NumericError(f"Cholesky factorization failed: {exc}") from None
 
@@ -196,14 +217,13 @@ def score_batch(model, X):
 
     One contraction F = sum_i w_i * Y_i^2: Y = V' K_x with w = g(s)/n on the
     eigendecomposition (``spectral`` and ``landweber``), or Y = L^-1 K_x with
-    w = 1 on the Cholesky factor (``cholesky``).
+    w = 1 on the inverse Cholesky factor (``cholesky``).
     """
     X = _check_query(model, X)
     if model.algorithm != "cholesky":
         return _spectral_scores(model, X, [model.filter])[0]
     Kx = cross_gram(model.kernel, model.points, X)
-    Y = solve_triangular(model.cholesky[0], Kx, lower=True, overwrite_b=True,
-                         check_finite=False)
+    Y = dtrmm(1.0, model.inverse_factor, Kx, lower=1, overwrite_b=1)
     return np.clip(_weighted_sum(np.ones(model.n), np.square(Y, out=Y)), 0.0, 1.0)
 
 

@@ -24,6 +24,7 @@ string-to-double conversion (~0.5 s per million values): store a decomposition a
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .errors import DataError, UsageError
 from .estimator import _fit, fit
@@ -182,7 +183,9 @@ def _check_decomposition(s, V, K, path):
 
     O(n^2 k) for k leading pairs: the eigenvalues must lie in [0, 1] and sum
     to trace(K_n/n), and the leading pairs must have small eigen-residuals
-    and be orthonormal.
+    and be orthonormal.  The products run on scipy's ``dgemm``, the BLAS of
+    every other solve and product on a model's path; K is exactly
+    symmetric, so its column-major view K' is read in place as K.
     """
     n = s.shape[0]
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(V))):
@@ -196,10 +199,10 @@ def _check_decomposition(s, V, K, path):
         raise DataError(f"{path}: stored eigenvectors are not orthonormal")
     k = min(n, _CHECKED_PAIRS)
     Vk = V[:, :k]
-    residual = np.linalg.norm(K @ Vk / n - Vk * s[:k], axis=0).max()
+    residual = np.linalg.norm(dgemm(1.0, K.T, Vk) / n - Vk * s[:k], axis=0).max()
     if residual > EIG_SLACK:
         raise DataError(
             f"{path}: stored eigenpairs do not match the Gram matrix "
             f"(residual {residual:.3e})")
-    if np.abs(Vk.T @ Vk - np.eye(k)).max() > EIG_SLACK:
+    if np.abs(dgemm(1.0, Vk, Vk, trans_a=1) - np.eye(k)).max() > EIG_SLACK:
         raise DataError(f"{path}: stored eigenvectors are not orthonormal")

@@ -164,6 +164,9 @@ COMMANDS = [
                            "--lambda", "1e-3", "--out", "never.txt"]),
     ("error-numeric", ["train", "--data", "origin.csv", "--header", "--kernel", "linear",
                        "--lambda", "1e-3", "--out", "never.txt"]),
+    ("train-huge-lambda", ["train", *_CIRCLE, "--lambda", "1e307", "--out", "m_huge.txt"]),
+    ("error-numeric-shift", ["score", "--model", "m_huge.txt", *_CIRCLE,
+                             "--out", "never.csv"]),
 ]
 
 

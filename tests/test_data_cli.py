@@ -555,6 +555,24 @@ def test_cli_reports_an_allocation_too_large_for_memory(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_cli_refuses_an_overflowing_cholesky_shift(tmp_path, circle_csv, capsys):
+    """n*lambda past the float range: train saves the model (it never
+    factorizes), then the Cholesky path's score and eval --task exit 4 with
+    one error line each."""
+    model, out = tmp_path / "m.txt", ["--out", str(tmp_path / "o.csv"), "--no-timestamp"]
+    assert main(["train", "--data", str(circle_csv), "--header", "--lambda", "1e307",
+                 "--out", str(model), "--no-timestamp"]) == 0
+    capsys.readouterr()
+    for argv in (["score", "--model", str(model), "--data", str(circle_csv), "--header"],
+                 ["eval", "--task", "circle", "--n", "100", "--trials", "1",
+                  "--lambda", "1e307"]):
+        assert main(argv + out) == 4
+        err = capsys.readouterr().err
+        assert err == "error: n*lambda overflows the float range (n=%d, lambda=1e+307)\n" % (
+            60 if argv[0] == "score" else 100), err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_cli_exit_codes(tmp_path, circle_csv):
     # unknown task -> usage error
     assert main(["synth", "--task", "nope", "--out", str(tmp_path / "x.csv"),

@@ -1,17 +1,16 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dgemm, dtrmm
 
 import setlearn.estimator as estimator
 
 from _reference import apply_r, tikhonov_coefficients
 from setlearn import (Abel, Gaussian, KpcaTruncation, L1Exponential,
-                      Landweber, Linear, SpectralCutoff, Tikhonov, UsageError,
-                      cross_gram, decompose, fit, gram,
+                      Landweber, Linear, NumericError, SpectralCutoff, Tikhonov,
+                      UsageError, cross_gram, decompose, fit, gram,
                       kpca_lambda_from_rank, landweber_coefficients, normalize,
                       predict_member, product_kernel, regularization_path,
                       score, score_batch)
@@ -189,24 +188,56 @@ def test_score_contractions_match_references(seed, n, d, sigma, log_lam, m):
     assert np.max(np.abs(one_solve - spectral)) <= 1e-8
 
 
-def test_cholesky_scores_solve_in_place_on_column_major_cross_gram(monkeypatch):
+def test_cholesky_path_refuses_an_overflowing_shift():
+    """n*lam = inf cannot be factorized: the Cholesky path raises
+    NumericError, while the spectral path scores through g(s) = 1/(s + lam)."""
+    rng = np.random.default_rng(79)
+    pts, X = rng.uniform(-1.0, 1.0, (200, 2)), rng.uniform(-1.2, 1.2, (10, 2))
+    with pytest.raises(NumericError, match="n\\*lambda overflows"):
+        score_batch(fit(pts, Abel(0.8), Tikhonov(1e307), algorithm="cholesky"), X)
+    spectral = score_batch(fit(pts, Abel(0.8), Tikhonov(1e307), algorithm="spectral"), X)
+    assert np.all(spectral >= 0.0) and np.all(spectral < 1e-300)
+
+
+def test_cholesky_scores_multiply_in_place_on_column_major_cross_gram(monkeypatch):
     rng = np.random.default_rng(83)
     pts = rng.uniform(-1.0, 1.0, (120, 2))
     X = rng.uniform(-1.2, 1.2, (300, 2))
     model = fit(pts, Abel(0.8), Tikhonov(1e-3), algorithm="cholesky")
     calls = []
 
-    def spy(a, b, **kwargs):
-        calls.append((b.flags.f_contiguous, kwargs.get("overwrite_b")))
-        return solve_triangular(a, b, **kwargs)
+    def spy(alpha, a, b, **kwargs):
+        calls.append((b.flags.f_contiguous, bool(kwargs.get("overwrite_b"))))
+        return dtrmm(alpha, a, b, **kwargs)
 
-    monkeypatch.setattr(estimator, "solve_triangular", spy)
+    monkeypatch.setattr(estimator, "dtrmm", spy)
     scores = score_batch(model, X)
     assert calls == [(True, True)]
+    score_batch(model, X[:7])
+    assert calls == [(True, True)] * 2
     Kx = np.ascontiguousarray(cross_gram(model.kernel, pts, X))
-    Y = solve_triangular(model.cholesky[0], Kx, lower=True, check_finite=False)
+    Y = dtrmm(1.0, model.inverse_factor, Kx, lower=1)
     reference = np.clip(estimator._weighted_sum(np.ones(model.n), np.square(Y)), 0.0, 1.0)
     npt.assert_array_equal(scores, reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300), m=st.integers(1, 60),
+       d=st.integers(1, 4), sigma=st.floats(0.2, 3.0), log_lam=st.floats(-8.0, 0.0))
+@example(seed=0, n=1, m=5, d=2, sigma=1.0, log_lam=-8.0)
+@example(seed=1, n=50, m=1, d=2, sigma=1.0, log_lam=-3.0)
+def test_cholesky_scores_match_forward_substitution(seed, n, m, d, sigma, log_lam):
+    """Multiplying by the computed inverse factor scores like the Cholesky
+    solve (forward then back substitution) of ``tests/_reference.py``."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, (n, d))
+    X = rng.uniform(-1.2, 1.2, (m, d))
+    kernel, lam = Abel(sigma), 10.0 ** log_lam
+    Kx = cross_gram(kernel, pts, X)
+    alpha = tikhonov_coefficients(gram(kernel, pts), Kx, lam)
+    reference = np.clip(np.einsum("ij,ij->j", alpha, Kx), 0.0, 1.0)
+    scores = score_batch(fit(pts, kernel, Tikhonov(lam), algorithm="cholesky"), X)
+    assert np.max(np.abs(scores - reference)) <= 1e-12
 
 
 def test_spectral_products_run_on_scipy_dgemm_without_copies(monkeypatch):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from _reference import apply_g, apply_r
 from setlearn import (Abel, Gaussian, KpcaTruncation, Landweber, Linear,
                       NumericError, SpectralCutoff, Tikhonov, UsageError,
-                      cross_gram, decompose, format_filter, gram, normalize,
-                      parse_filter, parzen_score)
+                      cross_gram, decompose, fit, format_filter, gram,
+                      normalize, parse_filter, parzen_score)
 from setlearn.filters import (EIG_SLACK, g_value, lipschitz_constant, r_value,
                               spectrum)
 
@@ -205,6 +205,15 @@ def test_spectral_solve_peak_memory(solve, bound):
     n = 400
     G = gram(Abel(1.0), np.random.default_rng(30).normal(size=(n, 2)))
     assert _peak_in_n2(lambda: solve(G), n) <= bound
+
+
+def test_inverse_factor_peak_memory():
+    """The Cholesky path inverts its factor in place on the one Fortran-ordered
+    copy of K_n + n*lam*I: beyond the Gram, the peak is that one n^2 buffer."""
+    n = 400
+    pts = np.random.default_rng(32).normal(size=(n, 2))
+    model = fit(pts, Abel(1.0), Tikhonov(1e-3), algorithm="cholesky")
+    assert _peak_in_n2(lambda: model.inverse_factor, n) <= 1.1
 
 
 def _peak_in_n2(call, n):
