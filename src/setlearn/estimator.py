@@ -10,33 +10,41 @@ away from it when the kernel separates the support.  The estimated set is
 the superlevel set {x : F_n(x) >= 1 - tau}.
 
 Every score path is one contraction F = sum_i w_i * Y_i^2 over one factor
-of the fitted model: the eigendecomposition, which ``fit`` builds, or the
-inverse Cholesky factor, which the first score builds, so that a model
-that is only saved (CLI ``train``) never factorizes.
+of the fitted model.  Wherever the filter's gains allow it, that factor is
+a lower-triangular W, built on the first score so that a model that is
+only saved (CLI ``train``) never factorizes, and Y = W K_x is one
+triangular product per batch (``dtrmm``).  The product overwrites the
+batch's own K_x, which ``cross_gram`` returns column-major, so it copies
+nothing.
 
-``spectral``
-    Y = V' K_x and w = g(s)/n from the eigendecomposition K_n/n = V diag(s) V'.
-    Any filter; any regularization strength is a cheap reweighting.
-``landweber``
-    Landweber only, through the same eigendecomposition with the exact
-    polynomial gain g_m(s) = sum_{k<=m} (1-s)^k.  The m+1 step gradient
-    iteration (:func:`landweber_coefficients`) is the reference the tests
-    check it against.
 ``cholesky``
-    Tikhonov only: Y = W K_x and w = 1, where W = L^-1 and L L' = K_n + n*lam*I;
-    one triangular product with the cached inverse factor per batch
-    (``dtrmm``).  The product overwrites the batch's own K_x, which
-    ``cross_gram`` returns column-major, so it copies nothing.  W is
-    inverted once per model (``dtrtri``), in place on the Cholesky factor.
+    Tikhonov only: W = L^-1 with L L' = K_n + n*lam*I, and w = 1.
+``spectral``
+    Any filter, through the eigendecomposition K_n/n = V diag(s) V' that
+    ``fit`` builds.  With c = max g(s), W = L^-1 with L L' = V diag(c/g(s)) V',
+    whose eigenvalues lie in [1, cond], and w = c/n.
+``landweber``
+    Landweber only, as ``spectral``, with the exact polynomial gain
+    g_m(s) = sum_{k<=m} (1-s)^k.  The m+1 step gradient iteration
+    (:func:`landweber_coefficients`) is the reference the tests check it
+    against.
 
-The factorizations, the triangular product, the product V' K_x (``dgemm``)
-and the sum over i (``dgemv``) all run on scipy's OpenBLAS.  numpy bundles
-a second OpenBLAS with its own thread pool, and a threaded call into one
-pool right after the other runs several times slower while the first
-pool's workers still spin.  V is C-ordered and ``cross_gram`` returns K_x
-column-major, so ``dgemm`` reads V' and K_x in place and copies neither.
-Only the reference iteration :func:`landweber_coefficients`, which no
-score path calls, multiplies in numpy.
+Either W is inverted once per model (``dtrtri``), in place on the one n x n
+buffer the Cholesky factorization overwrites.  A spectral model whose gains
+have a zero (kPCA, a cutoff whose Gram has null eigenvalues) or spread
+wider than ``MAX_FACTOR_COND`` (Tikhonov at a tiny lambda) has no such
+factor: it scores through Y = V' K_x (``dgemm``) and w = g(s)/n, as
+:func:`regularization_path` does for every model, since many filters share
+its one product.
+
+The factorizations, the products and the sum over i (``dgemv``) all run on
+scipy's OpenBLAS.  numpy bundles a second OpenBLAS with its own thread
+pool, and a threaded call into one pool right after the other runs several
+times slower while the first pool's workers still spin.  V is C-ordered
+and ``cross_gram`` returns K_x column-major, so ``dgemm`` reads V' and K_x
+in place and copies neither.  Only the reference iteration
+:func:`landweber_coefficients`, which no score path calls, multiplies in
+numpy.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor
-from scipy.linalg.blas import dgemm, dgemv, dtrmm
+from scipy.linalg.blas import dgemm, dgemv, dsyrk, dtrmm
 from scipy.linalg.lapack import dtrtri
 
 from .errors import DataError, NumericError, UsageError
@@ -73,6 +81,11 @@ NULL_EIG = 1e-12
 # strict score >= 1 - tau comparison would flip on the last ulp at tau=0.
 MEMBER_SLACK = 1e-9
 
+# Widest spread max g / min g of a spectral model's gains that it factorizes:
+# 1/sqrt(eps), about 6.7e7.  A wider one scores through V, since the error of
+# the triangular product grows with the condition of the factorized operator.
+MAX_FACTOR_COND = 1.0 / np.sqrt(np.finfo(float).eps)
+
 
 def _check_tau(tau):
     if not np.isfinite(tau) or not 0.0 <= tau < 1.0:
@@ -87,9 +100,10 @@ class SupportModel:
     Immutable after fit; the arrays are marked read-only.  ``decomposition``
     is the eigendecomposition of K_n/n, which ``fit`` builds for the
     ``spectral`` and ``landweber`` paths; a ``cholesky`` model holds one only
-    when its caller handed one in, and is otherwise ``None``.  A
-    ``cholesky`` model scores through ``inverse_factor``, built on its first
-    score.
+    when its caller handed one in, and is otherwise ``None``.  Each model
+    scores through ``inverse_factor``, built on its first score, unless its
+    gains allow none.  Only a ``cholesky`` model keeps its Gram, the input of
+    its factor; ``gram`` rebuilds it on any other.
     """
 
     points: np.ndarray
@@ -97,7 +111,6 @@ class SupportModel:
     filter: Filter
     algorithm: str
     tau: float
-    gram: np.ndarray
     decomposition: SpectralDecomposition = field(default=None, repr=False)
 
     @property
@@ -109,19 +122,49 @@ class SupportModel:
         return self.points.shape[1]
 
     @cached_property
-    def inverse_factor(self):
-        """W = L^-1 for the lower Cholesky factor L of K_n + n*lam*I, built on
-        first use.
+    def gram(self):
+        """K_n, read-only: the one ``fit`` built on the ``cholesky`` path, else
+        rebuilt on first read, bit-identical to ``gram(kernel, points)``."""
+        G = gram(self.kernel, self.points)
+        G.setflags(write=False)
+        return G
 
-        W is inverted in place on the one n x n buffer that ``_cholesky``
-        factorizes, so its lower triangle is W and its upper triangle is
+    @cached_property
+    def _gains(self):
+        """g(s) on the spectrum, as a spectral model's score weights it."""
+        return _scoring_gains(self.filter, self.decomposition.eigenvalues)
+
+    @property
+    def _factor_scale(self):
+        """The weight w of every squared entry of W K_x: 1 on the ``cholesky``
+        path, c/n with c = max g(s) on the others."""
+        return 1.0 if self.algorithm == "cholesky" else self._gains.max() / self.n
+
+    @cached_property
+    def inverse_factor(self):
+        """Lower-triangular W = L^-1, built on first use, with L L' = K_n + n*lam*I
+        on the ``cholesky`` path and L L' = V diag(c/g(s)) V' on the others;
+        ``None`` for gains with a zero or spread wider than ``MAX_FACTOR_COND``.
+
+        W is inverted in place on the one n x n buffer that ``_factorize``
+        overwrites, so its lower triangle is W and its upper triangle is
         scratch; ``dtrmm(lower=1)`` reads only the lower one.
         """
-        W, info = dtrtri(_cholesky(self.gram, self.filter.lam)[0], lower=1, overwrite_c=1)
+        if self.algorithm == "cholesky":
+            L = _cholesky(self.gram, self.filter.lam)[0]
+        else:
+            g = self._gains
+            if not (g.min() > 0.0 and g.max() <= g.min() * MAX_FACTOR_COND):
+                return None
+            # B = V diag(sqrt(c/g)) is C-ordered, so dsyrk reads B' in place as
+            # a Fortran array and forms B B' in the lower triangle of its output.
+            B = self.decomposition.eigenvectors * np.sqrt(g.max() / g)
+            L = _factorize(dsyrk(1.0, B.T, trans=1, lower=1))[0]
+        W, info = dtrtri(L, lower=1, overwrite_c=1)
         # min and max propagate nan and inf without an n x n mask.
         if info != 0 or not (np.isfinite(W.min()) and np.isfinite(W.max())):
             raise NumericError("inverting the Cholesky factor failed: "
-                               "K_n + n*lambda*I is too ill-conditioned")
+                               "the factorized operator is too ill-conditioned")
         return W
 
 
@@ -129,10 +172,8 @@ def _cholesky(entries, lam):
     """Lower Cholesky factor of K_n + n*lam*I, as ``cho_factor`` returns it.
 
     The matrix is built in one Fortran-ordered copy of the Gram entries and
-    factorized in place; the upper triangle is left as scratch.  The copy is
-    of ``entries.T``, a straight copy that equals the exactly symmetric Gram.
-    The Gram is finite by construction, so once n*lam is, ``cho_factor``
-    skips its finiteness scan.
+    factorized in place.  The copy is of ``entries.T``, a straight copy that
+    equals the exactly symmetric Gram.
     """
     n = entries.shape[0]
     shift = n * lam
@@ -140,6 +181,13 @@ def _cholesky(entries, lam):
         raise NumericError(f"n*lambda overflows the float range (n={n}, lambda={lam!r})")
     M = np.array(entries.T, dtype=float, order="F")
     M.flat[::n + 1] += shift
+    return _factorize(M)
+
+
+def _factorize(M):
+    """``cho_factor`` of a Fortran-ordered M, lower and in place; the upper
+    triangle is left as scratch.  M is finite by construction, so
+    ``cho_factor`` skips its finiteness scan."""
     try:
         return cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError as exc:
@@ -198,10 +246,13 @@ def _fit(points, kernel, filter, algorithm, tau, G=None, decomposition=None):
     if isinstance(filter, KpcaTruncation) and filter.lam is None:
         filter = KpcaTruncation(lam=kpca_lambda_from_rank(decomposition, filter.components))
     pts.setflags(write=False)
-    G.setflags(write=False)
-    return SupportModel(points=pts, kernel=kernel, filter=filter,
-                        algorithm=algorithm, tau=tau, gram=G,
-                        decomposition=decomposition)
+    model = SupportModel(points=pts, kernel=kernel, filter=filter,
+                         algorithm=algorithm, tau=tau, decomposition=decomposition)
+    if algorithm == "cholesky":
+        # The factor is built from this Gram: prime the cache rather than rebuild.
+        G.setflags(write=False)
+        vars(model)["gram"] = G
+    return model
 
 
 def _check_query(model, X):
@@ -215,16 +266,19 @@ def _check_query(model, X):
 def score_batch(model, X):
     """Scores F_n for a batch of query points, clamped to [0, 1].
 
-    One contraction F = sum_i w_i * Y_i^2: Y = V' K_x with w = g(s)/n on the
-    eigendecomposition (``spectral`` and ``landweber``), or Y = L^-1 K_x with
-    w = 1 on the inverse Cholesky factor (``cholesky``).
+    One contraction F = sum_i w_i * Y_i^2: Y = W K_x with the model's
+    ``inverse_factor`` W, or Y = V' K_x with w = g(s)/n on the
+    eigendecomposition for a model without one.
     """
     X = _check_query(model, X)
-    if model.algorithm != "cholesky":
+    # The factor before K_x: the other order read 10% more peak RSS on the
+    # score-stream.spectral benchmark, from where malloc placed the n x n buffers.
+    W = model.inverse_factor
+    if W is None:
         return _spectral_scores(model, X, [model.filter])[0]
-    Kx = cross_gram(model.kernel, model.points, X)
-    Y = dtrmm(1.0, model.inverse_factor, Kx, lower=1, overwrite_b=1)
-    return np.clip(_weighted_sum(np.ones(model.n), np.square(Y, out=Y)), 0.0, 1.0)
+    Y = dtrmm(1.0, W, cross_gram(model.kernel, model.points, X), lower=1, overwrite_b=1)
+    w = np.full(model.n, model._factor_scale)
+    return np.clip(_weighted_sum(w, np.square(Y, out=Y)), 0.0, 1.0)
 
 
 def score(model, x):

@@ -64,6 +64,14 @@ COMMANDS = [
                                 "--model-format", "binary", "--out", "m_lw.bin"]),
     ("train-gaussian", ["train", *_MOONS, "--kernel", "gaussian", "--sigma", "0.3",
                         "--lambda", "1e-3", "--out", "m_gauss.txt"]),
+    # Two models that score through V: a cutoff whose Gram has null
+    # eigenvalues, and a Tikhonov lambda too small for the gated factor.
+    ("train-gauss-cutoff", ["train", *_MOONS, "--kernel", "gaussian", "--sigma", "0.3",
+                            "--filter", "cutoff", "--lambda", "1e-3",
+                            "--out", "m_gauss_cutoff.txt"]),
+    ("train-gauss-tiny", ["train", *_MOONS, "--kernel", "gaussian", "--sigma", "0.3",
+                          "--lambda", "1e-12", "--algorithm", "spectral",
+                          "--out", "m_gauss_tiny.txt"]),
     ("train-l1exp", ["train", *_MOONS, "--kernel", "l1exp", "--sigma", "0.5",
                      "--lambda", "1e-3", "--out", "m_l1exp.txt"]),
     ("train-product", ["train", *_CIRCLE, "--kernel", _PRODUCT, "--lambda", "auto",
@@ -83,6 +91,10 @@ COMMANDS = [
     ("score-kpca", ["score", "--model", "m_kpca.txt", *_CIRCLE, "--out", "s_kpca.csv"]),
     ("score-landweber", ["score", "--model", "m_lw.bin", *_CIRCLE, "--out", "s_lw.csv"]),
     ("score-gaussian", ["score", "--model", "m_gauss.txt", *_CIRCLE, "--out", "s_gauss.csv"]),
+    ("score-gauss-cutoff", ["score", "--model", "m_gauss_cutoff.txt", *_CIRCLE,
+                            "--out", "s_gauss_cutoff.csv"]),
+    ("score-gauss-tiny", ["score", "--model", "m_gauss_tiny.txt", *_CIRCLE,
+                          "--out", "s_gauss_tiny.csv"]),
     ("score-l1exp", ["score", "--model", "m_l1exp.txt", *_CIRCLE, "--out", "s_l1exp.csv"]),
     ("score-product", ["score", "--model", "m_product.txt", *_MOONS,
                        "--out", "s_product.csv"]),

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 import setlearn.cli as cli
 import setlearn.estimator as estimator
 import setlearn.filters as filters
-from setlearn import (Abel, DataError, Landweber, Tikhonov, UsageError, fit, load_csv,
-                      load_model, save_model, score_batch, write_table)
+from setlearn import (Abel, DataError, Gaussian, KpcaTruncation, Landweber, Tikhonov,
+                      UsageError, fit, load_csv, load_model, save_model, score_batch,
+                      write_table)
 from setlearn.cli import main
 from setlearn.data import fmt_value
 
@@ -754,9 +755,10 @@ def test_cli_model_build_solves_once(tmp_path, monkeypatch, argv, rc, eigh, eigv
 
 def test_api_fit_and_load_solve_once(tmp_path, monkeypatch):
     """``fit`` builds the eigendecomposition for the spectral and Landweber
-    paths; a Cholesky model factorizes on its first score and keeps the
-    factor.  A loaded model solves as its fit does, and not at all when the
-    file stores the decomposition."""
+    paths; every model whose gains allow it factorizes on its first score and
+    keeps the factor, and a model past the gate never factorizes.  A loaded
+    model solves as its fit does, and never eigensolves when the file stores
+    the decomposition."""
     rng = np.random.default_rng(97)
     pts, X = rng.uniform(-1.0, 1.0, (40, 2)), rng.uniform(-1.2, 1.2, (30, 2))
     spectral = fit(pts, Abel(0.8), Tikhonov(1e-2), algorithm="spectral")
@@ -778,9 +780,12 @@ def test_api_fit_and_load_solve_once(tmp_path, monkeypatch):
         return at_build, (calls["eigh"], calls["cho_factor"])
 
     for f, algorithm in [(Tikhonov(1e-2), "spectral"), (Landweber(10), "landweber")]:
-        assert solves(lambda: fit(pts, Abel(0.8), f, algorithm=algorithm)) == ((1, 0), (1, 0))
+        assert solves(lambda: fit(pts, Abel(0.8), f, algorithm=algorithm)) == ((1, 0), (1, 1))
+    # zero gains (kPCA) and a spread past the gate (Gaussian at a tiny lambda) score through V
+    for k, f in [(Abel(0.8), KpcaTruncation(lam=1e-2)), (Gaussian(2.0), Tikhonov(1e-12))]:
+        assert solves(lambda: fit(pts, k, f, algorithm="spectral")) == ((1, 0), (1, 0))
     assert solves(lambda: fit(pts, Abel(0.8), Tikhonov(1e-2))) == ((0, 0), (0, 1))
-    assert solves(lambda: load_model(files["spectral"])) == ((1, 0), (1, 0))
+    assert solves(lambda: load_model(files["spectral"])) == ((1, 0), (1, 1))
     assert solves(lambda: load_model(files["cholesky"])) == ((0, 0), (0, 1))
     assert solves(lambda: load_model(files["stored"])) == ((0, 0), (0, 1))
 

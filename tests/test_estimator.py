@@ -240,17 +240,90 @@ def test_cholesky_scores_match_forward_substitution(seed, n, m, d, sigma, log_la
     assert np.max(np.abs(scores - reference)) <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 200), d=st.integers(1, 3),
+       kernel=st.sampled_from([Abel, Gaussian]), sigma=st.floats(0.1, 3.0),
+       family=st.sampled_from(["tikhonov", "cutoff", "landweber", "kpca"]),
+       log_lam=st.floats(-14.0, 0.0), m=st.integers(0, 10 ** 9), duplicate=st.booleans())
+@example(seed=0, n=1, d=2, kernel=Abel, sigma=1.0, family="tikhonov", log_lam=-3.0, m=0,
+         duplicate=False)
+@example(seed=1, n=2, d=1, kernel=Gaussian, sigma=0.5, family="cutoff", log_lam=-1.0, m=0,
+         duplicate=False)
+@example(seed=2, n=20, d=2, kernel=Abel, sigma=1.0, family="cutoff", log_lam=-3.0, m=0,
+         duplicate=True)
+@example(seed=4, n=50, d=1, kernel=Gaussian, sigma=0.3, family="tikhonov", log_lam=-14.0,
+         m=0, duplicate=False)
+@example(seed=2, n=20, d=2, kernel=Abel, sigma=1.0, family="tikhonov", log_lam=-3.0, m=0,
+         duplicate=True)
+def test_factor_scores_match_the_v_contraction(seed, n, d, kernel, sigma, family, log_lam,
+                                               m, duplicate):
+    """A spectral or Landweber model scores through its triangular factor exactly
+    when its gains pass the gate (all positive, spread at most MAX_FACTOR_COND),
+    within 1e-9 of the V' K_x contraction; a model past the gate scores
+    through that contraction itself.  The Gaussian example past the gate
+    scores 7e-6 off through an ungated factor."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, (n, d))
+    if duplicate:
+        pts[:] = pts[0]
+    X = np.vstack([pts, rng.uniform(-1.2, 1.2, (20, d))])
+    lam = 10.0 ** log_lam
+    f = {"tikhonov": Tikhonov(lam), "cutoff": SpectralCutoff(lam), "landweber": Landweber(m),
+         "kpca": KpcaTruncation(lam=lam)}[family]
+    algorithm = "landweber" if family == "landweber" else "spectral"
+    model = fit(pts, kernel(sigma), f, algorithm=algorithm)
+    g = estimator._scoring_gains(f, model.decomposition.eigenvalues)
+    gated = g.min() > 0.0 and g.max() <= g.min() * estimator.MAX_FACTOR_COND
+    assert (model.inverse_factor is not None) == gated
+    scores = score_batch(model, X)
+    reference = estimator._spectral_scores(model, X, [f])[0]
+    assert np.max(np.abs(scores - reference)) <= 1e-9
+    assert gated or np.array_equal(scores, reference)
+
+
+def test_rank_one_gram_factors_tikhonov_and_not_cutoff():
+    """On 20 copies of one point the Gram has rank 1: the cutoff's gains are
+    zero on its null eigenvalues, so it scores through V, while Tikhonov's
+    gains stay within the gate and it factorizes."""
+    pts = np.zeros((20, 2))
+    assert fit(pts, Abel(1.0), SpectralCutoff(1e-3)).inverse_factor is None
+    assert fit(pts, Abel(1.0), Tikhonov(1e-3), algorithm="spectral").inverse_factor is not None
+
+
+def test_gram_is_rebuilt_read_only_on_models_that_do_not_keep_it():
+    """Only a Cholesky model keeps the Gram its factor is built from; any other
+    rebuilds it on first read, bit-identical and read-only."""
+    rng = np.random.default_rng(91)
+    pts = rng.uniform(-1.0, 1.0, (50, 2))
+    G = gram(Abel(0.8), pts)
+    for f, algorithm in [(Tikhonov(1e-3), "spectral"), (Landweber(20), "landweber"),
+                         (Tikhonov(1e-3), "cholesky")]:
+        model = fit(pts, Abel(0.8), f, algorithm=algorithm)
+        assert ("gram" in vars(model)) == (algorithm == "cholesky")
+        npt.assert_array_equal(model.gram, G)
+        assert not model.gram.flags.writeable
+        assert model.gram is model.gram
+
+
 def test_spectral_products_run_on_scipy_dgemm_without_copies(monkeypatch):
+    """``regularization_path`` multiplies V' K_x on one ``dgemm``; a spectral or
+    Landweber ``score_batch`` multiplies its cached factor on one ``dtrmm``, in
+    place on the column-major cross-Gram.  Neither copies an operand."""
     rng = np.random.default_rng(89)
     pts = rng.uniform(-1.0, 1.0, (120, 2))
     X = rng.uniform(-1.2, 1.2, (300, 2))
     calls = []
 
-    def spy(alpha, a, b, **kwargs):
-        calls.append((a.flags.f_contiguous, b.flags.f_contiguous, kwargs))
-        return dgemm(alpha, a, b, **kwargs)
+    def spy(name, product):
+        def wrapper(alpha, a, b, **kwargs):
+            out = product(alpha, a, b, **kwargs)
+            calls.append((name, a.flags.f_contiguous, b.flags.f_contiguous, kwargs,
+                          np.shares_memory(out, b)))
+            return out
+        return wrapper
 
-    monkeypatch.setattr(estimator, "dgemm", spy)
+    monkeypatch.setattr(estimator, "dgemm", spy("dgemm", dgemm))
+    monkeypatch.setattr(estimator, "dtrmm", spy("dtrmm", dtrmm))
     Kx = cross_gram(Abel(0.8), pts, X)
 
     def reference(model, f):
@@ -261,12 +334,15 @@ def test_spectral_products_run_on_scipy_dgemm_without_copies(monkeypatch):
     for f, algorithm in [(Tikhonov(1e-3), "spectral"), (Landweber(20), "landweber")]:
         model = fit(pts, Abel(0.8), f, algorithm=algorithm)
         npt.assert_allclose(score_batch(model, X), reference(model, f), rtol=0, atol=1e-13)
+        assert model.inverse_factor.flags.f_contiguous
+    assert calls == [("dtrmm", True, True, {"lower": 1, "overwrite_b": 1}, True)] * 2
+    calls.clear()
     grid = [1e-4, 1e-3, 1e-2]
     model = fit(pts, Abel(0.8), Tikhonov(1e-3))
     path = regularization_path(model, X, grid)
     for row, lam in zip(path, grid):
         npt.assert_allclose(row, reference(model, Tikhonov(lam)), rtol=0, atol=1e-13)
-    assert calls == [(True, True, {})] * 3
+    assert calls == [("dgemm", True, True, {}, False)]
 
 
 _IDENTITY_KERNELS = [
@@ -313,17 +389,21 @@ def test_landweber_score_monotone_in_m():
     assert prev > 0.97
 
 
-@pytest.mark.parametrize("f, value, algorithm", [
-    (Tikhonov(0.05), 0.05, "spectral"), (SpectralCutoff(0.05), 0.05, "spectral"),
-    (KpcaTruncation(lam=0.05), 0.05, "spectral"), (Landweber(5), 5, "landweber"),
+@pytest.mark.parametrize("f, value, algorithm, atol", [
+    (Tikhonov(0.05), 0.05, "spectral", 1e-12), (SpectralCutoff(0.05), 0.05, "spectral", 1e-12),
+    (KpcaTruncation(lam=0.05), 0.05, "spectral", 0.0), (Landweber(5), 5, "landweber", 1e-12),
 ], ids=["tikhonov", "cutoff", "kpca", "landweber"])
-def test_regularization_path_single_lambda_equals_fit(f, value, algorithm):
-    """A one-value path at the model's own strength is its score, bit for bit."""
+def test_regularization_path_single_lambda_equals_fit(f, value, algorithm, atol):
+    """A one-value path at the model's own strength is its score: bit for bit
+    for kPCA, which scores through V' K_x as the path does, and to round-off
+    for the filters that score through their triangular factor."""
     rng = np.random.default_rng(71)
     X = rng.normal(size=(15, 2))
     T = rng.normal(size=(6, 2))
     m = fit(X, Abel(1.0), f, algorithm=algorithm)
-    assert np.array_equal(regularization_path(m, T, [value])[0], score_batch(m, T))
+    path, scores = regularization_path(m, T, [value])[0], score_batch(m, T)
+    assert (m.inverse_factor is None) == (atol == 0.0)
+    assert np.max(np.abs(path - scores)) <= atol
 
 
 def test_regularization_path_single_point_values():

@@ -10,7 +10,7 @@ from _reference import apply_g, apply_r
 from setlearn import (Abel, Gaussian, KpcaTruncation, Landweber, Linear,
                       NumericError, SpectralCutoff, Tikhonov, UsageError,
                       cross_gram, decompose, fit, format_filter, gram,
-                      normalize, parse_filter, parzen_score)
+                      normalize, parse_filter, parzen_score, score_batch)
 from setlearn.filters import (EIG_SLACK, g_value, lipschitz_constant, r_value,
                               spectrum)
 
@@ -214,6 +214,33 @@ def test_inverse_factor_peak_memory():
     pts = np.random.default_rng(32).normal(size=(n, 2))
     model = fit(pts, Abel(1.0), Tikhonov(1e-3), algorithm="cholesky")
     assert _peak_in_n2(lambda: model.inverse_factor, n) <= 1.1
+
+
+@pytest.mark.parametrize("f, algorithm", [(Tikhonov(1e-3), "spectral"),
+                                          (Landweber(20), "landweber")])
+def test_spectral_factor_peak_memory(f, algorithm):
+    """A spectral model forms V diag(sqrt(c/g)) and its Gram-like product in two
+    n^2 buffers, then factorizes and inverts the product in place: beyond V,
+    the peak is those two buffers."""
+    n = 400
+    pts = np.random.default_rng(33).normal(size=(n, 2))
+    model = fit(pts, Abel(1.0), f, algorithm=algorithm)
+    assert _peak_in_n2(lambda: model.inverse_factor, n) <= 2.1
+
+
+def test_scored_spectral_model_holds_its_factors_and_no_gram():
+    """After fit and one score, a spectral model holds V and W, and no Gram."""
+    n = 400
+    pts = np.random.default_rng(34).normal(size=(n, 2))
+    tracemalloc.start()
+    try:
+        model = fit(pts, Abel(1.0), Tikhonov(1e-3), algorithm="spectral")
+        score_batch(model, pts[:10])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert model.inverse_factor is not None
+    assert held / (8.0 * n * n) <= 2.1
 
 
 def _peak_in_n2(call, n):
