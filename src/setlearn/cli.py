@@ -20,10 +20,11 @@ import numpy as np
 from .data import fmt_value as _f, load_csv, write_table
 from .errors import DataError, NumericError, UsageError
 # fit is not called here; bench/tracing.py wraps it under this module's name.
-from .estimator import (ALGORITHMS, _fit, _score_path, fit,  # noqa: F401
+from .estimator import (ALGORITHMS, _check_tau, _fit, _score_path, fit,  # noqa: F401
                         member_mask, regularization_path, score_batch)
 from .evaluation import hausdorff, parzen_score, roc_auc, symdiff_measure
-from .filters import _FILTERS, KpcaTruncation, Landweber, decompose, format_filter, spectrum
+from .filters import (_FILTERS, NULL_EIG, KpcaTruncation, Landweber, decompose, format_filter,
+                      spectrum)
 from .kernels import _KERNELS, SEPARATES_ALL, _parse_spec, format_kernel, gram, normalize
 from .model_io import load_model, save_model
 from .oracles import (bernstein_trials, concentration_bound, concentration_trials,
@@ -140,24 +141,25 @@ def _filter_flags(args):
 
 
 def _build_model(points, args, warn=True, vectors=False):
-    """Resolve kernel, filter and score path against the sample and fit, from
-    one Gram matrix and at most one spectral solve.  A path the filter cannot
-    take is refused before the Gram is built.  A model that scores through
-    its Cholesky factor, for a caller that needs no eigenvectors, gets
+    """Resolve kernel, filter and score path against the sample and fit, with at
+    most one spectral solve, on a Gram built for it.  A path the filter cannot
+    take, or a bad margin, is refused before any Gram.  A model that scores
+    through its Cholesky factor, for a caller that needs no eigenvectors, gets
     eigenvalues only, and only when the auto lambda reads them; every other
     model gets the decomposition, which it keeps.  Returns the model, the
     eigenvalues of K_n/n (None if not solved) and the kernel and filter notes."""
     kernel, kernel_note = _resolve_kernel(args, points, warn=warn)
     family, filt, filter_note = _filter_flags(args)
     algorithm = _score_path(family, None if args.algorithm == "auto" else args.algorithm)
-    G = gram(kernel, points)
-    D = None if algorithm == "cholesky" and not vectors else decompose(G)
+    _check_tau(args.tau)
+    D = None if algorithm == "cholesky" and not vectors else decompose(gram(kernel, points))
     auto_lam = filt is None and args.lam.strip() == "auto"
-    eigenvalues = D.eigenvalues if D is not None else spectrum(G) if auto_lam else None
+    eigenvalues = (D.eigenvalues if D is not None
+                   else spectrum(gram(kernel, points)) if auto_lam else None)
     if filt is None:
         lam, filter_note = _resolve_lam(args.lam, points.shape[0], eigenvalues)
         filt = family(lam)
-    model = _fit(points, kernel, filt, algorithm, args.tau, G, D)
+    model = _fit(points, kernel, filt, algorithm, args.tau, D)
     return model, eigenvalues, kernel_note, filter_note
 
 
@@ -175,7 +177,7 @@ def _config_meta(model, kernel_note, filter_note):
 def _summary(model, eigenvalues, kernel_note, filter_note):
     kernel, filt = _config_meta(model, kernel_note, filter_note)[:2]
     top = ", ".join(_f(v) for v in eigenvalues[:5])
-    positive = int(np.count_nonzero(eigenvalues > 1e-12))
+    positive = int(np.count_nonzero(eigenvalues > NULL_EIG))
     print(f"n={model.n} d={model.dim}\n{kernel}\n{filt}")
     print(f"algorithm={model.algorithm} tau={_f(model.tau)}")
     print(f"eigenvalues: top=[{top}] positive={positive}")
@@ -193,7 +195,7 @@ def cmd_train(args):
     model, eigenvalues, kernel_note, filter_note = _build_model(
         points, args, vectors=args.store_decomposition)
     if eigenvalues is None:
-        eigenvalues = spectrum(model.gram)
+        eigenvalues = spectrum(gram(model.kernel, model.points))
     save_model(model, args.out, fmt=args.model_format,
                include_decomposition=args.store_decomposition)
     eigs_out = args.eigs_out or (args.out + ".eigs.csv")
@@ -232,8 +234,9 @@ def _parzen_auc(kernel, train, X, labels):
 
 
 def cmd_score(args):
+    tau = None if args.tau is None else _check_tau(args.tau)   # before the factor
     model, ds, scores, meta = _load_and_score(args)
-    tau = model.tau if args.tau is None else args.tau
+    tau = model.tau if tau is None else tau
     member = member_mask(scores, tau)
     write_table(
         args.out, "scores",
@@ -336,13 +339,15 @@ def _parse_grid(text, what, integer=False):
 
 def cmd_sweep(args):
     points, source = _train_points(args)
-    model, _, kernel_note, filter_note = _build_model(points, args, vectors=True)
-    integer_grid = isinstance(model.filter, Landweber)
-    lambdas = _parse_grid(args.lambdas, "--lambdas", integer=integer_grid)
+    family = _filter_flags(args)[0]
+    lambdas = _parse_grid(args.lambdas, "--lambdas", integer=family is Landweber)
     taus = _parse_grid(args.taus, "--taus")
     for tau in taus:
         if not 0.0 <= tau < 1.0:
             raise UsageError(f"tau values must lie in [0, 1), got {tau!r}")
+    for value in lambdas:   # a strength the family refuses, before the Gram
+        family.at(value)
+    model, _, kernel_note, filter_note = _build_model(points, args, vectors=True)
     if args.test is not None:
         test = load_csv(args.test, header=args.header).points
         test_note = f"test={args.test}"

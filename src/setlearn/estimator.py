@@ -15,25 +15,24 @@ a lower-triangular W, built on the first score so that a model that is
 only saved (CLI ``train``) never factorizes, and Y = W K_x is one
 triangular product per batch (``dtrmm``).  The product overwrites the
 batch's own K_x, which ``cross_gram`` returns column-major, so it copies
-nothing.
+nothing.  The score path names the factor:
 
 ``cholesky``
     Tikhonov only: W = L^-1 with L L' = K_n + n*lam*I, and w = 1.
 ``spectral``
-    Any filter, through the eigendecomposition K_n/n = V diag(s) V' that
-    ``fit`` builds.  With c = max g(s), W = L^-1 with L L' = V diag(c/g(s)) V',
-    whose eigenvalues lie in [1, cond], and w = c/n.
-``landweber``
-    Landweber only, as ``spectral``, with the exact polynomial gain
-    g_m(s) = sum_{k<=m} (1-s)^k.  The m+1 step gradient iteration
-    (:func:`landweber_coefficients`) is the reference the tests check it
-    against.
+    Any filter, through the eigendecomposition K_n/n = V diag(s) V'.  With
+    c = max g(s), W = L^-1 with L L' = V diag(c/g(s)) V', whose eigenvalues
+    lie in [1, cond], and w = c/n.  ``landweber`` is this path with the
+    Landweber gain g_m(s) = sum_{k<=m} (1-s)^k, not a third mechanism; the
+    m+1 step gradient iteration (:func:`landweber_coefficients`) is the
+    reference the tests check it against.
 
 Either W is inverted once per model (``dtrtri``), in place on the one n x n
-buffer the Cholesky factorization overwrites.  A spectral model whose gains
-have a zero (kPCA, a cutoff whose Gram has null eigenvalues) or spread
-wider than ``MAX_FACTOR_COND`` (Tikhonov at a tiny lambda) has no such
-factor: it scores through Y = V' K_x (``dgemm``) and w = g(s)/n, as
+buffer the Cholesky factorization overwrites: for ``cholesky`` a fresh Gram,
+which the model does not keep.  A spectral model whose gains have a zero
+(kPCA, a cutoff whose Gram has null eigenvalues) or spread wider than
+``MAX_FACTOR_COND`` (Tikhonov at a tiny lambda) has no such factor: it
+scores through Y = V' K_x (``dgemm``) and w = g(s)/n, as
 :func:`regularization_path` does for every model, since many filters share
 its one product.
 
@@ -49,7 +48,7 @@ numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -58,7 +57,7 @@ from scipy.linalg.blas import dgemm, dgemv, dsyrk, dtrmm
 from scipy.linalg.lapack import dtrtri
 
 from .errors import DataError, NumericError, UsageError
-from .filters import (_FILTERS, Filter, KpcaTruncation, SpectralCutoff,
+from .filters import (_FILTERS, NULL_EIG, Filter, KpcaTruncation, SpectralCutoff,
                       SpectralDecomposition, _known, decompose)
 from .kernels import _as_points, cross_gram, gram
 
@@ -69,12 +68,6 @@ __all__ = [
 ]
 
 ALGORITHMS = ("spectral", "cholesky", "landweber")
-
-# Eigenvalues of K_n/n at or below this are treated as exact nulls by the
-# cutoff scoring path; otherwise round-off eigenvalues of a singular Gram
-# would enter the 1/sigma branch with huge gains.  Matches the lambda -> 0
-# limit being the pseudo-inverse score.
-NULL_EIG = 1e-12
 
 # Round-off guard on the membership threshold.  Training points under a
 # full-rank projection filter score 1 only up to arithmetic error, so a
@@ -95,15 +88,13 @@ def _check_tau(tau):
 
 @dataclass(frozen=True, eq=False)
 class SupportModel:
-    """Fitted state: training points, kernel, filter and the factor it scores through.
+    """Fitted state: training points, kernel, filter, score path and margin.
 
-    Immutable after fit; the arrays are marked read-only.  ``decomposition``
-    is the eigendecomposition of K_n/n, which ``fit`` builds for the
-    ``spectral`` and ``landweber`` paths; a ``cholesky`` model holds one only
-    when its caller handed one in, and is otherwise ``None``.  Each model
-    scores through ``inverse_factor``, built on its first score, unless its
-    gains allow none.  Only a ``cholesky`` model keeps its Gram, the input of
-    its factor; ``gram`` rebuilds it on any other.
+    Immutable after fit; the arrays are marked read-only.  The model builds
+    what derives from them itself, at most once, on first use: ``gram``,
+    ``decomposition`` (seeded at construction by ``eigenpairs``, one its
+    caller built) and the ``inverse_factor`` it scores through.  No model
+    keeps its Gram: each solve starts from a fresh one.
     """
 
     points: np.ndarray
@@ -111,7 +102,11 @@ class SupportModel:
     filter: Filter
     algorithm: str
     tau: float
-    decomposition: SpectralDecomposition = field(default=None, repr=False)
+    eigenpairs: InitVar[SpectralDecomposition] = None
+
+    def __post_init__(self, eigenpairs):
+        if eigenpairs is not None:
+            vars(self)["decomposition"] = eigenpairs
 
     @property
     def n(self):
@@ -123,11 +118,16 @@ class SupportModel:
 
     @cached_property
     def gram(self):
-        """K_n, read-only: the one ``fit`` built on the ``cholesky`` path, else
-        rebuilt on first read, bit-identical to ``gram(kernel, points)``."""
+        """K_n, read-only, rebuilt on first read, bit-identical to
+        ``gram(kernel, points)``; no score path reads it."""
         G = gram(self.kernel, self.points)
         G.setflags(write=False)
         return G
+
+    @cached_property
+    def decomposition(self):
+        """Eigendecomposition of K_n/n: ``eigenpairs``, else solved on first read."""
+        return decompose(gram(self.kernel, self.points))
 
     @cached_property
     def _gains(self):
@@ -151,7 +151,7 @@ class SupportModel:
         scratch; ``dtrmm(lower=1)`` reads only the lower one.
         """
         if self.algorithm == "cholesky":
-            L = _cholesky(self.gram, self.filter.lam)[0]
+            L = _cholesky(gram(self.kernel, self.points), self.filter.lam)[0]
         else:
             g = self._gains
             if not (g.min() > 0.0 and g.max() <= g.min() * MAX_FACTOR_COND):
@@ -168,20 +168,19 @@ class SupportModel:
         return W
 
 
-def _cholesky(entries, lam):
+def _cholesky(G, lam):
     """Lower Cholesky factor of K_n + n*lam*I, as ``cho_factor`` returns it.
 
-    The matrix is built in one Fortran-ordered copy of the Gram entries and
-    factorized in place.  The copy is of ``entries.T``, a straight copy that
-    equals the exactly symmetric Gram.
+    Overwrites the Gram ``G``: shifts its diagonal and factorizes it in place
+    on its Fortran view G', which equals G for the C-ordered, exactly
+    symmetric Gram :func:`.gram` returns, so nothing is copied.
     """
-    n = entries.shape[0]
+    n = G.shape[0]
     shift = n * lam
     if not np.isfinite(shift):
         raise NumericError(f"n*lambda overflows the float range (n={n}, lambda={lam!r})")
-    M = np.array(entries.T, dtype=float, order="F")
-    M.flat[::n + 1] += shift
-    return _factorize(M)
+    G.flat[::n + 1] += shift
+    return _factorize(G.T)
 
 
 def _factorize(M):
@@ -231,8 +230,8 @@ def _score_path(family, algorithm):
     return algorithm
 
 
-def _fit(points, kernel, filter, algorithm, tau, G=None, decomposition=None):
-    """:func:`fit`, for a caller that holds the Gram (and decomposition) already."""
+def _fit(points, kernel, filter, algorithm, tau, decomposition=None):
+    """:func:`fit`, for a caller that holds the decomposition already."""
     pts = np.array(_as_points(points), copy=True)
     _known(filter)
     if not kernel.unit_diagonal:
@@ -240,19 +239,13 @@ def _fit(points, kernel, filter, algorithm, tau, G=None, decomposition=None):
             "support estimation needs a unit-diagonal kernel; wrap it with normalize()")
     algorithm = _score_path(filter, algorithm)
     tau = _check_tau(tau)
-    G = gram(kernel, pts) if G is None else G
     if decomposition is None and algorithm != "cholesky":
-        decomposition = decompose(G)
+        decomposition = decompose(gram(kernel, pts))
     if isinstance(filter, KpcaTruncation) and filter.lam is None:
         filter = KpcaTruncation(lam=kpca_lambda_from_rank(decomposition, filter.components))
     pts.setflags(write=False)
-    model = SupportModel(points=pts, kernel=kernel, filter=filter,
-                         algorithm=algorithm, tau=tau, decomposition=decomposition)
-    if algorithm == "cholesky":
-        # The factor is built from this Gram: prime the cache rather than rebuild.
-        G.setflags(write=False)
-        vars(model)["gram"] = G
-    return model
+    return SupportModel(points=pts, kernel=kernel, filter=filter,
+                        algorithm=algorithm, tau=tau, eigenpairs=decomposition)
 
 
 def _check_query(model, X):
@@ -306,7 +299,7 @@ def predict_member(model, x, tau=None):
 def _spectral_scores(model, X, filters):
     """Scores through the eigendecomposition, one row per filter: Y = V' K_x
     and its square once, then F = (g(s)/n) @ Y^2 for each filter, clipped."""
-    D = model.decomposition or decompose(model.gram)
+    D = model.decomposition
     Y = dgemm(1.0, D.eigenvectors.T, cross_gram(model.kernel, model.points, X))
     np.square(Y, out=Y)
     out = np.empty((len(filters), X.shape[0]))

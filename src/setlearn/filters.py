@@ -39,6 +39,12 @@ from .kernels import _Spec, _format_spec, _parse_spec
 # this slack are clamped, values beyond it are an error.
 EIG_SLACK = 1e-8
 
+# Eigenvalues of K_n/n at or below this floor are exact nulls: the cutoff
+# score gives them gain 0, as the pseudo-inverse limit lambda -> 0 does, not
+# the huge 1/sigma of a round-off eigenvalue of a singular Gram; the
+# curvature heuristic and the command line's positive count skip them.
+NULL_EIG = 1e-12
+
 __all__ = [
     "Filter", "Tikhonov", "SpectralCutoff", "Landweber", "KpcaTruncation",
     "SpectralDecomposition", "r_value", "g_value", "lipschitz_constant",
@@ -61,8 +67,8 @@ class Filter(_Spec):
 
     ``algorithm`` is the score path a family owns and fits through by
     default.  ``_r``/``_g`` evaluate r and g on a clamped spectrum,
-    ``lipschitz()`` is r's Lipschitz constant or ``None``, and ``at(value)``
-    rebuilds the filter at another regularization strength.
+    ``lipschitz()`` is r's Lipschitz constant or ``None``, and the class
+    method ``at(value)`` builds the family's filter at a given strength.
     """
 
     algorithm = "spectral"
@@ -82,8 +88,9 @@ class _Threshold(Filter):
     def lipschitz(self):
         return 1.0 / self.lam
 
-    def at(self, value):
-        return type(self)(float(value))
+    @classmethod
+    def at(cls, value):
+        return cls(float(value))
 
 
 class Tikhonov(_Threshold):
@@ -152,7 +159,8 @@ class Landweber(Filter):
     def lipschitz(self):
         return float(self.iterations + 1)
 
-    def at(self, value):
+    @classmethod
+    def at(cls, value):
         integral = isinstance(value, (float, np.floating)) and value.is_integer()
         return Landweber(int(value) if integral else value)
 
@@ -202,7 +210,8 @@ class KpcaTruncation(Filter):
     def lipschitz(self):
         return None
 
-    def at(self, value):
+    @classmethod
+    def at(cls, value):
         return KpcaTruncation(lam=float(value))
 
 

@@ -28,8 +28,7 @@ from scipy.linalg.blas import dgemm
 
 from .errors import DataError, UsageError
 from .estimator import _fit, fit
-from .filters import (EIG_SLACK, SpectralDecomposition, decompose, format_filter,
-                      parse_filter)
+from .filters import EIG_SLACK, SpectralDecomposition, format_filter, parse_filter
 from .kernels import format_kernel, gram, parse_kernel
 
 __all__ = ["save_model", "load_model"]
@@ -57,7 +56,7 @@ def save_model(model, path, fmt="text", include_decomposition=False):
     """Write a model to ``path`` in the text or binary container."""
     if fmt not in ("text", "binary"):
         raise UsageError(f"format must be 'text' or 'binary', got {fmt!r}")
-    decomp = (model.decomposition or decompose(model.gram)) if include_decomposition else None
+    decomp = model.decomposition if include_decomposition else None
     head = [
         _MAGIC,
         f"format={fmt}",
@@ -170,9 +169,8 @@ def load_model(path):
         if not with_decomp:
             return fit(points, kernel, filt, algorithm=fields["algorithm"], tau=tau)
         eigenvalues, eigenvectors = flat[n * d:n * d + n], flat[n * d + n:].reshape(n, n)
-        G = gram(kernel, points)
-        _check_decomposition(eigenvalues, eigenvectors, G, path)
-        return _fit(points, kernel, filt, fields["algorithm"], tau, G,
+        _check_decomposition(eigenvalues, eigenvectors, gram(kernel, points), path)
+        return _fit(points, kernel, filt, fields["algorithm"], tau,
                     SpectralDecomposition(eigenvalues, eigenvectors))
     except UsageError as exc:
         raise DataError(f"{path}: {exc}") from None

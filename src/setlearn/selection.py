@@ -10,13 +10,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DataError, UsageError
+from .filters import NULL_EIG
 from .kernels import _as_points
 
 __all__ = ["width_heuristic", "lambda_curvature", "rate_lambda"]
-
-# Eigenvalues at or below this floor do not count as positive for the
-# curvature heuristic.
-POSITIVE_FLOOR = 1e-12
 
 
 def width_heuristic(points, k=10):
@@ -50,7 +47,7 @@ def lambda_curvature(eigenvalues):
     input eigenvalues.
     """
     s = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
-    s = s[s > POSITIVE_FLOOR]
+    s = s[s > NULL_EIG]
     if s.size < 3:
         raise UsageError(
             f"curvature heuristic needs at least 3 positive eigenvalues, got {s.size}")

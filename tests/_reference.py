@@ -54,7 +54,8 @@ def tikhonov_coefficients(g, kx, lam):
     lam = float(lam)
     if not np.isfinite(lam) or lam <= 0:
         raise UsageError(f"lam must be positive and finite, got {lam!r}")
-    return cho_solve(_cholesky(g, lam), np.asarray(kx, dtype=float))
+    # _cholesky factorizes in place: hand it a copy of the caller's Gram.
+    return cho_solve(_cholesky(np.array(g, dtype=float), lam), np.asarray(kx, dtype=float))
 
 
 def _symmetrized(M, name):

@@ -1,7 +1,11 @@
 """A fixed matrix of CLI commands whose outputs are pinned byte for byte.
 
-``generate(directory)`` runs every command in process with ``directory``
-as the working directory, so the paths the outputs quote are relative.
+``generate(directory)`` runs every command in one child process with
+``directory`` as the working directory, so the paths the outputs quote are
+relative.  The child runs OpenBLAS on one thread, set before numpy is
+imported, since the last bits of an eigensolve depend on the thread count:
+the corpus holds on any core count.
+
 Each command leaves its ``--no-timestamp`` files and one ``<name>.out``
 record (exit code, stdout, stderr).  Files above ``DIGEST_ABOVE`` bytes are
 pinned by their SHA-256 in ``SHA256SUMS`` rather than stored.
@@ -19,6 +23,7 @@ import hashlib
 import io
 import os
 import shutil
+import subprocess
 import sys
 
 import numpy as np
@@ -26,7 +31,9 @@ import numpy as np
 from setlearn import get_task, write_table
 from setlearn.cli import main
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(TESTS, "golden")
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 DIGESTS = "SHA256SUMS"
 KEEP = ("README.md", DIGESTS)
 DIGEST_ABOVE = 128 * 1024
@@ -212,8 +219,29 @@ def _malformed_inputs():
             fh.write(blob)
 
 
+def one_thread(args):
+    """Run ``python *args`` with OpenBLAS on one thread and ``src`` and ``tests``
+    importable; a failure raises with the child's stderr."""
+    path = os.pathsep.join(filter(None, [SRC, TESTS, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"python {' '.join(args)} exited {done.returncode}:\n{done.stderr}")
+
+
 def generate(directory):
-    """Run the matrix in ``directory``; returns {file name: bytes} of everything written."""
+    """Run the matrix in ``directory`` at one thread; returns {file name: bytes}
+    of everything written."""
+    one_thread([os.path.abspath(__file__), directory])
+    files = {}
+    for fname in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, fname), "rb") as fh:
+            files[fname] = fh.read()
+    return files
+
+
+def _run(directory):
+    """Run the matrix in process in ``directory``."""
     here = os.getcwd()
     os.chdir(directory)
     try:
@@ -228,11 +256,6 @@ def generate(directory):
                 fh.write(f"exit={rc}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
     finally:
         os.chdir(here)
-    files = {}
-    for fname in sorted(os.listdir(directory)):
-        with open(os.path.join(directory, fname), "rb") as fh:
-            files[fname] = fh.read()
-    return files
 
 
 def split(files):
@@ -265,5 +288,8 @@ def rewrite(directory=GOLDEN):
 
 
 if __name__ == "__main__":
-    n_stored, n_digests = rewrite()
-    print(f"{n_stored} files stored and {n_digests} digested in {GOLDEN}", file=sys.stderr)
+    if len(sys.argv) > 1:   # the child process of generate()
+        _run(sys.argv[1])
+    else:
+        n_stored, n_digests = rewrite()
+        print(f"{n_stored} files stored and {n_digests} digested in {GOLDEN}", file=sys.stderr)

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from _reference import exact_projection_score, maurer_check
+from golden_corpus import one_thread
 from setlearn.cli import main as cli_main
 from setlearn.estimator import (fit, landweber_coefficients, member_mask,
                                 score_batch)
@@ -422,6 +423,19 @@ def test_identical_seeds_give_identical_bytes(tmp_path, capsys):
     first = _read_all(_run_cli_suite(str(tmp_path)))
     second = _read_all(_run_cli_suite(str(tmp_path)))
     capsys.readouterr()
+    for name, blob in first.items():
+        assert second[name] == blob, f"rerun changed bytes of {name}"
+
+
+def test_identical_seeds_give_identical_bytes_at_one_thread(tmp_path):
+    # The same reruns, each in a fresh process with OpenBLAS on one thread.
+    def run():
+        one_thread(["-c", "import sys, test_acceptance as t; t._run_cli_suite(sys.argv[1])",
+                    str(tmp_path)])
+        return _read_all(str(p) for p in sorted(tmp_path.iterdir()))
+
+    first, second = run(), run()
+    assert sorted(first) == sorted(second)
     for name, blob in first.items():
         assert second[name] == blob, f"rerun changed bytes of {name}"
 

@@ -14,8 +14,8 @@ import setlearn.cli as cli
 import setlearn.estimator as estimator
 import setlearn.filters as filters
 from setlearn import (Abel, DataError, Gaussian, KpcaTruncation, Landweber, Tikhonov,
-                      UsageError, fit, load_csv, load_model, save_model, score_batch,
-                      write_table)
+                      UsageError, fit, load_csv, load_model, regularization_path, save_model,
+                      score_batch, write_table)
 from setlearn.cli import main
 from setlearn.data import fmt_value
 
@@ -701,6 +701,7 @@ def test_cli_bad_filter_number_exits_2_on_flag_and_3_in_model_file(tmp_path, cir
 
 
 _TRAIN = ["train", "--task", "circle", "--n", "60"]
+_SWEEP = ["sweep", "--task", "circle", "--n", "60"]
 
 
 def _count_solves(monkeypatch):
@@ -731,7 +732,7 @@ def _count_solves(monkeypatch):
     (_TRAIN + ["--filter", "landweber", "--m", "5"], 0, 1, 0, 0, 1),
     (["sweep", "--task", "circle", "--n", "60", "--lambdas", "1e-3,1e-2"], 0, 1, 0, 0, 1),
     (["eval", "--task", "circle", "--n", "60", "--trials", "2", "--resolution", "16"],
-     0, 0, 2, 2, 2),
+     0, 0, 2, 2, 4),
     (["eval", "--task", "circle", "--n", "60", "--trials", "2", "--resolution", "16",
       "--lambda", "1e-3"], 0, 0, 0, 2, 2),
     (_TRAIN + ["--filter", "cutoff", "--lambda", "1e-3", "--algorithm", "cholesky"],
@@ -743,14 +744,51 @@ def _count_solves(monkeypatch):
         "cutoff-cholesky-refused", "landweber-cholesky-refused"])
 def test_cli_model_build_solves_once(tmp_path, monkeypatch, argv, rc, eigh, eigvalsh, cho,
                                      grams):
-    """One Gram and at most one spectral solve per model build: eigenvalues
-    only when the model scores through its Cholesky factor, and none when
-    nothing reads them.  The Cholesky factor is built only by a score, so
-    ``train`` never factorizes.  A score path the filter cannot take is
-    refused before the Gram is built."""
+    """At most one spectral solve per model build, on a Gram built for it:
+    eigenvalues only when the model scores through its Cholesky factor, and
+    none when nothing reads them.  The Cholesky factor is built only by a
+    score, from a Gram of its own, so ``train`` never factorizes and each
+    ``eval --task`` trial under the auto lambda builds two Grams.  A score
+    path the filter cannot take is refused before any Gram is built."""
     calls = _count_solves(monkeypatch)
     assert main(argv + ["--out", str(tmp_path / "out"), "--no-timestamp"]) == rc
     assert calls == {"eigh": eigh, "eigvalsh": eigvalsh, "cho_factor": cho, "gram": grams}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_SWEEP + ["--lambdas", "1e-3", "--taus", "2"], "tau values must lie in [0, 1), got 2.0"),
+    (_SWEEP + ["--lambdas", "1e-3", "--taus", "nan"], "tau values must lie in [0, 1), got nan"),
+    (_SWEEP + ["--lambdas", "abc"], "bad value in --lambdas: 'abc'"),
+    (_SWEEP + ["--lambdas", "0"],
+     "regularization parameter must be positive and finite, got 0.0"),
+    (_SWEEP + ["--lambdas", "1e-320"],
+     "regularization parameter 1e-320 is so small that 1/lambda overflows"),
+    (_SWEEP + ["--filter", "landweber", "--m", "3", "--lambdas", "2.5"],
+     "bad value in --lambdas: '2.5'"),
+    (_TRAIN + ["--tau", "nan"], "tau must lie in [0, 1), got nan"),
+    (_TRAIN + ["--tau", "2"], "tau must lie in [0, 1), got 2.0"),
+], ids=["sweep-tau-2", "sweep-tau-nan", "sweep-lambda-abc", "sweep-lambda-0",
+        "sweep-lambda-subnormal", "sweep-landweber-fraction", "train-tau-nan", "train-tau-2"])
+def test_cli_flag_errors_are_refused_before_the_gram(tmp_path, monkeypatch, capsys, argv,
+                                                     message):
+    """A bad grid or margin exits 2 with its message before any Gram or solve."""
+    calls = _count_solves(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path / "out"), "--no-timestamp"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls["gram"] == calls["eigh"] == calls["eigvalsh"] == 0
+
+
+def test_cli_score_refuses_a_bad_tau_before_the_factor(tmp_path, monkeypatch, capsys,
+                                                       circle_csv):
+    """``score`` refuses a bad --tau before it loads and factorizes the model."""
+    model = tmp_path / "m.txt"
+    assert main(_TRAIN + ["--out", str(model), "--no-timestamp"]) == 0
+    capsys.readouterr()
+    calls = _count_solves(monkeypatch)
+    assert main(["score", "--model", str(model), "--data", str(circle_csv), "--header",
+                 "--tau", "nan", "--out", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err == "error: tau must lie in [0, 1), got nan\n"
+    assert calls == {"eigh": 0, "eigvalsh": 0, "cho_factor": 0, "gram": 0}
 
 
 def test_api_fit_and_load_solve_once(tmp_path, monkeypatch):
@@ -788,6 +826,19 @@ def test_api_fit_and_load_solve_once(tmp_path, monkeypatch):
     assert solves(lambda: load_model(files["spectral"])) == ((1, 0), (1, 1))
     assert solves(lambda: load_model(files["cholesky"])) == ((0, 0), (0, 1))
     assert solves(lambda: load_model(files["stored"])) == ((0, 0), (0, 1))
+
+
+def test_cholesky_model_decomposes_once(tmp_path, monkeypatch):
+    """A Cholesky model builds its decomposition on first read and keeps it:
+    two regularization paths and a save that stores it share one eigensolve."""
+    rng = np.random.default_rng(98)
+    pts, X = rng.uniform(-1.0, 1.0, (40, 2)), rng.uniform(-1.2, 1.2, (30, 2))
+    model = fit(pts, Abel(0.8), Tikhonov(1e-2))
+    calls = _count_solves(monkeypatch)
+    regularization_path(model, X, [1e-3, 1e-2])
+    regularization_path(model, X, [1e-1])
+    save_model(model, tmp_path / "m.txt", include_decomposition=True)
+    assert calls["eigh"] == 1
 
 
 def test_cli_runs_without_numpy_solvers(tmp_path, monkeypatch):

@@ -208,12 +208,13 @@ def test_spectral_solve_peak_memory(solve, bound):
 
 
 def test_inverse_factor_peak_memory():
-    """The Cholesky path inverts its factor in place on the one Fortran-ordered
-    copy of K_n + n*lam*I: beyond the Gram, the peak is that one n^2 buffer."""
+    """The Cholesky path shifts, factorizes and inverts a fresh Gram in place,
+    on its Fortran view: with nothing held, the peak of the first score is
+    that one n^2 buffer and the tile its assembly works in (0.41 n^2 here)."""
     n = 400
     pts = np.random.default_rng(32).normal(size=(n, 2))
     model = fit(pts, Abel(1.0), Tikhonov(1e-3), algorithm="cholesky")
-    assert _peak_in_n2(lambda: model.inverse_factor, n) <= 1.1
+    assert _peak_in_n2(lambda: score_batch(model, pts[:10]), n) <= 1.6
 
 
 @pytest.mark.parametrize("f, algorithm", [(Tikhonov(1e-3), "spectral"),
@@ -228,19 +229,21 @@ def test_spectral_factor_peak_memory(f, algorithm):
     assert _peak_in_n2(lambda: model.inverse_factor, n) <= 2.1
 
 
-def test_scored_spectral_model_holds_its_factors_and_no_gram():
-    """After fit and one score, a spectral model holds V and W, and no Gram."""
+@pytest.mark.parametrize("algorithm, bound", [("spectral", 2.1), ("cholesky", 1.1)])
+def test_scored_model_holds_its_factors_and_no_gram(algorithm, bound):
+    """After fit and one score, a spectral model holds V and W, a Cholesky
+    model W alone, and neither a Gram."""
     n = 400
     pts = np.random.default_rng(34).normal(size=(n, 2))
     tracemalloc.start()
     try:
-        model = fit(pts, Abel(1.0), Tikhonov(1e-3), algorithm="spectral")
+        model = fit(pts, Abel(1.0), Tikhonov(1e-3), algorithm=algorithm)
         score_batch(model, pts[:10])
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert model.inverse_factor is not None
-    assert held / (8.0 * n * n) <= 2.1
+    assert held / (8.0 * n * n) <= bound
 
 
 def _peak_in_n2(call, n):

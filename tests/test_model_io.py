@@ -98,7 +98,7 @@ def _scaled_leading_eigenvector(s, V):
 def test_load_rejects_tampered_decomposition(tmp_path, fmt, tamper):
     m = _random_model(seed=11)
     D = decompose(m.gram)
-    bad = replace(m, decomposition=SpectralDecomposition(*tamper(D.eigenvalues, D.eigenvectors)))
+    bad = replace(m, eigenpairs=SpectralDecomposition(*tamper(D.eigenvalues, D.eigenvectors)))
     path = tmp_path / "model.full"
     save_model(bad, path, fmt=fmt, include_decomposition=True)
     with pytest.raises(DataError):
