@@ -347,14 +347,11 @@ def cmd_sweep(args):
             raise UsageError(f"tau values must lie in [0, 1), got {tau!r}")
     for value in lambdas:   # a strength the family refuses, before the Gram
         family.at(value)
+    # the test file is read before the Gram, so a bad one is refused first
+    test = None if args.test is None else load_csv(args.test, header=args.header).points
     model, _, kernel_note, filter_note = _build_model(points, args, vectors=True)
-    if args.test is not None:
-        test = load_csv(args.test, header=args.header).points
-        test_note = f"test={args.test}"
-    else:
-        test = model.points
-        test_note = "test=training points"
-    path = regularization_path(model, test, lambdas)
+    test_note = "test=training points" if test is None else f"test={args.test}"
+    path = regularization_path(model, model.points if test is None else test, lambdas)
 
     def rows():
         index = range(path.shape[1])

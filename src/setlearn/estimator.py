@@ -172,8 +172,8 @@ def _cholesky(G, lam):
     """Lower Cholesky factor of K_n + n*lam*I, as ``cho_factor`` returns it.
 
     Overwrites the Gram ``G``: shifts its diagonal and factorizes it in place
-    on its Fortran view G', which equals G for the C-ordered, exactly
-    symmetric Gram :func:`.gram` returns, so nothing is copied.
+    on its Fortran view G', which equals G because :func:`.gram` builds a
+    C-ordered Gram exactly symmetric by construction, so nothing is copied.
     """
     n = G.shape[0]
     shift = n * lam

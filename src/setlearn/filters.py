@@ -269,7 +269,8 @@ def _eig(g, vectors):
     # the entries are checked, not the spectrum.
     if not np.all(np.isfinite(A)):
         raise NumericError("K_n/n has non-finite entries, so its spectrum is not finite")
-    # In place on A's Fortran view A.T, which equals A for an exactly symmetric Gram.
+    # In place on A's Fortran view A.T, which equals A: a Gram is exactly
+    # symmetric by construction (see :mod:`.kernels`).
     try:
         out = eigh(A.T, overwrite_a=True, eigvals_only=not vectors, driver="evd",
                    check_finite=False)
@@ -290,8 +291,8 @@ def decompose(g):
     One O(n^3) factorization; everything downstream (scores at any
     regularization strength, filter application, threshold selection) is
     O(n^2) or cheaper per use.  It overwrites one scaled copy of ``g``, whose
-    upper triangle it reads (exact for :func:`.gram`'s symmetric matrices),
-    and needs LAPACK's 2 n^2 of workspace besides.
+    upper triangle it reads (the whole matrix: :func:`.gram` builds it
+    exactly symmetric), and needs LAPACK's 2 n^2 of workspace besides.
     """
     s, V = _eig(g, vectors=True)
     return SpectralDecomposition(s, np.ascontiguousarray(V[:, ::-1]))

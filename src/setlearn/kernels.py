@@ -20,11 +20,14 @@ read one table of families, ``_KERNELS``.  The width kernels share one
 implementation, exp(-d(x, y) / scale), and each declares its distance d.
 
 Each block of kernel values is built in one buffer: the width kernels
-scale and exponentiate the array ``cdist`` returns in place, the
+scale and exponentiate the array ``cdist`` returns in place, and the
 normalized and product kernels divide or multiply into their inner
-block, and ``gram`` symmetrizes tile by tile.  The bits are those of the
-out-of-place formulas: d / (-s) is -(d / s) in IEEE arithmetic, 1 * a is
-a, and (a + b) * 0.5 is (a + b) / 2.
+block.  The bits are those of the out-of-place formulas: d / (-s) is
+-(d / s) in IEEE arithmetic, and 1 * a is a.  A self-block comes out
+exactly symmetric, so ``gram`` keeps it as built: ``cdist`` computes
+d(x, y) and d(y, x) alike, the normalized and product kernels work
+elementwise, and numpy forms the ``Linear`` block X X' of one buffer with
+``syrk``, which mirrors one triangle.
 
 All evaluation is elementwise-deterministic: the same pair of points gives
 bit-identical values regardless of batch shape or argument order.
@@ -44,10 +47,6 @@ EPS_PSD = 1e-10
 
 # Dense Gram matrices above this point count are refused (memory guard).
 MAX_GRAM_POINTS = 10000
-
-# Tile edge of the blockwise passes over a Gram (here and in the oracles'
-# sums); a 256 x 256 tile of doubles stays in cache.
-TILE = 256
 
 SEPARATES_ALL = "complete"
 SEPARATES_LINEAR = "linear"
@@ -377,16 +376,16 @@ def induced_metric(kernel, x, y):
 def metric_matrix(kernel, X, Y=None):
     """Pairwise induced-metric distances between two point sets.
 
-    With one argument the result is the self-distance matrix, whose
-    diagonal is exactly zero.
+    With one argument the result is the self-distance matrix, exactly
+    symmetric with an exactly zero diagonal.
     """
     self_distances = Y is None
-    X, Y = _point_pair(X, X if self_distances else Y)
+    # one buffer on both sides, so the block is exactly symmetric
+    X, Y = (_as_points(X, "X"),) * 2 if self_distances else _point_pair(X, Y)
     dx = kernel._diag(X)
     dy = dx if self_distances else kernel._diag(Y)
     sq = dx[:, None] + dy[None, :] - 2.0 * kernel._pairwise(X, Y)
     if self_distances:
-        _symmetrize(sq)
         np.fill_diagonal(sq, 0.0)
     tol = 1e-12 * max(1.0, float(np.max(dx)) + float(np.max(dy)))
     if np.any(sq < -tol):
@@ -394,23 +393,11 @@ def metric_matrix(kernel, X, Y=None):
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def _symmetrize(M):
-    """Set M to (M + M.T) / 2 in place, one pair of tiles at a time."""
-    n = M.shape[0]
-    buf = np.empty((min(n, TILE),) * 2)
-    for i in range(0, n, TILE):
-        for j in range(i, n, TILE):
-            upper, lower = M[i:i + TILE, j:j + TILE], M[j:j + TILE, i:i + TILE]
-            S = np.add(upper, lower.T, out=buf[:upper.shape[0], :upper.shape[1]])
-            S *= 0.5
-            upper[...] = S
-            lower[...] = S.T
-
-
 def gram(kernel, points):
     """Assemble the Gram matrix K(x_i, x_j) for a sample.
 
-    The result is exactly symmetric and, for unit-diagonal kernels, has an
+    The result is exactly symmetric, as every kernel builds its self-block
+    (see the module docstring), and, for unit-diagonal kernels, has an
     exact unit diagonal.  Positive semidefiniteness holds up to an
     ``EPS_PSD`` slack relative to the matrix 1-norm; it is a property of
     the kernels, not re-verified here (an O(n^3) check).
@@ -420,9 +407,6 @@ def gram(kernel, points):
         raise UsageError(
             f"gram matrix for n={pts.shape[0]} exceeds the cap of {MAX_GRAM_POINTS} points")
     M = kernel._pairwise(pts, pts)
-    # BLAS-backed products are not guaranteed to return exactly symmetric
-    # output, so enforce it.
-    _symmetrize(M)
     if kernel.unit_diagonal:
         np.fill_diagonal(M, 1.0)
     if not np.all(np.isfinite(M)):

@@ -1,8 +1,9 @@
 """Model persistence.
 
 A model file is an ascii header followed by a ``data:`` line and the
-payload.  The header is key=value, one per line; lines starting with
-``#`` are comments.  The ``format=`` key selects the payload encoding:
+payload.  The header is key=value, one per line, each key exactly once;
+lines starting with ``#`` are comments.  The ``format=`` key selects the
+payload encoding:
 
 ``text``
     one point per line, coordinates printed with %.17g (lossless for
@@ -29,12 +30,15 @@ from scipy.linalg.blas import dgemm
 from .errors import DataError, UsageError
 from .estimator import _fit, fit
 from .filters import EIG_SLACK, SpectralDecomposition, format_filter, parse_filter
-from .kernels import format_kernel, gram, parse_kernel
+from .kernels import _parse_kv, format_kernel, gram, parse_kernel
 
 __all__ = ["save_model", "load_model"]
 
 _MAGIC = "# support model v1"
 _MARKER = b"data:\n"
+
+# The keys of a model header, each given exactly once.
+_HEADER_KEYS = {"format", "kernel", "filter", "algorithm", "tau", "n", "d", "decomposition"}
 
 # Leading eigenpairs whose residual and orthonormality a load checks.
 _CHECKED_PAIRS = 8
@@ -93,17 +97,13 @@ def _parse_header(blob, path):
     if idx < 0 or (idx > 0 and blob[idx - 1:idx] != b"\n"):
         raise DataError(f"{path}: not a model file (missing data: section)")
     head = _ascii(blob[:idx], path, "header")
-    fields = {}
-    for line in head.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DataError(f"{path}: bad header line {line!r}")
-        key, val = line.split("=", 1)
-        fields[key] = val
-    missing = {"format", "kernel", "filter", "algorithm", "tau", "n", "d",
-               "decomposition"} - fields.keys()
+    lines = [line.strip() for line in head.splitlines()]
+    try:   # an unknown, repeated or malformed key is refused
+        fields = _parse_kv([line for line in lines if line and not line.startswith("#")],
+                           _HEADER_KEYS, "header")
+    except UsageError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    missing = _HEADER_KEYS - fields.keys()
     if missing:
         raise DataError(f"{path}: header is missing {sorted(missing)}")
     return fields, blob[idx + len(_MARKER):]
@@ -183,7 +183,7 @@ def _check_decomposition(s, V, K, path):
     to trace(K_n/n), and the leading pairs must have small eigen-residuals
     and be orthonormal.  The products run on scipy's ``dgemm``, the BLAS of
     every other solve and product on a model's path; K is exactly
-    symmetric, so its column-major view K' is read in place as K.
+    symmetric by construction, so its column-major view K' is K.
     """
     n = s.shape[0]
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(V))):

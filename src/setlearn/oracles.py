@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .kernels import TILE, _as_points, _point_pair
+from .kernels import _as_points, _point_pair
 
 __all__ = [
     "hs_norm", "hs_distance",
@@ -32,6 +32,10 @@ __all__ = [
     "approximation_error_bound", "finite_sample_bound", "bernstein_bound",
     "concentration_trials", "bernstein_trials",
 ]
+
+# Tile edge of the blockwise sums over a Gram; a 256 x 256 tile of doubles
+# stays in cache.
+TILE = 256
 
 # Sub-stream index reserved for the reference sample of a harness; trial
 # streams use [seed, trial] with trial < 2^31.

@@ -778,6 +778,17 @@ def test_cli_flag_errors_are_refused_before_the_gram(tmp_path, monkeypatch, caps
     assert calls["gram"] == calls["eigh"] == calls["eigvalsh"] == 0
 
 
+def test_cli_sweep_reads_its_test_file_before_the_gram(tmp_path, monkeypatch, capsys):
+    """A missing --test file exits 3 before any Gram or solve."""
+    calls = _count_solves(monkeypatch)
+    missing = tmp_path / "missing.csv"
+    assert main(_SWEEP + ["--lambdas", "1e-3", "--test", str(missing),
+                          "--out", str(tmp_path / "out"), "--no-timestamp"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
+    assert calls["gram"] == calls["eigh"] == calls["eigvalsh"] == 0
+
+
 def test_cli_score_refuses_a_bad_tau_before_the_factor(tmp_path, monkeypatch, capsys,
                                                        circle_csv):
     """``score`` refuses a bad --tau before it loads and factorizes the model."""

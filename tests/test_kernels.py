@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -143,13 +144,28 @@ def test_blocks_match_the_out_of_place_formulas_bit_for_bit(family, sigma, n, m,
         assert np.array_equal(parzen_score(X, sigma, Y), parzen_scores(X, sigma, Y))
 
 
-@pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
-def test_gram_symmetrizes_tile_pairs_as_the_whole_matrix(n, monkeypatch):
-    # the kernels' own blocks come out exactly symmetric, so give gram one that is not
-    rng = np.random.default_rng(n)
-    M = rng.normal(size=(n, n))
-    monkeypatch.setattr(Linear, "_pairwise", lambda self, X, Y: M.copy())
-    assert np.array_equal(gram(Linear(), rng.normal(size=(n, 2))), (M + M.T) / 2.0)
+def test_families_cover_every_kernel():
+    """The bit-for-bit and symmetry tests reach every registered family."""
+    assert sorted(_FAMILIES) == sorted(_KERNELS)
+
+
+@pytest.mark.parametrize("n", [200, 600])
+def test_gram_of_a_width_kernel_peaks_at_its_own_block(n):
+    """``gram`` holds its n x n result and the n x n finiteness mask, nothing more."""
+    X = np.random.default_rng(n).normal(size=(n, 2))
+    tracemalloc.start()
+    try:
+        gram(Abel(0.5), X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * 8 * n * n
+
+
+def test_linear_gram_near_the_float_max_stays_finite():
+    """Entries above half the float max are kept as computed, not averaged into inf."""
+    a, b = 1.2e154, 1.0e154
+    assert np.array_equal(gram(Linear(), [[a], [b]]), [[a * a, a * b], [b * a, b * b]])
 
 
 def test_metric_zero_at_identical_points():
@@ -345,12 +361,37 @@ def test_cross_gram_is_column_major_pairwise(seed, n, m, d, sigma):
     assert np.max(np.abs(C - k._pairwise(X, Y))) <= 1e-15
 
 
-def test_symmetry_exact():
-    rng = np.random.default_rng(31)
-    X = rng.normal(size=(25, 3))
-    for k in (Abel(0.4), Gaussian(1.1), L1Exponential(2.2)):
-        G = gram(k, X)
-        npt.assert_array_equal(G, G.T)
+def _self_block_kernel(name, d):
+    """A kernel of the family ``name`` on d-dimensional points."""
+    if name == "product" and d == 1:
+        return product_kernel([(Linear(), (0, 1))])
+    if name == "product":   # a Linear factor on a column slice
+        return product_kernel([(Abel(0.7), (0, 1)), (Linear(), (1, d))])
+    return _FAMILIES[name](0.7)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 255, 256, 257, 700])
+@pytest.mark.parametrize("family", sorted(_KERNELS))
+def test_symmetry_exact(family, n):
+    """Every family builds its self-block exactly symmetric, whatever the
+    input's layout: ``gram`` keeps the block as built."""
+    for d in (1, 3, 64):
+        kernel = _self_block_kernel(family, d)
+        wide = np.random.default_rng(n * d).normal(size=(n, d + 2))
+        X = wide[:, 1:d + 1]
+        layouts = {"C": X.copy(), "Fortran": np.asfortranarray(X), "list": X.tolist(),
+                   "column view": X}
+        for layout, points in layouts.items():
+            G = gram(kernel, points)
+            assert np.array_equal(G, G.T), (d, layout)
+
+
+@pytest.mark.parametrize("n, d", [(255, 3), (700, 16)])
+def test_metric_matrix_of_a_list_reads_one_buffer(n, d):
+    """Self-distances of a list match the reference bit for bit: the points
+    are converted once, so Linear's X X' is exactly symmetric."""
+    X = np.random.default_rng(n + d).normal(size=(n, d))
+    assert np.array_equal(metric_matrix(Linear(), X.tolist()), self_distances(Linear(), X))
 
 
 def test_separating_flags():

@@ -216,6 +216,26 @@ def test_load_rejects_corrupt_header(tmp_path):
         load_model(tmp_path / "bad.txt")
 
 
+@pytest.mark.parametrize("line, message", [
+    (b"tau=0.9", "repeated header option 'tau'"),
+    (b"margin=0.9", "unknown header option 'margin'"),
+])
+def test_load_and_score_refuse_a_repeated_or_unknown_header_key(tmp_path, capsys, line,
+                                                                message):
+    """A second ``tau=`` is refused, not read as the margin to apply."""
+    path = tmp_path / "model.txt"
+    save_model(_random_model(seed=19, tau=0.1), path)
+    path.write_bytes(path.read_bytes().replace(b"\nn=", b"\n" + line + b"\nn="))
+    with pytest.raises(DataError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: {message}"
+    data = tmp_path / "x.csv"
+    write_table(data, "probe", [], ["x0", "x1", "x2"], [(0.1, 0.2, 0.3)], timestamp=False)
+    assert main(["score", "--model", str(path), "--data", str(data), "--header",
+                 "--out", str(tmp_path / "s.csv")]) == 3
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_text_payload_uses_full_precision(tmp_path):
     # 17 significant digits round-trip float64 exactly
     m = _random_model(seed=10)
