@@ -11,7 +11,7 @@ and are interchangeable.
 import numpy as np
 
 from setlearn import (Abel, Landweber, SpectralCutoff, Tikhonov, cross_gram,
-                      fit, get_task, landweber_coefficients, member_mask,
+                      fit, get_task, gram, landweber_coefficients, member_mask,
                       predict_member, sample, score, score_batch)
 
 task = get_task("circle")
@@ -38,7 +38,8 @@ print(f"\nspectral vs cholesky, max gap: {np.max(np.abs(a - b)):.2e}")
 landweber = fit(train, Abel(1.0), Landweber(40))
 c = score_batch(landweber, probe)
 Kx = cross_gram(landweber.kernel, train, probe)
-d = np.clip(np.einsum("ij,ij->j", landweber_coefficients(landweber.gram, Kx, 40), Kx), 0.0, 1.0)
+G = gram(landweber.kernel, train)
+d = np.clip(np.einsum("ij,ij->j", landweber_coefficients(G, Kx, 40), Kx), 0.0, 1.0)
 print(f"polynomial vs iterative, max gap: {np.max(np.abs(c - d)):.2e}")
 
 # With a cutoff below the whole spectrum the estimator interpolates:

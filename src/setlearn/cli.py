@@ -20,8 +20,8 @@ import numpy as np
 from .data import fmt_value as _f, load_csv, write_table
 from .errors import DataError, NumericError, UsageError
 # fit is not called here; bench/tracing.py wraps it under this module's name.
-from .estimator import (ALGORITHMS, _check_tau, _fit, _score_path, fit,  # noqa: F401
-                        member_mask, regularization_path, score_batch)
+from .estimator import (ALGORITHMS, _check_query, _check_tau, _fit, _score_path,  # noqa: F401
+                        fit, member_mask, regularization_path, score_batch)
 from .evaluation import hausdorff, parzen_score, roc_auc, symdiff_measure
 from .filters import (_FILTERS, NULL_EIG, KpcaTruncation, Landweber, decompose, format_filter,
                       spectrum)
@@ -105,10 +105,12 @@ def _resolve_kernel(args, points, warn=True):
     return kernel, note
 
 
-def _resolve_lam(spec, n, eigenvalues):
+def _resolve_lam(spec, n):
+    """(lambda, note) from --lambda: a number, a rate for n points, or None for
+    auto, which the spectrum resolves."""
     spec = spec.strip()
     if spec == "auto":
-        return lambda_curvature(eigenvalues), "auto (spectral curvature)"
+        return None, "auto (spectral curvature)"
     if spec.startswith("rate:"):
         parts = spec[len("rate:"):].split(",")
         try:
@@ -122,43 +124,43 @@ def _resolve_lam(spec, n, eigenvalues):
         raise UsageError(f"bad --lambda {spec!r}") from None
 
 
-def _filter_flags(args):
-    """(family, filter, note) from the filter flags; the filter is None while its
-    lambda awaits the spectrum, and a kPCA component count is left to fit."""
+def _filter_flags(args, n):
+    """(family, filter, note) from the filter flags for n points; the filter is
+    None only for the auto lambda, which awaits the spectrum, and a kPCA
+    component count is left to fit."""
     family, filt = _spec_flag(args.filter, "filter", _FILTERS, _FILTERS)
     if filt is not None:
         unresolved = isinstance(filt, KpcaTruncation) and filt.lam is None
         return family, filt, "from spec, components resolved" if unresolved else "from spec"
     # A bare name takes its strength from the first flag named after a spec key.
-    # --lambda is args.lam, not args.lambda: auto or a rate waits for the spectrum.
+    # --lambda is args.lam, not args.lambda, so it comes last.
     for key, field in family.keys.items():
         value = getattr(args, key, None)
         if value is not None:
             return family, family(**{field: value}), f"{key}={value}"
     if "lambda" not in family.keys:
         raise UsageError(f"--filter {family.name} needs --{next(iter(family.keys))}")
-    return family, None, None
+    lam, note = _resolve_lam(args.lam, n)
+    return family, None if lam is None else family(lam), note
 
 
 def _build_model(points, args, warn=True, vectors=False):
     """Resolve kernel, filter and score path against the sample and fit, with at
-    most one spectral solve, on a Gram built for it.  A path the filter cannot
-    take, or a bad margin, is refused before any Gram.  A model that scores
-    through its Cholesky factor, for a caller that needs no eigenvectors, gets
-    eigenvalues only, and only when the auto lambda reads them; every other
-    model gets the decomposition, which it keeps.  Returns the model, the
+    most one spectral solve, on a Gram built for it.  A bad lambda, a path the
+    filter cannot take, or a bad margin, is refused before any Gram.  A model
+    that scores through its Cholesky factor, for a caller that needs no
+    eigenvectors, gets eigenvalues only, and only when the auto lambda reads
+    them; every other model gets the decomposition, which it keeps.  Returns the model, the
     eigenvalues of K_n/n (None if not solved) and the kernel and filter notes."""
     kernel, kernel_note = _resolve_kernel(args, points, warn=warn)
-    family, filt, filter_note = _filter_flags(args)
+    family, filt, filter_note = _filter_flags(args, points.shape[0])
     algorithm = _score_path(family, None if args.algorithm == "auto" else args.algorithm)
     _check_tau(args.tau)
     D = None if algorithm == "cholesky" and not vectors else decompose(gram(kernel, points))
-    auto_lam = filt is None and args.lam.strip() == "auto"
     eigenvalues = (D.eigenvalues if D is not None
-                   else spectrum(gram(kernel, points)) if auto_lam else None)
+                   else spectrum(gram(kernel, points)) if filt is None else None)
     if filt is None:
-        lam, filter_note = _resolve_lam(args.lam, points.shape[0], eigenvalues)
-        filt = family(lam)
+        filt = family(lambda_curvature(eigenvalues))
     model = _fit(points, kernel, filt, algorithm, args.tau, D)
     return model, eigenvalues, kernel_note, filter_note
 
@@ -339,7 +341,7 @@ def _parse_grid(text, what, integer=False):
 
 def cmd_sweep(args):
     points, source = _train_points(args)
-    family = _filter_flags(args)[0]
+    family = _filter_flags(args, points.shape[0])[0]
     lambdas = _parse_grid(args.lambdas, "--lambdas", integer=family is Landweber)
     taus = _parse_grid(args.taus, "--taus")
     for tau in taus:
@@ -347,8 +349,9 @@ def cmd_sweep(args):
             raise UsageError(f"tau values must lie in [0, 1), got {tau!r}")
     for value in lambdas:   # a strength the family refuses, before the Gram
         family.at(value)
-    # the test file is read before the Gram, so a bad one is refused first
-    test = None if args.test is None else load_csv(args.test, header=args.header).points
+    # the test file is read and its dimension checked before the Gram
+    test = (None if args.test is None else
+            _check_query(load_csv(args.test, header=args.header).points, points.shape[1]))
     model, _, kernel_note, filter_note = _build_model(points, args, vectors=True)
     test_note = "test=training points" if test is None else f"test={args.test}"
     path = regularization_path(model, model.points if test is None else test, lambdas)

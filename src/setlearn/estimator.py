@@ -91,10 +91,10 @@ class SupportModel:
     """Fitted state: training points, kernel, filter, score path and margin.
 
     Immutable after fit; the arrays are marked read-only.  The model builds
-    what derives from them itself, at most once, on first use: ``gram``,
+    what derives from them itself, at most once, on first use: the
     ``decomposition`` (seeded at construction by ``eigenpairs``, one its
     caller built) and the ``inverse_factor`` it scores through.  No model
-    keeps its Gram: each solve starts from a fresh one.
+    holds a Gram: each solve starts from a fresh ``gram(kernel, points)``.
     """
 
     points: np.ndarray
@@ -115,14 +115,6 @@ class SupportModel:
     @property
     def dim(self):
         return self.points.shape[1]
-
-    @cached_property
-    def gram(self):
-        """K_n, read-only, rebuilt on first read, bit-identical to
-        ``gram(kernel, points)``; no score path reads it."""
-        G = gram(self.kernel, self.points)
-        G.setflags(write=False)
-        return G
 
     @cached_property
     def decomposition(self):
@@ -248,11 +240,11 @@ def _fit(points, kernel, filter, algorithm, tau, decomposition=None):
                         algorithm=algorithm, tau=tau, eigenpairs=decomposition)
 
 
-def _check_query(model, X):
+def _check_query(X, dim):
+    """Query points as an (m, d) array, refused unless d is the model's ``dim``."""
     X = _as_points(X, "query points")
-    if X.shape[1] != model.dim:
-        raise DataError(
-            f"query dimension {X.shape[1]} does not match model dimension {model.dim}")
+    if X.shape[1] != dim:
+        raise DataError(f"query dimension {X.shape[1]} does not match model dimension {dim}")
     return X
 
 
@@ -263,7 +255,7 @@ def score_batch(model, X):
     ``inverse_factor`` W, or Y = V' K_x with w = g(s)/n on the
     eigendecomposition for a model without one.
     """
-    X = _check_query(model, X)
+    X = _check_query(X, model.dim)
     # The factor before K_x: the other order read 10% more peak RSS on the
     # score-stream.spectral benchmark, from where malloc placed the n x n buffers.
     W = model.inverse_factor
@@ -346,7 +338,7 @@ def regularization_path(model, X, grid):
     grid = list(grid)
     if not grid:
         raise UsageError("empty regularization grid")
-    X = _check_query(model, X)
+    X = _check_query(X, model.dim)
     return _spectral_scores(model, X, [model.filter.at(value) for value in grid])
 
 

@@ -767,11 +767,25 @@ def test_cli_model_build_solves_once(tmp_path, monkeypatch, argv, rc, eigh, eigv
      "bad value in --lambdas: '2.5'"),
     (_TRAIN + ["--tau", "nan"], "tau must lie in [0, 1), got nan"),
     (_TRAIN + ["--tau", "2"], "tau must lie in [0, 1), got 2.0"),
+    (_TRAIN + ["--filter", "cutoff", "--lambda", "abc"], "bad --lambda 'abc'"),
+    (_TRAIN + ["--filter", "cutoff", "--lambda", "-1"],
+     "regularization parameter must be positive and finite, got -1.0"),
+    (_TRAIN + ["--filter", "cutoff", "--lambda", "rate:2,1"], "s must lie in (0, 1], got 2.0"),
+    (_TRAIN + ["--filter", "kpca", "--lambda", "nan"],
+     "regularization parameter must be positive and finite, got nan"),
+    (_TRAIN + ["--lambda", "abc", "--algorithm", "spectral"], "bad --lambda 'abc'"),
+    (_TRAIN + ["--lambda", "1e-320", "--algorithm", "spectral"],
+     "regularization parameter 1e-320 is so small that 1/lambda overflows"),
+    (_SWEEP + ["--lambdas", "1e-3", "--lambda", "abc"], "bad --lambda 'abc'"),
 ], ids=["sweep-tau-2", "sweep-tau-nan", "sweep-lambda-abc", "sweep-lambda-0",
-        "sweep-lambda-subnormal", "sweep-landweber-fraction", "train-tau-nan", "train-tau-2"])
+        "sweep-lambda-subnormal", "sweep-landweber-fraction", "train-tau-nan", "train-tau-2",
+        "cutoff-lambda-abc", "cutoff-lambda-negative", "cutoff-lambda-rate-s",
+        "kpca-lambda-nan", "spectral-lambda-abc", "spectral-lambda-subnormal",
+        "sweep-base-lambda-abc"])
 def test_cli_flag_errors_are_refused_before_the_gram(tmp_path, monkeypatch, capsys, argv,
                                                      message):
-    """A bad grid or margin exits 2 with its message before any Gram or solve."""
+    """A bad grid, lambda or margin exits 2 with its message before any Gram
+    or solve."""
     calls = _count_solves(monkeypatch)
     assert main(argv + ["--out", str(tmp_path / "out"), "--no-timestamp"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -786,6 +800,19 @@ def test_cli_sweep_reads_its_test_file_before_the_gram(tmp_path, monkeypatch, ca
                           "--out", str(tmp_path / "out"), "--no-timestamp"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
+    assert calls["gram"] == calls["eigh"] == calls["eigvalsh"] == 0
+
+
+def test_cli_sweep_checks_its_test_dimension_before_the_gram(tmp_path, monkeypatch, capsys):
+    """A --test file of another dimension than the sample exits 3 before any
+    Gram or solve, with the message scoring gives it."""
+    calls = _count_solves(monkeypatch)
+    test = tmp_path / "t3.csv"
+    test.write_text("1,2,3\n4,5,6\n")
+    assert main(_SWEEP + ["--lambdas", "1e-3", "--test", str(test),
+                          "--out", str(tmp_path / "out"), "--no-timestamp"]) == 3
+    assert (capsys.readouterr().err
+            == "error: query dimension 3 does not match model dimension 2\n")
     assert calls["gram"] == calls["eigh"] == calls["eigvalsh"] == 0
 
 

@@ -11,9 +11,9 @@ from _reference import apply_r, tikhonov_coefficients
 from setlearn import (Abel, Gaussian, KpcaTruncation, L1Exponential,
                       Landweber, Linear, NumericError, SpectralCutoff, Tikhonov,
                       UsageError, cross_gram, decompose, fit, gram,
-                      kpca_lambda_from_rank, landweber_coefficients, normalize,
-                      predict_member, product_kernel, regularization_path,
-                      score, score_batch)
+                      kpca_lambda_from_rank, landweber_coefficients, load_model,
+                      normalize, predict_member, product_kernel, regularization_path,
+                      save_model, score, score_batch)
 from setlearn.filters import r_value
 
 # two Abel(1) points at distance log 2, so K12 = 1/2 exactly up to rounding
@@ -22,12 +22,13 @@ TWO_POINTS = np.array([[0.0], [np.log(2.0)]])
 
 def test_fit_single_point_decomposition():
     m = fit(np.array([[0.0, 0.0]]), Abel(1.0), Tikhonov(0.1))
-    npt.assert_allclose(decompose(m.gram).eigenvalues, [1.0])
+    npt.assert_allclose(decompose(gram(m.kernel, m.points)).eigenvalues, [1.0])
 
 
 def test_fit_two_point_spectrum():
     m = fit(TWO_POINTS, Abel(1.0), Tikhonov(0.1))
-    npt.assert_allclose(decompose(m.gram).eigenvalues, [0.75, 0.25], rtol=1e-14)
+    npt.assert_allclose(decompose(gram(m.kernel, m.points)).eigenvalues, [0.75, 0.25],
+                        rtol=1e-14)
 
 
 def test_score_single_point_tikhonov():
@@ -290,20 +291,43 @@ def test_rank_one_gram_factors_tikhonov_and_not_cutoff():
     assert fit(pts, Abel(1.0), Tikhonov(1e-3), algorithm="spectral").inverse_factor is not None
 
 
-def test_gram_is_rebuilt_read_only_on_models_that_do_not_keep_it():
-    """No model keeps a Gram, after fit or after its first score; each rebuilds
-    it on first read, bit-identical and read-only."""
+def test_no_model_holds_a_gram(tmp_path):
+    """No model holds a Gram, whatever it has built: through scores, a
+    regularization path, a save with the decomposition and a load, the only
+    n x n arrays in its state are the eigenvectors and the inverse factor."""
     rng = np.random.default_rng(91)
     pts = rng.uniform(-1.0, 1.0, (50, 2))
-    G = gram(Abel(0.8), pts)
-    for f, algorithm in [(Tikhonov(1e-3), "spectral"), (Landweber(20), "landweber"),
-                         (Tikhonov(1e-3), "cholesky")]:
+    n = len(pts)
+
+    def square_arrays(model):
+        """Names of the n x n arrays the model holds, one attribute deep."""
+        found = set()
+        for name, value in vars(model).items():
+            inner = vars(value).items() if hasattr(value, "__dict__") else ()
+            for key, v in [(name, value), *((f"{name}.{k}", v) for k, v in inner)]:
+                if isinstance(v, np.ndarray) and v.shape == (n, n):
+                    found.add(key)
+        return found
+
+    held = {"decomposition.eigenvectors", "inverse_factor"}
+    for f, algorithm, value in [(Tikhonov(1e-3), "spectral", 1e-2),
+                                (Landweber(20), "landweber", 10),
+                                (Tikhonov(1e-3), "cholesky", 1e-2)]:
         model = fit(pts, Abel(0.8), f, algorithm=algorithm)
-        score_batch(model, pts[:5])
-        assert "gram" not in vars(model)
-        npt.assert_array_equal(model.gram, G)
-        assert not model.gram.flags.writeable
-        assert model.gram is model.gram
+        path = tmp_path / f"{algorithm}.txt"
+        for step in [lambda m: score_batch(m, pts[:5]), lambda m: predict_member(m, pts[0]),
+                     lambda m: regularization_path(m, pts[:5], [value]),
+                     lambda m: save_model(m, path, include_decomposition=True)]:
+            step(model)
+            assert not hasattr(model, "gram")
+            assert square_arrays(model) <= held
+        assert square_arrays(model) == held
+        loaded = load_model(path)
+        assert not hasattr(loaded, "gram")
+        assert square_arrays(loaded) <= held
+        score_batch(loaded, pts[:5])
+        assert not hasattr(loaded, "gram")
+        assert square_arrays(loaded) == held
 
 
 def test_spectral_products_run_on_scipy_dgemm_without_copies(monkeypatch):
@@ -328,7 +352,7 @@ def test_spectral_products_run_on_scipy_dgemm_without_copies(monkeypatch):
     Kx = cross_gram(Abel(0.8), pts, X)
 
     def reference(model, f):
-        D = decompose(model.gram)
+        D = decompose(gram(model.kernel, model.points))
         w = estimator._scoring_gains(f, D.eigenvalues) / model.n
         return np.clip(np.square(D.eigenvectors.T @ Kx).T @ w, 0.0, 1.0)
 

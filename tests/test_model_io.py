@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from setlearn import (Abel, DataError, KpcaTruncation, Landweber,
                       SpectralCutoff, SpectralDecomposition, Tikhonov, UsageError,
-                      decompose, fit, load_model, save_model, score_batch, write_table)
+                      decompose, fit, gram, load_model, save_model, score_batch,
+                      write_table)
 from setlearn.cli import main
 
 from _reference import text_payload
@@ -65,7 +66,7 @@ def test_round_trip_all_filters(tmp_path, filt):
 @pytest.mark.parametrize("fmt", ["text", "binary"])
 def test_round_trip_with_decomposition(tmp_path, fmt):
     m = _random_model(seed=5)
-    D = decompose(m.gram)
+    D = decompose(gram(m.kernel, m.points))
     path = tmp_path / "model.full"
     save_model(m, path, fmt=fmt, include_decomposition=True)
     loaded = load_model(path)
@@ -97,7 +98,7 @@ def _scaled_leading_eigenvector(s, V):
                                     _scaled_leading_eigenvector])
 def test_load_rejects_tampered_decomposition(tmp_path, fmt, tamper):
     m = _random_model(seed=11)
-    D = decompose(m.gram)
+    D = decompose(gram(m.kernel, m.points))
     bad = replace(m, eigenpairs=SpectralDecomposition(*tamper(D.eigenvalues, D.eigenvectors)))
     path = tmp_path / "model.full"
     save_model(bad, path, fmt=fmt, include_decomposition=True)
@@ -272,7 +273,8 @@ def test_text_payload_matches_value_by_value_formatting(tmp_path, decomposition)
     path = tmp_path / "m.txt"
     save_model(m, path, include_decomposition=decomposition)
     payload = path.read_bytes().split(b"data:\n", 1)[1]
-    assert payload == text_payload(m, decompose(m.gram) if decomposition else None)
+    D = decompose(gram(m.kernel, m.points)) if decomposition else None
+    assert payload == text_payload(m, D)
 
 
 def test_eigenvector_entry_beyond_one_is_refused(tmp_path):

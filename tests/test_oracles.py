@@ -334,7 +334,7 @@ def test_projection_score_matches_cutoff_limit():
     rng = np.random.default_rng(29)
     X = rng.normal(size=(15, 2))
     m = fit(X, Abel(1.0), SpectralCutoff(1e-10))
-    G = m.gram
+    G = gram(m.kernel, m.points)
     T = rng.normal(size=(10, 2))
     K = cross_gram(Abel(1.0), X, T)
     scores = score_batch(m, T)
