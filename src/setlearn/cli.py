@@ -19,9 +19,8 @@ import numpy as np
 
 from .data import fmt_value as _f, load_csv, write_table
 from .errors import DataError, NumericError, UsageError
-# fit is not called here; bench/tracing.py wraps it under this module's name.
-from .estimator import (ALGORITHMS, _check_query, _check_tau, _fit, _score_path,  # noqa: F401
-                        fit, member_mask, regularization_path, score_batch)
+from .estimator import (ALGORITHMS, _check_query, _check_tau, _score_path, fit, member_mask,
+                        regularization_path, score_batch)
 from .evaluation import hausdorff, parzen_score, roc_auc, symdiff_measure
 from .filters import (_FILTERS, NULL_EIG, KpcaTruncation, Landweber, decompose, format_filter,
                       spectrum)
@@ -144,16 +143,16 @@ def _filter_flags(args, n):
     return family, None if lam is None else family(lam), note
 
 
-def _build_model(points, args, warn=True, vectors=False):
-    """Resolve kernel, filter and score path against the sample and fit, with at
-    most one spectral solve, on a Gram built for it.  A bad lambda, a path the
-    filter cannot take, or a bad margin, is refused before any Gram.  A model
-    that scores through its Cholesky factor, for a caller that needs no
-    eigenvectors, gets eigenvalues only, and only when the auto lambda reads
-    them; every other model gets the decomposition, which it keeps.  Returns the model, the
-    eigenvalues of K_n/n (None if not solved) and the kernel and filter notes."""
+def _build_model(points, args, flags, warn=True, vectors=False):
+    """Fit the filter ``flags`` (:func:`_filter_flags`, once per command) with the
+    kernel and score path resolved against the sample, and at most one spectral
+    solve, on a Gram built for it; a path the filter cannot take or a bad margin
+    is refused before any Gram.  A Cholesky-path model, for a caller that needs
+    no eigenvectors, gets eigenvalues only, and only when the auto lambda reads
+    them; every other model gets the decomposition, which it keeps.  Returns the
+    model, the eigenvalues of K_n/n (None if not solved) and the two notes."""
     kernel, kernel_note = _resolve_kernel(args, points, warn=warn)
-    family, filt, filter_note = _filter_flags(args, points.shape[0])
+    family, filt, filter_note = flags
     algorithm = _score_path(family, None if args.algorithm == "auto" else args.algorithm)
     _check_tau(args.tau)
     D = None if algorithm == "cholesky" and not vectors else decompose(gram(kernel, points))
@@ -161,7 +160,7 @@ def _build_model(points, args, warn=True, vectors=False):
                    else spectrum(gram(kernel, points)) if filt is None else None)
     if filt is None:
         filt = family(lambda_curvature(eigenvalues))
-    model = _fit(points, kernel, filt, algorithm, args.tau, D)
+    model = fit(points, kernel, filt, algorithm, args.tau, D)
     return model, eigenvalues, kernel_note, filter_note
 
 
@@ -195,7 +194,7 @@ def _summary(model, eigenvalues, kernel_note, filter_note):
 def cmd_train(args):
     points, source = _train_points(args)
     model, eigenvalues, kernel_note, filter_note = _build_model(
-        points, args, vectors=args.store_decomposition)
+        points, args, _filter_flags(args, points.shape[0]), vectors=args.store_decomposition)
     if eigenvalues is None:
         eigenvalues = spectrum(gram(model.kernel, model.points))
     save_model(model, args.out, fmt=args.model_format,
@@ -292,6 +291,7 @@ def _eval_task(args):
     if args.n_test is not None and args.n_test < 1:
         raise UsageError(f"need at least one test point per class, got {args.n_test!r}")
     task = get_task(args.task)
+    flags = _filter_flags(args, args.n)   # every trial draws n points
     n_test = args.n if args.n_test is None else args.n_test
     grid_points, grid_inside, cell_volume = reference_grid(task, args.resolution)
     support = reference_support(task, 2000)
@@ -299,7 +299,7 @@ def _eval_task(args):
     rows = []
     for t in range(args.trials):
         train = task.draw(args.n, np.random.default_rng([args.seed, t, 0]))
-        model = _build_model(train, args, warn=(t == 0))[0]
+        model = _build_model(train, args, flags, warn=(t == 0))[0]
         pos = task.draw(n_test, np.random.default_rng([args.seed, t, 1]))
         rng = np.random.default_rng([args.seed, t, 2])
         neg = np.column_stack([rng.uniform(lo, hi, n_test) for lo, hi in task.bounding_box])
@@ -341,7 +341,8 @@ def _parse_grid(text, what, integer=False):
 
 def cmd_sweep(args):
     points, source = _train_points(args)
-    family = _filter_flags(args, points.shape[0])[0]
+    flags = _filter_flags(args, points.shape[0])
+    family = flags[0]
     lambdas = _parse_grid(args.lambdas, "--lambdas", integer=family is Landweber)
     taus = _parse_grid(args.taus, "--taus")
     for tau in taus:
@@ -352,7 +353,7 @@ def cmd_sweep(args):
     # the test file is read and its dimension checked before the Gram
     test = (None if args.test is None else
             _check_query(load_csv(args.test, header=args.header).points, points.shape[1]))
-    model, _, kernel_note, filter_note = _build_model(points, args, vectors=True)
+    model, _, kernel_note, filter_note = _build_model(points, args, flags, vectors=True)
     test_note = "test=training points" if test is None else f"test={args.test}"
     path = regularization_path(model, model.points if test is None else test, lambdas)
 

@@ -9,6 +9,9 @@ approaches 1 on the support of the sampling distribution and falls off
 away from it when the kernel separates the support.  The estimated set is
 the superlevel set {x : F_n(x) >= 1 - tau}.
 
+A model checks its fields when it is built (:class:`SupportModel`, which
+:func:`fit` calls) and solves on first use, so a bad query is refused first.
+
 Every score path is one contraction F = sum_i w_i * Y_i^2 over one factor
 of the fitted model.  Wherever the filter's gains allow it, that factor is
 a lower-triangular W, built on the first score so that a model that is
@@ -59,7 +62,7 @@ from scipy.linalg.lapack import dtrtri
 from .errors import DataError, NumericError, UsageError
 from .filters import (_FILTERS, NULL_EIG, Filter, KpcaTruncation, SpectralCutoff,
                       SpectralDecomposition, _known, decompose)
-from .kernels import _as_points, cross_gram, gram
+from .kernels import Kernel, _as_points, cross_gram, gram
 
 __all__ = [
     "SupportModel", "fit", "score", "score_batch", "predict_member",
@@ -90,23 +93,40 @@ def _check_tau(tau):
 class SupportModel:
     """Fitted state: training points, kernel, filter, score path and margin.
 
-    Immutable after fit; the arrays are marked read-only.  The model builds
-    what derives from them itself, at most once, on first use: the
-    ``decomposition`` (seeded at construction by ``eigenpairs``, one its
-    caller built) and the ``inverse_factor`` it scores through.  No model
-    holds a Gram: each solve starts from a fresh ``gram(kernel, points)``.
+    Construction checks every field as :func:`fit` documents it, keeps a
+    read-only copy of the points and solves nothing but the spectrum a kPCA
+    component count needs.  The model builds the rest itself, at most once,
+    on first use: the ``decomposition`` (seeded by ``eigenpairs``) and the
+    ``inverse_factor`` it scores through.  No model holds a Gram: each
+    solve starts from a fresh ``gram(kernel, points)``.
     """
 
     points: np.ndarray
-    kernel: object
+    kernel: Kernel
     filter: Filter
     algorithm: str
     tau: float
     eigenpairs: InitVar[SpectralDecomposition] = None
 
     def __post_init__(self, eigenpairs):
+        fields = vars(self)   # frozen: a checked field goes straight into the instance
+        fields["points"] = points = np.array(_as_points(self.points), copy=True)
+        points.setflags(write=False)
+        _known(self.filter)
+        if not (isinstance(self.kernel, Kernel) and self.kernel.unit_diagonal):
+            raise UsageError(
+                "support estimation needs a unit-diagonal kernel; wrap it with normalize()")
+        fields["algorithm"] = _score_path(self.filter, self.algorithm)
+        fields["tau"] = _check_tau(self.tau)
         if eigenpairs is not None:
-            vars(self)["decomposition"] = eigenpairs
+            n = self.n
+            shapes = np.shape(eigenpairs.eigenvalues), np.shape(eigenpairs.eigenvectors)
+            if shapes != ((n,), (n, n)):
+                raise UsageError(f"eigenpairs must hold {n} eigenvalues and an {n} x {n} matrix")
+            fields["decomposition"] = eigenpairs
+        if isinstance(self.filter, KpcaTruncation) and self.filter.lam is None:
+            fields["filter"] = KpcaTruncation(
+                lam=kpca_lambda_from_rank(self.decomposition, self.filter.components))
 
     @property
     def n(self):
@@ -185,13 +205,14 @@ def _factorize(M):
         raise NumericError(f"Cholesky factorization failed: {exc}") from None
 
 
-def fit(points, kernel, filter, algorithm=None, tau=0.0):
-    """Fit a support model to a sample.
+def fit(points, kernel, filter, algorithm=None, tau=0.0, eigenpairs=None):
+    """Fit a support model to a sample: :class:`SupportModel` with defaults,
+    which checks every argument and solves on first use.
 
     Parameters
     ----------
     points : (n, d) array
-        Training sample.
+        Training sample; the model keeps a read-only copy.
     kernel : Kernel
         Must be unit-diagonal; wrap others with ``normalize``.
     filter : Filter
@@ -205,8 +226,11 @@ def fit(points, kernel, filter, algorithm=None, tau=0.0):
     tau : float
         Default membership margin in [0, 1); ``predict_member`` may
         override it per call.
+    eigenpairs : SpectralDecomposition, optional
+        The decomposition of K_n/n, for a caller that solved it already: n
+        eigenvalues and an n x n eigenvector matrix, their values trusted.
     """
-    return _fit(points, kernel, filter, algorithm, tau)
+    return SupportModel(points, kernel, filter, algorithm, tau, eigenpairs)
 
 
 def _score_path(family, algorithm):
@@ -220,24 +244,6 @@ def _score_path(family, algorithm):
         owner = next(f for f in _FILTERS.values() if f.algorithm == algorithm)
         raise UsageError(f"the {algorithm} path applies only to the {owner.__name__} filter")
     return algorithm
-
-
-def _fit(points, kernel, filter, algorithm, tau, decomposition=None):
-    """:func:`fit`, for a caller that holds the decomposition already."""
-    pts = np.array(_as_points(points), copy=True)
-    _known(filter)
-    if not kernel.unit_diagonal:
-        raise UsageError(
-            "support estimation needs a unit-diagonal kernel; wrap it with normalize()")
-    algorithm = _score_path(filter, algorithm)
-    tau = _check_tau(tau)
-    if decomposition is None and algorithm != "cholesky":
-        decomposition = decompose(gram(kernel, pts))
-    if isinstance(filter, KpcaTruncation) and filter.lam is None:
-        filter = KpcaTruncation(lam=kpca_lambda_from_rank(decomposition, filter.components))
-    pts.setflags(write=False)
-    return SupportModel(points=pts, kernel=kernel, filter=filter,
-                        algorithm=algorithm, tau=tau, eigenpairs=decomposition)
 
 
 def _check_query(X, dim):

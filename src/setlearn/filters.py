@@ -73,6 +73,10 @@ class Filter(_Spec):
 
     algorithm = "spectral"
 
+    @classmethod
+    def at(cls, value):
+        return cls(float(value))
+
 
 @dataclass(frozen=True)
 class _Threshold(Filter):
@@ -87,10 +91,6 @@ class _Threshold(Filter):
 
     def lipschitz(self):
         return 1.0 / self.lam
-
-    @classmethod
-    def at(cls, value):
-        return cls(float(value))
 
 
 class Tikhonov(_Threshold):
@@ -209,10 +209,6 @@ class KpcaTruncation(Filter):
 
     def lipschitz(self):
         return None
-
-    @classmethod
-    def at(cls, value):
-        return KpcaTruncation(lam=float(value))
 
 
 _FILTERS = {f.name: f for f in (Tikhonov, SpectralCutoff, Landweber, KpcaTruncation)}

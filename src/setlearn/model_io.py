@@ -15,11 +15,12 @@ payload encoding:
     eigenvalues and the eigenvector matrix.
 
 Loading decodes either payload to one float64 vector, slices it once and
-rebuilds the model through the normal fit path, so a round trip reproduces
+rebuilds the model with one :func:`.fit` call, so a round trip reproduces
 scores to better than 1e-12 (exactly, in fact, for the text format since
 %.17g round-trips every double).  A stored decomposition is checked against
-the rebuilt Gram matrix before it is trusted.  Text loads at the pace of
-string-to-double conversion (~0.5 s per million values): store a decomposition as binary.
+the rebuilt Gram matrix before it seeds the model, which otherwise solves
+on first use.  Text loads at the pace of string-to-double conversion
+(~0.5 s per million values): store a decomposition as binary.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 
 from .errors import DataError, UsageError
-from .estimator import _fit, fit
+from .estimator import fit
 from .filters import EIG_SLACK, SpectralDecomposition, format_filter, parse_filter
 from .kernels import _parse_kv, format_kernel, gram, parse_kernel
 
@@ -154,24 +155,19 @@ def load_model(path):
         raise DataError(f"{path}: bad n/d/tau header values") from None
     if n < 0 or d < 0:
         raise DataError(f"{path}: n and d must be nonnegative, got n={n} d={d}")
-    try:
+    try:   # a spec or a field that the model refuses is a fault of the file
         kernel = parse_kernel(fields["kernel"])
         filt = parse_filter(fields["filter"])
-    except UsageError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    with_decomp = fields["decomposition"] == "eigh"
-    if not with_decomp and fields["decomposition"] != "none":
-        raise DataError(f"{path}: unknown decomposition {fields['decomposition']!r}")
-
-    flat = _payload_values(payload, path, fmt, n, d, with_decomp)
-    points = flat[:n * d].reshape(n, d)
-    try:
-        if not with_decomp:
-            return fit(points, kernel, filt, algorithm=fields["algorithm"], tau=tau)
-        eigenvalues, eigenvectors = flat[n * d:n * d + n], flat[n * d + n:].reshape(n, n)
-        _check_decomposition(eigenvalues, eigenvectors, gram(kernel, points), path)
-        return _fit(points, kernel, filt, fields["algorithm"], tau,
-                    SpectralDecomposition(eigenvalues, eigenvectors))
+        with_decomp = fields["decomposition"] == "eigh"
+        if not with_decomp and fields["decomposition"] != "none":
+            raise DataError(f"{path}: unknown decomposition {fields['decomposition']!r}")
+        flat = _payload_values(payload, path, fmt, n, d, with_decomp)
+        points, eigenpairs = flat[:n * d].reshape(n, d), None
+        if with_decomp:
+            s, V = flat[n * d:n * d + n], flat[n * d + n:].reshape(n, n)
+            _check_decomposition(s, V, gram(kernel, points), path)
+            eigenpairs = SpectralDecomposition(s, V)
+        return fit(points, kernel, filt, fields["algorithm"], tau, eigenpairs)
     except UsageError as exc:
         raise DataError(f"{path}: {exc}") from None
 

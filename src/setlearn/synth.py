@@ -72,10 +72,9 @@ def _circle_distance(P):
     return np.abs(np.hypot(P[:, 0], P[:, 1]) - 1.0)
 
 
-def _circle_points(m, radius=1.0, center=(0.0, 0.0)):
+def _circle_points(m, center=(0.0, 0.0)):
     t = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-    return np.column_stack([center[0] + radius * np.cos(t),
-                            center[1] + radius * np.sin(t)])
+    return np.column_stack([center[0] + np.cos(t), center[1] + np.sin(t)])
 
 
 def _half_arc_points(m, flip):
@@ -90,10 +89,10 @@ def _make_circle():
                          sampler, _circle_points, _circle_distance)
 
 
-def _make_circle_noise(eta=0.05):
+def _make_circle_noise():
     def sampler(n, rng):
         t = rng.uniform(0.0, 2.0 * np.pi, n)
-        r = 1.0 + eta * rng.standard_normal(n)
+        r = 1.0 + 0.05 * rng.standard_normal(n)
         return np.column_stack([r * np.cos(t), r * np.sin(t)])
 
     return SyntheticTask("circle_noise", 2, ((-1.5, 1.5), (-1.5, 1.5)), True,

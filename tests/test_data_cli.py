@@ -816,6 +816,46 @@ def test_cli_sweep_checks_its_test_dimension_before_the_gram(tmp_path, monkeypat
     assert calls["gram"] == calls["eigh"] == calls["eigvalsh"] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    _SWEEP + ["--lambdas", "1e-3,1e-2"],
+    ["eval", "--task", "circle", "--n", "60", "--trials", "3", "--resolution", "16"],
+], ids=["sweep", "eval-task"])
+def test_cli_resolves_the_filter_flags_once(tmp_path, monkeypatch, argv):
+    """A command resolves --lambda once: sweep does not resolve it again for its
+    model, nor eval --task for each trial."""
+    calls = []
+    monkeypatch.setattr(cli, "rate_lambda", lambda *a: calls.append(a) or 1e-3)
+    assert main(argv + ["--lambda", "rate:1,1", "--out", str(tmp_path / "out"),
+                        "--no-timestamp"]) == 0
+    assert calls == [(60, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("command", ["score", "eval"])
+@pytest.mark.parametrize("data", ["malformed", "missing", "three-columns"])
+def test_cli_refuses_bad_data_before_the_eigensolve(tmp_path, monkeypatch, capsys, command,
+                                                    data):
+    """``score`` and ``eval --model`` on a model that scores through its
+    decomposition refuse a bad --data with exit 3 before the model solves."""
+    model = tmp_path / "m.txt"
+    assert main(_TRAIN + ["--filter", "cutoff", "--lambda", "1e-3", "--out", str(model),
+                          "--no-timestamp"]) == 0
+    path = tmp_path / "t.csv"
+    rows = {"malformed": ["0,0", "1,abc"], "three-columns": ["0,0,1", "1,1,0"]}.get(data)
+    extra = []
+    if command == "eval":   # the points, then a label column
+        extra = ["--label-col", "3" if data == "three-columns" else "2"]
+        rows = rows and [row + ",1" for row in rows]
+    if rows:
+        path.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    calls = _count_solves(monkeypatch)
+    assert main([command, "--model", str(model), "--data", str(path), *extra,
+                 "--out", str(tmp_path / "o.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert calls["eigh"] == 0
+
+
 def test_cli_score_refuses_a_bad_tau_before_the_factor(tmp_path, monkeypatch, capsys,
                                                        circle_csv):
     """``score`` refuses a bad --tau before it loads and factorizes the model."""
@@ -830,11 +870,11 @@ def test_cli_score_refuses_a_bad_tau_before_the_factor(tmp_path, monkeypatch, ca
 
 
 def test_api_fit_and_load_solve_once(tmp_path, monkeypatch):
-    """``fit`` builds the eigendecomposition for the spectral and Landweber
-    paths; every model whose gains allow it factorizes on its first score and
-    keeps the factor, and a model past the gate never factorizes.  A loaded
-    model solves as its fit does, and never eigensolves when the file stores
-    the decomposition."""
+    """Neither ``fit`` nor ``load_model`` solves anything: the spectral and
+    Landweber paths eigensolve on the first score, every model whose gains
+    allow it factorizes on its first score and keeps the factor, and a model
+    past the gate never factorizes.  A loaded model solves as its fit does,
+    and never eigensolves when the file stores the decomposition."""
     rng = np.random.default_rng(97)
     pts, X = rng.uniform(-1.0, 1.0, (40, 2)), rng.uniform(-1.2, 1.2, (30, 2))
     spectral = fit(pts, Abel(0.8), Tikhonov(1e-2), algorithm="spectral")
@@ -856,12 +896,12 @@ def test_api_fit_and_load_solve_once(tmp_path, monkeypatch):
         return at_build, (calls["eigh"], calls["cho_factor"])
 
     for f, algorithm in [(Tikhonov(1e-2), "spectral"), (Landweber(10), "landweber")]:
-        assert solves(lambda: fit(pts, Abel(0.8), f, algorithm=algorithm)) == ((1, 0), (1, 1))
+        assert solves(lambda: fit(pts, Abel(0.8), f, algorithm=algorithm)) == ((0, 0), (1, 1))
     # zero gains (kPCA) and a spread past the gate (Gaussian at a tiny lambda) score through V
     for k, f in [(Abel(0.8), KpcaTruncation(lam=1e-2)), (Gaussian(2.0), Tikhonov(1e-12))]:
-        assert solves(lambda: fit(pts, k, f, algorithm="spectral")) == ((1, 0), (1, 0))
+        assert solves(lambda: fit(pts, k, f, algorithm="spectral")) == ((0, 0), (1, 0))
     assert solves(lambda: fit(pts, Abel(0.8), Tikhonov(1e-2))) == ((0, 0), (0, 1))
-    assert solves(lambda: load_model(files["spectral"])) == ((1, 0), (1, 1))
+    assert solves(lambda: load_model(files["spectral"])) == ((0, 0), (1, 1))
     assert solves(lambda: load_model(files["cholesky"])) == ((0, 0), (0, 1))
     assert solves(lambda: load_model(files["stored"])) == ((0, 0), (0, 1))
 

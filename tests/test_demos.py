@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,3 +16,17 @@ def test_demo_runs(demo, tmp_path):
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="needs a POSIX sh")
+def test_cli_walkthrough_runs(tmp_path):
+    """The shell walkthrough, with its ``python3`` the interpreter running the tests."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "python3").symlink_to(sys.executable)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PATH=os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]))
+    done = subprocess.run(["sh", str(ROOT / "demos" / "07_cli_walkthrough.sh")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "--- evaluation summary ---" in done.stdout

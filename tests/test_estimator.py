@@ -9,8 +9,8 @@ import setlearn.estimator as estimator
 
 from _reference import apply_r, tikhonov_coefficients
 from setlearn import (Abel, Gaussian, KpcaTruncation, L1Exponential,
-                      Landweber, Linear, NumericError, SpectralCutoff, Tikhonov,
-                      UsageError, cross_gram, decompose, fit, gram,
+                      Landweber, Linear, NumericError, SpectralCutoff, SpectralDecomposition,
+                      SupportModel, Tikhonov, UsageError, cross_gram, decompose, fit, gram,
                       kpca_lambda_from_rank, landweber_coefficients, load_model,
                       normalize, predict_member, product_kernel, regularization_path,
                       save_model, score, score_batch)
@@ -108,6 +108,38 @@ def test_fit_rejects_incompatible_algorithm():
         fit(TWO_POINTS, Abel(1.0), Tikhonov(0.1), algorithm="landweber")
     with pytest.raises(UsageError):
         fit(TWO_POINTS, Abel(1.0), Landweber(5), algorithm="cholesky")
+
+
+@pytest.mark.parametrize("kernel, f, algorithm, eigenpairs, message", [
+    (Abel(0.3), SpectralCutoff(1e-3), "cholesky", None, "applies only to the Tikhonov"),
+    (Linear(), Tikhonov(1e-3), "cholesky", None, "unit-diagonal"),
+    (Abel(0.3), Tikhonov(1e-3), "bogus", None, "unknown algorithm"),
+    (None, Tikhonov(1e-3), "cholesky", None, "unit-diagonal"),
+    (Abel(0.3), Tikhonov(1e-3), "spectral",
+     SpectralDecomposition(np.ones(3), np.eye(3)), "2 eigenvalues"),
+    (Abel(0.3), Tikhonov(1e-3), "spectral",
+     SpectralDecomposition(np.ones(2), np.eye(3)[:2]), "2 x 2"),
+], ids=["cutoff-cholesky", "linear-kernel", "bogus-path", "no-kernel",
+        "three-eigenvalues", "two-by-three-vectors"])
+def test_support_model_checks_its_fields(kernel, f, algorithm, eigenpairs, message):
+    """The constructor runs the checks ``fit`` documents: a model that could
+    only score wrong, or fail deep in LAPACK, is never built."""
+    with pytest.raises(UsageError, match=message):
+        SupportModel(TWO_POINTS, kernel, f, algorithm, 0.0, eigenpairs)
+
+
+def test_support_model_copies_points_and_resolves_kpca_count():
+    """Constructed directly, a model keeps a read-only copy of list points and
+    turns a kPCA component count into a threshold, as ``fit`` does."""
+    rows = np.random.default_rng(102).normal(size=(10, 2)).tolist()
+    m = SupportModel(rows, Abel(1.0), KpcaTruncation(components=3), "spectral", 0.0)
+    assert isinstance(m.points, np.ndarray) and not m.points.flags.writeable
+    rows[0][0] = 99.0
+    assert m.points[0, 0] != 99.0
+    assert m.filter == KpcaTruncation(
+        lam=kpca_lambda_from_rank(decompose(gram(Abel(1.0), m.points)), 3))
+    npt.assert_array_equal(score_batch(m, m.points),
+                           score_batch(fit(m.points, Abel(1.0), m.filter), m.points))
 
 
 def test_default_algorithm_per_filter():
