@@ -51,6 +51,7 @@ numpy.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 
@@ -61,7 +62,9 @@ from scipy.linalg.lapack import dtrtri
 
 from .errors import DataError, NumericError, UsageError
 from .filters import (_FILTERS, NULL_EIG, Filter, KpcaTruncation, SpectralCutoff,
-                      SpectralDecomposition, _known, decompose)
+                      SpectralDecomposition, _known)
+# The in-place solve under the public name, which bench/tracing.py wraps.
+from .filters import _decompose_in_place as decompose
 from .kernels import Kernel, _as_points, cross_gram, gram
 
 __all__ = [
@@ -84,7 +87,9 @@ MAX_FACTOR_COND = 1.0 / np.sqrt(np.finfo(float).eps)
 
 
 def _check_tau(tau):
-    if not np.isfinite(tau) or not 0.0 <= tau < 1.0:
+    """``tau`` as a float in [0, 1); anything else, a non-number too, is a usage error."""
+    real = isinstance(tau, numbers.Real) and not isinstance(tau, bool)
+    if not (real and 0.0 <= float(tau) < 1.0):   # nan and inf fail the comparison
         raise UsageError(f"tau must lie in [0, 1), got {tau!r}")
     return float(tau)
 
@@ -138,7 +143,8 @@ class SupportModel:
 
     @cached_property
     def decomposition(self):
-        """Eigendecomposition of K_n/n: ``eigenpairs``, else solved on first read."""
+        """Eigendecomposition of K_n/n: ``eigenpairs``, else solved on first read,
+        in place on a fresh Gram: 3 n^2 at the peak, that Gram and dsyevd's workspace."""
         return decompose(gram(self.kernel, self.points))
 
     @cached_property

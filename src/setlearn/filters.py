@@ -23,6 +23,14 @@ numpy calls too, so that it shares one OpenBLAS and its thread pool with
 the factorization, the product V' K_x and the sums in :mod:`.estimator`
 (see there why).  Filters act on the spectrum only; no matrix r(K_n/n) or
 g(K_n/n) is ever formed.
+
+The public :func:`decompose` and :func:`spectrum` leave the caller's Gram
+as it was: they solve a scaled copy, one n^2 besides dsyevd's 2 n^2 of
+workspace (O(n) for the eigenvalues alone).  The library's own solves (a
+model's ``decomposition``, the command line's builds) hand over a Gram
+built for the solve, which is divided in place into K_n/n, bit for bit the
+copy, and solved on: 3 n^2 in all for the eigenpairs, 1 n^2 for the
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -258,9 +266,10 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
-def _eig(g, vectors):
-    """Descending eigenvalues of K_n/n clamped to [0, 1], and eigenvectors if asked."""
-    A = np.asarray(g, dtype=float) / len(g)
+def _eig(A, vectors):
+    """Eigenpairs of K_n/n, or its eigenvalues alone, solved in place on ``A``,
+    which holds K_n/n and is overwritten: eigenvalues descending and clamped
+    to [0, 1]."""
     # LAPACK may return finite eigenvalues for a matrix holding a NaN, so
     # the entries are checked, not the spectrum.
     if not np.all(np.isfinite(A)):
@@ -278,11 +287,12 @@ def _eig(g, vectors):
         raise NumericError(
             "spectrum of K_n/n outside [0, 1] beyond tolerance; "
             "the kernel is not unit-diagonal PSD")
-    return np.ascontiguousarray(np.clip(s, 0.0, 1.0)), V
+    s = np.ascontiguousarray(np.clip(s, 0.0, 1.0))
+    return SpectralDecomposition(s, np.ascontiguousarray(V[:, ::-1])) if vectors else s
 
 
 def decompose(g):
-    """Eigendecomposition of K_n / n for a Gram matrix.
+    """Eigendecomposition of K_n / n for a Gram matrix, which it leaves as it was.
 
     One O(n^3) factorization; everything downstream (scores at any
     regularization strength, filter application, threshold selection) is
@@ -290,14 +300,26 @@ def decompose(g):
     upper triangle it reads (the whole matrix: :func:`.gram` builds it
     exactly symmetric), and needs LAPACK's 2 n^2 of workspace besides.
     """
-    s, V = _eig(g, vectors=True)
-    return SpectralDecomposition(s, np.ascontiguousarray(V[:, ::-1]))
+    return _eig(np.asarray(g, dtype=float) / len(g), vectors=True)
 
 
 def spectrum(g):
     """Eigenvalues of K_n/n as :func:`decompose` gives them, at about half its
-    cost and in place in the same way, with O(n) workspace besides."""
-    return _eig(g, vectors=False)[0]
+    cost, on a scaled copy of ``g`` in the same way, with O(n) workspace besides."""
+    return _eig(np.asarray(g, dtype=float) / len(g), vectors=False)
+
+
+def _decompose_in_place(G):
+    """:func:`decompose` of a float64 Gram that the caller built for it and
+    drops: K_n/n is ``G`` divided in place, bit for bit the scaled copy, so the
+    solve needs no n^2 beyond G and LAPACK's workspace.  ``G`` is spent."""
+    return _eig(np.divide(G, len(G), out=G), vectors=True)
+
+
+def _spectrum_in_place(G):
+    """:func:`spectrum` of a Gram that the caller drops, in place as
+    :func:`_decompose_in_place` solves: no n^2 beyond ``G``."""
+    return _eig(np.divide(G, len(G), out=G), vectors=False)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,11 @@ rebuilds the model with one :func:`.fit` call, so a round trip reproduces
 scores to better than 1e-12 (exactly, in fact, for the text format since
 %.17g round-trips every double).  A stored decomposition is checked against
 the rebuilt Gram matrix before it seeds the model, which otherwise solves
-on first use.  Text loads at the pace of string-to-double conversion
-(~0.5 s per million values): store a decomposition as binary.
+on first use.  A binary payload is decoded straight from the file's bytes,
+which are released before the check builds its Gram, so a binary load with
+a stored decomposition peaks at about 2 n^2 doubles: the eigenvectors and
+that Gram.  Text loads at the pace of string-to-double conversion (~0.5 s
+per million values): store a decomposition as binary.
 """
 
 from __future__ import annotations
@@ -107,21 +110,26 @@ def _parse_header(blob, path):
     missing = _HEADER_KEYS - fields.keys()
     if missing:
         raise DataError(f"{path}: header is missing {sorted(missing)}")
-    return fields, blob[idx + len(_MARKER):]
+    return fields, idx + len(_MARKER)
 
 
-def _payload_values(payload, path, fmt, n, d, with_decomp):
-    """The payload as one float64 vector: points (n*d), eigenvalues (n), eigenvectors (n*n).
+def _payload_values(blob, start, path, fmt, n, d, with_decomp):
+    """The payload, ``blob`` from byte ``start`` on, as one float64 vector:
+    points (n*d), eigenvalues (n), eigenvectors (n*n).
 
     Header counts are checked against the payload (its byte length, or its line
     count and then each line's width) before anything is sized from them.
     """
     if fmt == "binary":
-        expect = 8 * (n * d + (n + n * n if with_decomp else 0))
-        if len(payload) != expect:
-            raise DataError(f"{path}: binary payload is {len(payload)} bytes, expected {expect}")
-        return np.frombuffer(payload, dtype="<f8").astype(float)
-    text = _ascii(payload, path, "data section").splitlines()
+        size, expect = len(blob) - start, 8 * (n * d + (n + n * n if with_decomp else 0))
+        if size != expect:
+            raise DataError(f"{path}: binary payload is {size} bytes, expected {expect}")
+        # Decoded from the file's bytes, unsliced, into one aligned array: a view
+        # at the header's odd offset is unaligned, and f2py copies such an array.
+        flat = np.empty(expect // 8)
+        flat[:] = np.frombuffer(blob, dtype="<f8", offset=start)
+        return flat
+    text = _ascii(blob[start:], path, "data section").splitlines()
     lines = [(lineno, line) for lineno, line in enumerate(text, start=1) if line.strip()]
     expect = n + (1 + n if with_decomp else 0)
     if len(lines) != expect:
@@ -144,7 +152,7 @@ def load_model(path):
     """Read a model file written by :func:`save_model`."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    fields, payload = _parse_header(blob, path)
+    fields, start = _parse_header(blob, path)
     fmt = fields["format"]
     if fmt not in ("text", "binary"):
         raise DataError(f"{path}: unknown format {fields['format']!r}")
@@ -161,7 +169,8 @@ def load_model(path):
         with_decomp = fields["decomposition"] == "eigh"
         if not with_decomp and fields["decomposition"] != "none":
             raise DataError(f"{path}: unknown decomposition {fields['decomposition']!r}")
-        flat = _payload_values(payload, path, fmt, n, d, with_decomp)
+        flat = _payload_values(blob, start, path, fmt, n, d, with_decomp)
+        del blob   # the file's bytes go before the check builds its Gram
         points, eigenpairs = flat[:n * d].reshape(n, d), None
         if with_decomp:
             s, V = flat[n * d:n * d + n], flat[n * d + n:].reshape(n, n)
@@ -182,14 +191,16 @@ def _check_decomposition(s, V, K, path):
     symmetric by construction, so its column-major view K' is K.
     """
     n = s.shape[0]
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(V))):
+    # min and max propagate nan and inf without an n x n mask.
+    lo, hi = V.min(), V.max()
+    if not (np.all(np.isfinite(s)) and np.isfinite(lo) and np.isfinite(hi)):
         raise DataError(f"{path}: stored decomposition has non-finite values")
     if s.min() < 0.0 or s.max() > 1.0:
         raise DataError(f"{path}: stored eigenvalues lie outside [0, 1]")
     if abs(s.sum() - np.trace(K) / n) > EIG_SLACK * n:
         raise DataError(f"{path}: stored eigenvalues do not sum to trace(K_n/n)")
     # Orthonormal columns have entries in [-1, 1]; larger ones could overflow below.
-    if np.any(np.abs(V) > 1.0 + EIG_SLACK):
+    if max(-lo, hi) > 1.0 + EIG_SLACK:
         raise DataError(f"{path}: stored eigenvectors are not orthonormal")
     k = min(n, _CHECKED_PAIRS)
     Vk = V[:, :k]

@@ -12,7 +12,7 @@ from setlearn import (Abel, Gaussian, KpcaTruncation, L1Exponential,
                       Landweber, Linear, NumericError, SpectralCutoff, SpectralDecomposition,
                       SupportModel, Tikhonov, UsageError, cross_gram, decompose, fit, gram,
                       kpca_lambda_from_rank, landweber_coefficients, load_model,
-                      normalize, predict_member, product_kernel, regularization_path,
+                      member_mask, normalize, predict_member, product_kernel, regularization_path,
                       save_model, score, score_batch)
 from setlearn.filters import r_value
 
@@ -543,6 +543,33 @@ def test_predict_member_validates_tau():
     m = fit(TWO_POINTS, Abel(1.0), Tikhonov(0.1))
     with pytest.raises(UsageError):
         predict_member(m, TWO_POINTS[0], 1.0)
+
+
+_TAU_ENTRY_POINTS = {
+    "fit": lambda tau: fit(TWO_POINTS, Abel(1.0), Tikhonov(0.1), tau=tau),
+    "SupportModel": lambda tau: SupportModel(TWO_POINTS, Abel(1.0), Tikhonov(0.1), None, tau),
+    "member_mask": lambda tau: member_mask([0.5, 1.0], tau),
+    "predict_member": lambda tau: predict_member(
+        fit(TWO_POINTS, Abel(1.0), Tikhonov(0.1)), TWO_POINTS, tau),
+}
+
+
+# predict_member reads tau=None as the model's own margin, so it is left out there.
+@pytest.mark.parametrize("entry, tau", [
+    (entry, tau) for entry in _TAU_ENTRY_POINTS for tau in (None, "abc", "0.5", 1j, True)
+    if (entry, tau) != ("predict_member", None)])
+def test_non_real_tau_is_a_usage_error(entry, tau):
+    """A margin that is not a real number is refused with the margin's own
+    message, not numpy's TypeError."""
+    with pytest.raises(UsageError, match=r"tau must lie in \[0, 1\), got "):
+        _TAU_ENTRY_POINTS[entry](tau)
+
+
+@pytest.mark.parametrize("entry", list(_TAU_ENTRY_POINTS))
+@pytest.mark.parametrize("tau", [0, 0.5, np.float64(0.5)])
+def test_real_tau_is_accepted(entry, tau):
+    """Python and numpy reals in [0, 1) stay accepted, integers among them."""
+    _TAU_ENTRY_POINTS[entry](tau)
 
 
 def test_kpca_lambda_from_rank_midpoint():

@@ -1,3 +1,4 @@
+import argparse
 import tracemalloc
 
 import numpy as np
@@ -11,8 +12,9 @@ from setlearn import (Abel, Gaussian, KpcaTruncation, Landweber, Linear,
                       NumericError, SpectralCutoff, Tikhonov, UsageError,
                       cross_gram, decompose, fit, format_filter, gram,
                       normalize, parse_filter, parzen_score, score_batch)
-from setlearn.filters import (EIG_SLACK, g_value, lipschitz_constant, r_value,
-                              spectrum)
+import setlearn.cli as cli
+from setlearn.filters import (EIG_SLACK, _decompose_in_place, _spectrum_in_place, g_value,
+                              lipschitz_constant, r_value, spectrum)
 
 LIPSCHITZ_FAMILIES = [Tikhonov(0.1), SpectralCutoff(0.1), Landweber(9)]
 
@@ -197,14 +199,45 @@ def test_decompose_reconstruction_and_trace():
     npt.assert_allclose(D.eigenvectors.T @ D.eigenvectors, np.eye(6), atol=1e-12)
 
 
-@pytest.mark.parametrize("solve, bound", [(spectrum, 1.25), (decompose, 3.25)])
+def _cli_eigenvalues(pts):
+    """The command line's eigenvalues-only build: a Cholesky model under --lambda auto."""
+    args = argparse.Namespace(kernel="abel", sigma="1.0", algorithm="auto", tau=0.0)
+    return cli._build_model(pts, args, (Tikhonov, None, "auto"), warn=False)[1]
+
+
+@pytest.mark.parametrize("solve, bound", [
+    pytest.param(lambda G, pts: spectrum(G), 1.25, id="spectrum-1.25"),
+    pytest.param(lambda G, pts: decompose(G), 3.25, id="decompose-3.25"),
+    # the library's own solves build a Gram, counted here, and solve in place on it
+    pytest.param(lambda G, pts: fit(pts, Abel(1.0), Tikhonov(1e-3), algorithm="spectral")
+                 .decomposition, 3.1, id="model-3.1"),
+    pytest.param(lambda G, pts: _cli_eigenvalues(pts), 1.2, id="cli-eigenvalues-1.2"),
+])
 def test_spectral_solve_peak_memory(solve, bound):
-    """The solve works in place on its one copy of K_n/n: the peak allocation,
-    in units of n^2 doubles, is that copy plus LAPACK's workspace (about 2 n^2
-    for the eigenvectors, O(n) for the eigenvalues)."""
+    """The solve works in place on one n^2 buffer of K_n/n: the peak allocation,
+    in units of n^2 doubles, is that buffer plus LAPACK's workspace (about 2 n^2
+    for the eigenvectors, O(n) for the eigenvalues).  The public solves copy
+    the caller's Gram into it; the library's own solves divide their fresh Gram
+    in place, so that Gram is the buffer."""
     n = 400
-    G = gram(Abel(1.0), np.random.default_rng(30).normal(size=(n, 2)))
-    assert _peak_in_n2(lambda: solve(G), n) <= bound
+    pts = np.random.default_rng(30).normal(size=(n, 2))
+    G = gram(Abel(1.0), pts)
+    assert _peak_in_n2(lambda: solve(G, pts), n) <= bound
+
+
+@pytest.mark.parametrize("solve, in_place", [(decompose, _decompose_in_place),
+                                             (spectrum, _spectrum_in_place)])
+def test_public_solve_keeps_the_gram_and_the_in_place_bits(solve, in_place):
+    """The public solves leave the caller's Gram as it was and give the bits of
+    the in-place solve, which divides the Gram it is handed."""
+    G = gram(Abel(0.7), np.random.default_rng(31).normal(size=(60, 2)))
+    before = G.copy()
+    public, own = solve(G), in_place(G.copy())
+    assert np.array_equal(G, before)
+    if solve is decompose:
+        assert np.array_equal(public.eigenvectors, own.eigenvectors)
+        public, own = public.eigenvalues, own.eigenvalues
+    assert np.array_equal(public, own)
 
 
 def test_inverse_factor_peak_memory():

@@ -284,6 +284,39 @@ def test_eigenvector_entry_beyond_one_is_refused(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("value, message", [
+    (-1e300, "stored eigenvectors are not orthonormal"),
+    (-1.0 - 1e-6, "stored eigenvectors are not orthonormal"),
+    (np.nan, "non-finite"), (-np.inf, "non-finite"), (np.inf, "non-finite")])
+def test_eigenvector_entry_out_of_range_is_refused(tmp_path, value, message):
+    """The range and finiteness of V are read off V.min() and V.max(), which
+    propagate nan; an entry below -1 is refused as one above 1 is."""
+    path = tmp_path / "m.bin"
+    path.write_bytes(_with_eigenvector_entry(value))
+    with pytest.raises(DataError, match=message):
+        load_model(path)
+
+
+def test_binary_load_peak_memory(tmp_path):
+    """A binary load with a stored decomposition decodes the payload into one
+    aligned array and drops the file's bytes before the check builds its Gram:
+    the peak, in n^2 doubles, is the eigenvectors and that Gram."""
+    n = 400
+    path = tmp_path / "m.bin"
+    model = fit(np.random.default_rng(35).normal(size=(n, 2)), Abel(1.0), Tikhonov(1e-3))
+    save_model(model, path, fmt="binary", include_decomposition=True)
+    tracemalloc.start()
+    try:
+        loaded = load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8.0 * n * n) <= 2.3
+    V = loaded.decomposition.eigenvectors
+    assert V.flags.aligned and V.flags.c_contiguous
+    assert np.array_equal(V, model.decomposition.eigenvectors)
+
+
 # ---------------------------------------------------------------------------
 # Mutated model files: each loads as a working model or raises DataError, and
 # the CLI's score on it exits 0 or 3.
