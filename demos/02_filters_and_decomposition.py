@@ -10,19 +10,18 @@ import numpy as np
 
 from setlearn import (Abel, KpcaTruncation, Landweber, SpectralCutoff,
                       Tikhonov, decompose, format_filter, gram, parse_filter)
-from setlearn.filters import g_value, lipschitz_constant, r_value
 
 s = np.linspace(0.0, 1.0, 6)
 print("r_lambda on [0, 1] (step-function approximations):")
 for f in (Tikhonov(0.1), SpectralCutoff(0.1), Landweber(9), KpcaTruncation(0.1)):
-    L = lipschitz_constant(f)
+    L = f.lipschitz()
     lip = "none (not Lipschitz)" if L is None else f"{L:g}"
-    print(f"  {format_filter(f):28s} r={np.round(r_value(f, s), 3)}  L={lip}")
+    print(f"  {format_filter(f):28s} r={np.round(f.r(s), 3)}  L={lip}")
 
 # r = s * g holds across families to a few ulps; Landweber evaluates
 # r = 1 - (1-s)^(m+1) in full precision and takes g = r/s from it.
 f = Landweber(9)
-print(f"\nlandweber r - s*g: {np.max(np.abs(r_value(f, s) - s * g_value(f, s)))}")
+print(f"\nlandweber r - s*g: {np.max(np.abs(f.r(s) - s * f.g(s)))}")
 
 # Decomposing the scaled Gram matrix of a sample: eigenvalues live in
 # [0, 1] and sum to 1 for unit-diagonal kernels.

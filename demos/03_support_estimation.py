@@ -11,8 +11,9 @@ and are interchangeable.
 import numpy as np
 
 from setlearn import (Abel, Landweber, SpectralCutoff, Tikhonov, cross_gram,
-                      fit, get_task, gram, landweber_coefficients, member_mask,
-                      predict_member, sample, score, score_batch)
+                      fit, get_task, gram, member_mask, predict_member, sample,
+                      score, score_batch)
+from setlearn.estimator import landweber_coefficients
 
 task = get_task("circle")
 train = sample(task, 150, seed=0)

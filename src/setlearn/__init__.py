@@ -8,9 +8,8 @@ on the support and decays away from it.
 
 from .data import Dataset, fmt_value, load_csv, write_table
 from .errors import DataError, NumericError, UsageError
-from .estimator import (SupportModel, fit, kpca_lambda_from_rank, landweber_coefficients,
-                        member_mask, predict_member, regularization_path,
-                        score, score_batch)
+from .estimator import (SupportModel, fit, kpca_lambda_from_rank, member_mask,
+                        predict_member, regularization_path, score, score_batch)
 from .evaluation import (devroye_wise_member, hausdorff, parzen_score,
                          roc_auc, symdiff_measure)
 from .filters import (EIG_SLACK, Filter, KpcaTruncation, Landweber,
@@ -44,7 +43,7 @@ __all__ = [
     "effective_dimension", "finite_sample_bound",
     "fit", "fmt_value", "format_filter", "format_kernel", "get_task",
     "gram", "hausdorff", "hs_distance", "hs_norm", "induced_metric",
-    "kernel_eval", "kpca_lambda_from_rank", "landweber_coefficients",
+    "kernel_eval", "kpca_lambda_from_rank",
     "lambda_curvature", "load_csv", "load_model",
     "member_mask", "metric_matrix", "normalize", "parse_filter",
     "parse_kernel",

@@ -32,12 +32,13 @@ nothing.  The score path names the factor:
 
 Either W is inverted once per model (``dtrtri``), in place on the one n x n
 buffer the Cholesky factorization overwrites: for ``cholesky`` a fresh Gram,
-which the model does not keep.  A spectral model whose gains have a zero
-(kPCA, a cutoff whose Gram has null eigenvalues) or spread wider than
-``MAX_FACTOR_COND`` (Tikhonov at a tiny lambda) has no such factor: it
-scores through Y = V' K_x (``dgemm``) and w = g(s)/n, as
-:func:`regularization_path` does for every model, since many filters share
-its one product.
+which the model does not keep.  A spectral model's gains are its filter's
+``_score_gains``: g(s), but 0 at a cutoff's null eigenvalues (at or below
+``NULL_EIG``).  A model whose gains have a zero (kPCA, a cutoff whose Gram
+has null eigenvalues) or spread wider than ``MAX_FACTOR_COND`` (Tikhonov
+at a tiny lambda) has no such factor: it scores through Y = V' K_x
+(``dgemm``) and w = g(s)/n, as :func:`regularization_path` does for every
+model, since many filters share its one product.
 
 The factorizations, the products and the sum over i (``dgemv``) all run on
 scipy's OpenBLAS.  numpy bundles a second OpenBLAS with its own thread
@@ -61,16 +62,14 @@ from scipy.linalg.blas import dgemm, dgemv, dsyrk, dtrmm
 from scipy.linalg.lapack import dtrtri
 
 from .errors import DataError, NumericError, UsageError
-from .filters import (_FILTERS, NULL_EIG, Filter, KpcaTruncation, SpectralCutoff,
-                      SpectralDecomposition, _known)
+from .filters import _FILTERS, Filter, KpcaTruncation, SpectralDecomposition
 # The in-place solve under the public name, which bench/tracing.py wraps.
 from .filters import _decompose_in_place as decompose
 from .kernels import Kernel, _as_points, cross_gram, gram
 
 __all__ = [
     "SupportModel", "fit", "score", "score_batch", "predict_member",
-    "member_mask", "landweber_coefficients",
-    "regularization_path", "kpca_lambda_from_rank",
+    "member_mask", "regularization_path", "kpca_lambda_from_rank",
 ]
 
 ALGORITHMS = ("spectral", "cholesky", "landweber")
@@ -117,7 +116,8 @@ class SupportModel:
         fields = vars(self)   # frozen: a checked field goes straight into the instance
         fields["points"] = points = np.array(_as_points(self.points), copy=True)
         points.setflags(write=False)
-        _known(self.filter)
+        if not (isinstance(self.filter, Filter) and self.filter.name in _FILTERS):
+            raise UsageError(f"unknown filter {self.filter!r}")
         if not (isinstance(self.kernel, Kernel) and self.kernel.unit_diagonal):
             raise UsageError(
                 "support estimation needs a unit-diagonal kernel; wrap it with normalize()")
@@ -149,8 +149,8 @@ class SupportModel:
 
     @cached_property
     def _gains(self):
-        """g(s) on the spectrum, as a spectral model's score weights it."""
-        return _scoring_gains(self.filter, self.decomposition.eigenvalues)
+        """The filter's score gains on the spectrum, which a spectral model's score weights."""
+        return self.filter._score_gains(self.decomposition.eigenvalues)
 
     @property
     def _factor_scale(self):
@@ -308,7 +308,7 @@ def _spectral_scores(model, X, filters):
     np.square(Y, out=Y)
     out = np.empty((len(filters), X.shape[0]))
     for i, f in enumerate(filters):
-        w = _scoring_gains(f, D.eigenvalues) / model.n
+        w = f._score_gains(D.eigenvalues) / model.n
         out[i] = np.clip(_weighted_sum(w, Y), 0.0, 1.0)
     return out
 
@@ -316,14 +316,6 @@ def _spectral_scores(model, X, filters):
 def _weighted_sum(w, Y):
     """w @ Y by scipy's dgemv.  Every score path's Y is column-major, so it is not copied."""
     return dgemv(1.0, Y, w, trans=1)
-
-
-def _scoring_gains(f, eigenvalues):
-    gv = f._g(eigenvalues)
-    if isinstance(f, SpectralCutoff):
-        gv = gv.copy()
-        gv[eigenvalues <= NULL_EIG] = 0.0
-    return gv
 
 
 def landweber_coefficients(g, kx, iterations):

@@ -9,9 +9,10 @@ g(sigma) = r(sigma) / sigma.  Every family satisfies
 * r = sigma * g exactly (a few ulps),
 
 and all families except the kPCA truncation are Lipschitz on [0, 1] with
-the constant reported by :func:`lipschitz_constant`.  The truncation has a
-jump at its threshold, so its constant is ``None``; perturbation bounds
-that need a Lipschitz filter do not apply to it.
+the constant reported by ``lipschitz()``.  The truncation has a jump at its
+threshold, so its constant is ``None``; perturbation bounds that need a
+Lipschitz filter do not apply to it.  ``f.r`` and ``f.g`` check their
+argument; the score paths call ``_r``/``_g`` on a spectrum already clamped.
 
 Each family is declared once, on its spec class (see :class:`Filter`), the
 way kernel families are (:class:`.kernels._Spec`); the one spec parser and
@@ -47,16 +48,16 @@ from .kernels import _Spec, _format_spec, _parse_spec
 # this slack are clamped, values beyond it are an error.
 EIG_SLACK = 1e-8
 
-# Eigenvalues of K_n/n at or below this floor are exact nulls: the cutoff
-# score gives them gain 0, as the pseudo-inverse limit lambda -> 0 does, not
-# the huge 1/sigma of a round-off eigenvalue of a singular Gram; the
-# curvature heuristic and the command line's positive count skip them.
+# Eigenvalues of K_n/n at or below this floor are exact nulls: the cutoff's
+# score gains (``SpectralCutoff._score_gains``) give them gain 0, as the
+# pseudo-inverse limit lambda -> 0 does, not the 1/lambda of a round-off
+# eigenvalue of a singular Gram; the curvature heuristic and the command
+# line's positive count skip them.
 NULL_EIG = 1e-12
 
 __all__ = [
     "Filter", "Tikhonov", "SpectralCutoff", "Landweber", "KpcaTruncation",
-    "SpectralDecomposition", "r_value", "g_value", "lipschitz_constant",
-    "decompose", "spectrum", "parse_filter",
+    "SpectralDecomposition", "decompose", "spectrum", "parse_filter",
     "format_filter", "EIG_SLACK",
 ]
 
@@ -74,9 +75,9 @@ class Filter(_Spec):
     """Base class for filter specs (see :class:`.kernels._Spec`).
 
     ``algorithm`` is the score path a family owns and fits through by
-    default.  ``_r``/``_g`` evaluate r and g on a clamped spectrum,
-    ``lipschitz()`` is r's Lipschitz constant or ``None``, and the class
-    method ``at(value)`` builds the family's filter at a given strength.
+    default.  A family declares ``_r``/``_g``, r and g on a clamped
+    spectrum, ``lipschitz()``, r's Lipschitz constant or ``None``, and
+    ``at(value)``, which builds the family's filter at a given strength.
     """
 
     algorithm = "spectral"
@@ -84,6 +85,40 @@ class Filter(_Spec):
     @classmethod
     def at(cls, value):
         return cls(float(value))
+
+    def r(self, sigma):
+        """Profile r(sigma); scalar in, scalar out, arrays vectorized."""
+        return _on_unit_interval(self._r, sigma)
+
+    def g(self, sigma):
+        """Gain g(sigma) = r(sigma) / sigma extended continuously to 0."""
+        return _on_unit_interval(self._g, sigma)
+
+    def _score_gains(self, s):
+        """The gains a score weights the clamped spectrum ``s`` with: g(s)."""
+        return self._g(s)
+
+
+def _real(x, what):
+    """``x`` as an array of real numbers, not copied if it is one; else a usage error."""
+    try:
+        a = np.asarray(x)
+    except ValueError:   # a ragged sequence
+        a = None
+    if a is None or a.dtype.kind not in "iuf":
+        raise UsageError(f"{what} must be real numbers")
+    return a
+
+
+def _on_unit_interval(evaluate, sigma):
+    """``evaluate`` on real ``sigma`` within ``EIG_SLACK`` of [0, 1], clamped
+    to [0, 1]; anything else, nan and inf too, is a usage error."""
+    s = _real(sigma, "filter argument")
+    out = np.atleast_1d(np.asarray(s, dtype=float))
+    if not np.all((out >= -EIG_SLACK) & (out <= 1.0 + EIG_SLACK)):   # nan fails both
+        raise UsageError("filter argument is not finite or lies outside [0, 1] beyond tolerance")
+    out = evaluate(np.clip(out, 0.0, 1.0))
+    return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
 @dataclass(frozen=True)
@@ -123,10 +158,12 @@ class SpectralCutoff(_Threshold):
         return np.where(s > self.lam, 1.0, s / self.lam)
 
     def _g(self, s):
-        out = np.full_like(s, 1.0 / self.lam)
-        above = s > self.lam
-        out[above] = 1.0 / s[above]
-        return out
+        return 1.0 / np.maximum(s, self.lam)
+
+    def _score_gains(self, s):
+        # Gain 0 at exact nulls (see NULL_EIG).  g keeps 1/lam there, since
+        # r = s * g must hold, and an r zeroed there would jump at NULL_EIG.
+        return np.where(s > NULL_EIG, self._g(s), 0.0)
 
 
 @dataclass(frozen=True)
@@ -210,52 +247,14 @@ class KpcaTruncation(Filter):
         return self._kept(s).astype(float)
 
     def _g(self, s):
-        out = np.zeros_like(s)
-        kept = self._kept(s)   # threshold > 0, so kept entries are positive
-        out[kept] = 1.0 / s[kept]
-        return out
+        # r / s, with s floored at lam where r is 0 anyway
+        return self._r(s) / np.maximum(s, self.lam)
 
     def lipschitz(self):
         return None
 
 
 _FILTERS = {f.name: f for f in (Tikhonov, SpectralCutoff, Landweber, KpcaTruncation)}
-
-
-def _known(f):
-    """``f`` itself if it is a spec of a declared family, else a usage error."""
-    if not isinstance(f, Filter) or f.name not in _FILTERS:
-        raise UsageError(f"unknown filter {f!r}")
-    return f
-
-
-def _prep_spectrum(sigma):
-    shape = np.shape(sigma)
-    s = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if not np.all(np.isfinite(s)):
-        raise UsageError("filter argument contains non-finite values")
-    if np.any(s < -EIG_SLACK) or np.any(s > 1.0 + EIG_SLACK):
-        raise UsageError("filter argument outside [0, 1] beyond tolerance")
-    return np.clip(s, 0.0, 1.0), shape
-
-
-def r_value(f, sigma):
-    """Filter profile r(sigma); scalar in, scalar out, arrays vectorized."""
-    s, shape = _prep_spectrum(sigma)
-    r = _known(f)._r(s)
-    return float(r[0]) if shape == () else r.reshape(shape)
-
-
-def g_value(f, sigma):
-    """Filter gain g(sigma) = r(sigma) / sigma extended continuously to 0."""
-    s, shape = _prep_spectrum(sigma)
-    g = _known(f)._g(s)
-    return float(g[0]) if shape == () else g.reshape(shape)
-
-
-def lipschitz_constant(f):
-    """Lipschitz constant of r on [0, 1], or None for the kPCA truncation."""
-    return _known(f).lipschitz()
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,13 +299,21 @@ def decompose(g):
     upper triangle it reads (the whole matrix: :func:`.gram` builds it
     exactly symmetric), and needs LAPACK's 2 n^2 of workspace besides.
     """
-    return _eig(np.asarray(g, dtype=float) / len(g), vectors=True)
+    return _eig(_scaled_copy(g), vectors=True)
 
 
 def spectrum(g):
     """Eigenvalues of K_n/n as :func:`decompose` gives them, at about half its
     cost, on a scaled copy of ``g`` in the same way, with O(n) workspace besides."""
-    return _eig(np.asarray(g, dtype=float) / len(g), vectors=False)
+    return _eig(_scaled_copy(g), vectors=False)
+
+
+def _scaled_copy(g):
+    """K_n/n as a copy of the Gram ``g``, a nonempty square real matrix."""
+    g = _real(g, "a Gram matrix")
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.size == 0:
+        raise UsageError(f"a Gram matrix must be nonempty and square, got shape {g.shape}")
+    return np.asarray(g, dtype=float) / len(g)
 
 
 def _decompose_in_place(G):

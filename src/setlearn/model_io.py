@@ -44,9 +44,6 @@ _MARKER = b"data:\n"
 # The keys of a model header, each given exactly once.
 _HEADER_KEYS = {"format", "kernel", "filter", "algorithm", "tau", "n", "d", "decomposition"}
 
-# Leading eigenpairs whose residual and orthonormality a load checks.
-_CHECKED_PAIRS = 8
-
 
 # Values a text payload renders with one %; bounds the Python floats held at once.
 _CHUNK_VALUES = 1 << 16
@@ -184,11 +181,13 @@ def load_model(path):
 def _check_decomposition(s, V, K, path):
     """Reject stored eigenpairs that are not those of K_n/n.
 
-    O(n^2 k) for k leading pairs: the eigenvalues must lie in [0, 1] and sum
-    to trace(K_n/n), and the leading pairs must have small eigen-residuals
-    and be orthonormal.  The products run on scipy's ``dgemm``, the BLAS of
-    every other solve and product on a model's path; K is exactly
-    symmetric by construction, so its column-major view K' is K.
+    The eigenvalues must lie in [0, 1] and sum to trace(K_n/n), and
+    |V| <= 1.  Freivalds' check then covers every pair in O(n^2), with no
+    n x n temporary: for a fixed-seed 4-column Gaussian Z, both
+    ||K V Z/n - V diag(s) Z|| and ||V'(V Z) - Z||, over ||Z||, must lie
+    within ``EIG_SLACK``.  The products run on scipy's ``dgemm`` (see
+    :mod:`.estimator`), reading the C-ordered V as its Fortran transpose;
+    K is exactly symmetric by construction, so K' is K.
     """
     n = s.shape[0]
     # min and max propagate nan and inf without an n x n mask.
@@ -202,12 +201,13 @@ def _check_decomposition(s, V, K, path):
     # Orthonormal columns have entries in [-1, 1]; larger ones could overflow below.
     if max(-lo, hi) > 1.0 + EIG_SLACK:
         raise DataError(f"{path}: stored eigenvectors are not orthonormal")
-    k = min(n, _CHECKED_PAIRS)
-    Vk = V[:, :k]
-    residual = np.linalg.norm(dgemm(1.0, K.T, Vk) / n - Vk * s[:k], axis=0).max()
+    Z = np.random.default_rng(0).standard_normal((n, 4))
+    size = np.linalg.norm(Z)
+    VZ, VSZ = np.hsplit(dgemm(1.0, V.T, np.hstack([Z, s[:, None] * Z]), trans_a=1), 2)
+    residual = np.linalg.norm(dgemm(1.0 / n, K.T, VZ) - VSZ) / size
     if residual > EIG_SLACK:
         raise DataError(
             f"{path}: stored eigenpairs do not match the Gram matrix "
             f"(residual {residual:.3e})")
-    if np.abs(dgemm(1.0, Vk, Vk, trans_a=1) - np.eye(k)).max() > EIG_SLACK:
+    if np.linalg.norm(dgemm(1.0, V.T, VZ) - Z) / size > EIG_SLACK:
         raise DataError(f"{path}: stored eigenvectors are not orthonormal")

@@ -20,8 +20,6 @@ from scipy.spatial.distance import cdist
 from setlearn.data import fmt_value
 from setlearn.errors import UsageError
 from setlearn.estimator import _cholesky
-from setlearn.filters import (SpectralDecomposition, _prep_spectrum,
-                              lipschitz_constant)
 from setlearn.kernels import Linear, Normalized, Product, _as_points
 from setlearn.oracles import _REF_STREAM, _hs_from_sums, _row_sums, _self_sum
 
@@ -30,20 +28,20 @@ from setlearn.oracles import _REF_STREAM, _hs_from_sums, _row_sums, _self_sum
 PINV_RCOND = 1e-12
 
 
+def _spectral_matrix(V, values):
+    """The matrix V diag(values) V', exactly symmetric."""
+    M = (V * values) @ V.T
+    return (M + M.T) / 2.0
+
+
 def apply_r(f, decomposition):
     """The matrix r(K_n/n), exactly symmetric."""
-    r = f._r(decomposition.eigenvalues)
-    V = decomposition.eigenvectors
-    M = (V * r) @ V.T
-    return (M + M.T) / 2.0
+    return _spectral_matrix(decomposition.eigenvectors, f._r(decomposition.eigenvalues))
 
 
 def apply_g(f, decomposition):
     """The matrix g(K_n/n), exactly symmetric."""
-    gv = f._g(decomposition.eigenvalues)
-    V = decomposition.eigenvectors
-    M = (V * gv) @ V.T
-    return (M + M.T) / 2.0
+    return _spectral_matrix(decomposition.eigenvectors, f._g(decomposition.eigenvalues))
 
 
 def tikhonov_coefficients(g, kx, lam):
@@ -70,7 +68,7 @@ def _symmetrized(M, name):
 
 def _filter_matrix(f, M):
     s, V = np.linalg.eigh(M)
-    return apply_r(f, SpectralDecomposition(_prep_spectrum(s)[0], V))  # checks s in [0, 1]
+    return _spectral_matrix(V, f.r(s))   # f.r checks s in [0, 1]
 
 
 def maurer_check(S, T, f):
@@ -79,7 +77,7 @@ def maurer_check(S, T, f):
     The caller asserts lhs <= rhs * (1 + 1e-10); equality is attained in
     degenerate cases, so the slack absorbs round-off only.
     """
-    L = lipschitz_constant(f)
+    L = f.lipschitz()
     if L is None:
         raise UsageError("the perturbation bound needs a Lipschitz filter")
     S = _symmetrized(S, "S")

@@ -26,8 +26,7 @@ from setlearn.cli import main as cli_main
 from setlearn.estimator import (fit, landweber_coefficients, member_mask,
                                 score_batch)
 from setlearn.evaluation import hausdorff, parzen_score, roc_auc
-from setlearn.filters import (Landweber, SpectralCutoff, Tikhonov, decompose,
-                              g_value, lipschitz_constant, r_value)
+from setlearn.filters import Landweber, SpectralCutoff, Tikhonov, decompose
 from setlearn.kernels import Abel, cross_gram, gram
 from setlearn.model_io import load_model, save_model
 from setlearn.oracles import (approximation_error_bound, bernstein_bound,
@@ -58,9 +57,9 @@ def test_filter_families_hold_their_contracts():
         m = int(rng.integers(0, 200))
         s = rng.uniform(0.0, 1.0, 2)
         for f in (Tikhonov(lam), SpectralCutoff(lam), Landweber(m)):
-            r = r_value(f, np.array([0.0, s[0], s[1]]))
-            g = g_value(f, s)
-            L = lipschitz_constant(f)
+            r = f.r(np.array([0.0, s[0], s[1]]))
+            g = f.g(s)
+            L = f.lipschitz()
             assert np.all(r >= 0.0) and np.all(r <= 1.0), f"{f}: range"
             assert r[0] == 0.0, f"{f}: r(0)"
             assert np.all(np.abs(r[1:] - s * g)

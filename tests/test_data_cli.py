@@ -605,6 +605,22 @@ def test_cli_score_rejects_tampered_decomposition(tmp_path, circle_csv):
                  "--out", str(tmp_path / "s.csv"), "--no-timestamp"]) == 3
 
 
+def test_cli_score_rejects_a_tampered_trailing_eigenvector(tmp_path, circle_csv):
+    """Negating half of the 31st eigenvector, past any leading pairs, exits 3."""
+    model = tmp_path / "m.bin"
+    assert main(["train", "--data", str(circle_csv), "--header", "--kernel", "abel",
+                 "--sigma", "0.6", "--filter", "tikhonov", "--lambda", "1e-3",
+                 "--algorithm", "spectral", "--model-format", "binary",
+                 "--store-decomposition", "--out", str(model), "--no-timestamp"]) == 0
+    head, payload = model.read_bytes().split(b"data:\n")
+    values = np.frombuffer(payload, dtype="<f8").copy()
+    V = values[60 * 2 + 60:].reshape(60, 60)   # after the points and the eigenvalues
+    V[:30, 30] *= -1.0
+    model.write_bytes(head + b"data:\n" + values.tobytes())
+    assert main(["score", "--model", str(model), "--data", str(circle_csv), "--header",
+                 "--out", str(tmp_path / "s.csv"), "--no-timestamp"]) == 3
+
+
 def test_cli_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -11,10 +11,10 @@ from _reference import apply_r, tikhonov_coefficients
 from setlearn import (Abel, Gaussian, KpcaTruncation, L1Exponential,
                       Landweber, Linear, NumericError, SpectralCutoff, SpectralDecomposition,
                       SupportModel, Tikhonov, UsageError, cross_gram, decompose, fit, gram,
-                      kpca_lambda_from_rank, landweber_coefficients, load_model,
-                      member_mask, normalize, predict_member, product_kernel, regularization_path,
-                      save_model, score, score_batch)
-from setlearn.filters import r_value
+                      kpca_lambda_from_rank, load_model, member_mask, normalize,
+                      predict_member, product_kernel, regularization_path, save_model, score,
+                      score_batch)
+from setlearn.estimator import landweber_coefficients
 
 # two Abel(1) points at distance log 2, so K12 = 1/2 exactly up to rounding
 TWO_POINTS = np.array([[0.0], [np.log(2.0)]])
@@ -305,7 +305,7 @@ def test_factor_scores_match_the_v_contraction(seed, n, d, kernel, sigma, family
          "kpca": KpcaTruncation(lam=lam)}[family]
     algorithm = "landweber" if family == "landweber" else "spectral"
     model = fit(pts, kernel(sigma), f, algorithm=algorithm)
-    g = estimator._scoring_gains(f, model.decomposition.eigenvalues)
+    g = f._score_gains(model.decomposition.eigenvalues)
     gated = g.min() > 0.0 and g.max() <= g.min() * estimator.MAX_FACTOR_COND
     assert (model.inverse_factor is not None) == gated
     scores = score_batch(model, X)
@@ -385,7 +385,7 @@ def test_spectral_products_run_on_scipy_dgemm_without_copies(monkeypatch):
 
     def reference(model, f):
         D = decompose(gram(model.kernel, model.points))
-        w = estimator._scoring_gains(f, D.eigenvalues) / model.n
+        w = f._score_gains(D.eigenvalues) / model.n
         return np.clip(np.square(D.eigenvectors.T @ Kx).T @ w, 0.0, 1.0)
 
     for f, algorithm in [(Tikhonov(1e-3), "spectral"), (Landweber(20), "landweber")]:
@@ -430,7 +430,7 @@ def test_mean_training_score_identity(seed, n, d, kernel, model, sigma, log_lam,
     s = decompose(gram(k, pts)).eigenvalues
     fitted = fit(pts, k, f, algorithm=algorithm)
     gap = 1.0 - np.mean(score_batch(fitted, pts))
-    assert abs(gap - np.sum(s * (1.0 - r_value(f, s)))) <= 1e-12
+    assert abs(gap - np.sum(s * (1.0 - f.r(s)))) <= 1e-12
 
 
 def test_landweber_score_monotone_in_m():

@@ -13,55 +13,62 @@ from setlearn import (Abel, Gaussian, KpcaTruncation, Landweber, Linear,
                       cross_gram, decompose, fit, format_filter, gram,
                       normalize, parse_filter, parzen_score, score_batch)
 import setlearn.cli as cli
-from setlearn.filters import (EIG_SLACK, _decompose_in_place, _spectrum_in_place, g_value,
-                              lipschitz_constant, r_value, spectrum)
+from setlearn.filters import (EIG_SLACK, NULL_EIG, _decompose_in_place, _spectrum_in_place,
+                              spectrum)
 
 LIPSCHITZ_FAMILIES = [Tikhonov(0.1), SpectralCutoff(0.1), Landweber(9)]
 
 
 def test_tikhonov_r_and_g():
     f = Tikhonov(0.1)
-    assert r_value(f, 0.1) == 0.5
-    assert g_value(f, 0.1) == 5.0
+    assert f.r(0.1) == 0.5
+    assert f.g(0.1) == 5.0
 
 
 def test_landweber_r_closed_form():
-    assert r_value(Landweber(1), 0.5) == 0.75
+    assert Landweber(1).r(0.5) == 0.75
     # closed form agrees with the truncated geometric sum it abbreviates
     m, s = 7, 0.3
     series = s * sum((1 - s) ** k for k in range(m + 1))
-    npt.assert_allclose(r_value(Landweber(m), s), series, rtol=1e-14)
+    npt.assert_allclose(Landweber(m).r(s), series, rtol=1e-14)
 
 
 def test_r_vanishes_at_zero():
     for f in (Tikhonov(0.2), SpectralCutoff(0.3), Landweber(5),
               KpcaTruncation(lam=0.4)):
-        assert r_value(f, 0.0) == 0.0
+        assert f.r(0.0) == 0.0
 
 
 def test_cutoff_g_branches():
     f = SpectralCutoff(0.5)
-    assert g_value(f, 0.25) == 2.0   # 1/lambda below the cut
-    assert g_value(f, 0.8) == 1.25   # 1/sigma above
+    assert f.g(0.25) == 2.0   # 1/lambda below the cut
+    assert f.g(0.8) == 1.25   # 1/sigma above
 
 
 def test_landweber_m0_g_is_one():
     f = Landweber(0)
     for s in (0.0, 0.3, 1.0):
-        assert g_value(f, s) == 1.0
+        assert f.g(s) == 1.0
 
 
 def test_g_at_zero():
-    assert g_value(Tikhonov(0.25), 0.0) == 4.0
-    assert g_value(SpectralCutoff(0.25), 0.0) == 4.0
-    assert g_value(Landweber(9), 0.0) == 10.0
-    assert g_value(KpcaTruncation(lam=0.25), 0.0) == 0.0
+    assert Tikhonov(0.25).g(0.0) == 4.0
+    assert SpectralCutoff(0.25).g(0.0) == 4.0
+    assert Landweber(9).g(0.0) == 10.0
+    assert KpcaTruncation(lam=0.25).g(0.0) == 0.0
+    # The cutoff's null floor acts on its score gains only, not on g: its g
+    # keeps 1/lam at sigma = 0, so r = sigma * g holds there too.
+    above = np.nextafter(NULL_EIG, 1.0)
+    gains = SpectralCutoff(0.25)._score_gains(np.array([0.0, NULL_EIG, above, 0.5]))
+    assert gains.tolist() == [0.0, 0.0, 4.0, 2.0]
+    tiny = SpectralCutoff(1e-13)._score_gains(np.array([0.0, NULL_EIG, above]))
+    assert tiny.tolist() == [0.0, 0.0, 1.0 / above]
 
 
 def test_lipschitz_constants():
-    npt.assert_allclose(lipschitz_constant(Tikhonov(0.01)), 100.0)
-    npt.assert_allclose(lipschitz_constant(SpectralCutoff(0.02)), 50.0)
-    assert lipschitz_constant(KpcaTruncation(lam=0.1)) is None
+    npt.assert_allclose(Tikhonov(0.01).lipschitz(), 100.0)
+    npt.assert_allclose(SpectralCutoff(0.02).lipschitz(), 50.0)
+    assert KpcaTruncation(lam=0.1).lipschitz() is None
 
 
 def test_landweber_lipschitz_matches_numeric_derivative_sup():
@@ -70,23 +77,23 @@ def test_landweber_lipschitz_matches_numeric_derivative_sup():
     s = np.linspace(0.0, 1.0, 200001)
     r = 1.0 - (1.0 - s) ** (m + 1)
     slope = np.max(np.abs(np.diff(r) / np.diff(s)))
-    assert lipschitz_constant(Landweber(m)) == m + 1
+    assert Landweber(m).lipschitz() == m + 1
     assert slope <= m + 1 + 1e-6
     npt.assert_allclose(slope, m + 1, rtol=1e-4)
 
 
 def test_cutoff_tie_at_lambda():
     f = SpectralCutoff(0.5)
-    assert r_value(f, 0.5) == 1.0
-    assert g_value(f, 0.5) == 2.0
+    assert f.r(0.5) == 1.0
+    assert f.g(0.5) == 2.0
 
 
 def test_kpca_includes_sigma_equal_lambda():
     f = KpcaTruncation(lam=0.5)
-    assert r_value(f, 0.5) == 1.0
-    assert g_value(f, 0.5) == 2.0
-    assert r_value(f, 0.4999) == 0.0
-    assert g_value(f, 0.4999) == 0.0
+    assert f.r(0.5) == 1.0
+    assert f.g(0.5) == 2.0
+    assert f.r(0.4999) == 0.0
+    assert f.g(0.4999) == 0.0
 
 
 def test_r_range_random_draws():
@@ -94,7 +101,7 @@ def test_r_range_random_draws():
     s = rng.uniform(0.0, 1.0, 2000)
     for f in (Tikhonov(1e-3), SpectralCutoff(1e-2), Landweber(200),
               KpcaTruncation(lam=0.3)):
-        r = r_value(f, s)
+        r = f.r(s)
         assert np.all(r >= 0.0) and np.all(r <= 1.0)
 
 
@@ -103,8 +110,8 @@ def test_r_sigma_g_consistency():
     s = rng.uniform(1e-6, 1.0, 1000)
     for f in (Tikhonov(0.05), SpectralCutoff(0.2), Landweber(30),
               KpcaTruncation(lam=0.1)):
-        r = r_value(f, s)
-        sg = s * g_value(f, s)
+        r = f.r(s)
+        sg = s * f.g(s)
         assert np.all(np.abs(r - sg) <= 4 * np.spacing(np.maximum(r, 1e-300)))
 
 
@@ -115,17 +122,17 @@ def test_pointwise_limit_in_lambda():
     lams = [10.0 ** -k for k in range(1, 9)]
     prev = np.inf
     for lam in lams:
-        deficit = 1.0 - r_value(Tikhonov(lam), sigma)
+        deficit = 1.0 - Tikhonov(lam).r(sigma)
         assert deficit <= lam / sigma
         assert deficit <= prev
         prev = deficit
     for lam in lams:
         if lam < sigma:
-            assert r_value(SpectralCutoff(lam), sigma) == 1.0
+            assert SpectralCutoff(lam).r(sigma) == 1.0
     prev = np.inf
     for lam in lams[:5]:
         m = int(round(1.0 / lam)) - 1
-        deficit = 1.0 - r_value(Landweber(m), sigma)
+        deficit = 1.0 - Landweber(m).r(sigma)
         assert deficit <= (1.0 - sigma) ** (m + 1) + 1e-15
         assert deficit <= prev
         prev = deficit
@@ -136,19 +143,21 @@ def test_lipschitz_bound_random_pairs():
     a = rng.uniform(0.0, 1.0, 500)
     b = rng.uniform(0.0, 1.0, 500)
     for f in LIPSCHITZ_FAMILIES:
-        L = lipschitz_constant(f)
-        lhs = np.abs(r_value(f, a) - r_value(f, b))
+        L = f.lipschitz()
+        lhs = np.abs(f.r(a) - f.r(b))
         assert np.all(lhs <= L * np.abs(a - b) * (1 + 1e-10) + 1e-15)
 
 
 def test_sigma_domain_check():
-    with pytest.raises(UsageError):
-        r_value(Tikhonov(0.1), 1.5)
-    with pytest.raises(UsageError):
-        r_value(Tikhonov(0.1), -0.5)
+    for bad in (1.5, -0.5, np.nan, [0.5, np.inf], None, "abc", [0.1, "x"], 1j,
+                [0.1, [0.2]], True):
+        with pytest.raises(UsageError):
+            Tikhonov(0.1).r(bad)
+        with pytest.raises(UsageError):
+            Tikhonov(0.1).g(bad)
     # round-off overshoot within the slack is clipped, not rejected
-    assert r_value(SpectralCutoff(0.5), 1.0 + 0.5 * EIG_SLACK) == 1.0
-    assert r_value(Tikhonov(0.1), -0.5 * EIG_SLACK) == 0.0
+    assert SpectralCutoff(0.5).r(1.0 + 0.5 * EIG_SLACK) == 1.0
+    assert Tikhonov(0.1).r(-0.5 * EIG_SLACK) == 0.0
 
 
 def test_parameter_validation():
@@ -314,6 +323,14 @@ def test_decompose_rejects_out_of_range_spectrum():
         decompose(bad)
 
 
+@pytest.mark.parametrize("solve", [decompose, spectrum])
+@pytest.mark.parametrize("bad", [np.zeros((0, 0)), np.eye(3)[:2], np.ones(3), "abc", None,
+                                 [[1.0, "x"], [0.5, 1.0]], np.eye(2, dtype=complex)])
+def test_public_solves_refuse_a_non_matrix(solve, bad):
+    with pytest.raises(UsageError):
+        solve(bad)
+
+
 def test_apply_r_cutoff_is_projection():
     rng = np.random.default_rng(31)
     X = rng.normal(size=(8, 2))
@@ -468,7 +485,7 @@ def test_filter_invariants_hold_on_the_unit_interval(spec, s):
     except UsageError:
         return
     s = np.sort(np.asarray(s))
-    r, g = r_value(f, s), g_value(f, s)
+    r, g = f.r(s), f.g(s)
     assert np.all((r >= 0.0) & (r <= 1.0)), r
     assert np.all(np.abs(r - s * g) <= 4 * np.spacing(r)), (r, s * g)
     assert np.all(np.diff(r) >= 0.0), r

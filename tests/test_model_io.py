@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from setlearn import (Abel, DataError, KpcaTruncation, Landweber,
                       SpectralCutoff, SpectralDecomposition, Tikhonov, UsageError,
-                      decompose, fit, gram, load_model, save_model, score_batch,
-                      write_table)
+                      decompose, fit, get_task, gram, load_model, sample, save_model,
+                      score_batch, width_heuristic, write_table)
 from setlearn.cli import main
 
 from _reference import text_payload
@@ -93,12 +93,48 @@ def _scaled_leading_eigenvector(s, V):
     return s, V
 
 
+# Edits past the 8th pair, each refused by the probe check of every pair.
+
+def _swapped_trailing_eigenvectors(s, V):
+    V = V.copy()
+    V[:, [20, 21]] = V[:, [21, 20]]
+    return s, V
+
+
+def _half_negated_trailing_eigenvector(s, V):
+    V = V.copy()
+    V[:len(V) // 2, 30] *= -1.0
+    return s, V
+
+
+def _rotated_trailing_eigenvectors(s, V):
+    # orthonormal still, but no longer eigenvectors
+    Q = np.linalg.qr(np.random.default_rng(1).normal(size=(len(V) - 10,) * 2))[0]
+    V = V.copy()
+    V[:, 10:] = V[:, 10:] @ Q
+    return s, V
+
+
+def _nudged_last_eigenvector(s, V):
+    V = V.copy()
+    V[0, -1] += 1e-6
+    return s, V
+
+
+@functools.cache
+def _circle_model():
+    X = sample(get_task("circle"), 200, seed=0)
+    return fit(X, Abel(width_heuristic(X)), Tikhonov(1e-3), algorithm="spectral")
+
+
 @pytest.mark.parametrize("fmt", ["text", "binary"])
-@pytest.mark.parametrize("tamper", [_doubled_eigenvalues, _swapped_leading_eigenvalues,
-                                    _scaled_leading_eigenvector])
+@pytest.mark.parametrize("tamper", [
+    _doubled_eigenvalues, _swapped_leading_eigenvalues, _scaled_leading_eigenvector,
+    _swapped_trailing_eigenvectors, _half_negated_trailing_eigenvector,
+    _rotated_trailing_eigenvectors, _nudged_last_eigenvector])
 def test_load_rejects_tampered_decomposition(tmp_path, fmt, tamper):
-    m = _random_model(seed=11)
-    D = decompose(gram(m.kernel, m.points))
+    m = _circle_model()
+    D = m.decomposition
     bad = replace(m, eigenpairs=SpectralDecomposition(*tamper(D.eigenvalues, D.eigenvectors)))
     path = tmp_path / "model.full"
     save_model(bad, path, fmt=fmt, include_decomposition=True)
