@@ -18,7 +18,7 @@ from itertools import repeat
 import numpy as np
 
 from .data import fmt_value as _f, load_csv, write_table
-from .errors import DataError, NumericError, UsageError
+from .errors import DataError, NumericError, UsageError, check_number
 from .estimator import (ALGORITHMS, _check_query, _check_tau, _score_path, fit, member_mask,
                         regularization_path, score_batch)
 from .evaluation import hausdorff, parzen_score, roc_auc, symdiff_measure
@@ -285,15 +285,12 @@ def _eval_labeled(args):
 
 
 def _eval_task(args):
-    if args.n < 1:
-        raise UsageError(f"n must be >= 1, got {args.n!r}")
-    if args.trials < 1:
-        raise UsageError(f"need at least one trial, got {args.trials!r}")
-    if args.n_test is not None and args.n_test < 1:
-        raise UsageError(f"need at least one test point per class, got {args.n_test!r}")
+    n_test = args.n if args.n_test is None else args.n_test
+    check_number("n must be >= 1", args.n, ok=lambda v: v >= 1)
+    check_number("trials must be an integer >= 1", args.trials, ok=lambda v: v >= 1, integral=True)
+    check_number("need at least one test point per class", n_test, ok=lambda v: v >= 1)
     task = get_task(args.task)
     flags = _filter_flags(args, args.n)   # every trial draws n points
-    n_test = args.n if args.n_test is None else args.n_test
     grid_points, grid_inside, cell_volume = reference_grid(task, args.resolution)
     support = reference_support(task, 2000)
     columns = ["trial", "auc_spectral", "auc_parzen", "hausdorff", "symdiff"]
@@ -346,9 +343,7 @@ def cmd_sweep(args):
     family = flags[0]
     lambdas = _parse_grid(args.lambdas, "--lambdas", integer=family is Landweber)
     taus = _parse_grid(args.taus, "--taus")
-    for tau in taus:
-        if not 0.0 <= tau < 1.0:
-            raise UsageError(f"tau values must lie in [0, 1), got {tau!r}")
+    check_number("tau values must lie in [0, 1)", *taus, ok=lambda v: 0 <= v < 1)
     for value in lambdas:   # a strength the family refuses, before the Gram
         family.at(value)
     # the test file is read and its dimension checked before the Gram
@@ -399,8 +394,6 @@ def cmd_synth(args):
 
 
 def cmd_verify_bounds(args):
-    if args.trials < 1:
-        raise UsageError(f"need at least one trial, got {args.trials!r}")
     if args.harness == "concentration":
         task = get_task(args.task)
         if args.sigma.strip().startswith("auto"):

@@ -20,7 +20,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_number
 
 __all__ = ["Dataset", "load_csv", "write_table", "fmt_value"]
 
@@ -94,12 +94,12 @@ def load_csv(path, header=False, label_col=None):
             f"{path}: non-finite value at row {rows[bad[0]][0]}, column {bad[1] + 1}")
     labels = None
     if label_col is not None:
-        col = int(label_col)
-        if not 0 <= col < width:
+        check_number("label column must be an integer", label_col, integral=True)
+        if not 0 <= label_col < width:   # a column the file does not have
             raise DataError(
-                f"{path}: label column {col} out of range for {width} columns")
-        labels = table[:, col] != 0.0
-        table = np.delete(table, col, axis=1)
+                f"{path}: label column {label_col} out of range for {width} columns")
+        labels = table[:, label_col] != 0.0
+        table = np.delete(table, label_col, axis=1)
         if table.shape[1] == 0:
             raise DataError(f"{path}: no feature columns left after removing labels")
     return Dataset(points=table, labels=labels, source=str(path))

@@ -1,9 +1,24 @@
-"""Error types shared across the package.
+"""Error types shared across the package, and the two checks every argument takes.
 
 The command line maps these onto exit codes, so library code should prefer
 them over bare ValueError/RuntimeError wherever the failure is contractual.
 It also maps ``MemoryError`` (an array too large to allocate) to exit code 4.
+
+Every public number, count and array argument is checked by one of the
+two checks below.  A number is a ``numbers.Real`` (Python's or numpy's) and
+a count a ``numbers.Integral``.  A bool counts as neither, and nor does a
+string, ``None``, a complex number or an array; a float count such as 2.5
+or 2.0 is refused, never truncated.  Each call site states its own range.
+A wrong value is a ``UsageError`` reading "<what> must <condition>, got
+<value!r>".  An array holds integers or floats, and for data (points,
+scores, indicators) also bools.  Any other array (text, ``None``, complex
+numbers, a ragged nesting) is a ``DataError`` for data and a
+``UsageError`` for an argument such as a filter's or a Gram matrix.
 """
+
+import numbers
+
+import numpy as np
 
 
 class UsageError(ValueError):
@@ -16,3 +31,27 @@ class DataError(ValueError):
 
 class NumericError(RuntimeError):
     """Numerical failure, e.g. a factorization or eigensolver breakdown (exit code 4)."""
+
+
+def check_number(what, *values, ok=None, integral=False):
+    """Refuse ``values`` unless each is a real number, an integer if
+    ``integral``, not a bool, for which ``ok(value)`` holds: a ``UsageError``
+    reading "<what>, got <values>", each value shown by its repr."""
+    kind = numbers.Integral if integral else numbers.Real
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, kind) or not (ok is None or ok(v)):
+            raise UsageError(f"{what}, got {', '.join(map(repr, values))}")
+
+
+def real_array(what, x, data=False, finite=False):
+    """``x`` as an array of real numbers, not copied if it is one, and finite if
+    ``finite``; else the error ``what``, a ``DataError`` for ``data`` (which may
+    also be bools) and a ``UsageError`` otherwise."""
+    try:
+        a = np.asarray(x)
+    except ValueError:   # a ragged sequence
+        a = None
+    if (a is None or a.dtype.kind not in ("biuf" if data else "iuf")
+            or finite and not np.all(np.isfinite(a))):
+        raise (DataError if data else UsageError)(what)
+    return a

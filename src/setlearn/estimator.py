@@ -52,7 +52,6 @@ numpy.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 
@@ -61,7 +60,7 @@ from scipy.linalg import LinAlgError, cho_factor
 from scipy.linalg.blas import dgemm, dgemv, dsyrk, dtrmm
 from scipy.linalg.lapack import dtrtri
 
-from .errors import DataError, NumericError, UsageError
+from .errors import DataError, NumericError, UsageError, check_number, real_array
 from .filters import _FILTERS, Filter, KpcaTruncation, SpectralDecomposition
 # The in-place solve under the public name, which bench/tracing.py wraps.
 from .filters import _decompose_in_place as decompose
@@ -87,9 +86,7 @@ MAX_FACTOR_COND = 1.0 / np.sqrt(np.finfo(float).eps)
 
 def _check_tau(tau):
     """``tau`` as a float in [0, 1); anything else, a non-number too, is a usage error."""
-    real = isinstance(tau, numbers.Real) and not isinstance(tau, bool)
-    if not (real and 0.0 <= float(tau) < 1.0):   # nan and inf fail the comparison
-        raise UsageError(f"tau must lie in [0, 1), got {tau!r}")
+    check_number("tau must lie in [0, 1)", tau, ok=lambda v: 0 <= v < 1)
     return float(tau)
 
 
@@ -124,6 +121,8 @@ class SupportModel:
         fields["algorithm"] = _score_path(self.filter, self.algorithm)
         fields["tau"] = _check_tau(self.tau)
         if eigenpairs is not None:
+            if not isinstance(eigenpairs, SpectralDecomposition):
+                raise UsageError(f"eigenpairs must be a SpectralDecomposition, got {eigenpairs!r}")
             n = self.n
             shapes = np.shape(eigenpairs.eigenvalues), np.shape(eigenpairs.eigenvectors)
             if shapes != ((n,), (n, n)):
@@ -280,7 +279,7 @@ def score_batch(model, X):
 
 def score(model, x):
     """Score F_n(x) for a single query point."""
-    x = np.asarray(x, dtype=float)
+    x = real_array("query point must be real numbers", x, data=True)
     if x.ndim != 1:
         raise DataError("score expects a single point, use score_batch for batches")
     return float(score_batch(model, x[None, :])[0])
@@ -289,13 +288,14 @@ def score(model, x):
 def member_mask(scores, tau):
     """Threshold scores at 1 - tau with the ``MEMBER_SLACK`` round-off guard."""
     tau = _check_tau(tau)
-    return np.asarray(scores, dtype=float) >= 1.0 - tau - MEMBER_SLACK
+    scores = real_array("scores contain non-finite values", scores, data=True, finite=True)
+    return scores >= 1.0 - tau - MEMBER_SLACK
 
 
 def predict_member(model, x, tau=None):
     """Membership x in {F_n >= 1 - tau}.  1-d input gives a bool, 2-d a bool array."""
     tau = model.tau if tau is None else _check_tau(tau)
-    x = np.asarray(x, dtype=float)
+    x = real_array("query points must be real numbers", x, data=True)
     member = member_mask(score_batch(model, x[None, :] if x.ndim == 1 else x), tau)
     return bool(member[0]) if x.ndim == 1 else member
 
@@ -339,7 +339,10 @@ def regularization_path(model, X, grid):
     iteration counts (Landweber), matching the model's filter family.
     Returns an array of shape (len(grid), len(X)).
     """
-    grid = list(grid)
+    try:
+        grid = list(grid)
+    except TypeError:
+        raise UsageError(f"regularization grid must be a sequence, got {grid!r}") from None
     if not grid:
         raise UsageError("empty regularization grid")
     X = _check_query(X, model.dim)
@@ -353,10 +356,9 @@ def kpca_lambda_from_rank(decomposition, components):
     the midpoint of the M-th and (M+1)-th distinct positive eigenvalues,
     so small perturbations of the spectrum do not flip the truncation.
     """
-    M = int(components)
-    if M < 1:
-        raise UsageError(f"component count must be >= 1, got {components!r}")
-    distinct = np.unique(getattr(decomposition, "eigenvalues", decomposition))[::-1]
+    M = KpcaTruncation(components=components).components   # the filter's own count check
+    s = getattr(decomposition, "eigenvalues", decomposition)
+    distinct = np.unique(real_array("eigenvalues must be real numbers", s))[::-1]
     distinct = distinct[distinct > 0.0]
     if distinct.size < M + 1:
         raise UsageError(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import DataError, NumericError, UsageError
+from .errors import DataError, NumericError, check_number, real_array
 from .kernels import Abel, _point_pair, metric_matrix
 
 __all__ = [
@@ -38,12 +38,11 @@ def symdiff_measure(inside_a, inside_b, cell_volume):
     ``cell_volume`` times the number of cells where the indicators
     disagree; both indicators must live on the same grid.
     """
-    a = np.asarray(inside_a, dtype=bool)
-    b = np.asarray(inside_b, dtype=bool)
+    a, b = (real_array("indicator grids must hold booleans or numbers", x, data=True) != 0
+            for x in (inside_a, inside_b))
     if a.shape != b.shape:
         raise DataError(f"indicator grids differ in shape: {a.shape} vs {b.shape}")
-    if not cell_volume > 0:
-        raise UsageError(f"cell volume must be positive, got {cell_volume!r}")
+    check_number("cell volume must be positive", cell_volume, ok=lambda v: v > 0)
     return float(cell_volume) * int(np.count_nonzero(a != b))
 
 
@@ -73,12 +72,11 @@ def roc_auc(scores, labels):
     ties counted half, so it is exact under ties rather than an
     integration artifact.
     """
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=bool)
+    scores = real_array("scores contain non-finite values", scores, data=True,
+                        finite=True).astype(float, copy=False)
+    labels = real_array("labels must hold booleans or numbers", labels, data=True) != 0
     if scores.ndim != 1 or scores.shape != labels.shape:
         raise DataError("scores and labels must be matching vectors")
-    if not np.all(np.isfinite(scores)):
-        raise DataError("scores contain non-finite values")
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -109,9 +107,8 @@ def parzen_score(train, h, x):
     bandwidth whose n h^d, or n / (n h^d), the bound on every score, is
     not a positive finite float is refused with a ``NumericError``.
     """
-    if not h > 0:
-        raise UsageError(f"bandwidth must be positive, got {h!r}")
-    x = np.asarray(x, dtype=float)
+    check_number("bandwidth must be positive", h, ok=lambda v: v > 0)
+    x = real_array("x must be real numbers", x, data=True)
     single = x.ndim == 1
     X, train = _point_pair(x[None, :] if single else x, train, ("x", "train"))
     n, d = train.shape
@@ -132,9 +129,8 @@ def devroye_wise_member(train, eps, x):
 
     A 1-d ``x`` gives a bool, a 2-d batch gives a bool vector.
     """
-    if not eps > 0:
-        raise UsageError(f"radius must be positive, got {eps!r}")
-    x = np.asarray(x, dtype=float)
+    check_number("radius must be positive", eps, ok=lambda v: v > 0)
+    x = real_array("x must be real numbers", x, data=True)
     single = x.ndim == 1
     X, train = _point_pair(x[None, :] if single else x, train, ("x", "train"))
     member = cdist(X, train).min(axis=1) <= eps

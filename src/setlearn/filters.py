@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, eigh
 
-from .errors import NumericError, UsageError
+from .errors import NumericError, UsageError, check_number, real_array
 from .kernels import _Spec, _format_spec, _parse_spec
 
 # Eigenvalues of K_n/n may stray outside [0, 1] by round-off; values within
@@ -63,8 +63,8 @@ __all__ = [
 
 
 def _check_lam(lam):
-    if not np.isfinite(lam) or lam <= 0:
-        raise UsageError(f"regularization parameter must be positive and finite, got {lam!r}")
+    check_number("regularization parameter must be positive and finite", lam,
+                 ok=lambda v: 0 < v < np.inf)
     if 1.0 / float(lam) == np.inf:
         raise UsageError(f"regularization parameter {lam!r} is so small that 1/lambda overflows")
     return float(lam)
@@ -84,7 +84,7 @@ class Filter(_Spec):
 
     @classmethod
     def at(cls, value):
-        return cls(float(value))
+        return cls(value)
 
     def r(self, sigma):
         """Profile r(sigma); scalar in, scalar out, arrays vectorized."""
@@ -99,21 +99,10 @@ class Filter(_Spec):
         return self._g(s)
 
 
-def _real(x, what):
-    """``x`` as an array of real numbers, not copied if it is one; else a usage error."""
-    try:
-        a = np.asarray(x)
-    except ValueError:   # a ragged sequence
-        a = None
-    if a is None or a.dtype.kind not in "iuf":
-        raise UsageError(f"{what} must be real numbers")
-    return a
-
-
 def _on_unit_interval(evaluate, sigma):
     """``evaluate`` on real ``sigma`` within ``EIG_SLACK`` of [0, 1], clamped
     to [0, 1]; anything else, nan and inf too, is a usage error."""
-    s = _real(sigma, "filter argument")
+    s = real_array("filter argument must be real numbers", sigma)
     out = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.all((out >= -EIG_SLACK) & (out <= 1.0 + EIG_SLACK)):   # nan fails both
         raise UsageError("filter argument is not finite or lies outside [0, 1] beyond tolerance")
@@ -143,7 +132,11 @@ class Tikhonov(_Threshold):
     algorithm = "cholesky"
 
     def _r(self, s):
-        return s / (s + self.lam)
+        # 1 / (1 + lam/s) never decreases in s once rounded, which s / (s + lam)
+        # does not promise; s / lam where lam/s leaves the float range; r(0) = 0.
+        with np.errstate(divide="ignore", over="ignore"):
+            x = self.lam / s
+            return np.where(np.isfinite(x), 1.0 / (1.0 + x), s / self.lam)
 
     def _g(self, s):
         return 1.0 / (s + self.lam)
@@ -182,8 +175,8 @@ class Landweber(Filter):
 
     def __post_init__(self):
         m = self.iterations
-        if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
-            raise UsageError(f"iteration count must be a nonnegative integer, got {m!r}")
+        check_number("iteration count must be a nonnegative integer", m,
+                     ok=lambda v: v >= 0, integral=True)
         if m >= 2 ** 1023:   # r and g evaluate m + 1 as a float
             raise UsageError(f"iteration count must be below 2**1023, got {m!r}")
         object.__setattr__(self, "iterations", int(m))
@@ -231,10 +224,9 @@ class KpcaTruncation(Filter):
         if self.lam is not None:
             object.__setattr__(self, "lam", _check_lam(self.lam))
         else:
-            c = self.components
-            if not isinstance(c, (int, np.integer)) or isinstance(c, bool) or c < 1:
-                raise UsageError(f"component count must be a positive integer, got {c!r}")
-            object.__setattr__(self, "components", int(c))
+            check_number("component count must be a positive integer", self.components,
+                         ok=lambda v: v >= 1, integral=True)
+            object.__setattr__(self, "components", int(self.components))
 
     def _kept(self, s):
         if self.lam is None:
@@ -310,7 +302,7 @@ def spectrum(g):
 
 def _scaled_copy(g):
     """K_n/n as a copy of the Gram ``g``, a nonempty square real matrix."""
-    g = _real(g, "a Gram matrix")
+    g = real_array("a Gram matrix must be real numbers", g)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.size == 0:
         raise UsageError(f"a Gram matrix must be nonempty and square, got shape {g.shape}")
     return np.asarray(g, dtype=float) / len(g)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import DataError, NumericError, UsageError
+from .errors import DataError, NumericError, UsageError, check_number, real_array
 
 # PSD slack for Gram matrices, relative to the matrix 1-norm.
 EPS_PSD = 1e-10
@@ -61,14 +61,8 @@ __all__ = [
 ]
 
 
-def _check_width(sigma):
-    if not np.isfinite(sigma) or sigma <= 0:
-        raise UsageError(f"kernel width must be positive and finite, got {sigma!r}")
-    return float(sigma)
-
-
 def _as_points(points, name="points"):
-    arr = np.asarray(points, dtype=float)
+    arr = real_array(f"{name} must be real numbers", points, data=True).astype(float, copy=False)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
@@ -150,7 +144,9 @@ class _Exponential(Kernel):
     separating = SEPARATES_ALL
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", _check_width(self.sigma))
+        check_number("kernel width must be positive and finite", self.sigma,
+                     ok=lambda v: 0 < v < np.inf)
+        object.__setattr__(self, "sigma", float(self.sigma))
         if self._scale() == 0.0:   # exp(-0/0) is NaN where two points coincide
             raise UsageError(f"kernel width {self.sigma!r} is so small that its scale underflows")
 
@@ -216,6 +212,9 @@ class Normalized(Kernel):
     name = "normalized"
     keys = {"inner": "inner"}
     unit_diagonal = True
+
+    def __post_init__(self):
+        _kernel(self.inner)
 
     @property
     def separating(self):
@@ -313,6 +312,13 @@ class Product(Kernel):
         return product_kernel(factors)
 
 
+def _kernel(kernel):
+    """``kernel`` if it is a kernel spec; anything else is a usage error."""
+    if not isinstance(kernel, Kernel):
+        raise UsageError(f"kernel must be a kernel spec, got {kernel!r}")
+    return kernel
+
+
 def product_kernel(factors):
     """Combine (kernel, (start, stop)) factor pairs into a product kernel.
 
@@ -322,22 +328,21 @@ def product_kernel(factors):
     factor stays a one-factor product, which keeps its slice and so the
     dimension it checks.
     """
-    normalized = []
-    for k, where in factors:
-        if isinstance(where, slice):
-            if where.start is None or where.stop is None or where.step not in (None, 1):
-                raise UsageError(f"coordinate slice {where!r} needs explicit start and stop")
-            where = (where.start, where.stop)
-        a, b = where
-        normalized.append((k, (int(a), int(b))))
-    factors = normalized
+    try:
+        factors = [(k, (w.start, w.stop) if isinstance(w, slice) and w.step in (None, 1) else w)
+                   for k, w in factors]
+        factors = [(k, (a, b)) for k, (a, b) in factors]
+    except (TypeError, ValueError):
+        raise UsageError("product kernel factors must be (kernel, (start, stop)) pairs") from None
     if not factors:
         raise UsageError("product kernel needs at least one factor")
     for k, (a, b) in factors:
         if not isinstance(k, Kernel):
             raise UsageError(f"factor {k!r} is not a kernel spec")
-        if b <= a or a < 0:
+        check_number("coordinate slice bounds must be integers", a, b, integral=True)
+        if b <= a or a < 0:   # the tiling's own rule, with the slice it names
             raise UsageError(f"bad coordinate slice {a}:{b}")
+    factors = [(k, (int(a), int(b))) for k, (a, b) in factors]
     factors.sort(key=lambda f: f[1][0])
     cursor = 0
     for _, (a, b) in factors:
@@ -354,7 +359,7 @@ def normalize(kernel):
     Unit-diagonal kernels are returned unchanged, which also makes the
     operation idempotent by construction.
     """
-    if kernel.unit_diagonal:
+    if _kernel(kernel).unit_diagonal:
         return kernel
     return Normalized(kernel)
 
@@ -362,7 +367,7 @@ def normalize(kernel):
 def kernel_eval(kernel, x, y):
     """Evaluate K(x, y) for a single pair of points."""
     x, y = _single_pair(x, y, "kernel_eval", "gram/cross_gram")
-    return float(kernel._pairwise(x, y)[0, 0])
+    return float(_kernel(kernel)._pairwise(x, y)[0, 0])
 
 
 def induced_metric(kernel, x, y):
@@ -382,7 +387,7 @@ def metric_matrix(kernel, X, Y=None):
     self_distances = Y is None
     # one buffer on both sides, so the block is exactly symmetric
     X, Y = (_as_points(X, "X"),) * 2 if self_distances else _point_pair(X, Y)
-    dx = kernel._diag(X)
+    dx = _kernel(kernel)._diag(X)
     dy = dx if self_distances else kernel._diag(Y)
     sq = dx[:, None] + dy[None, :] - 2.0 * kernel._pairwise(X, Y)
     if self_distances:
@@ -406,7 +411,7 @@ def gram(kernel, points):
     if pts.shape[0] > MAX_GRAM_POINTS:
         raise UsageError(
             f"gram matrix for n={pts.shape[0]} exceeds the cap of {MAX_GRAM_POINTS} points")
-    M = kernel._pairwise(pts, pts)
+    M = _kernel(kernel)._pairwise(pts, pts)
     if kernel.unit_diagonal:
         np.fill_diagonal(M, 1.0)
     if not np.all(np.isfinite(M)):
@@ -423,7 +428,7 @@ def cross_gram(kernel, X, Y):
     either way; a ``Linear`` inner product may differ in its last bit.
     """
     X, Y = _point_pair(X, Y)
-    M = kernel._pairwise(Y, X).T
+    M = _kernel(kernel)._pairwise(Y, X).T
     if not np.all(np.isfinite(M)):
         raise NumericError("cross-gram matrix contains non-finite entries")
     return M

@@ -17,14 +17,13 @@ for it, and the harness reports that substitution's own error bound.
 
 from __future__ import annotations
 
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import NumericError, UsageError
-from .kernels import _as_points, _point_pair
+from .errors import NumericError, check_number, real_array
+from .kernels import _as_points, _kernel, _point_pair
 
 __all__ = [
     "hs_norm", "hs_distance",
@@ -109,7 +108,7 @@ def hs_norm(kernel, points):
     norm is at most the trace norm, so the result is at most 1.
     """
     X = _as_points(points)
-    return float(np.sqrt(_self_sum(kernel, X) / X.shape[0] ** 2))
+    return float(np.sqrt(_self_sum(_kernel(kernel), X) / X.shape[0] ** 2))
 
 
 def hs_distance(kernel, X, Y):
@@ -126,7 +125,7 @@ def hs_distance(kernel, X, Y):
     """
     X, Y = _point_pair(X, Y)
     n, m = X.shape[0], Y.shape[0]
-    taa = _self_sum(kernel, X) / n ** 2
+    taa = _self_sum(_kernel(kernel), X) / n ** 2
     if np.array_equal(X, Y):
         tbb = tab = taa
     else:
@@ -140,16 +139,10 @@ def hs_distance(kernel, X, Y):
 # every symbol is a user-supplied input, nothing is estimated.
 
 
-def _check_n_delta(n, delta):
-    if not n >= 1:
-        raise UsageError(f"n must be >= 1, got {n!r}")
-    if not 0 < delta < np.inf:
-        raise UsageError(f"delta must be positive and finite, got {delta!r}")
-
-
 def concentration_bound(n, delta):
     """2 * max(delta, sqrt(2 delta)) / sqrt(n), violated with prob <= 2 e^-delta."""
-    _check_n_delta(n, delta)
+    check_number("n must be >= 1", n, ok=lambda v: v >= 1)
+    check_number("delta must be positive and finite", delta, ok=lambda v: 0 < v < np.inf)
     return 2.0 * max(delta, np.sqrt(2.0 * delta)) / np.sqrt(n)
 
 
@@ -159,29 +152,26 @@ def effective_dimension(decomposition, lam):
     Decreasing in lambda, tends to the rank as lambda -> 0.  Accepts a
     SpectralDecomposition or a bare eigenvalue vector.
     """
-    if not lam > 0:
-        raise UsageError(f"lambda must be positive, got {lam!r}")
-    s = np.asarray(getattr(decomposition, "eigenvalues", decomposition), dtype=float)
+    check_number("lambda must be positive", lam, ok=lambda v: v > 0)
+    s = getattr(decomposition, "eigenvalues", decomposition)
+    s = real_array("eigenvalues must be real numbers", s).astype(float, copy=False)
     s = s[s > 0.0]
     return float(np.sum(s / (s + lam)))
 
 
 def sample_error_bound(n, lam, delta, effective_dim):
     """delta/(n lam) + sqrt(2 delta N(lam) / (n lam))."""
-    _check_n_delta(n, delta)
-    if not (lam > 0 and effective_dim >= 0):
-        raise UsageError("sample_error_bound needs lam > 0, N >= 0")
+    concentration_bound(n, delta)   # checks n and delta
+    check_number("lambda must be positive", lam, ok=lambda v: v > 0)
+    check_number("N must be nonnegative", effective_dim, ok=lambda v: v >= 0)
     return delta / (n * lam) + np.sqrt(2.0 * delta * effective_dim / (n * lam))
 
 
 def approximation_error_bound(lam, s, c_s):
     """C_s * lambda^s for source smoothness s in (0, 1]."""
-    if not lam > 0:
-        raise UsageError(f"lambda must be positive, got {lam!r}")
-    if not 0.0 < s <= 1.0:
-        raise UsageError(f"s must lie in (0, 1], got {s!r}")
-    if not c_s > 0:
-        raise UsageError(f"C_s must be positive, got {c_s!r}")
+    check_number("lambda must be positive", lam, ok=lambda v: v > 0)
+    check_number("s must lie in (0, 1]", s, ok=lambda v: 0 < v <= 1)
+    check_number("C_s must be positive", c_s, ok=lambda v: v > 0)
     return c_s * lam ** s
 
 
@@ -192,24 +182,20 @@ def finite_sample_bound(n, delta, s, b, c_s, d_b):
     statement carries C_s v (D_b (2 delta v sqrt(2 delta))) instead, which
     differs; the two disagree and we follow the proof.
     """
-    _check_n_delta(n, delta)
-    if not c_s > 0:
-        raise UsageError(f"C_s must be positive, got {c_s!r}")
-    if not 0.0 < s <= 1.0:
-        raise UsageError(f"s must lie in (0, 1], got {s!r}")
-    if not 0.0 <= b <= 1.0:
-        raise UsageError(f"b must lie in [0, 1], got {b!r}")
-    if not d_b >= 1.0:
-        raise UsageError(f"D_b must be >= 1, got {d_b!r}")
+    concentration_bound(n, delta)   # checks n and delta
+    check_number("C_s must be positive", c_s, ok=lambda v: v > 0)
+    check_number("s must lie in (0, 1]", s, ok=lambda v: 0 < v <= 1)
+    check_number("b must lie in [0, 1]", b, ok=lambda v: 0 <= v <= 1)
+    check_number("D_b must be >= 1", d_b, ok=lambda v: v >= 1)
     constant = max(c_s, 2.0 * d_b * max(delta, np.sqrt(2.0 * delta)))
     return constant * float(n) ** (-s / (2.0 * s + b + 1.0))
 
 
 def bernstein_bound(m_bound, variance, n, delta):
     """M delta / n + sqrt(2 sigma^2 delta / n) for bounded vector averages."""
-    _check_n_delta(n, delta)
-    if not (m_bound > 0 and variance > 0):
-        raise UsageError("bernstein_bound needs M > 0, variance > 0")
+    concentration_bound(n, delta)   # checks n and delta
+    check_number("bernstein_bound needs M > 0, variance > 0", m_bound, variance,
+                 ok=lambda v: v > 0)
     return m_bound * delta / n + np.sqrt(2.0 * variance * delta / n)
 
 
@@ -217,13 +203,6 @@ def bernstein_bound(m_bound, variance, n, delta):
 # Monte-Carlo harnesses.  One generator per trial, keyed [seed, trial], so
 # any prefix of the trial sequence reproduces bit-for-bit; the reference
 # sample uses its own reserved stream.
-
-
-def _check_counts(**counts):
-    """Refuse a harness count that is not an integer; callers check ranges first."""
-    for name, value in counts.items():
-        if not isinstance(value, numbers.Integral):
-            raise UsageError(f"{name} must be an integer, got {value!r}")
 
 
 def concentration_trials(sample_fn, kernel, n, delta, trials, ref_size, seed):
@@ -235,9 +214,9 @@ def concentration_trials(sample_fn, kernel, n, delta, trials, ref_size, seed):
     terms of all trials come from one stacked pass over the reference.
     """
     bound = concentration_bound(n, delta)
-    if trials < 1 or ref_size < 1:
-        raise UsageError(f"need trials, ref_size >= 1, got {trials!r}, {ref_size!r}")
-    _check_counts(n=n, trials=trials, ref_size=ref_size)
+    for name, count in (("n", n), ("trials", trials), ("ref_size", ref_size)):
+        check_number(f"{name} must be an integer", count, integral=True)
+    check_number("need trials, ref_size >= 1", trials, ref_size, ok=lambda v: v >= 1)
     ref = _as_points(sample_fn(ref_size, np.random.default_rng([seed, _REF_STREAM])))
     samples = [_as_points(sample_fn(n, np.random.default_rng([seed, t])))
                for t in range(trials)]
@@ -254,10 +233,9 @@ def bernstein_trials(n, delta, trials, seed):
     Returns (observed, bound) with observed |mean| per trial; the
     violation fraction should not exceed 2 e^-delta.
     """
-    if trials < 1:
-        raise UsageError(f"need at least one trial, got {trials!r}")
     bound = bernstein_bound(1.0, 1.0, n, delta)
-    _check_counts(n=n, trials=trials)
+    check_number("n must be an integer", n, integral=True)
+    check_number("trials must be an integer >= 1", trials, ok=lambda v: v >= 1, integral=True)
     observed = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng([seed, t])

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, check_number, real_array
 from .filters import NULL_EIG
 from .kernels import _as_points
 
@@ -24,9 +24,8 @@ def width_heuristic(points, k=10):
     """
     pts = _as_points(points)
     n = pts.shape[0]
-    k = int(k)
-    if not 1 <= k <= n - 1:
-        raise UsageError(f"need 1 <= k < n for the width heuristic, got k={k}, n={n}")
+    check_number(f"k must be an integer in [1, n) = [1, {n})", k,
+                 ok=lambda v: 1 <= v < n, integral=True)
     tree = cKDTree(pts)
     # query returns the point itself at rank 0, so the k-th neighbour sits
     # at column k
@@ -46,7 +45,7 @@ def lambda_curvature(eigenvalues):
     to the smallest index.  The returned lambda is always one of the
     input eigenvalues.
     """
-    s = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
+    s = np.sort(real_array("eigenvalues must be real numbers", eigenvalues))[::-1]
     s = s[s > NULL_EIG]
     if s.size < 3:
         raise UsageError(
@@ -67,10 +66,7 @@ def rate_lambda(n, s=1.0, b=1.0):
     The defaults s = b = 1 are the most favourable case; Abel(1) on the
     uniform unit circle has s = b = 1/2.
     """
-    if not n >= 1:
-        raise UsageError(f"n must be >= 1, got {n!r}")
-    if not 0.0 < s <= 1.0:
-        raise UsageError(f"s must lie in (0, 1], got {s!r}")
-    if not 0.0 <= b <= 1.0:
-        raise UsageError(f"b must lie in [0, 1], got {b!r}")
+    check_number("n must be >= 1", n, ok=lambda v: v >= 1)
+    check_number("s must lie in (0, 1]", s, ok=lambda v: 0 < v <= 1)
+    check_number("b must lie in [0, 1]", b, ok=lambda v: 0 <= v <= 1)
     return float(n) ** (-1.0 / (2.0 * s + b + 1.0))

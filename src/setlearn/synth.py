@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, check_number
+from .kernels import _as_points
 
 __all__ = ["SyntheticTask", "task_names", "get_task", "sample",
            "reference_support", "reference_grid", "support_distance"]
@@ -37,6 +38,7 @@ class SyntheticTask:
 
     def draw(self, n, rng):
         """Sample n points with a caller-owned generator (for harnesses)."""
+        check_number("n must be an integer >= 1", n, ok=lambda v: v >= 1, integral=True)
         return self._sampler(int(n), rng)
 
 
@@ -208,21 +210,18 @@ def get_task(name):
 
 def sample(task, n, seed):
     """Draw n points; identical seeds give bit-identical samples."""
-    if n < 1:
-        raise UsageError(f"n must be >= 1, got {n!r}")
     return task.draw(n, np.random.default_rng(seed))
 
 
 def reference_support(task, m=1000):
     """Dense discretization of the true support (unthickened)."""
-    if m < 2:
-        raise UsageError(f"m must be >= 2, got {m!r}")
+    check_number("m must be an integer >= 2", m, ok=lambda v: v >= 2, integral=True)
     return task._support(int(m))
 
 
 def support_distance(task, points):
     """Euclidean distance from each point to the true support set."""
-    return task._distance(np.asarray(points, dtype=float))
+    return task._distance(_as_points(points))
 
 
 def reference_grid(task, resolution):
@@ -232,9 +231,8 @@ def reference_grid(task, resolution):
     lower-dimensional supports by one grid step (the largest per-axis
     step); full-dimensional supports are exact.
     """
-    resolution = int(resolution)
-    if resolution < 2:
-        raise UsageError(f"resolution must be >= 2, got {resolution!r}")
+    check_number("resolution must be an integer >= 2", resolution, ok=lambda v: v >= 2,
+                 integral=True)
     axes = [np.linspace(lo, hi, resolution) for lo, hi in task.bounding_box]
     steps = [(hi - lo) / (resolution - 1) for lo, hi in task.bounding_box]
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -1,0 +1,114 @@
+"""Every public number, count and array argument is refused with the package's
+own errors (:mod:`setlearn.errors`): a non-number, a bool, a non-integral count,
+a kernel that is not a spec or an array that does not hold real numbers raises
+``UsageError`` or ``DataError``, never numpy's or Python's ``TypeError``,
+``ValueError`` or ``AttributeError``, and is never truncated or taken silently."""
+
+import numpy as np
+import pytest
+
+from setlearn import (Abel, DataError, Gaussian, KpcaTruncation, L1Exponential, Landweber,
+                      Normalized, NumericError, SpectralCutoff, Tikhonov, UsageError, cross_gram,
+                      devroye_wise_member, fit, gram, hausdorff, kernel_eval,
+                      kpca_lambda_from_rank, member_mask, metric_matrix, normalize,
+                      parzen_score, predict_member, product_kernel, rate_lambda,
+                      reference_grid, reference_support, regularization_path, sample, score,
+                      score_batch, symdiff_measure, width_heuristic)
+from setlearn.oracles import hs_distance, hs_norm
+from setlearn.synth import get_task
+
+X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.2]])
+MODEL = fit(X, Abel(1.0), Tikhonov(0.1))
+SPECTRUM = MODEL.decomposition.eigenvalues
+CIRCLE = get_task("circle")
+
+NOT_NUMBERS = ("abc", None, 1j, True, np.array([1.0, 2.0]))
+NOT_COUNTS = NOT_NUMBERS + (2.5, "2")
+NOT_SIZES = ("abc", None, 1j, np.array([3, 4]), 2.5, "3")   # True < 2 was refused already
+NOT_POINTS = ("abc", [[1.0, "x"]], [[1j, 2.0]], [[1.0], [1.0, 2.0]])
+NOT_INDICATORS = ("abc", None, [[True, "x"]], [[1.0], [1.0, 2.0]])
+
+# (argument, call taking the bad value, bad values, the error it raises)
+ARGUMENTS = [
+    ("Tikhonov", Tikhonov, NOT_NUMBERS, UsageError),
+    ("SpectralCutoff", SpectralCutoff, NOT_NUMBERS, UsageError),
+    ("KpcaTruncation-lam", lambda v: KpcaTruncation(lam=v), ("abc", 1j, True), UsageError),
+    ("Abel", Abel, NOT_NUMBERS, UsageError),
+    ("L1Exponential", L1Exponential, NOT_NUMBERS, UsageError),
+    ("Gaussian", Gaussian, NOT_NUMBERS, UsageError),
+    ("rate_lambda-n", rate_lambda, NOT_NUMBERS, UsageError),
+    ("rate_lambda-s", lambda v: rate_lambda(100, s=v), NOT_NUMBERS, UsageError),
+    ("rate_lambda-b", lambda v: rate_lambda(100, b=v), NOT_NUMBERS, UsageError),
+    ("width_heuristic-k", lambda v: width_heuristic(X, v), NOT_COUNTS, UsageError),
+    ("width_heuristic-points", width_heuristic, NOT_POINTS, DataError),
+    ("parzen_score-h", lambda v: parzen_score(X, v, X), NOT_NUMBERS, UsageError),
+    ("parzen_score-x", lambda v: parzen_score(X, 0.5, v), NOT_POINTS, DataError),
+    ("parzen_score-train", lambda v: parzen_score(v, 0.5, X), NOT_POINTS, DataError),
+    ("devroye_wise_member-eps", lambda v: devroye_wise_member(X, v, X), NOT_NUMBERS,
+     UsageError),
+    ("devroye_wise_member-x", lambda v: devroye_wise_member(X, 0.5, v), NOT_POINTS,
+     DataError),
+    ("symdiff_measure-cell_volume", lambda v: symdiff_measure([True], [False], v),
+     NOT_NUMBERS, UsageError),
+    ("symdiff_measure-inside", lambda v: symdiff_measure(v, v, 1.0), NOT_INDICATORS,
+     DataError),
+    ("sample-n", lambda v: sample(CIRCLE, v, 0), NOT_COUNTS, UsageError),
+    ("reference_grid-resolution", lambda v: reference_grid(CIRCLE, v), NOT_SIZES,
+     UsageError),
+    ("reference_support-m", lambda v: reference_support(CIRCLE, v), NOT_SIZES, UsageError),
+    ("gram-points", lambda v: gram(Abel(1.0), v), NOT_POINTS, DataError),
+    ("fit-points", lambda v: fit(v, Abel(1.0), Tikhonov(0.1)), NOT_POINTS, DataError),
+    ("score_batch-X", lambda v: score_batch(MODEL, v), NOT_POINTS, DataError),
+    ("score-x", lambda v: score(MODEL, v), NOT_POINTS, DataError),
+    ("predict_member-x", lambda v: predict_member(MODEL, v), NOT_POINTS, DataError),
+    ("regularization_path-X", lambda v: regularization_path(MODEL, v, [0.1]), NOT_POINTS,
+     DataError),
+    ("regularization_path-grid", lambda v: regularization_path(MODEL, X, v),
+     ("abc", None, 1j, True), UsageError),
+    ("regularization_path-strength", lambda v: regularization_path(MODEL, X, [v]),
+     NOT_NUMBERS, UsageError),
+    ("member_mask-scores", lambda v: member_mask(v, 0.1),
+     ("abc", None, 1j, [0.5, "x"], [0.5, np.nan], [0.5, np.inf]), DataError),
+    ("kpca_lambda_from_rank-components", lambda v: kpca_lambda_from_rank(SPECTRUM, v),
+     NOT_COUNTS, UsageError),
+    ("kpca_lambda_from_rank-spectrum", lambda v: kpca_lambda_from_rank(v, 2),
+     ("abc", None, [0.5, "x"]), UsageError),
+    *((f"{name}-kernel", call, ("abel", None, Tikhonov(0.1)), UsageError) for name, call in (
+        ("gram", lambda k: gram(k, X)), ("cross_gram", lambda k: cross_gram(k, X, X)),
+        ("metric_matrix", lambda k: metric_matrix(k, X)),
+        ("kernel_eval", lambda k: kernel_eval(k, X[0], X[1])), ("normalize", normalize),
+        ("Normalized", lambda k: gram(Normalized(k), X)),
+        ("hs_norm", lambda k: hs_norm(k, X)),
+        ("hs_distance", lambda k: hs_distance(k, X, X[:2])))),
+    ("hausdorff-kernel", lambda k: hausdorff(X, X, kernel=k), ("abel", Tikhonov(0.1)),
+     UsageError),
+    ("product_kernel-factors", product_kernel,
+     (3, [Abel(1.0)], [(Abel(1.0), 2)], [(Abel(1.0), (0, 1, 2))]), UsageError),
+    ("product_kernel-slice", lambda v: product_kernel([(Abel(1.0), (v, 2))]),
+     ("a", None, 0.5), UsageError),
+    ("fit-eigenpairs", lambda v: fit(X, Abel(1.0), Tikhonov(0.1), eigenpairs=v),
+     ("x", (SPECTRUM, np.eye(5))), UsageError),
+]
+
+
+@pytest.mark.parametrize("call, bad, error", [
+    pytest.param(call, bad, error, id=f"{name}-{i}")
+    for name, call, values, error in ARGUMENTS for i, bad in enumerate(values)])
+def test_a_bad_argument_is_refused_with_a_package_error(call, bad, error):
+    with pytest.raises((UsageError, DataError, NumericError)) as caught:
+        call(bad)
+    assert type(caught.value) is error
+
+
+def test_numbers_of_every_kind_stay_accepted():
+    """Python and numpy integers and floats stay numbers, and integer counts stay
+    counts; bool, integer and float arrays stay points."""
+    assert Tikhonov(np.float32(0.5)).lam == 0.5 and Abel(1).sigma == 1.0
+    assert Landweber(np.int64(3)).iterations == 3
+    assert sample(CIRCLE, np.int64(3), 0).shape == (3, 2)
+    assert reference_support(CIRCLE, np.int64(4)).shape == (4, 2)
+    assert width_heuristic(X, np.int64(1)) == width_heuristic(X, 1)
+    for points in (X.astype(int), X.astype(bool), X.astype(np.float32)):
+        np.testing.assert_array_equal(fit(points, Abel(1.0), Tikhonov(0.1)).points,
+                                      np.asarray(points, dtype=float))
+    assert member_mask([True, False], 0.1).tolist() == [True, False]

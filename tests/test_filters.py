@@ -476,6 +476,7 @@ _STRENGTHS = st.one_of(
 @example(spec=(Tikhonov, 5e-324), s=[0.0])
 @example(spec=(Landweber, 280), s=[0.125, 0.14515713378109776])
 @example(spec=(Landweber, 10 ** 400), s=[0.5])
+@example(spec=(Tikhonov, 1e-09), s=[1.0, 0.9999999999999999])
 def test_filter_invariants_hold_on_the_unit_interval(spec, s):
     """r maps [0, 1] into [0, 1], equals s * g within a few ulps and never
     decreases in s, for every family at every strength it accepts."""

@@ -204,13 +204,20 @@ _NAN_CALLS = {
     "rate_lambda-n": lambda v: rate_lambda(v),
     "rate_lambda-s": lambda v: rate_lambda(100, s=v),
     "rate_lambda-b": lambda v: rate_lambda(100, b=v),
+    "concentration_bound-delta": lambda v: concentration_bound(100, v),
+    "sample_error_bound-delta": lambda v: sample_error_bound(100, 0.1, v, 5.0),
+    "finite_sample_bound-delta": lambda v: finite_sample_bound(100, v, 1.0, 1.0, 1.0, 1.0),
+    "bernstein_bound-delta": lambda v: bernstein_bound(1.0, 1.0, 100, v),
 }
 
 
 @pytest.mark.parametrize("call", _NAN_CALLS.values(), ids=_NAN_CALLS.keys())
 def test_bounds_refuse_a_nan_parameter(call):
-    with pytest.raises(UsageError):
-        call(np.nan)
+    """nan, and anything that is not a real number: text, None, a complex
+    number, a bool or an array."""
+    for bad in (np.nan, "abc", None, 1j, True, np.array([1.0, 2.0])):
+        with pytest.raises(UsageError):
+            call(bad)
 
 
 def test_effective_dimension_examples():
