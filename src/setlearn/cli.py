@@ -18,7 +18,7 @@ from itertools import repeat
 import numpy as np
 
 from .data import fmt_value as _f, load_csv, write_table
-from .errors import DataError, NumericError, UsageError, check_number
+from .errors import DataError, NumericError, UsageError, check_number, check_seed
 from .estimator import (ALGORITHMS, _check_query, _check_tau, _score_path, fit, member_mask,
                         regularization_path, score_batch)
 from .evaluation import hausdorff, parzen_score, roc_auc, symdiff_measure
@@ -289,6 +289,7 @@ def _eval_task(args):
     check_number("n must be >= 1", args.n, ok=lambda v: v >= 1)
     check_number("trials must be an integer >= 1", args.trials, ok=lambda v: v >= 1, integral=True)
     check_number("need at least one test point per class", n_test, ok=lambda v: v >= 1)
+    check_seed(args.seed)
     task = get_task(args.task)
     flags = _filter_flags(args, args.n)   # every trial draws n points
     grid_points, grid_inside, cell_volume = reference_grid(task, args.resolution)

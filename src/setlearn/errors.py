@@ -13,7 +13,8 @@ A wrong value is a ``UsageError`` reading "<what> must <condition>, got
 <value!r>".  An array holds integers or floats, and for data (points,
 scores, indicators) also bools.  Any other array (text, ``None``, complex
 numbers, a ragged nesting) is a ``DataError`` for data and a
-``UsageError`` for an argument such as a filter's or a Gram matrix.
+``UsageError`` for an argument such as a filter's or a Gram matrix.  A
+random seed is a count too (:func:`check_seed`).
 """
 
 import numbers
@@ -55,3 +56,16 @@ def real_array(what, x, data=False, finite=False):
             or finite and not np.all(np.isfinite(a))):
         raise (DataError if data else UsageError)(what)
     return a
+
+
+def check_seed(seed, sequence=False):
+    """Refuse ``seed`` unless it is a nonnegative integer, not a bool, or, if
+    ``sequence``, ``None`` or a list, tuple or 1-d array of such integers, as
+    ``numpy.random.default_rng`` takes one: a ``UsageError``."""
+    if sequence and seed is None:
+        return
+    many = sequence and (isinstance(seed, (list, tuple))
+                         or isinstance(seed, np.ndarray) and seed.ndim == 1)
+    check_number("seed must be None, a nonnegative integer or a sequence of them" if sequence
+                 else "seed must be a nonnegative integer",
+                 *(seed if many else (seed,)), ok=lambda v: v >= 0, integral=True)

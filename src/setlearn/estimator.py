@@ -9,8 +9,8 @@ approaches 1 on the support of the sampling distribution and falls off
 away from it when the kernel separates the support.  The estimated set is
 the superlevel set {x : F_n(x) >= 1 - tau}.
 
-A model checks its fields when it is built (:class:`SupportModel`, which
-:func:`fit` calls) and solves on first use, so a bad query is refused first.
+A model checks its fields when it is built (:func:`fit`, which is
+:class:`SupportModel`) and solves on first use, so a bad query is refused first.
 
 Every score path is one contraction F = sum_i w_i * Y_i^2 over one factor
 of the fitted model.  Wherever the filter's gains allow it, that factor is
@@ -92,21 +92,42 @@ def _check_tau(tau):
 
 @dataclass(frozen=True, eq=False)
 class SupportModel:
-    """Fitted state: training points, kernel, filter, score path and margin.
+    """A support model fitted to a sample: :func:`fit` is this constructor.
 
-    Construction checks every field as :func:`fit` documents it, keeps a
-    read-only copy of the points and solves nothing but the spectrum a kPCA
-    component count needs.  The model builds the rest itself, at most once,
-    on first use: the ``decomposition`` (seeded by ``eigenpairs``) and the
-    ``inverse_factor`` it scores through.  No model holds a Gram: each
-    solve starts from a fresh ``gram(kernel, points)``.
+    Construction checks every argument, keeps a read-only copy of the points
+    and solves nothing but the spectrum a kPCA component count needs.  The
+    model builds the rest itself, at most once, on first use: the
+    ``decomposition`` (seeded by ``eigenpairs``) and the ``inverse_factor``
+    it scores through.  No model holds a Gram: each solve starts from a
+    fresh ``gram(kernel, points)``.
+
+    Parameters
+    ----------
+    points : (n, d) array
+        Training sample; the model keeps a read-only copy.
+    kernel : Kernel
+        Must be unit-diagonal; wrap others with ``normalize``.
+    filter : Filter
+        Spectral filter spec.  A kPCA truncation given by component count
+        is resolved here to a concrete threshold against the spectrum.
+    algorithm : str, optional
+        "spectral" (any filter), "cholesky" (Tikhonov only) or
+        "landweber" (Landweber only).  Defaults to the path the filter's
+        family owns (``Filter.algorithm``); the regularization path always
+        goes through the decomposition whatever the model's score path.
+    tau : float
+        Default membership margin in [0, 1); ``predict_member`` may
+        override it per call.
+    eigenpairs : SpectralDecomposition, optional
+        The decomposition of K_n/n, for a caller that solved it already: n
+        eigenvalues and an n x n eigenvector matrix, their values trusted.
     """
 
     points: np.ndarray
     kernel: Kernel
     filter: Filter
-    algorithm: str
-    tau: float
+    algorithm: str = None
+    tau: float = 0.0
     eigenpairs: InitVar[SpectralDecomposition] = None
 
     def __post_init__(self, eigenpairs):
@@ -185,6 +206,9 @@ class SupportModel:
         return W
 
 
+fit = SupportModel
+
+
 def _cholesky(G, lam):
     """Lower Cholesky factor of K_n + n*lam*I, as ``cho_factor`` returns it.
 
@@ -208,34 +232,6 @@ def _factorize(M):
         return cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError as exc:
         raise NumericError(f"Cholesky factorization failed: {exc}") from None
-
-
-def fit(points, kernel, filter, algorithm=None, tau=0.0, eigenpairs=None):
-    """Fit a support model to a sample: :class:`SupportModel` with defaults,
-    which checks every argument and solves on first use.
-
-    Parameters
-    ----------
-    points : (n, d) array
-        Training sample; the model keeps a read-only copy.
-    kernel : Kernel
-        Must be unit-diagonal; wrap others with ``normalize``.
-    filter : Filter
-        Spectral filter spec.  A kPCA truncation given by component count
-        is resolved here to a concrete threshold against the spectrum.
-    algorithm : str, optional
-        "spectral" (any filter), "cholesky" (Tikhonov only) or
-        "landweber" (Landweber only).  Defaults to the path the filter's
-        family owns (``Filter.algorithm``); the regularization path always
-        goes through the decomposition whatever the model's score path.
-    tau : float
-        Default membership margin in [0, 1); ``predict_member`` may
-        override it per call.
-    eigenpairs : SpectralDecomposition, optional
-        The decomposition of K_n/n, for a caller that solved it already: n
-        eigenvalues and an n x n eigenvector matrix, their values trusted.
-    """
-    return SupportModel(points, kernel, filter, algorithm, tau, eigenpairs)
 
 
 def _score_path(family, algorithm):

@@ -46,31 +46,15 @@ def symdiff_measure(inside_a, inside_b, cell_volume):
     return float(cell_volume) * int(np.count_nonzero(a != b))
 
 
-def _average_ranks(values):
-    """1-based ranks of a vector, ties given the mean of their positions.
-
-    The same values as ``scipy.stats.rankdata`` with its default average
-    method, without importing ``scipy.stats``.
-    """
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    # tie groups are runs of equal values in sorted order
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], ordered.size]
-    group_rank = (starts + 1 + ends) / 2.0
-    ranks = np.empty(values.size)
-    ranks[order] = np.repeat(group_rank, ends - starts)
-    return ranks
-
-
 def roc_auc(scores, labels):
     """ROC points and the area under the curve for labeled scores.
 
     Returns (points, auc).  ``points`` is a (k, 2) array of (false
     positive rate, true positive rate) pairs, one per distinct threshold
-    plus the origin.  The AUC is the Mann-Whitney rank statistic with
-    ties counted half, so it is exact under ties rather than an
-    integration artifact.
+    plus the origin.  The AUC is the trapezoid area under those points,
+    summed in integers over the tie groups' counts and divided once, so a
+    tie counts half and the value is the Mann-Whitney statistic U/(P N),
+    exact rather than an integration artifact.
     """
     scores = real_array("scores contain non-finite values", scores, data=True,
                         finite=True).astype(float, copy=False)
@@ -82,19 +66,18 @@ def roc_auc(scores, labels):
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC needs at least one positive and one negative label")
 
-    ranks = _average_ranks(scores)
-    u_stat = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
-    auc = float(u_stat / (n_pos * n_neg))
-
     order = np.argsort(-scores, kind="stable")
-    tp = np.cumsum(labels[order])
-    fp = np.cumsum(~labels[order])
     # one ROC point per distinct threshold: the last index of each tie group
     last = np.flatnonzero(np.r_[np.diff(scores[order]) != 0, True])
+    tp = np.cumsum(labels[order])[last]
+    fp = last + 1 - tp
+    # twice the area: sum of dFP * (TP_k + TP_{k-1}), exact in integers
+    twice_area = int(np.diff(fp, prepend=0) @ (tp + np.r_[0, tp[:-1]]))
+    auc = twice_area / (2 * n_pos * n_neg)
     points = np.empty((last.size + 1, 2))
     points[0] = (0.0, 0.0)
-    points[1:, 0] = fp[last] / n_neg
-    points[1:, 1] = tp[last] / n_pos
+    points[1:, 0] = fp / n_neg
+    points[1:, 1] = tp / n_pos
     return points, auc
 
 

@@ -247,15 +247,42 @@ class Normalized(Kernel):
 class Product(Kernel):
     """Product of factor kernels applied to disjoint coordinate slices.
 
-    ``factors`` is a tuple of (kernel, (start, stop)) pairs whose half-open
-    ranges tile 0..dim.  Build instances with :func:`product_kernel`, which
-    validates the tiling.
+    ``factors`` holds (kernel, (start, stop)) pairs, or (kernel, slice) pairs
+    with explicit start and stop, whose half-open ranges tile the coordinate
+    range 0..d with no gap or overlap.  Any order is accepted: the product
+    keeps its factors sorted by start, as a tuple of (kernel, (int, int))
+    pairs.  A single factor stays a one-factor product, which keeps its
+    slice and so the dimension it checks.
     """
 
     factors: tuple
 
     name = "product"
     keys = {"factors": "factors"}
+
+    def __post_init__(self):
+        try:
+            factors = [(k, (w.start, w.stop) if isinstance(w, slice) and w.step in (None, 1) else w)
+                       for k, w in self.factors]
+            factors = [(k, (a, b)) for k, (a, b) in factors]
+        except (TypeError, ValueError):
+            raise UsageError("product kernel factors must be (kernel, (start, stop)) pairs") from None
+        if not factors:
+            raise UsageError("product kernel needs at least one factor")
+        for k, (a, b) in factors:
+            if not isinstance(k, Kernel):
+                raise UsageError(f"factor {k!r} is not a kernel spec")
+            check_number("coordinate slice bounds must be integers", a, b, integral=True)
+            if b <= a or a < 0:   # the tiling's own rule, with the slice it names
+                raise UsageError(f"bad coordinate slice {a}:{b}")
+        factors = sorted(((k, (int(a), int(b))) for k, (a, b) in factors), key=lambda f: f[1][0])
+        cursor = 0
+        for _, (a, b) in factors:
+            if a != cursor:
+                raise UsageError(
+                    f"factor slices must tile 0..d; gap or overlap at coordinate {cursor}")
+            cursor = b
+        object.__setattr__(self, "factors", tuple(factors))
 
     @property
     def dim(self):
@@ -309,7 +336,11 @@ class Product(Kernel):
             except ValueError:
                 raise UsageError(f"bad slice {slc!r}") from None
             factors.append((parse_kernel(spec), (a, b)))
-        return product_kernel(factors)
+        return cls(factors)
+
+
+# The product's constructor under its factory name.
+product_kernel = Product
 
 
 def _kernel(kernel):
@@ -317,40 +348,6 @@ def _kernel(kernel):
     if not isinstance(kernel, Kernel):
         raise UsageError(f"kernel must be a kernel spec, got {kernel!r}")
     return kernel
-
-
-def product_kernel(factors):
-    """Combine (kernel, (start, stop)) factor pairs into a product kernel.
-
-    The slices must tile the coordinate range 0..d with no gap or overlap
-    (any order is accepted and factors are sorted by start).  ``slice``
-    objects with explicit start and stop are accepted too.  A single
-    factor stays a one-factor product, which keeps its slice and so the
-    dimension it checks.
-    """
-    try:
-        factors = [(k, (w.start, w.stop) if isinstance(w, slice) and w.step in (None, 1) else w)
-                   for k, w in factors]
-        factors = [(k, (a, b)) for k, (a, b) in factors]
-    except (TypeError, ValueError):
-        raise UsageError("product kernel factors must be (kernel, (start, stop)) pairs") from None
-    if not factors:
-        raise UsageError("product kernel needs at least one factor")
-    for k, (a, b) in factors:
-        if not isinstance(k, Kernel):
-            raise UsageError(f"factor {k!r} is not a kernel spec")
-        check_number("coordinate slice bounds must be integers", a, b, integral=True)
-        if b <= a or a < 0:   # the tiling's own rule, with the slice it names
-            raise UsageError(f"bad coordinate slice {a}:{b}")
-    factors = [(k, (int(a), int(b))) for k, (a, b) in factors]
-    factors.sort(key=lambda f: f[1][0])
-    cursor = 0
-    for _, (a, b) in factors:
-        if a != cursor:
-            raise UsageError(
-                f"factor slices must tile 0..d; gap or overlap at coordinate {cursor}")
-        cursor = b
-    return Product(tuple(factors))
 
 
 def normalize(kernel):
@@ -496,6 +493,8 @@ def _parse_spec(text, what, table):
     The leading ``what=`` is optional so the same parser serves model files
     and bare command-line values.  A family with keys takes exactly one.
     """
+    if not isinstance(text, str):
+        raise UsageError(f"{what} spec must be text, got {text!r}")
     body = text.strip()
     if body.startswith(what + "="):
         body = body[len(what) + 1:]

@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import NumericError, check_number, real_array
+from .errors import NumericError, check_number, check_seed, real_array
 from .kernels import _as_points, _kernel, _point_pair
 
 __all__ = [
@@ -200,9 +200,9 @@ def bernstein_bound(m_bound, variance, n, delta):
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo harnesses.  One generator per trial, keyed [seed, trial], so
-# any prefix of the trial sequence reproduces bit-for-bit; the reference
-# sample uses its own reserved stream.
+# Monte-Carlo harnesses.  One generator per trial, keyed [seed, trial] with
+# ``seed`` a nonnegative integer, so any prefix of the trial sequence
+# reproduces bit-for-bit; the reference sample uses its own reserved stream.
 
 
 def concentration_trials(sample_fn, kernel, n, delta, trials, ref_size, seed):
@@ -217,6 +217,7 @@ def concentration_trials(sample_fn, kernel, n, delta, trials, ref_size, seed):
     for name, count in (("n", n), ("trials", trials), ("ref_size", ref_size)):
         check_number(f"{name} must be an integer", count, integral=True)
     check_number("need trials, ref_size >= 1", trials, ref_size, ok=lambda v: v >= 1)
+    check_seed(seed)
     ref = _as_points(sample_fn(ref_size, np.random.default_rng([seed, _REF_STREAM])))
     samples = [_as_points(sample_fn(n, np.random.default_rng([seed, t])))
                for t in range(trials)]
@@ -236,6 +237,7 @@ def bernstein_trials(n, delta, trials, seed):
     bound = bernstein_bound(1.0, 1.0, n, delta)
     check_number("n must be an integer", n, integral=True)
     check_number("trials must be an integer >= 1", trials, ok=lambda v: v >= 1, integral=True)
+    check_seed(seed)
     observed = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng([seed, t])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError, check_number
+from .errors import UsageError, check_number, check_seed
 from .kernels import _as_points
 
 __all__ = ["SyntheticTask", "task_names", "get_task", "sample",
@@ -209,7 +209,9 @@ def get_task(name):
 
 
 def sample(task, n, seed):
-    """Draw n points; identical seeds give bit-identical samples."""
+    """Draw n points; identical seeds give bit-identical samples.  ``seed`` is
+    ``None``, a nonnegative integer or a sequence of them."""
+    check_seed(seed, sequence=True)
     return task.draw(n, np.random.default_rng(seed))
 
 

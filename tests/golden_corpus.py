@@ -164,6 +164,9 @@ COMMANDS = [
                                        "normalized inner=linear", "--out", "never.txt"]),
     ("error-kernel-product-slice", ["train", *_CIRCLE, "--kernel",
                                     "product factors=(abel sigma=1)", "--out", "never.txt"]),
+    ("error-kernel-product-tiling", ["train", *_CIRCLE, "--kernel",
+                                     "product factors=(abel sigma=1 @0:2)+(abel sigma=1 @1:3)",
+                                     "--out", "never.txt"]),
     ("error-kernel-sigma", ["train", *_CIRCLE, "--kernel", "gaussian sigma=abc",
                             "--out", "never.txt"]),
     ("error-delta-nan", ["verify-bounds", "--harness", "bernstein", "--delta", "nan",

@@ -4,17 +4,21 @@ a kernel that is not a spec or an array that does not hold real numbers raises
 ``UsageError`` or ``DataError``, never numpy's or Python's ``TypeError``,
 ``ValueError`` or ``AttributeError``, and is never truncated or taken silently."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from setlearn import (Abel, DataError, Gaussian, KpcaTruncation, L1Exponential, Landweber,
-                      Normalized, NumericError, SpectralCutoff, Tikhonov, UsageError, cross_gram,
-                      devroye_wise_member, fit, gram, hausdorff, kernel_eval,
+                      Normalized, NumericError, Product, SpectralCutoff, Tikhonov, UsageError,
+                      cross_gram, devroye_wise_member, fit, gram, hausdorff, kernel_eval,
                       kpca_lambda_from_rank, member_mask, metric_matrix, normalize,
-                      parzen_score, predict_member, product_kernel, rate_lambda,
-                      reference_grid, reference_support, regularization_path, sample, score,
-                      score_batch, symdiff_measure, width_heuristic)
-from setlearn.oracles import hs_distance, hs_norm
+                      parse_filter, parse_kernel, parzen_score, predict_member, product_kernel,
+                      rate_lambda, reference_grid, reference_support, regularization_path,
+                      sample, score, score_batch, symdiff_measure, width_heuristic)
+from setlearn.filters import _FILTERS
+from setlearn.kernels import _KERNELS
+from setlearn.oracles import bernstein_trials, concentration_trials, hs_distance, hs_norm
 from setlearn.synth import get_task
 
 X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.2]])
@@ -27,6 +31,8 @@ NOT_COUNTS = NOT_NUMBERS + (2.5, "2")
 NOT_SIZES = ("abc", None, 1j, np.array([3, 4]), 2.5, "3")   # True < 2 was refused already
 NOT_POINTS = ("abc", [[1.0, "x"]], [[1j, 2.0]], [[1.0], [1.0, 2.0]])
 NOT_INDICATORS = ("abc", None, [[True, "x"]], [[1.0], [1.0, 2.0]])
+NOT_SEEDS = ("abc", 1.5, -1, True, 1j)
+NOT_SPECS = (3, None, b"abel sigma=1", ["abel"])
 
 # (argument, call taking the bad value, bad values, the error it raises)
 ARGUMENTS = [
@@ -88,6 +94,20 @@ ARGUMENTS = [
      ("a", None, 0.5), UsageError),
     ("fit-eigenpairs", lambda v: fit(X, Abel(1.0), Tikhonov(0.1), eigenpairs=v),
      ("x", (SPECTRUM, np.eye(5))), UsageError),
+    # built directly, a product checks its factors as product_kernel does
+    ("Product-factors", Product,
+     (3, "abc", ((Abel(1.0), (0, 2)), (Abel(1.0), (1, 3))),   # overlap at 1
+      ((Abel(1.0), (0, 1)), (Abel(1.0), (2, 3))),             # gap at 1
+      ((Abel(1.0), (1, 3)),), ((Abel(1.0), (1, 0)),), (("abel", (0, 1)),)), UsageError),
+    ("parse_kernel", parse_kernel, NOT_SPECS, UsageError),
+    ("parse_filter", parse_filter, NOT_SPECS, UsageError),
+    ("sample-seed", lambda v: sample(CIRCLE, 3, v),
+     NOT_SEEDS + ([1, -1], [1, "a"], (2, True), [[1, 2]], np.array([1.5])), UsageError),
+    ("bernstein_trials-seed", lambda v: bernstein_trials(10, 1.0, 2, v),
+     NOT_SEEDS + (None, [1, 2]), UsageError),
+    ("concentration_trials-seed",
+     lambda v: concentration_trials(CIRCLE.draw, Abel(1.0), 5, 1.0, 2, 5, v),
+     NOT_SEEDS + (None, [1, 2]), UsageError),
 ]
 
 
@@ -112,3 +132,33 @@ def test_numbers_of_every_kind_stay_accepted():
         np.testing.assert_array_equal(fit(points, Abel(1.0), Tikhonov(0.1)).points,
                                       np.asarray(points, dtype=float))
     assert member_mask([True, False], 0.1).tolist() == [True, False]
+
+
+@pytest.mark.parametrize("family", [
+    pytest.param(f, id=f.name) for f in (*_KERNELS.values(), *_FILTERS.values())])
+def test_every_family_checks_its_own_fields(family):
+    """A kernel or filter family built directly refuses a garbage value in each
+    of its fields, as its text form and factory do."""
+    for field in fields(family):
+        with pytest.raises(UsageError):
+            family(**{field.name: "abc"})
+
+
+def test_product_sorts_its_factors():
+    """Factors in any order give the product of the sorted factors, over all
+    the coordinates they tile."""
+    a, b = (Abel(1.0), (1, 3)), (Gaussian(2.0), slice(0, 1))
+    p = Product((a, b))
+    assert p == Product(((Gaussian(2.0), (0, 1)), a)) == product_kernel([b, a])
+    assert p.dim == 3 and gram(p, np.eye(3)).shape == (3, 3)
+
+
+def test_seeds_of_every_kind_stay_accepted():
+    """A sample takes None, an integer or a sequence of integers as a seed; a
+    harness takes an integer, a numpy one too."""
+    assert sample(CIRCLE, 3, None).shape == (3, 2)
+    np.testing.assert_array_equal(sample(CIRCLE, 3, np.int64(4)), sample(CIRCLE, 3, 4))
+    for seed in ([4, 3], (4, 3), np.array([4, 3])):
+        np.testing.assert_array_equal(sample(CIRCLE, 3, seed), sample(CIRCLE, 3, [4, 3]))
+    observed, _ = bernstein_trials(10, 1.0, 2, np.int64(3))
+    np.testing.assert_array_equal(observed, bernstein_trials(10, 1.0, 2, 3)[0])

@@ -537,6 +537,19 @@ def test_cli_eval_task_rejects_bad_n(tmp_path, capsys, n):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--task", "circle", "--n", "10"],
+    ["sweep", "--task", "circle", "--n", "10", "--lambdas", "1e-3"],
+    ["eval", "--task", "circle", "--n", "10", "--trials", "1", "--resolution", "8"],
+    ["verify-bounds", "--harness", "bernstein", "--n", "10", "--trials", "2"],
+    ["verify-bounds", "--n", "10", "--trials", "2", "--ref-size", "10"]])
+def test_cli_refuses_a_negative_seed(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Each size puts one array past the 128 TiB address space of x86-64 user
 # space (10**7 per grid axis: 10**14 cells), so the allocation is refused at
 # once whatever the overcommit setting.

@@ -7,7 +7,6 @@ import pytest
 from setlearn import (Abel, DataError, NumericError, UsageError, devroye_wise_member,
                       hausdorff, induced_metric, parzen_score, roc_auc,
                       symdiff_measure)
-from setlearn.evaluation import _average_ranks
 
 
 def test_hausdorff_two_singletons():
@@ -132,17 +131,6 @@ def test_auc_matches_brute_force_on_random_scores():
     expected = (wins + 0.5 * ties) / (len(pos) * len(neg))
     _, auc = roc_auc(scores, labels)
     npt.assert_allclose(auc, expected, rtol=1e-12)
-
-
-def test_average_ranks_match_scipy_rankdata():
-    from scipy.stats import rankdata
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        n = int(rng.integers(1, 200))
-        # few distinct values, so most entries sit in tie groups
-        values = rng.integers(0, max(1, n // 4), n) / 3.0
-        npt.assert_array_equal(_average_ranks(values), rankdata(values))
-    npt.assert_array_equal(_average_ranks(np.full(7, 0.5)), np.full(7, 4.0))
 
 
 def test_auc_invariant_under_monotone_transform():
