@@ -20,7 +20,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import DataError, check_number
+from .errors import DataError, UsageError, check_number, check_path
 
 __all__ = ["Dataset", "load_csv", "write_table", "fmt_value"]
 
@@ -52,6 +52,7 @@ def load_csv(path, header=False, label_col=None):
     Raises DataError with the offending row and column on ragged or
     non-numeric input, or on an empty file.
     """
+    check_path(path)
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
@@ -120,9 +121,13 @@ def fmt_value(v):
 
 def _render_rows(rows, width):
     """CSV lines for a list of rows, with one % over all their cells."""
+    # A string has a width too, so its rows are refused first.
+    if any(issubclass(kind, (str, bytes)) for kind in set(map(type, rows))):
+        bad = next(row for row in rows if isinstance(row, (str, bytes)))
+        raise UsageError(f"a table row must be a sequence of cells, got {bad!r}")
     if set(map(len, rows)) - {width}:
         bad = next(n for n in map(len, rows) if n != width)
-        raise ValueError(f"row width {bad} does not match header {width}")
+        raise UsageError(f"row width {bad} does not match header {width}")
     formats, columns = [], []
     for column in zip(*rows):
         kinds = {_format_of(kind) for kind in set(map(type, column))}
@@ -140,6 +145,7 @@ def write_table(path, title, meta, columns, rows, timestamp=True, footer=None):
     ``rows`` yields tuples matching ``columns``; ``footer`` lines (e.g.
     summary fractions computed after the rows) are appended as comments.
     """
+    check_path(path)
     lines = [f"# {title}"]
     if timestamp:
         now = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")

@@ -1,4 +1,4 @@
-"""Error types shared across the package, and the two checks every argument takes.
+"""Error types shared across the package, and the checks every argument takes.
 
 The command line maps these onto exit codes, so library code should prefer
 them over bare ValueError/RuntimeError wherever the failure is contractual.
@@ -14,10 +14,13 @@ A wrong value is a ``UsageError`` reading "<what> must <condition>, got
 scores, indicators) also bools.  Any other array (text, ``None``, complex
 numbers, a ragged nesting) is a ``DataError`` for data and a
 ``UsageError`` for an argument such as a filter's or a Gram matrix.  A
-random seed is a count too (:func:`check_seed`).
+random seed is a count too (:func:`check_seed`).  A file path is a ``str``,
+``bytes`` or ``os.PathLike`` (:func:`check_path`), never an integer, which
+``open`` would take as a file descriptor.
 """
 
 import numbers
+import os
 
 import numpy as np
 
@@ -69,3 +72,11 @@ def check_seed(seed, sequence=False):
     check_number("seed must be None, a nonnegative integer or a sequence of them" if sequence
                  else "seed must be a nonnegative integer",
                  *(seed if many else (seed,)), ok=lambda v: v >= 0, integral=True)
+
+
+def check_path(path):
+    """Refuse ``path`` unless it is a ``str``, ``bytes`` or ``os.PathLike``: a
+    ``UsageError``.  An integer or a bool, which ``open`` takes as a file
+    descriptor, is refused too."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise UsageError(f"a file path must be a str, bytes or os.PathLike, got {path!r}")

@@ -13,12 +13,13 @@ A model checks its fields when it is built (:func:`fit`, which is
 :class:`SupportModel`) and solves on first use, so a bad query is refused first.
 
 Every score path is one contraction F = sum_i w_i * Y_i^2 over one factor
-of the fitted model.  Wherever the filter's gains allow it, that factor is
-a lower-triangular W, built on the first score so that a model that is
-only saved (CLI ``train``) never factorizes, and Y = W K_x is one
-triangular product per batch (``dtrmm``).  The product overwrites the
-batch's own K_x, which ``cross_gram`` returns column-major, so it copies
-nothing.  The score path names the factor:
+of the fitted model, built and clipped in one function, ``_contract``, for
+either factor and one or many weight vectors.  Wherever the filter's gains
+allow it, that factor is a lower-triangular W, built on the first score so
+that a model that is only saved (CLI ``train``) never factorizes, and
+Y = W K_x is one triangular product per batch (``dtrmm``).  The product
+overwrites the batch's own K_x, which ``cross_gram`` returns column-major,
+so it copies nothing.  The score path names the factor:
 
 ``cholesky``
     Tikhonov only: W = L^-1 with L L' = K_n + n*lam*I, and w = 1.
@@ -144,10 +145,9 @@ class SupportModel:
         if eigenpairs is not None:
             if not isinstance(eigenpairs, SpectralDecomposition):
                 raise UsageError(f"eigenpairs must be a SpectralDecomposition, got {eigenpairs!r}")
-            n = self.n
-            shapes = np.shape(eigenpairs.eigenvalues), np.shape(eigenpairs.eigenvectors)
-            if shapes != ((n,), (n, n)):
-                raise UsageError(f"eigenpairs must hold {n} eigenvalues and an {n} x {n} matrix")
+            if len(eigenpairs.eigenvalues) != self.n:   # a decomposition checks its shapes
+                raise UsageError(f"eigenpairs must hold {self.n} eigenvalues, "
+                                 f"got {len(eigenpairs.eigenvalues)}")
             fields["decomposition"] = eigenpairs
         if isinstance(self.filter, KpcaTruncation) and self.filter.lam is None:
             fields["filter"] = KpcaTruncation(
@@ -256,21 +256,32 @@ def _check_query(X, dim):
 
 
 def score_batch(model, X):
-    """Scores F_n for a batch of query points, clamped to [0, 1].
-
-    One contraction F = sum_i w_i * Y_i^2: Y = W K_x with the model's
-    ``inverse_factor`` W, or Y = V' K_x with w = g(s)/n on the
-    eigendecomposition for a model without one.
-    """
+    """Scores F_n for a batch of query points, clamped to [0, 1]: through the
+    model's ``inverse_factor`` W with w = ``_factor_scale``, or through V with
+    w = g(s)/n for a model without one."""
     X = _check_query(X, model.dim)
     # The factor before K_x: the other order read 10% more peak RSS on the
     # score-stream.spectral benchmark, from where malloc placed the n x n buffers.
     W = model.inverse_factor
+    w = model._gains / model.n if W is None else np.full(model.n, model._factor_scale)
+    return _contract(model, X, W, [w])[0]
+
+
+def _contract(model, X, W, weights):
+    """F = sum_i w_i * Y_i^2 for each weight vector w, one row each, clipped to
+    [0, 1]: Y = W K_x in place on the batch's column-major K_x (``dtrmm``) for
+    a triangular factor W, else Y = V' K_x (``dgemm``), squared once.  Every
+    sum is scipy's ``dgemv``, which reads the column-major Y without a copy."""
+    Kx = cross_gram(model.kernel, model.points, X)
     if W is None:
-        return _spectral_scores(model, X, [model.filter])[0]
-    Y = dtrmm(1.0, W, cross_gram(model.kernel, model.points, X), lower=1, overwrite_b=1)
-    w = np.full(model.n, model._factor_scale)
-    return np.clip(_weighted_sum(w, np.square(Y, out=Y)), 0.0, 1.0)
+        Y = dgemm(1.0, model.decomposition.eigenvectors.T, Kx)
+    else:
+        Y = dtrmm(1.0, W, Kx, lower=1, overwrite_b=1)
+    np.square(Y, out=Y)
+    F = np.empty((len(weights), X.shape[0]))
+    for i, w in enumerate(weights):
+        F[i] = dgemv(1.0, Y, w, trans=1)
+    return np.clip(F, 0.0, 1.0, out=F)
 
 
 def score(model, x):
@@ -294,24 +305,6 @@ def predict_member(model, x, tau=None):
     x = real_array("query points must be real numbers", x, data=True)
     member = member_mask(score_batch(model, x[None, :] if x.ndim == 1 else x), tau)
     return bool(member[0]) if x.ndim == 1 else member
-
-
-def _spectral_scores(model, X, filters):
-    """Scores through the eigendecomposition, one row per filter: Y = V' K_x
-    and its square once, then F = (g(s)/n) @ Y^2 for each filter, clipped."""
-    D = model.decomposition
-    Y = dgemm(1.0, D.eigenvectors.T, cross_gram(model.kernel, model.points, X))
-    np.square(Y, out=Y)
-    out = np.empty((len(filters), X.shape[0]))
-    for i, f in enumerate(filters):
-        w = f._score_gains(D.eigenvalues) / model.n
-        out[i] = np.clip(_weighted_sum(w, Y), 0.0, 1.0)
-    return out
-
-
-def _weighted_sum(w, Y):
-    """w @ Y by scipy's dgemv.  Every score path's Y is column-major, so it is not copied."""
-    return dgemv(1.0, Y, w, trans=1)
 
 
 def landweber_coefficients(g, kx, iterations):
@@ -342,7 +335,9 @@ def regularization_path(model, X, grid):
     if not grid:
         raise UsageError("empty regularization grid")
     X = _check_query(X, model.dim)
-    return _spectral_scores(model, X, [model.filter.at(value) for value in grid])
+    filters = [model.filter.at(value) for value in grid]
+    s = model.decomposition.eigenvalues
+    return _contract(model, X, None, [f._score_gains(s) / model.n for f in filters])
 
 
 def kpca_lambda_from_rank(decomposition, components):

@@ -251,10 +251,22 @@ _FILTERS = {f.name: f for f in (Tikhonov, SpectralCutoff, Landweber, KpcaTruncat
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenpairs of K_n / n, eigenvalues descending and clamped to [0, 1]."""
+    """Eigenpairs of K_n / n, eigenvalues descending and clamped to [0, 1].
+
+    Construction checks only the form: k eigenvalues and a k x k eigenvector
+    matrix, both real arrays (an array is not copied); their values are trusted.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+    def __post_init__(self):
+        what = "eigenpairs must be k eigenvalues and a k x k eigenvector matrix"
+        fields = vars(self)   # frozen: a checked field goes straight into the instance
+        fields["eigenvalues"] = s = real_array(f"{what} of real numbers", self.eigenvalues)
+        fields["eigenvectors"] = V = real_array(f"{what} of real numbers", self.eigenvectors)
+        if s.ndim != 1 or V.shape != s.shape * 2:
+            raise UsageError(f"{what}, got shapes {s.shape} and {V.shape}")
 
 
 def _eig(A, vectors):

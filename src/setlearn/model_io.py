@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.blas import dgemm
 
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, check_path
 from .estimator import fit
 from .filters import EIG_SLACK, SpectralDecomposition, format_filter, parse_filter
 from .kernels import _parse_kv, format_kernel, gram, parse_kernel
@@ -59,6 +59,7 @@ def _text_lines(block):
 
 def save_model(model, path, fmt="text", include_decomposition=False):
     """Write a model to ``path`` in the text or binary container."""
+    check_path(path)
     if fmt not in ("text", "binary"):
         raise UsageError(f"format must be 'text' or 'binary', got {fmt!r}")
     decomp = model.decomposition if include_decomposition else None
@@ -147,6 +148,7 @@ def _payload_values(blob, start, path, fmt, n, d, with_decomp):
 
 def load_model(path):
     """Read a model file written by :func:`save_model`."""
+    check_path(path)
     with open(path, "rb") as fh:
         blob = fh.read()
     fields, start = _parse_header(blob, path)

@@ -4,18 +4,20 @@ a kernel that is not a spec or an array that does not hold real numbers raises
 ``UsageError`` or ``DataError``, never numpy's or Python's ``TypeError``,
 ``ValueError`` or ``AttributeError``, and is never truncated or taken silently."""
 
+import os
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from setlearn import (Abel, DataError, Gaussian, KpcaTruncation, L1Exponential, Landweber,
-                      Normalized, NumericError, Product, SpectralCutoff, Tikhonov, UsageError,
-                      cross_gram, devroye_wise_member, fit, gram, hausdorff, kernel_eval,
-                      kpca_lambda_from_rank, member_mask, metric_matrix, normalize,
-                      parse_filter, parse_kernel, parzen_score, predict_member, product_kernel,
-                      rate_lambda, reference_grid, reference_support, regularization_path,
-                      sample, score, score_batch, symdiff_measure, width_heuristic)
+                      Normalized, NumericError, Product, SpectralCutoff, SpectralDecomposition,
+                      Tikhonov, UsageError, cross_gram, devroye_wise_member, fit, gram,
+                      hausdorff, kernel_eval, kpca_lambda_from_rank, load_csv, load_model,
+                      member_mask, metric_matrix, normalize, parse_filter, parse_kernel,
+                      parzen_score, predict_member, product_kernel, rate_lambda, reference_grid,
+                      reference_support, regularization_path, sample, save_model, score,
+                      score_batch, symdiff_measure, width_heuristic, write_table)
 from setlearn.filters import _FILTERS
 from setlearn.kernels import _KERNELS
 from setlearn.oracles import bernstein_trials, concentration_trials, hs_distance, hs_norm
@@ -33,6 +35,8 @@ NOT_POINTS = ("abc", [[1.0, "x"]], [[1j, 2.0]], [[1.0], [1.0, 2.0]])
 NOT_INDICATORS = ("abc", None, [[True, "x"]], [[1.0], [1.0, 2.0]])
 NOT_SEEDS = ("abc", 1.5, -1, True, 1j)
 NOT_SPECS = (3, None, b"abel sigma=1", ["abel"])
+# open() takes an integer, a bool too, as a file descriptor: 2**30 is never an open one.
+NOT_PATHS = (None, 1.5, True, 2 ** 30)
 
 # (argument, call taking the bad value, bad values, the error it raises)
 ARGUMENTS = [
@@ -99,6 +103,16 @@ ARGUMENTS = [
      (3, "abc", ((Abel(1.0), (0, 2)), (Abel(1.0), (1, 3))),   # overlap at 1
       ((Abel(1.0), (0, 1)), (Abel(1.0), (2, 3))),             # gap at 1
       ((Abel(1.0), (1, 3)),), ((Abel(1.0), (1, 0)),), (("abel", (0, 1)),)), UsageError),
+    ("SpectralDecomposition", lambda v: SpectralDecomposition(*v),
+     (("abc", None), (np.ones(3), np.eye(2))), UsageError),
+    ("load_csv-path", load_csv, NOT_PATHS, UsageError),
+    ("load_model-path", load_model, NOT_PATHS, UsageError),
+    ("save_model-path", lambda v: save_model(MODEL, v), NOT_PATHS, UsageError),
+    ("write_table-path", lambda v: write_table(v, "t", [], ["x"], [(1,)]), NOT_PATHS,
+     UsageError),
+    # a string row is a sequence of one-character cells, never written as such
+    ("write_table-rows", lambda v: write_table(os.devnull, "t", [], ["x"], v),
+     ("abc", [b"a"], [(1,), "a"]), UsageError),
     ("parse_kernel", parse_kernel, NOT_SPECS, UsageError),
     ("parse_filter", parse_filter, NOT_SPECS, UsageError),
     ("sample-seed", lambda v: sample(CIRCLE, 3, v),
@@ -162,3 +176,12 @@ def test_seeds_of_every_kind_stay_accepted():
         np.testing.assert_array_equal(sample(CIRCLE, 3, seed), sample(CIRCLE, 3, [4, 3]))
     observed, _ = bernstein_trials(10, 1.0, 2, np.int64(3))
     np.testing.assert_array_equal(observed, bernstein_trials(10, 1.0, 2, 3)[0])
+
+
+def test_save_model_refuses_a_bad_path_before_it_solves():
+    """A path that is not one is refused before the decomposition it would
+    store is solved."""
+    model = fit(X, Abel(1.0), Tikhonov(0.1), algorithm="spectral")
+    with pytest.raises(UsageError, match="file path"):
+        save_model(model, None, include_decomposition=True)
+    assert "decomposition" not in vars(model)

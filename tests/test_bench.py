@@ -43,3 +43,36 @@ def test_traced_solves_record_their_spans(monkeypatch, tmp_path):
         tracer.uninstall()
     solves = [s.counts for s in tracer.spans if s.name == "filters.decompose"]
     assert solves == [{"n3": 30.0 ** 3}, {"n3": 40.0 ** 3}]
+
+
+def test_traced_scores_record_their_spans(monkeypatch, tmp_path):
+    """The benchmark's per-layer score metrics come from the tracer: one
+    ``score_batch`` on a model of each score path records
+    ``estimator.score_batch.<path>`` with its ``points`` count, and a small
+    sweep records ``estimator.regularization_path``."""
+    monkeypatch.syspath_prepend(BENCH)
+    import tracing
+
+    import setlearn
+    from setlearn import Abel, Landweber, Tikhonov, fit
+    from setlearn.cli import main
+
+    rng = np.random.default_rng(37)
+    points, X = rng.normal(size=(30, 2)), rng.normal(size=(7, 2))
+    models = [fit(points, Abel(1.0), Tikhonov(1e-3)),
+              fit(points, Abel(1.0), Tikhonov(1e-3), algorithm="spectral"),
+              fit(points, Abel(1.0), Landweber(5))]
+    assert sorted(m.algorithm for m in models) == sorted(tracing.SCORE_PATHS)
+    tracer = tracing.Tracer()
+    tracer.install("test")
+    try:
+        for model in models:
+            setlearn.score_batch(model, X)
+        scored = [(s.name, s.counts) for s in tracer.spans
+                  if s.name.startswith("estimator.score_batch")]
+        assert main(["sweep", "--task", "circle", "--n", "40", "--lambdas", "1e-3,1e-2",
+                     "--out", str(tmp_path / "s.csv"), "--no-timestamp"]) == 0
+    finally:
+        tracer.uninstall()
+    assert scored == [(f"estimator.score_batch.{m.algorithm}", {"points": 7}) for m in models]
+    assert [s.name for s in tracer.spans].count("estimator.regularization_path") == 1

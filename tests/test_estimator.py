@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg.blas import dgemm, dtrmm
+from scipy.linalg.blas import dgemm, dgemv, dtrmm
 
 import setlearn.estimator as estimator
 
@@ -115,16 +115,17 @@ def test_fit_rejects_incompatible_algorithm():
     (Linear(), Tikhonov(1e-3), "cholesky", None, "unit-diagonal"),
     (Abel(0.3), Tikhonov(1e-3), "bogus", None, "unknown algorithm"),
     (None, Tikhonov(1e-3), "cholesky", None, "unit-diagonal"),
-    (Abel(0.3), Tikhonov(1e-3), "spectral",
-     SpectralDecomposition(np.ones(3), np.eye(3)), "2 eigenvalues"),
-    (Abel(0.3), Tikhonov(1e-3), "spectral",
-     SpectralDecomposition(np.ones(2), np.eye(3)[:2]), "2 x 2"),
+    (Abel(0.3), Tikhonov(1e-3), "spectral", (np.ones(3), np.eye(3)), "2 eigenvalues"),
+    (Abel(0.3), Tikhonov(1e-3), "spectral", (np.ones(2), np.eye(3)[:2]), "k x k"),
 ], ids=["cutoff-cholesky", "linear-kernel", "bogus-path", "no-kernel",
         "three-eigenvalues", "two-by-three-vectors"])
 def test_support_model_checks_its_fields(kernel, f, algorithm, eigenpairs, message):
     """The constructor runs the checks ``fit`` documents: a model that could
-    only score wrong, or fail deep in LAPACK, is never built."""
+    only score wrong, or fail deep in LAPACK, is never built.  Eigenpairs of
+    the wrong form are refused as the decomposition is built, the wrong count
+    for the model by the model."""
     with pytest.raises(UsageError, match=message):
+        eigenpairs = eigenpairs and SpectralDecomposition(*eigenpairs)
         SupportModel(TWO_POINTS, kernel, f, algorithm, 0.0, eigenpairs)
 
 
@@ -250,7 +251,7 @@ def test_cholesky_scores_multiply_in_place_on_column_major_cross_gram(monkeypatc
     assert calls == [(True, True)] * 2
     Kx = np.ascontiguousarray(cross_gram(model.kernel, pts, X))
     Y = dtrmm(1.0, model.inverse_factor, Kx, lower=1)
-    reference = np.clip(estimator._weighted_sum(np.ones(model.n), np.square(Y)), 0.0, 1.0)
+    reference = np.clip(dgemv(1.0, np.square(Y), np.ones(model.n), trans=1), 0.0, 1.0)
     npt.assert_array_equal(scores, reference)
 
 
@@ -309,7 +310,7 @@ def test_factor_scores_match_the_v_contraction(seed, n, d, kernel, sigma, family
     gated = g.min() > 0.0 and g.max() <= g.min() * estimator.MAX_FACTOR_COND
     assert (model.inverse_factor is not None) == gated
     scores = score_batch(model, X)
-    reference = estimator._spectral_scores(model, X, [f])[0]
+    reference = estimator._contract(model, X, None, [g / model.n])[0]
     assert np.max(np.abs(scores - reference)) <= 1e-9
     assert gated or np.array_equal(scores, reference)
 
