@@ -2,10 +2,10 @@
 
 Fit on points drawn from a circle, then read off the score function
 F_n: close to 1 on the circle, decaying away from it.  The estimated
-set is the superlevel set {F_n >= 1 - tau}.  The score paths
-(eigendecomposition, triangular solve, Landweber polynomial gain) compute
-the same function as their references (direct solve, gradient iteration)
-and are interchangeable.
+set is the superlevel set {F_n >= 1 - tau}.  The two score paths
+(eigendecomposition, triangular solve) compute the same function, and
+Landweber's polynomial gain on the spectral path gives what its gradient
+iteration gives.
 """
 
 import numpy as np
@@ -29,7 +29,7 @@ for name, x in (("on circle", on_support), ("center", off_support),
     print(f"  F_n({name:9s}) = {score(model, x):.4f}"
           f"  member: {predict_member(model, x)}")
 
-# The three algorithms agree to round-off.
+# The two score paths agree to round-off.
 probe = np.vstack([train[:10], [[0.0, 0.0], [2.0, 2.0]]])
 a = score_batch(fit(train, Abel(1.0), Tikhonov(1e-3), algorithm="spectral"), probe)
 b = score_batch(fit(train, Abel(1.0), Tikhonov(1e-3), algorithm="cholesky"), probe)

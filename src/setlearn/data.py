@@ -146,6 +146,8 @@ def write_table(path, title, meta, columns, rows, timestamp=True, footer=None):
     summary fractions computed after the rows) are appended as comments.
     """
     check_path(path)
+    if any(isinstance(part, (str, bytes)) for part in (meta, columns, footer)):
+        raise UsageError("table meta, columns and footer must be sequences of strings")
     lines = [f"# {title}"]
     if timestamp:
         now = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")

@@ -26,10 +26,10 @@ so it copies nothing.  The score path names the factor:
 ``spectral``
     Any filter, through the eigendecomposition K_n/n = V diag(s) V'.  With
     c = max g(s), W = L^-1 with L L' = V diag(c/g(s)) V', whose eigenvalues
-    lie in [1, cond], and w = c/n.  ``landweber`` is this path with the
-    Landweber gain g_m(s) = sum_{k<=m} (1-s)^k, not a third mechanism; the
-    m+1 step gradient iteration (:func:`landweber_coefficients`) is the
-    reference the tests check it against.
+    lie in [1, cond], and w = c/n.  Landweber scores here like any other
+    filter, with its gain g_m(s) = sum_{k<=m} (1-s)^k; the m+1 step gradient
+    iteration (:func:`landweber_coefficients`) is the reference the tests
+    check it against.
 
 Either W is inverted once per model (``dtrtri``), in place on the one n x n
 buffer the Cholesky factorization overwrites: for ``cholesky`` a fresh Gram,
@@ -72,7 +72,7 @@ __all__ = [
     "member_mask", "regularization_path", "kpca_lambda_from_rank",
 ]
 
-ALGORITHMS = ("spectral", "cholesky", "landweber")
+ALGORITHMS = ("spectral", "cholesky")
 
 # Round-off guard on the membership threshold.  Training points under a
 # full-rank projection filter score 1 only up to arithmetic error, so a
@@ -112,10 +112,10 @@ class SupportModel:
         Spectral filter spec.  A kPCA truncation given by component count
         is resolved here to a concrete threshold against the spectrum.
     algorithm : str, optional
-        "spectral" (any filter), "cholesky" (Tikhonov only) or
-        "landweber" (Landweber only).  Defaults to the path the filter's
-        family owns (``Filter.algorithm``); the regularization path always
-        goes through the decomposition whatever the model's score path.
+        "spectral" (any filter) or "cholesky" (Tikhonov only), by default the
+        path the filter's family owns (``Filter.algorithm``); a Landweber model
+        reads "landweber", an old model file's name for it, as "spectral".  The
+        regularization path goes through the decomposition whatever the path.
     tau : float
         Default membership margin in [0, 1); ``predict_member`` may
         override it per call.
@@ -171,12 +171,6 @@ class SupportModel:
     def _gains(self):
         """The filter's score gains on the spectrum, which a spectral model's score weights."""
         return self.filter._score_gains(self.decomposition.eigenvalues)
-
-    @property
-    def _factor_scale(self):
-        """The weight w of every squared entry of W K_x: 1 on the ``cholesky``
-        path, c/n with c = max g(s) on the others."""
-        return 1.0 if self.algorithm == "cholesky" else self._gains.max() / self.n
 
     @cached_property
     def inverse_factor(self):
@@ -239,11 +233,12 @@ def _score_path(family, algorithm):
     None, else ``algorithm`` if it is ``spectral`` or the family's own."""
     if algorithm is None:
         return family.algorithm
+    if algorithm == "landweber" and family.name == "landweber":   # an old model file's spelling
+        algorithm = "spectral"
     if algorithm not in ALGORITHMS:
         raise UsageError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     if algorithm not in ("spectral", family.algorithm):
-        owner = next(f for f in _FILTERS.values() if f.algorithm == algorithm)
-        raise UsageError(f"the {algorithm} path applies only to the {owner.__name__} filter")
+        raise UsageError("the cholesky path applies only to the Tikhonov filter")
     return algorithm
 
 
@@ -257,13 +252,15 @@ def _check_query(X, dim):
 
 def score_batch(model, X):
     """Scores F_n for a batch of query points, clamped to [0, 1]: through the
-    model's ``inverse_factor`` W with w = ``_factor_scale``, or through V with
-    w = g(s)/n for a model without one."""
+    model's ``inverse_factor`` W with w = 1 (``cholesky``) or c/n with
+    c = max g(s) (``spectral``), or through V with w = g(s)/n for a model
+    without one."""
     X = _check_query(X, model.dim)
     # The factor before K_x: the other order read 10% more peak RSS on the
     # score-stream.spectral benchmark, from where malloc placed the n x n buffers.
     W = model.inverse_factor
-    w = model._gains / model.n if W is None else np.full(model.n, model._factor_scale)
+    scale = 1.0 if model.algorithm == "cholesky" else model._gains.max() / model.n
+    w = model._gains / model.n if W is None else np.full(model.n, scale)
     return _contract(model, X, W, [w])[0]
 
 

@@ -171,7 +171,6 @@ class Landweber(Filter):
 
     name = "landweber"
     keys = {"m": "iterations"}
-    algorithm = "landweber"
 
     def __post_init__(self):
         m = self.iterations

@@ -26,7 +26,7 @@ from setlearn.cli import main as cli_main
 from setlearn.estimator import (fit, landweber_coefficients, member_mask,
                                 score_batch)
 from setlearn.evaluation import hausdorff, parzen_score, roc_auc
-from setlearn.filters import Landweber, SpectralCutoff, Tikhonov, decompose
+from setlearn.filters import KpcaTruncation, Landweber, SpectralCutoff, Tikhonov, decompose
 from setlearn.kernels import Abel, cross_gram, gram
 from setlearn.model_io import load_model, save_model
 from setlearn.oracles import (approximation_error_bound, bernstein_bound,
@@ -34,7 +34,7 @@ from setlearn.oracles import (approximation_error_bound, bernstein_bound,
                               finite_sample_bound, sample_error_bound)
 from setlearn.selection import lambda_curvature, rate_lambda, width_heuristic
 from setlearn.synth import (get_task, reference_grid, reference_support,
-                            sample)
+                            sample, task_names)
 
 # Relative headroom on inequality comparisons; absorbs round-off of the
 # comparison itself, never a modeling error.
@@ -95,7 +95,8 @@ def test_matrix_perturbation_bound_holds():
 
 
 # ---------------------------------------------------------------------------
-# 3. The three score paths compute the same function.
+# 3. The two score paths compute the same function, and Landweber's spectral
+# gain the same as its gradient iteration.
 
 
 def test_score_paths_agree():
@@ -114,7 +115,7 @@ def test_score_paths_agree():
         a = score_batch(fit(pts, kernel, Tikhonov(lam), algorithm="spectral"), X)
         b = score_batch(fit(pts, kernel, Tikhonov(lam), algorithm="cholesky"), X)
         worst_tik = max(worst_tik, float(np.max(np.abs(a - b))))
-        c = score_batch(fit(pts, kernel, Landweber(m), algorithm="landweber"), X)
+        c = score_batch(fit(pts, kernel, Landweber(m)), X)
         # reference: the m+1 step gradient iteration, never factorizing K_n
         Kx = cross_gram(kernel, pts, X)
         alpha = landweber_coefficients(gram(kernel, pts), Kx, m)
@@ -269,6 +270,45 @@ def test_two_moons_auc_beats_baseline():
     med_p = float(np.median(auc_parzen))
     assert med_s >= 0.95, f"median spectral AUC {med_s:.4f} < 0.95"
     assert med_s >= med_p, f"spectral {med_s:.4f} below Parzen {med_p:.4f}"
+
+
+# Tasks whose support is a curve, where every filter family beats Parzen outright.
+PARZEN_BEATEN = ("circle", "two_circles", "two_moons")
+
+
+def test_every_filter_family_matches_parzen_on_every_task():
+    """The paper's claim, held per filter family: at n = 300 over 5 trials,
+    with positives drawn from the task and negatives uniform on its bounding
+    box (as ``eval --task`` draws them), Tikhonov, the cutoff, Landweber at
+    m = round(1/lambda) and kPCA, all at lambda from ``lambda_curvature`` and
+    sharing one decomposition per trial, reach a median AUC within 0.01 of
+    Parzen at the kernel's width on every task, and 0.02 above it on the
+    tasks of ``PARZEN_BEATEN``."""
+    n, failures = 300, []
+    for name in task_names():
+        task = get_task(name)
+        aucs = {}
+        for t in range(5):
+            train = task.draw(n, np.random.default_rng([31, t, 0]))
+            pos = task.draw(n, np.random.default_rng([31, t, 1]))
+            rng = np.random.default_rng([31, t, 2])
+            neg = np.column_stack([rng.uniform(lo, hi, n) for lo, hi in task.bounding_box])
+            X = np.vstack([pos, neg])
+            labels = np.r_[np.ones(n, bool), np.zeros(n, bool)]
+            kernel = Abel(width_heuristic(train))
+            D = decompose(gram(kernel, train))
+            lam = lambda_curvature(D.eigenvalues)
+            for f in (Tikhonov(lam), SpectralCutoff(lam), Landweber(round(1.0 / lam)),
+                      KpcaTruncation(lam=lam)):
+                model = fit(train, kernel, f, algorithm="spectral", eigenpairs=D)
+                aucs.setdefault(f.name, []).append(roc_auc(score_batch(model, X), labels)[1])
+            aucs.setdefault("parzen", []).append(
+                roc_auc(parzen_score(train, kernel.sigma, X), labels)[1])
+        median = {family: float(np.median(v)) for family, v in aucs.items()}
+        floor = median.pop("parzen") + (0.02 if name in PARZEN_BEATEN else -0.01)
+        failures += [f"{name}: {family} {auc:.4f} < {floor:.4f}"
+                     for family, auc in median.items() if auc < floor]
+    assert not failures, failures
 
 
 @pytest.mark.skipif("SETLEARN_MNIST" not in os.environ,

@@ -113,6 +113,13 @@ ARGUMENTS = [
     # a string row is a sequence of one-character cells, never written as such
     ("write_table-rows", lambda v: write_table(os.devnull, "t", [], ["x"], v),
      ("abc", [b"a"], [(1,), "a"]), UsageError),
+    # so is a string of metadata, column names or footer lines
+    ("write_table-meta", lambda v: write_table(os.devnull, "t", v, ["x"], [(1,)]),
+     ("ab", b"ab"), UsageError),
+    ("write_table-columns", lambda v: write_table(os.devnull, "t", [], v, [(1, 2)]),
+     ("xy", b"xy"), UsageError),
+    ("write_table-footer", lambda v: write_table(os.devnull, "t", [], ["x"], [(1,)], footer=v),
+     ("zz", b"zz"), UsageError),
     ("parse_kernel", parse_kernel, NOT_SPECS, UsageError),
     ("parse_filter", parse_filter, NOT_SPECS, UsageError),
     ("sample-seed", lambda v: sample(CIRCLE, 3, v),

@@ -49,20 +49,20 @@ def test_traced_scores_record_their_spans(monkeypatch, tmp_path):
     """The benchmark's per-layer score metrics come from the tracer: one
     ``score_batch`` on a model of each score path records
     ``estimator.score_batch.<path>`` with its ``points`` count, and a small
-    sweep records ``estimator.regularization_path``."""
+    sweep records ``estimator.regularization_path``.  Every path in
+    ``ALGORITHMS`` has its metrics, so a new path without them fails here."""
     monkeypatch.syspath_prepend(BENCH)
     import tracing
 
     import setlearn
-    from setlearn import Abel, Landweber, Tikhonov, fit
+    from setlearn import Abel, Tikhonov, fit
     from setlearn.cli import main
+    from setlearn.estimator import ALGORITHMS
 
     rng = np.random.default_rng(37)
     points, X = rng.normal(size=(30, 2)), rng.normal(size=(7, 2))
-    models = [fit(points, Abel(1.0), Tikhonov(1e-3)),
-              fit(points, Abel(1.0), Tikhonov(1e-3), algorithm="spectral"),
-              fit(points, Abel(1.0), Landweber(5))]
-    assert sorted(m.algorithm for m in models) == sorted(tracing.SCORE_PATHS)
+    models = [fit(points, Abel(1.0), Tikhonov(1e-3), algorithm=a) for a in ALGORITHMS]
+    assert set(ALGORITHMS) <= set(tracing.SCORE_PATHS)
     tracer = tracing.Tracer()
     tracer.install("test")
     try:

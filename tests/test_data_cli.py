@@ -698,11 +698,36 @@ def test_cli_landweber_path(tmp_path, circle_csv):
                  "--filter", "landweber", "--m", "50",
                  "--out", str(model), "--no-timestamp"]) == 0
     m = load_model(model)
-    assert m.algorithm == "landweber"
+    assert m.algorithm == "spectral"
     assert m.filter.iterations == 50
 
 
-# an unknown algorithm, and one that does not match the model's Tikhonov filter
+def test_landweber_is_an_old_spelling_of_the_spectral_path(tmp_path, circle_csv):
+    """A Landweber model file whose header names the ``landweber`` path, as
+    files written before Landweber scored as a spectral filter do, loads as
+    ``spectral`` with the same scores; ``fit`` reads the name the same way,
+    and the CLI no longer offers it."""
+    model, old = tmp_path / "m.bin", tmp_path / "old.bin"
+    train = ["train", "--data", str(circle_csv), "--header", "--kernel", "abel",
+             "--sigma", "0.6", "--filter", "landweber", "--m", "20",
+             "--model-format", "binary", "--no-timestamp"]
+    assert main(train + ["--out", str(model)]) == 0
+    head, payload = model.read_bytes().split(b"data:\n", 1)
+    assert b"\nalgorithm=spectral\n" in head
+    old.write_bytes(head.replace(b"\nalgorithm=spectral\n", b"\nalgorithm=landweber\n")
+                    + b"data:\n" + payload)
+    current, legacy = load_model(model), load_model(old)
+    assert legacy.algorithm == "spectral"
+    X = np.random.default_rng(31).uniform(-1.5, 1.5, (40, 2))
+    npt.assert_array_equal(score_batch(legacy, X), score_batch(current, X))
+    assert fit(current.points, current.kernel, Landweber(20),
+               algorithm="landweber").algorithm == "spectral"
+    with pytest.raises(SystemExit) as exc:
+        main(train + ["--algorithm", "landweber", "--out", str(tmp_path / "never.bin")])
+    assert exc.value.code == 2
+
+
+# an unknown algorithm, and `landweber`, which only a Landweber model reads (as spectral)
 @pytest.mark.parametrize("algorithm", ["bogus", "landweber"])
 def test_cli_score_rejects_bad_algorithm(tmp_path, circle_csv, algorithm):
     model = tmp_path / "m.txt"
@@ -924,8 +949,8 @@ def test_api_fit_and_load_solve_once(tmp_path, monkeypatch):
         score_batch(model, X)
         return at_build, (calls["eigh"], calls["cho_factor"])
 
-    for f, algorithm in [(Tikhonov(1e-2), "spectral"), (Landweber(10), "landweber")]:
-        assert solves(lambda: fit(pts, Abel(0.8), f, algorithm=algorithm)) == ((0, 0), (1, 1))
+    for f in [Tikhonov(1e-2), Landweber(10)]:
+        assert solves(lambda: fit(pts, Abel(0.8), f, algorithm="spectral")) == ((0, 0), (1, 1))
     # zero gains (kPCA) and a spread past the gate (Gaussian at a tiny lambda) score through V
     for k, f in [(Abel(0.8), KpcaTruncation(lam=1e-2)), (Gaussian(2.0), Tikhonov(1e-12))]:
         assert solves(lambda: fit(pts, k, f, algorithm="spectral")) == ((0, 0), (1, 0))

@@ -55,7 +55,7 @@ def test_score_batch_matches_loop():
     for filt, algorithm in [(Tikhonov(0.05), "cholesky"),
                             (Tikhonov(0.05), "spectral"),
                             (SpectralCutoff(0.02), "spectral"),
-                            (Landweber(25), "landweber")]:
+                            (Landweber(25), "spectral")]:
         m = fit(X, Abel(1.0), filt, algorithm=algorithm)
         batch = score_batch(m, T)
         loop = np.array([score(m, t) for t in T])
@@ -145,7 +145,7 @@ def test_support_model_copies_points_and_resolves_kpca_count():
 
 def test_default_algorithm_per_filter():
     """Without an ``algorithm``, a model scores through the path its filter's family owns."""
-    for f, path in [(Tikhonov(0.1), "cholesky"), (Landweber(5), "landweber"),
+    for f, path in [(Tikhonov(0.1), "cholesky"), (Landweber(5), "spectral"),
                     (SpectralCutoff(0.1), "spectral"), (KpcaTruncation(lam=0.1), "spectral")]:
         assert fit(TWO_POINTS, Abel(1.0), f).algorithm == path
 
@@ -214,7 +214,7 @@ def test_score_contractions_match_references(seed, n, d, sigma, log_lam, m):
     Kx = cross_gram(kernel, pts, X)
     alpha = landweber_coefficients(gram(kernel, pts), Kx, m)
     iterated = np.clip(np.einsum("ij,ij->j", alpha, Kx), 0.0, 1.0)
-    contracted = score_batch(fit(pts, kernel, Landweber(m), algorithm="landweber"), X)
+    contracted = score_batch(fit(pts, kernel, Landweber(m)), X)
     assert np.max(np.abs(contracted - iterated)) <= 1e-10
     lam = 10.0 ** log_lam
     one_solve = score_batch(fit(pts, kernel, Tikhonov(lam), algorithm="cholesky"), X)
@@ -304,8 +304,7 @@ def test_factor_scores_match_the_v_contraction(seed, n, d, kernel, sigma, family
     lam = 10.0 ** log_lam
     f = {"tikhonov": Tikhonov(lam), "cutoff": SpectralCutoff(lam), "landweber": Landweber(m),
          "kpca": KpcaTruncation(lam=lam)}[family]
-    algorithm = "landweber" if family == "landweber" else "spectral"
-    model = fit(pts, kernel(sigma), f, algorithm=algorithm)
+    model = fit(pts, kernel(sigma), f, algorithm="spectral")
     g = f._score_gains(model.decomposition.eigenvalues)
     gated = g.min() > 0.0 and g.max() <= g.min() * estimator.MAX_FACTOR_COND
     assert (model.inverse_factor is not None) == gated
@@ -344,10 +343,10 @@ def test_no_model_holds_a_gram(tmp_path):
 
     held = {"decomposition.eigenvectors", "inverse_factor"}
     for f, algorithm, value in [(Tikhonov(1e-3), "spectral", 1e-2),
-                                (Landweber(20), "landweber", 10),
+                                (Landweber(20), "spectral", 10),
                                 (Tikhonov(1e-3), "cholesky", 1e-2)]:
         model = fit(pts, Abel(0.8), f, algorithm=algorithm)
-        path = tmp_path / f"{algorithm}.txt"
+        path = tmp_path / f"{f.name}-{algorithm}.txt"
         for step in [lambda m: score_batch(m, pts[:5]), lambda m: predict_member(m, pts[0]),
                      lambda m: regularization_path(m, pts[:5], [value]),
                      lambda m: save_model(m, path, include_decomposition=True)]:
@@ -389,8 +388,8 @@ def test_spectral_products_run_on_scipy_dgemm_without_copies(monkeypatch):
         w = f._score_gains(D.eigenvalues) / model.n
         return np.clip(np.square(D.eigenvectors.T @ Kx).T @ w, 0.0, 1.0)
 
-    for f, algorithm in [(Tikhonov(1e-3), "spectral"), (Landweber(20), "landweber")]:
-        model = fit(pts, Abel(0.8), f, algorithm=algorithm)
+    for f in [Tikhonov(1e-3), Landweber(20)]:
+        model = fit(pts, Abel(0.8), f, algorithm="spectral")
         npt.assert_allclose(score_batch(model, X), reference(model, f), rtol=0, atol=1e-13)
         assert model.inverse_factor.flags.f_contiguous
     assert calls == [("dtrmm", True, True, {"lower": 1, "overwrite_b": 1}, True)] * 2
@@ -411,7 +410,7 @@ _IDENTITY_KERNELS = [
 _IDENTITY_MODELS = [
     lambda lam, m: (Tikhonov(lam), "cholesky"),
     lambda lam, m: (Tikhonov(lam), "spectral"),
-    lambda lam, m: (Landweber(m), "landweber"),
+    lambda lam, m: (Landweber(m), "spectral"),
     lambda lam, m: (SpectralCutoff(lam), "spectral"),
     lambda lam, m: (KpcaTruncation(lam=lam), "spectral"),
 ]
@@ -449,7 +448,7 @@ def test_landweber_score_monotone_in_m():
 
 @pytest.mark.parametrize("f, value, algorithm, atol", [
     (Tikhonov(0.05), 0.05, "spectral", 1e-12), (SpectralCutoff(0.05), 0.05, "spectral", 1e-12),
-    (KpcaTruncation(lam=0.05), 0.05, "spectral", 0.0), (Landweber(5), 5, "landweber", 1e-12),
+    (KpcaTruncation(lam=0.05), 0.05, "spectral", 0.0), (Landweber(5), 5, "spectral", 1e-12),
 ], ids=["tikhonov", "cutoff", "kpca", "landweber"])
 def test_regularization_path_single_lambda_equals_fit(f, value, algorithm, atol):
     """A one-value path at the model's own strength is its score: bit for bit
