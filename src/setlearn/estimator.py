@@ -15,31 +15,33 @@ A model checks its fields when it is built (:func:`fit`, which is
 Every score path is one contraction F = sum_i w_i * Y_i^2 over one factor
 of the fitted model, built and clipped in one function, ``_contract``, for
 either factor and one or many weight vectors.  Wherever the filter's gains
-allow it, that factor is a lower-triangular W, built on the first score so
-that a model that is only saved (CLI ``train``) never factorizes, and
-Y = W K_x is one triangular product per batch (``dtrmm``).  The product
-overwrites the batch's own K_x, which ``cross_gram`` returns column-major,
-so it copies nothing.  The score path names the factor:
+allow it, that factor is a triangular T with F = ||T K_x||^2 and w = 1,
+built on the first score so that a model that is only saved (CLI ``train``)
+never factorizes, and Y = T K_x is one triangular product per batch
+(``dtrmm``).  The product overwrites the batch's own K_x, which
+``cross_gram`` returns column-major, so it copies nothing.  The score path
+names the factor:
 
 ``cholesky``
-    Tikhonov only: W = L^-1 with L L' = K_n + n*lam*I, and w = 1.
+    Tikhonov only: the lower W = L^-1 with L L' = K_n + n*lam*I, inverted
+    (``dtrtri``) in place on the one n x n buffer the Cholesky factorization
+    overwrites, a fresh Gram that the model does not keep.
 ``spectral``
-    Any filter, through the eigendecomposition K_n/n = V diag(s) V'.  With
-    c = max g(s), W = L^-1 with L L' = V diag(c/g(s)) V', whose eigenvalues
-    lie in [1, cond], and w = c/n.  Landweber scores here like any other
-    filter, with its gain g_m(s) = sum_{k<=m} (1-s)^k; the m+1 step gradient
-    iteration (:func:`landweber_coefficients`) is the reference the tests
-    check it against.
+    Any filter, through the eigendecomposition K_n/n = V diag(s) V': the
+    upper R of one Householder QR (``dgeqrf``) of A' = diag(sqrt(g(s)/n)) V',
+    run in place on the buffer of A, so R'R = V diag(g(s)/n) V'.  Landweber
+    scores here like any other filter, with its gain
+    g_m(s) = sum_{k<=m} (1-s)^k; the m+1 step gradient iteration
+    (:func:`landweber_coefficients`) is the reference the tests check it
+    against.
 
-Either W is inverted once per model (``dtrtri``), in place on the one n x n
-buffer the Cholesky factorization overwrites: for ``cholesky`` a fresh Gram,
-which the model does not keep.  A spectral model's gains are its filter's
-``_score_gains``: g(s), but 0 at a cutoff's null eigenvalues (at or below
-``NULL_EIG``).  A model whose gains have a zero (kPCA, a cutoff whose Gram
-has null eigenvalues) or spread wider than ``MAX_FACTOR_COND`` (Tikhonov
-at a tiny lambda) has no such factor: it scores through Y = V' K_x
-(``dgemm``) and w = g(s)/n, as :func:`regularization_path` does for every
-model, since many filters share its one product.
+A spectral model's gains are its filter's ``_score_gains``: g(s), but 0 at a
+cutoff's null eigenvalues (at or below ``NULL_EIG``).  A model whose gains
+have a zero (kPCA, a cutoff whose Gram has null eigenvalues) or spread wider
+than ``MAX_FACTOR_COND`` (Tikhonov at a tiny lambda) has no such factor: it
+scores through Y = V' K_x (``dgemm``) and w = g(s)/n, as
+:func:`regularization_path` does for every model, since many filters share
+its one product.
 
 The factorizations, the products and the sum over i (``dgemv``) all run on
 scipy's OpenBLAS.  numpy bundles a second OpenBLAS with its own thread
@@ -58,8 +60,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor
-from scipy.linalg.blas import dgemm, dgemv, dsyrk, dtrmm
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.blas import dgemm, dgemv, dtrmm
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dtrtri
 
 from .errors import DataError, NumericError, UsageError, check_number, real_array
 from .filters import _FILTERS, Filter, KpcaTruncation, SpectralDecomposition
@@ -80,8 +82,10 @@ ALGORITHMS = ("spectral", "cholesky")
 MEMBER_SLACK = 1e-9
 
 # Widest spread max g / min g of a spectral model's gains that it factorizes:
-# 1/sqrt(eps), about 6.7e7.  A wider one scores through V, since the error of
-# the triangular product grows with the condition of the factorized operator.
+# 1/sqrt(eps), about 6.7e7.  A wider one scores through V.  On 13 copies of one
+# point (Gaussian, sigma = 1.43, lambda = 10^-13.5, spread 3.5e13) an ungated
+# QR factor read 1.35e-9 off the exact k^2/(1+lambda), past MEMBER_SLACK,
+# where V' K_x and the Cholesky path read within 7e-16.
 MAX_FACTOR_COND = 1.0 / np.sqrt(np.finfo(float).eps)
 
 
@@ -98,8 +102,8 @@ class SupportModel:
     Construction checks every argument, keeps a read-only copy of the points
     and solves nothing but the spectrum a kPCA component count needs.  The
     model builds the rest itself, at most once, on first use: the
-    ``decomposition`` (seeded by ``eigenpairs``) and the ``inverse_factor``
-    it scores through.  No model holds a Gram: each solve starts from a
+    ``decomposition`` (seeded by ``eigenpairs``) and the ``factor`` it
+    scores through.  No model holds a Gram: each solve starts from a
     fresh ``gram(kernel, points)``.
 
     Parameters
@@ -169,29 +173,23 @@ class SupportModel:
 
     @cached_property
     def _gains(self):
-        """The filter's score gains on the spectrum, which a spectral model's score weights."""
+        """The filter's score gains on the spectrum, which a spectral model scores with."""
         return self.filter._score_gains(self.decomposition.eigenvalues)
 
     @cached_property
-    def inverse_factor(self):
-        """Lower-triangular W = L^-1, built on first use, with L L' = K_n + n*lam*I
-        on the ``cholesky`` path and L L' = V diag(c/g(s)) V' on the others;
-        ``None`` for gains with a zero or spread wider than ``MAX_FACTOR_COND``.
-
-        W is inverted in place on the one n x n buffer that ``_factorize``
-        overwrites, so its lower triangle is W and its upper triangle is
-        scratch; ``dtrmm(lower=1)`` reads only the lower one.
-        """
-        if self.algorithm == "cholesky":
-            L = _cholesky(gram(self.kernel, self.points), self.filter.lam)[0]
-        else:
+    def factor(self):
+        """Triangular T with F = ||T K_x||^2, built on first use in place on one
+        n x n buffer whose other triangle is scratch: the lower W = L^-1 on the
+        ``cholesky`` path, the upper R of ``dgeqrf``, run with its queried
+        workspace, on the ``spectral`` one (see the module docstring); ``None``
+        for gains with a zero or spread wider than ``MAX_FACTOR_COND``."""
+        if self.algorithm == "spectral":
             g = self._gains
             if not (g.min() > 0.0 and g.max() <= g.min() * MAX_FACTOR_COND):
                 return None
-            # B = V diag(sqrt(c/g)) is C-ordered, so dsyrk reads B' in place as
-            # a Fortran array and forms B B' in the lower triangle of its output.
-            B = self.decomposition.eigenvectors * np.sqrt(g.max() / g)
-            L = _factorize(dsyrk(1.0, B.T, trans=1, lower=1))[0]
+            A = self.decomposition.eigenvectors * np.sqrt(g / self.n)
+            return dgeqrf(A.T, lwork=int(dgeqrf_lwork(self.n, self.n)[0]), overwrite_a=1)[0]
+        L = _cholesky(gram(self.kernel, self.points), self.filter.lam)[0]
         W, info = dtrtri(L, lower=1, overwrite_c=1)
         # min and max propagate nan and inf without an n x n mask.
         if info != 0 or not (np.isfinite(W.min()) and np.isfinite(W.max())):
@@ -215,15 +213,8 @@ def _cholesky(G, lam):
     if not np.isfinite(shift):
         raise NumericError(f"n*lambda overflows the float range (n={n}, lambda={lam!r})")
     G.flat[::n + 1] += shift
-    return _factorize(G.T)
-
-
-def _factorize(M):
-    """``cho_factor`` of a Fortran-ordered M, lower and in place; the upper
-    triangle is left as scratch.  M is finite by construction, so
-    ``cho_factor`` skips its finiteness scan."""
-    try:
-        return cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
+    try:   # G is finite by construction, so cho_factor skips its finiteness scan
+        return cho_factor(G.T, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError as exc:
         raise NumericError(f"Cholesky factorization failed: {exc}") from None
 
@@ -252,28 +243,27 @@ def _check_query(X, dim):
 
 def score_batch(model, X):
     """Scores F_n for a batch of query points, clamped to [0, 1]: through the
-    model's ``inverse_factor`` W with w = 1 (``cholesky``) or c/n with
-    c = max g(s) (``spectral``), or through V with w = g(s)/n for a model
-    without one."""
+    model's triangular ``factor`` with w = 1, or through V with w = g(s)/n for
+    a model without one."""
     X = _check_query(X, model.dim)
     # The factor before K_x: the other order read 10% more peak RSS on the
     # score-stream.spectral benchmark, from where malloc placed the n x n buffers.
-    W = model.inverse_factor
-    scale = 1.0 if model.algorithm == "cholesky" else model._gains.max() / model.n
-    w = model._gains / model.n if W is None else np.full(model.n, scale)
-    return _contract(model, X, W, [w])[0]
+    T = model.factor
+    w = model._gains / model.n if T is None else np.ones(model.n)
+    return _contract(model, X, T, [w])[0]
 
 
-def _contract(model, X, W, weights):
+def _contract(model, X, T, weights):
     """F = sum_i w_i * Y_i^2 for each weight vector w, one row each, clipped to
-    [0, 1]: Y = W K_x in place on the batch's column-major K_x (``dtrmm``) for
-    a triangular factor W, else Y = V' K_x (``dgemm``), squared once.  Every
+    [0, 1]: Y = T K_x in place on the batch's column-major K_x (``dtrmm``) for
+    the model's triangular factor T, lower on the ``cholesky`` path and upper
+    on the ``spectral`` one, else Y = V' K_x (``dgemm``), squared once.  Every
     sum is scipy's ``dgemv``, which reads the column-major Y without a copy."""
     Kx = cross_gram(model.kernel, model.points, X)
-    if W is None:
+    if T is None:
         Y = dgemm(1.0, model.decomposition.eigenvectors.T, Kx)
     else:
-        Y = dtrmm(1.0, W, Kx, lower=1, overwrite_b=1)
+        Y = dtrmm(1.0, T, Kx, lower=int(model.algorithm == "cholesky"), overwrite_b=1)
     np.square(Y, out=Y)
     F = np.empty((len(weights), X.shape[0]))
     for i, w in enumerate(weights):

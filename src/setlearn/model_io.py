@@ -162,7 +162,7 @@ def load_model(path):
         raise DataError(f"{path}: bad n/d/tau header values") from None
     if n < 0 or d < 0:
         raise DataError(f"{path}: n and d must be nonnegative, got n={n} d={d}")
-    try:   # a spec or a field that the model refuses is a fault of the file
+    try:   # a spec, a field or a point that the model refuses is a fault of the file
         kernel = parse_kernel(fields["kernel"])
         filt = parse_filter(fields["filter"])
         with_decomp = fields["decomposition"] == "eigh"
@@ -176,7 +176,9 @@ def load_model(path):
             _check_decomposition(s, V, gram(kernel, points), path)
             eigenpairs = SpectralDecomposition(s, V)
         return fit(points, kernel, filt, fields["algorithm"], tau, eigenpairs)
-    except UsageError as exc:
+    except (UsageError, DataError) as exc:
+        if str(exc).startswith(f"{path}: "):   # the payload's own errors name the file
+            raise
         raise DataError(f"{path}: {exc}") from None
 
 

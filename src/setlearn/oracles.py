@@ -17,6 +17,8 @@ for it, and the harness reports that substitution's own error bound.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -139,10 +141,33 @@ def hs_distance(kernel, X, Y):
 # every symbol is a user-supplied input, nothing is estimated.
 
 
-def concentration_bound(n, delta):
-    """2 * max(delta, sqrt(2 delta)) / sqrt(n), violated with prob <= 2 e^-delta."""
+def _in_float_range(calculator):
+    """``calculator`` refusing, with ``NumericError``, a bound outside the float
+    range: an inf bound is never violated, so a harness would pass on it."""
+    name, signature = calculator.__name__.replace("_", " "), inspect.signature(calculator)
+
+    @functools.wraps(calculator)
+    def checked(*args, **kwargs):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            value = calculator(*args, **kwargs)
+        if not np.isfinite(value):
+            given = signature.bind(*args, **kwargs).arguments.items()
+            raise NumericError(f"the {name} overflows the float range ("
+                               + ", ".join(f"{k}={v!r}" for k, v in given) + ")")
+        return value
+    return checked
+
+
+def _check_n_delta(n, delta):
+    """The sample size and confidence level that every bound takes."""
     check_number("n must be >= 1", n, ok=lambda v: v >= 1)
     check_number("delta must be positive and finite", delta, ok=lambda v: 0 < v < np.inf)
+
+
+@_in_float_range
+def concentration_bound(n, delta):
+    """2 * max(delta, sqrt(2 delta)) / sqrt(n), violated with prob <= 2 e^-delta."""
+    _check_n_delta(n, delta)
     return 2.0 * max(delta, np.sqrt(2.0 * delta)) / np.sqrt(n)
 
 
@@ -159,14 +184,16 @@ def effective_dimension(decomposition, lam):
     return float(np.sum(s / (s + lam)))
 
 
+@_in_float_range
 def sample_error_bound(n, lam, delta, effective_dim):
     """delta/(n lam) + sqrt(2 delta N(lam) / (n lam))."""
-    concentration_bound(n, delta)   # checks n and delta
+    _check_n_delta(n, delta)
     check_number("lambda must be positive", lam, ok=lambda v: v > 0)
     check_number("N must be nonnegative", effective_dim, ok=lambda v: v >= 0)
     return delta / (n * lam) + np.sqrt(2.0 * delta * effective_dim / (n * lam))
 
 
+@_in_float_range
 def approximation_error_bound(lam, s, c_s):
     """C_s * lambda^s for source smoothness s in (0, 1]."""
     check_number("lambda must be positive", lam, ok=lambda v: v > 0)
@@ -175,6 +202,7 @@ def approximation_error_bound(lam, s, c_s):
     return c_s * lam ** s
 
 
+@_in_float_range
 def finite_sample_bound(n, delta, s, b, c_s, d_b):
     """max(C_s, 2 D_b max(delta, sqrt(2 delta))) * n^(-s/(2s+b+1)).
 
@@ -182,7 +210,7 @@ def finite_sample_bound(n, delta, s, b, c_s, d_b):
     statement carries C_s v (D_b (2 delta v sqrt(2 delta))) instead, which
     differs; the two disagree and we follow the proof.
     """
-    concentration_bound(n, delta)   # checks n and delta
+    _check_n_delta(n, delta)
     check_number("C_s must be positive", c_s, ok=lambda v: v > 0)
     check_number("s must lie in (0, 1]", s, ok=lambda v: 0 < v <= 1)
     check_number("b must lie in [0, 1]", b, ok=lambda v: 0 <= v <= 1)
@@ -191,9 +219,10 @@ def finite_sample_bound(n, delta, s, b, c_s, d_b):
     return constant * float(n) ** (-s / (2.0 * s + b + 1.0))
 
 
+@_in_float_range
 def bernstein_bound(m_bound, variance, n, delta):
     """M delta / n + sqrt(2 sigma^2 delta / n) for bounded vector averages."""
-    concentration_bound(n, delta)   # checks n and delta
+    _check_n_delta(n, delta)
     check_number("bernstein_bound needs M > 0, variance > 0", m_bound, variance,
                  ok=lambda v: v > 0)
     return m_bound * delta / n + np.sqrt(2.0 * variance * delta / n)

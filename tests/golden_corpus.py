@@ -175,6 +175,7 @@ COMMANDS = [
     ("error-bernstein-n", ["verify-bounds", "--harness", "bernstein", "--n", "0",
                            "--out", "never.csv"]),
     ("error-ref-size", ["verify-bounds", "--ref-size", "0", "--out", "never.csv"]),
+    ("error-delta-overflow", ["verify-bounds", "--delta", "1e308", "--out", "never.csv"]),
     ("error-csv-encoding", ["train", "--data", "latin1.csv", "--lambda", "1e-3",
                             "--out", "never.txt"]),
     ("error-model-encoding", ["score", "--model", "m_latin1.txt", *_CIRCLE,

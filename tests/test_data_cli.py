@@ -760,8 +760,9 @@ _SWEEP = ["sweep", "--task", "circle", "--n", "60"]
 
 def _count_solves(monkeypatch):
     """Count, from here on, full eigensolves (``eigh``), eigenvalue-only
-    solves (``eigvalsh``), Cholesky factorizations and Gram builds."""
-    calls = {"eigh": 0, "eigvalsh": 0, "cho_factor": 0, "gram": 0}
+    solves (``eigvalsh``), Cholesky factorizations, QR factorizations
+    (``dgeqrf``) and Gram builds."""
+    calls = {"eigh": 0, "eigvalsh": 0, "cho_factor": 0, "dgeqrf": 0, "gram": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -771,6 +772,7 @@ def _count_solves(monkeypatch):
 
     monkeypatch.setattr(filters, "eigh", counted("eigh", filters.eigh))
     monkeypatch.setattr(estimator, "cho_factor", counted("cho_factor", estimator.cho_factor))
+    monkeypatch.setattr(estimator, "dgeqrf", counted("dgeqrf", estimator.dgeqrf))
     for module in (cli, estimator):
         monkeypatch.setattr(module, "gram", counted("gram", module.gram))
     return calls
@@ -806,7 +808,8 @@ def test_cli_model_build_solves_once(tmp_path, monkeypatch, argv, rc, eigh, eigv
     path the filter cannot take is refused before any Gram is built."""
     calls = _count_solves(monkeypatch)
     assert main(argv + ["--out", str(tmp_path / "out"), "--no-timestamp"]) == rc
-    assert calls == {"eigh": eigh, "eigvalsh": eigvalsh, "cho_factor": cho, "gram": grams}
+    assert calls == {"eigh": eigh, "eigvalsh": eigvalsh, "cho_factor": cho, "dgeqrf": 0,
+                     "gram": grams}
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -920,15 +923,16 @@ def test_cli_score_refuses_a_bad_tau_before_the_factor(tmp_path, monkeypatch, ca
     assert main(["score", "--model", str(model), "--data", str(circle_csv), "--header",
                  "--tau", "nan", "--out", str(tmp_path / "s.csv")]) == 2
     assert capsys.readouterr().err == "error: tau must lie in [0, 1), got nan\n"
-    assert calls == {"eigh": 0, "eigvalsh": 0, "cho_factor": 0, "gram": 0}
+    assert calls == {"eigh": 0, "eigvalsh": 0, "cho_factor": 0, "dgeqrf": 0, "gram": 0}
 
 
 def test_api_fit_and_load_solve_once(tmp_path, monkeypatch):
     """Neither ``fit`` nor ``load_model`` solves anything: the spectral and
     Landweber paths eigensolve on the first score, every model whose gains
-    allow it factorizes on its first score and keeps the factor, and a model
-    past the gate never factorizes.  A loaded model solves as its fit does,
-    and never eigensolves when the file stores the decomposition."""
+    allow it factorizes on its first score and keeps the factor (one QR on
+    the spectral path, one Cholesky on the other), and a model past the gate
+    never factorizes.  A loaded model solves as its fit does, and never
+    eigensolves when the file stores the decomposition."""
     rng = np.random.default_rng(97)
     pts, X = rng.uniform(-1.0, 1.0, (40, 2)), rng.uniform(-1.2, 1.2, (30, 2))
     spectral = fit(pts, Abel(0.8), Tikhonov(1e-2), algorithm="spectral")
@@ -941,23 +945,25 @@ def test_api_fit_and_load_solve_once(tmp_path, monkeypatch):
     calls = _count_solves(monkeypatch)
 
     def solves(build):
-        """(eigensolves, Cholesky factorizations) at build and after two scores."""
+        """(eigensolves, Cholesky factorizations, QR factorizations) at build
+        and after two scores."""
         calls.update(dict.fromkeys(calls, 0))
         model = build()
-        at_build = calls["eigh"], calls["cho_factor"]
+        at_build = calls["eigh"], calls["cho_factor"], calls["dgeqrf"]
         score_batch(model, X)
         score_batch(model, X)
-        return at_build, (calls["eigh"], calls["cho_factor"])
+        return at_build, (calls["eigh"], calls["cho_factor"], calls["dgeqrf"])
 
     for f in [Tikhonov(1e-2), Landweber(10)]:
-        assert solves(lambda: fit(pts, Abel(0.8), f, algorithm="spectral")) == ((0, 0), (1, 1))
+        assert (solves(lambda: fit(pts, Abel(0.8), f, algorithm="spectral"))
+                == ((0, 0, 0), (1, 0, 1)))
     # zero gains (kPCA) and a spread past the gate (Gaussian at a tiny lambda) score through V
     for k, f in [(Abel(0.8), KpcaTruncation(lam=1e-2)), (Gaussian(2.0), Tikhonov(1e-12))]:
-        assert solves(lambda: fit(pts, k, f, algorithm="spectral")) == ((0, 0), (1, 0))
-    assert solves(lambda: fit(pts, Abel(0.8), Tikhonov(1e-2))) == ((0, 0), (0, 1))
-    assert solves(lambda: load_model(files["spectral"])) == ((0, 0), (1, 1))
-    assert solves(lambda: load_model(files["cholesky"])) == ((0, 0), (0, 1))
-    assert solves(lambda: load_model(files["stored"])) == ((0, 0), (0, 1))
+        assert solves(lambda: fit(pts, k, f, algorithm="spectral")) == ((0, 0, 0), (1, 0, 0))
+    assert solves(lambda: fit(pts, Abel(0.8), Tikhonov(1e-2))) == ((0, 0, 0), (0, 1, 0))
+    assert solves(lambda: load_model(files["spectral"])) == ((0, 0, 0), (1, 0, 1))
+    assert solves(lambda: load_model(files["cholesky"])) == ((0, 0, 0), (0, 1, 0))
+    assert solves(lambda: load_model(files["stored"])) == ((0, 0, 0), (0, 1, 0))
 
 
 def test_cholesky_model_decomposes_once(tmp_path, monkeypatch):

@@ -250,7 +250,7 @@ def test_cholesky_scores_multiply_in_place_on_column_major_cross_gram(monkeypatc
     score_batch(model, X[:7])
     assert calls == [(True, True)] * 2
     Kx = np.ascontiguousarray(cross_gram(model.kernel, pts, X))
-    Y = dtrmm(1.0, model.inverse_factor, Kx, lower=1)
+    Y = dtrmm(1.0, model.factor, Kx, lower=1)
     reference = np.clip(dgemv(1.0, np.square(Y), np.ones(model.n), trans=1), 0.0, 1.0)
     npt.assert_array_equal(scores, reference)
 
@@ -289,13 +289,17 @@ def test_cholesky_scores_match_forward_substitution(seed, n, m, d, sigma, log_la
          m=0, duplicate=False)
 @example(seed=2, n=20, d=2, kernel=Abel, sigma=1.0, family="tikhonov", log_lam=-3.0, m=0,
          duplicate=True)
+@example(seed=3049973137, n=13, d=2, kernel=Gaussian, sigma=1.431717994384286,
+         family="tikhonov", log_lam=-13.548222457099746, m=0, duplicate=True)
 def test_factor_scores_match_the_v_contraction(seed, n, d, kernel, sigma, family, log_lam,
                                                m, duplicate):
     """A spectral or Landweber model scores through its triangular factor exactly
     when its gains pass the gate (all positive, spread at most MAX_FACTOR_COND),
     within 1e-9 of the V' K_x contraction; a model past the gate scores
-    through that contraction itself.  The Gaussian example past the gate
-    scores 7e-6 off through an ungated factor."""
+    through that contraction itself.  Past the gate an ungated QR factor reads
+    3.5e-10 off V' K_x on the Gaussian example at lambda = 1e-14, and 1.35e-9
+    off the exact k^2/(1+lambda) on the 13 copies of one point, past
+    MEMBER_SLACK, where V' K_x is within 7e-16."""
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.0, 1.0, (n, d))
     if duplicate:
@@ -307,7 +311,7 @@ def test_factor_scores_match_the_v_contraction(seed, n, d, kernel, sigma, family
     model = fit(pts, kernel(sigma), f, algorithm="spectral")
     g = f._score_gains(model.decomposition.eigenvalues)
     gated = g.min() > 0.0 and g.max() <= g.min() * estimator.MAX_FACTOR_COND
-    assert (model.inverse_factor is not None) == gated
+    assert (model.factor is not None) == gated
     scores = score_batch(model, X)
     reference = estimator._contract(model, X, None, [g / model.n])[0]
     assert np.max(np.abs(scores - reference)) <= 1e-9
@@ -319,8 +323,8 @@ def test_rank_one_gram_factors_tikhonov_and_not_cutoff():
     zero on its null eigenvalues, so it scores through V, while Tikhonov's
     gains stay within the gate and it factorizes."""
     pts = np.zeros((20, 2))
-    assert fit(pts, Abel(1.0), SpectralCutoff(1e-3)).inverse_factor is None
-    assert fit(pts, Abel(1.0), Tikhonov(1e-3), algorithm="spectral").inverse_factor is not None
+    assert fit(pts, Abel(1.0), SpectralCutoff(1e-3)).factor is None
+    assert fit(pts, Abel(1.0), Tikhonov(1e-3), algorithm="spectral").factor is not None
 
 
 def test_no_model_holds_a_gram(tmp_path):
@@ -341,7 +345,7 @@ def test_no_model_holds_a_gram(tmp_path):
                     found.add(key)
         return found
 
-    held = {"decomposition.eigenvectors", "inverse_factor"}
+    held = {"decomposition.eigenvectors", "factor"}
     for f, algorithm, value in [(Tikhonov(1e-3), "spectral", 1e-2),
                                 (Landweber(20), "spectral", 10),
                                 (Tikhonov(1e-3), "cholesky", 1e-2)]:
@@ -391,8 +395,8 @@ def test_spectral_products_run_on_scipy_dgemm_without_copies(monkeypatch):
     for f in [Tikhonov(1e-3), Landweber(20)]:
         model = fit(pts, Abel(0.8), f, algorithm="spectral")
         npt.assert_allclose(score_batch(model, X), reference(model, f), rtol=0, atol=1e-13)
-        assert model.inverse_factor.flags.f_contiguous
-    assert calls == [("dtrmm", True, True, {"lower": 1, "overwrite_b": 1}, True)] * 2
+        assert model.factor.flags.f_contiguous
+    assert calls == [("dtrmm", True, True, {"lower": 0, "overwrite_b": 1}, True)] * 2
     calls.clear()
     grid = [1e-4, 1e-3, 1e-2]
     model = fit(pts, Abel(0.8), Tikhonov(1e-3))
@@ -459,7 +463,7 @@ def test_regularization_path_single_lambda_equals_fit(f, value, algorithm, atol)
     T = rng.normal(size=(6, 2))
     m = fit(X, Abel(1.0), f, algorithm=algorithm)
     path, scores = regularization_path(m, T, [value])[0], score_batch(m, T)
-    assert (m.inverse_factor is None) == (atol == 0.0)
+    assert (m.factor is None) == (atol == 0.0)
     assert np.max(np.abs(path - scores)) <= atol
 
 

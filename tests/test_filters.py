@@ -262,15 +262,15 @@ def test_inverse_factor_peak_memory():
 @pytest.mark.parametrize("f, algorithm", [(Tikhonov(1e-3), "spectral"),
                                           (Landweber(20), "landweber")])
 def test_spectral_factor_peak_memory(f, algorithm):
-    """A spectral model forms V diag(sqrt(c/g)) and its Gram-like product in two
-    n^2 buffers, then factorizes and inverts the product in place: beyond V,
-    the peak is those two buffers.  The model solves on first use, so V is
-    read before the factor is measured."""
+    """A spectral model forms V diag(sqrt(g/n)) in one n^2 buffer and runs its
+    QR in place there: beyond V, the peak is that one buffer and dgeqrf's
+    O(n) workspace.  The model solves on first use, so V is read before the
+    factor is measured."""
     n = 400
     pts = np.random.default_rng(33).normal(size=(n, 2))
     model = fit(pts, Abel(1.0), f, algorithm=algorithm)
     model.decomposition
-    assert _peak_in_n2(lambda: model.inverse_factor, n) <= 2.1
+    assert _peak_in_n2(lambda: model.factor, n) <= 1.2
 
 
 @pytest.mark.parametrize("algorithm, bound", [("spectral", 2.1), ("cholesky", 1.1)])
@@ -286,7 +286,7 @@ def test_scored_model_holds_its_factors_and_no_gram(algorithm, bound):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert model.inverse_factor is not None
+    assert model.factor is not None
     assert held / (8.0 * n * n) <= bound
 
 

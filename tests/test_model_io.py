@@ -436,3 +436,21 @@ def test_mutated_model_file_loads_or_raises_data_error(blob):
         rc = main(["score", "--model", path, "--data", data, "--header",
                    "--out", os.path.join(d, "s.csv"), "--no-timestamp"])
         assert rc == (3 if model is None or model.dim != 3 else 0)
+
+
+@pytest.mark.parametrize("blob, message", [
+    (_HEADER % (b"text", 0, 3), "points must be a nonempty 2-d array"),
+    (_HEADER % (b"binary", 0, 3), "points must be a nonempty 2-d array"),
+    (_HEADER % (b"text", 1, 3) + b"0.1 nan 0.3\n", "points contains non-finite coordinates"),
+    (_HEADER.replace(b"=none", b"=eigh") % (b"text", 1, 3) + b"0.1 nan 0.3\n1\n1\n",
+     "points contains non-finite coordinates"),
+], ids=["text-n0", "binary-n0", "text-nan", "text-nan-decomposition"])
+def test_load_names_the_file_of_points_the_model_refuses(tmp_path, capsys, blob, message):
+    """A point the model refuses is a fault of the file: the error names it once."""
+    path = tmp_path / "m"
+    path.write_bytes(blob)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}"):
+        load_model(path)
+    assert main(["score", "--model", str(path), "--data", str(path),
+                 "--out", str(tmp_path / "s.csv")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")

@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 import time
 from unittest import mock
@@ -218,6 +219,34 @@ def test_bounds_refuse_a_nan_parameter(call):
     for bad in (np.nan, "abc", None, 1j, True, np.array([1.0, 2.0])):
         with pytest.raises(UsageError):
             call(bad)
+
+
+_OVERFLOW_CALLS = {
+    "concentration_bound": (lambda: concentration_bound(20, 1e308),
+                            "concentration bound overflows the float range (n=20, delta=1e+308)"),
+    "bernstein_bound": (lambda: bernstein_bound(1, 1, 20, 1e308), "bernstein bound"),
+    "sample_error_bound": (lambda: sample_error_bound(10, 1e-320, 2, 5), "sample error bound"),
+    "approximation_error_bound": (lambda: approximation_error_bound(1e308, 1, 10),
+                                  "approximation error bound"),
+    "finite_sample_bound": (lambda: finite_sample_bound(1, 1e308, 1, 1, 1, 1),
+                            "finite sample bound"),
+    # numpy scalars overflow with a RuntimeWarning, which the guard keeps quiet
+    "sample_error_bound-numpy": (lambda: sample_error_bound(np.int64(10), np.float64(1e-320),
+                                                            2.0, 5.0), "sample error bound"),
+}
+
+
+@pytest.mark.parametrize("call, message", _OVERFLOW_CALLS.values(), ids=_OVERFLOW_CALLS.keys())
+def test_bounds_refuse_a_value_outside_the_float_range(call, message):
+    """Finite inputs whose bound overflows to inf are a NumericError: an inf bound
+    is never violated, so a harness's violation fraction would read 0."""
+    with pytest.raises(NumericError, match=re.escape(message)):
+        call()
+
+
+def test_bounds_keep_a_large_finite_value():
+    assert finite_sample_bound(1, 1e307, 1, 1, 1, 1) == 2e307
+    assert approximation_error_bound(1e307, 1, 10) == 1e308
 
 
 def test_effective_dimension_examples():
