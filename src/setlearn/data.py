@@ -14,6 +14,8 @@ cells, so the bytes are those of :func:`fmt_value` applied cell by cell.
 from __future__ import annotations
 
 import io
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, islice
@@ -108,10 +110,15 @@ def load_csv(path, header=False, label_col=None):
 
 def _format_of(kind):
     """The %-format of a CSV cell of type ``kind``: ints verbatim, bools as
-    0/1, strings as they are, anything else a float with %.9g."""
-    if issubclass(kind, (bool, np.bool_, int, np.integer)):
+    0/1, strings as they are, any other real number a float with %.9g."""
+    if issubclass(kind, (bool, np.bool_, numbers.Integral)):
         return "%d"
-    return "%s" if issubclass(kind, str) else "%.9g"
+    if issubclass(kind, str):
+        return "%s"
+    if issubclass(kind, numbers.Real):
+        return "%.9g"
+    raise UsageError(f"a table cell must be a bool, an integer, a string or a real number, "
+                     f"got a {kind.__name__}")
 
 
 def fmt_value(v):
@@ -146,8 +153,12 @@ def write_table(path, title, meta, columns, rows, timestamp=True, footer=None):
     summary fractions computed after the rows) are appended as comments.
     """
     check_path(path)
-    if any(isinstance(part, (str, bytes)) for part in (meta, columns, footer)):
-        raise UsageError("table meta, columns and footer must be sequences of strings")
+    footer = () if footer is None else footer
+    if (any(isinstance(part, (str, bytes)) for part in (meta, columns, footer))
+            or not all(isinstance(part, Iterable) for part in (meta, columns, footer, rows))
+            or not all(isinstance(name, str) for name in columns)):
+        raise UsageError("table meta, columns and footer must be sequences of strings, "
+                         "and rows an iterable")
     lines = [f"# {title}"]
     if timestamp:
         now = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -157,7 +168,6 @@ def write_table(path, title, meta, columns, rows, timestamp=True, footer=None):
     rows = iter(rows)
     while chunk := list(islice(rows, _CHUNK_ROWS)):
         lines.append(_render_rows(chunk, len(columns)))
-    if footer:
-        lines.extend(f"# {entry}" for entry in footer)
+    lines.extend(f"# {entry}" for entry in footer)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

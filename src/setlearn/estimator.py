@@ -233,6 +233,13 @@ def _score_path(family, algorithm):
     return algorithm
 
 
+def _model(model):
+    """``model`` if it is a fitted support model; anything else is a usage error."""
+    if not isinstance(model, SupportModel):
+        raise UsageError(f"model must be a SupportModel, got {model!r}")
+    return model
+
+
 def _check_query(X, dim):
     """Query points as an (m, d) array, refused unless d is the model's ``dim``."""
     X = _as_points(X, "query points")
@@ -245,7 +252,7 @@ def score_batch(model, X):
     """Scores F_n for a batch of query points, clamped to [0, 1]: through the
     model's triangular ``factor`` with w = 1, or through V with w = g(s)/n for
     a model without one."""
-    X = _check_query(X, model.dim)
+    X = _check_query(X, _model(model).dim)
     # The factor before K_x: the other order read 10% more peak RSS on the
     # score-stream.spectral benchmark, from where malloc placed the n x n buffers.
     T = model.factor
@@ -288,7 +295,7 @@ def member_mask(scores, tau):
 
 def predict_member(model, x, tau=None):
     """Membership x in {F_n >= 1 - tau}.  1-d input gives a bool, 2-d a bool array."""
-    tau = model.tau if tau is None else _check_tau(tau)
+    tau = _model(model).tau if tau is None else _check_tau(tau)
     x = real_array("query points must be real numbers", x, data=True)
     member = member_mask(score_batch(model, x[None, :] if x.ndim == 1 else x), tau)
     return bool(member[0]) if x.ndim == 1 else member
@@ -321,7 +328,7 @@ def regularization_path(model, X, grid):
         raise UsageError(f"regularization grid must be a sequence, got {grid!r}") from None
     if not grid:
         raise UsageError("empty regularization grid")
-    X = _check_query(X, model.dim)
+    X = _check_query(X, _model(model).dim)
     filters = [model.filter.at(value) for value in grid]
     s = model.decomposition.eigenvalues
     return _contract(model, X, None, [f._score_gains(s) / model.n for f in filters])

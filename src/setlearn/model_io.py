@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 
 from .errors import DataError, UsageError, check_path
-from .estimator import fit
+from .estimator import _model, fit
 from .filters import EIG_SLACK, SpectralDecomposition, format_filter, parse_filter
 from .kernels import _parse_kv, format_kernel, gram, parse_kernel
 
@@ -60,6 +60,7 @@ def _text_lines(block):
 def save_model(model, path, fmt="text", include_decomposition=False):
     """Write a model to ``path`` in the text or binary container."""
     check_path(path)
+    _model(model)
     if fmt not in ("text", "binary"):
         raise UsageError(f"format must be 'text' or 'binary', got {fmt!r}")
     decomp = model.decomposition if include_decomposition else None
@@ -87,31 +88,29 @@ def save_model(model, path, fmt="text", include_decomposition=False):
                 fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
-def _ascii(data, path, what):
+def _ascii(data, what):
     try:
         return data.decode("ascii")
     except UnicodeDecodeError:
-        raise DataError(f"{path}: {what} is not ascii") from None
+        raise DataError(f"{what} is not ascii") from None
 
 
-def _parse_header(blob, path):
+def _parse_header(blob):
     idx = blob.find(_MARKER)
     if idx < 0 or (idx > 0 and blob[idx - 1:idx] != b"\n"):
-        raise DataError(f"{path}: not a model file (missing data: section)")
-    head = _ascii(blob[:idx], path, "header")
+        raise DataError("not a model file (missing data: section)")
+    head = _ascii(blob[:idx], "header")
     lines = [line.strip() for line in head.splitlines()]
-    try:   # an unknown, repeated or malformed key is refused
-        fields = _parse_kv([line for line in lines if line and not line.startswith("#")],
-                           _HEADER_KEYS, "header")
-    except UsageError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    # an unknown, repeated or malformed key is refused
+    fields = _parse_kv([line for line in lines if line and not line.startswith("#")],
+                       _HEADER_KEYS, "header")
     missing = _HEADER_KEYS - fields.keys()
     if missing:
-        raise DataError(f"{path}: header is missing {sorted(missing)}")
+        raise DataError(f"header is missing {sorted(missing)}")
     return fields, idx + len(_MARKER)
 
 
-def _payload_values(blob, start, path, fmt, n, d, with_decomp):
+def _payload_values(blob, start, fmt, n, d, with_decomp):
     """The payload, ``blob`` from byte ``start`` on, as one float64 vector:
     points (n*d), eigenvalues (n), eigenvectors (n*n).
 
@@ -121,28 +120,27 @@ def _payload_values(blob, start, path, fmt, n, d, with_decomp):
     if fmt == "binary":
         size, expect = len(blob) - start, 8 * (n * d + (n + n * n if with_decomp else 0))
         if size != expect:
-            raise DataError(f"{path}: binary payload is {size} bytes, expected {expect}")
+            raise DataError(f"binary payload is {size} bytes, expected {expect}")
         # Decoded from the file's bytes, unsliced, into one aligned array: a view
         # at the header's odd offset is unaligned, and f2py copies such an array.
         flat = np.empty(expect // 8)
         flat[:] = np.frombuffer(blob, dtype="<f8", offset=start)
         return flat
-    text = _ascii(blob[start:], path, "data section").splitlines()
+    text = _ascii(blob[start:], "data section").splitlines()
     lines = [(lineno, line) for lineno, line in enumerate(text, start=1) if line.strip()]
     expect = n + (1 + n if with_decomp else 0)
     if len(lines) != expect:
-        raise DataError(f"{path}: expected {expect} data lines, found {len(lines)}")
+        raise DataError(f"expected {expect} data lines, found {len(lines)}")
     values = []
     for k, (lineno, line) in enumerate(lines):
         tokens = line.split()
         width = d if k < n else n   # a point line, then the decomposition lines
         if len(tokens) != width:
-            raise DataError(
-                f"{path}: data line {lineno} holds {len(tokens)} values, expected {width}")
+            raise DataError(f"data line {lineno} holds {len(tokens)} values, expected {width}")
         try:
             values += map(float, tokens)
         except ValueError:
-            raise DataError(f"{path}: non-numeric value in data line {lineno}") from None
+            raise DataError(f"non-numeric value in data line {lineno}") from None
     return np.array(values, dtype=float)
 
 
@@ -151,38 +149,36 @@ def load_model(path):
     check_path(path)
     with open(path, "rb") as fh:
         blob = fh.read()
-    fields, start = _parse_header(blob, path)
-    fmt = fields["format"]
-    if fmt not in ("text", "binary"):
-        raise DataError(f"{path}: unknown format {fields['format']!r}")
-    try:
-        n, d = int(fields["n"]), int(fields["d"])
-        tau = float(fields["tau"])
-    except ValueError:
-        raise DataError(f"{path}: bad n/d/tau header values") from None
-    if n < 0 or d < 0:
-        raise DataError(f"{path}: n and d must be nonnegative, got n={n} d={d}")
-    try:   # a spec, a field or a point that the model refuses is a fault of the file
+    try:   # every fault of the file, a spec, field or point the model refuses too
+        fields, start = _parse_header(blob)
+        fmt = fields["format"]
+        if fmt not in ("text", "binary"):
+            raise DataError(f"unknown format {fields['format']!r}")
+        try:
+            n, d = int(fields["n"]), int(fields["d"])
+            tau = float(fields["tau"])
+        except ValueError:
+            raise DataError("bad n/d/tau header values") from None
+        if n < 0 or d < 0:
+            raise DataError(f"n and d must be nonnegative, got n={n} d={d}")
         kernel = parse_kernel(fields["kernel"])
         filt = parse_filter(fields["filter"])
         with_decomp = fields["decomposition"] == "eigh"
         if not with_decomp and fields["decomposition"] != "none":
-            raise DataError(f"{path}: unknown decomposition {fields['decomposition']!r}")
-        flat = _payload_values(blob, start, path, fmt, n, d, with_decomp)
+            raise DataError(f"unknown decomposition {fields['decomposition']!r}")
+        flat = _payload_values(blob, start, fmt, n, d, with_decomp)
         del blob   # the file's bytes go before the check builds its Gram
         points, eigenpairs = flat[:n * d].reshape(n, d), None
         if with_decomp:
             s, V = flat[n * d:n * d + n], flat[n * d + n:].reshape(n, n)
-            _check_decomposition(s, V, gram(kernel, points), path)
+            _check_decomposition(s, V, gram(kernel, points))
             eigenpairs = SpectralDecomposition(s, V)
         return fit(points, kernel, filt, fields["algorithm"], tau, eigenpairs)
     except (UsageError, DataError) as exc:
-        if str(exc).startswith(f"{path}: "):   # the payload's own errors name the file
-            raise
         raise DataError(f"{path}: {exc}") from None
 
 
-def _check_decomposition(s, V, K, path):
+def _check_decomposition(s, V, K):
     """Reject stored eigenpairs that are not those of K_n/n.
 
     The eigenvalues must lie in [0, 1] and sum to trace(K_n/n), and
@@ -197,21 +193,21 @@ def _check_decomposition(s, V, K, path):
     # min and max propagate nan and inf without an n x n mask.
     lo, hi = V.min(), V.max()
     if not (np.all(np.isfinite(s)) and np.isfinite(lo) and np.isfinite(hi)):
-        raise DataError(f"{path}: stored decomposition has non-finite values")
+        raise DataError("stored decomposition has non-finite values")
     if s.min() < 0.0 or s.max() > 1.0:
-        raise DataError(f"{path}: stored eigenvalues lie outside [0, 1]")
+        raise DataError("stored eigenvalues lie outside [0, 1]")
     if abs(s.sum() - np.trace(K) / n) > EIG_SLACK * n:
-        raise DataError(f"{path}: stored eigenvalues do not sum to trace(K_n/n)")
+        raise DataError("stored eigenvalues do not sum to trace(K_n/n)")
     # Orthonormal columns have entries in [-1, 1]; larger ones could overflow below.
     if max(-lo, hi) > 1.0 + EIG_SLACK:
-        raise DataError(f"{path}: stored eigenvectors are not orthonormal")
+        raise DataError("stored eigenvectors are not orthonormal")
     Z = np.random.default_rng(0).standard_normal((n, 4))
     size = np.linalg.norm(Z)
     VZ, VSZ = np.hsplit(dgemm(1.0, V.T, np.hstack([Z, s[:, None] * Z]), trans_a=1), 2)
     residual = np.linalg.norm(dgemm(1.0 / n, K.T, VZ) - VSZ) / size
     if residual > EIG_SLACK:
         raise DataError(
-            f"{path}: stored eigenpairs do not match the Gram matrix "
+            "stored eigenpairs do not match the Gram matrix "
             f"(residual {residual:.3e})")
     if np.linalg.norm(dgemm(1.0, V.T, VZ) - Z) / size > EIG_SLACK:
-        raise DataError(f"{path}: stored eigenvectors are not orthonormal")
+        raise DataError("stored eigenvectors are not orthonormal")

@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import NumericError, check_number, check_seed, real_array
+from .errors import NumericError, UsageError, check_number, check_seed, real_array
 from .kernels import _as_points, _kernel, _point_pair
 
 __all__ = [
@@ -247,6 +247,10 @@ def concentration_trials(sample_fn, kernel, n, delta, trials, ref_size, seed):
         check_number(f"{name} must be an integer", count, integral=True)
     check_number("need trials, ref_size >= 1", trials, ref_size, ok=lambda v: v >= 1)
     check_seed(seed)
+    if not callable(sample_fn):
+        raise UsageError(f"the sampler must be callable, got {sample_fn!r}")
+    if not callable(getattr(kernel, "_pairwise", None)):   # a duck-typed kernel serves too
+        raise UsageError(f"kernel must be a kernel spec, got {kernel!r}")
     ref = _as_points(sample_fn(ref_size, np.random.default_rng([seed, _REF_STREAM])))
     samples = [_as_points(sample_fn(n, np.random.default_rng([seed, t])))
                for t in range(trials)]

@@ -45,7 +45,10 @@ def lambda_curvature(eigenvalues):
     to the smallest index.  The returned lambda is always one of the
     input eigenvalues.
     """
-    s = np.sort(real_array("eigenvalues must be real numbers", eigenvalues))[::-1]
+    s = real_array("eigenvalues must be real numbers", eigenvalues)
+    if s.ndim != 1:
+        raise UsageError(f"eigenvalues must be a 1-d array, got shape {s.shape}")
+    s = np.sort(s)[::-1]
     s = s[s > NULL_EIG]
     if s.size < 3:
         raise UsageError(

@@ -6,6 +6,16 @@ cover the situations a set estimator has to face: one-dimensional curves
 in the plane (circle, segment, moons), unions of components (two
 circles), a noisy manifold and a full-dimensional region (square).
 
+One builder, ``_arc``, declares the six tasks that are the unit circle or
+its upper half arc placed by one or two parts, each a (map, inverse) pair.
+A union's support lists its parts in order, m // 2 points each and the rest
+on the last; its distance is the least over its parts, each in its frame.
+Draw protocol: ``segment`` draws ``uniform(0, 1, n)``, ``cube``
+``uniform(0, 1, (n, 2))``; an arc task draws, in this order, its parts with
+``integers(0, 2, n)`` if a union (``two_moons``: 0 lower, 1 upper moon;
+``two_circles``: 0 left, 1 right), its angles with ``uniform(0, span, n)``
+and, for ``circle_noise``, its radius noise with ``standard_normal(n)``.
+
 For lower-dimensional supports the grid indicator thickens the set by
 one grid step, because a measure-zero set hits no grid cells; Hausdorff
 comparisons use the unthickened discretization.
@@ -14,6 +24,7 @@ comparisons use the unthickened discretization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -37,8 +48,10 @@ class SyntheticTask:
     _distance: object
 
     def draw(self, n, rng):
-        """Sample n points with a caller-owned generator (for harnesses)."""
+        """Sample n points with a caller-owned ``numpy.random.Generator``."""
         check_number("n must be an integer >= 1", n, ok=lambda v: v >= 1, integral=True)
+        if not isinstance(rng, np.random.Generator):
+            raise UsageError(f"rng must be a numpy.random.Generator, got {rng!r}")
         return self._sampler(int(n), rng)
 
 
@@ -47,58 +60,52 @@ def _unit_circle(t):
     return np.column_stack([np.cos(t), np.sin(t)])
 
 
-def _upper(P):
-    """The upper moon is the unit half-circle arc itself."""
-    return P
-
-
 def _lower(P):
     """The reflection (x, y) -> (1 - x, 0.5 - y) between the arc and the lower
     moon; its own inverse, so it maps points both ways."""
     return np.column_stack([1.0 - P[:, 0], 0.5 - P[:, 1]])
 
 
-def _arc_distance(points, flip):
-    """Distance to a moon: ``flip`` (:func:`_upper` or :func:`_lower`) maps
-    the points into the frame of the unit half-circle arc (angles 0..pi)."""
-    p = flip(points)
-    r = np.hypot(p[:, 0], p[:, 1])
-    on_arc = p[:, 1] >= 0.0
-    radial = np.abs(r - 1.0)
-    d_end = np.minimum(np.hypot(p[:, 0] - 1.0, p[:, 1]),
-                       np.hypot(p[:, 0] + 1.0, p[:, 1]))
-    return np.where(on_arc, radial, d_end)
+def _shift(x):
+    c = np.array([x, 0.0])
+    return lambda P: P + c, lambda P: P - c
 
 
-def _circle_distance(P):
-    return np.abs(np.hypot(P[:, 0], P[:, 1]) - 1.0)
+_SAME = (lambda P: P,) * 2
 
 
-def _circle_points(m, center=(0.0, 0.0)):
-    t = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-    return np.column_stack([center[0] + np.cos(t), center[1] + np.sin(t)])
+def _arc(name, box, span, parts, noise=0.0):
+    """The unit circle's arc over angles [0, span] (closed at 2 pi), placed by
+    each (map, inverse) of ``parts``, its radius scaled by 1 + noise * N(0, 1)."""
+    closed = span == 2.0 * np.pi
 
-
-def _half_arc_points(m, flip):
-    return flip(_unit_circle(np.linspace(0.0, np.pi, m)))
-
-
-def _make_circle():
     def sampler(n, rng):
-        return _unit_circle(rng.uniform(0.0, 2.0 * np.pi, n))
+        pick = rng.integers(0, 2, n) if len(parts) > 1 else None
+        P = _unit_circle(rng.uniform(0.0, span, n))
+        if noise:
+            P *= (1.0 + noise * rng.standard_normal(n))[:, None]
+        if pick is None:
+            return parts[0][0](P)
+        for k, (place, _) in enumerate(parts):
+            P[pick == k] = place(P[pick == k])
+        return P
 
-    return SyntheticTask("circle", 2, ((-1.5, 1.5), (-1.5, 1.5)), True,
-                         sampler, _circle_points, _circle_distance)
+    def support(m):
+        counts = [m // 2, m - m // 2] if len(parts) == 2 else [m]
+        return np.vstack([place(_unit_circle(np.linspace(0.0, span, c, endpoint=not closed)))
+                          for (place, _), c in zip(parts, counts)])
 
+    def arc_distance(p):
+        d = np.abs(np.hypot(p[:, 0], p[:, 1]) - 1.0)
+        if closed:
+            return d
+        ends = np.minimum(np.hypot(p[:, 0] - 1.0, p[:, 1]), np.hypot(p[:, 0] + 1.0, p[:, 1]))
+        return np.where(p[:, 1] >= 0.0, d, ends)   # below the arc, an end is nearest
 
-def _make_circle_noise():
-    def sampler(n, rng):
-        t = rng.uniform(0.0, 2.0 * np.pi, n)
-        r = 1.0 + 0.05 * rng.standard_normal(n)
-        return np.column_stack([r * np.cos(t), r * np.sin(t)])
+    def distance(P):
+        return reduce(np.minimum, (arc_distance(inverse(P)) for _, inverse in parts))
 
-    return SyntheticTask("circle_noise", 2, ((-1.5, 1.5), (-1.5, 1.5)), True,
-                         sampler, _circle_points, _circle_distance)
+    return SyntheticTask(name, 2, box, True, sampler, support, distance)
 
 
 def _make_segment():
@@ -113,60 +120,6 @@ def _make_segment():
         return np.hypot(P[:, 0] - np.clip(P[:, 0], 0.0, 1.0), P[:, 1])
 
     return SyntheticTask("segment", 2, ((-0.5, 1.5), (-1.0, 1.0)), True,
-                         sampler, support, distance)
-
-
-_MOON_BOX = ((-1.5, 2.5), (-1.0, 1.5))
-
-
-def _make_two_moons():
-    def sampler(n, rng):
-        pick = rng.integers(0, 2, n).astype(bool)
-        pts = np.empty((n, 2))
-        # draw both streams from one generator to keep the mix exchangeable
-        t = rng.uniform(0.0, np.pi, n)
-        pts[pick] = _unit_circle(t[pick])
-        pts[~pick] = _lower(_unit_circle(t[~pick]))
-        return pts
-
-    def support(m):
-        half = m // 2
-        return np.vstack([_half_arc_points(half, _upper),
-                          _half_arc_points(m - half, _lower)])
-
-    def distance(P):
-        return np.minimum(_arc_distance(P, _upper), _arc_distance(P, _lower))
-
-    return SyntheticTask("two_moons", 2, _MOON_BOX, True, sampler, support, distance)
-
-
-def _make_moon(which):
-    flip = _upper if which == "moon_upper" else _lower
-    return SyntheticTask(
-        which, 2, _MOON_BOX, True,
-        lambda n, rng: flip(_unit_circle(rng.uniform(0.0, np.pi, n))),
-        lambda m: _half_arc_points(m, flip), lambda P: _arc_distance(P, flip))
-
-
-def _make_two_circles():
-    centers = np.array([[-1.5, 0.0], [1.5, 0.0]])
-
-    def sampler(n, rng):
-        pick = rng.integers(0, 2, n)
-        t = rng.uniform(0.0, 2.0 * np.pi, n)
-        return centers[pick] + _unit_circle(t)
-
-    def support(m):
-        half = m // 2
-        return np.vstack([_circle_points(half, center=centers[0]),
-                          _circle_points(m - half, center=centers[1])])
-
-    def distance(P):
-        d0 = np.abs(np.hypot(P[:, 0] - centers[0, 0], P[:, 1]) - 1.0)
-        d1 = np.abs(np.hypot(P[:, 0] - centers[1, 0], P[:, 1]) - 1.0)
-        return np.minimum(d0, d1)
-
-    return SyntheticTask("two_circles", 2, ((-3.0, 3.0), (-1.5, 1.5)), True,
                          sampler, support, distance)
 
 
@@ -189,10 +142,17 @@ def _make_square():
                          sampler, support, distance)
 
 
+_CIRCLE_BOX = ((-1.5, 1.5), (-1.5, 1.5))
+_MOON_BOX = ((-1.5, 2.5), (-1.0, 1.5))
 _TASKS = {t.name: t for t in [
-    _make_circle(), _make_circle_noise(), _make_segment(), _make_two_moons(),
-    _make_moon("moon_upper"), _make_moon("moon_lower"),
-    _make_two_circles(), _make_square(),
+    _arc("circle", _CIRCLE_BOX, 2.0 * np.pi, [_SAME]),
+    _arc("circle_noise", _CIRCLE_BOX, 2.0 * np.pi, [_SAME], noise=0.05),
+    _make_segment(),
+    _arc("two_moons", _MOON_BOX, np.pi, [(_lower, _lower), _SAME]),
+    _arc("moon_upper", _MOON_BOX, np.pi, [_SAME]),
+    _arc("moon_lower", _MOON_BOX, np.pi, [(_lower, _lower)]),
+    _arc("two_circles", ((-3.0, 3.0), (-1.5, 1.5)), 2.0 * np.pi, [_shift(-1.5), _shift(1.5)]),
+    _make_square(),
 ]}
 
 
@@ -201,29 +161,34 @@ def task_names():
 
 
 def get_task(name):
-    try:
-        return _TASKS[name]
-    except KeyError:
-        raise UsageError(
-            f"unknown task {name!r}; available: {', '.join(task_names())}") from None
+    if not isinstance(name, str) or name not in _TASKS:
+        raise UsageError(f"unknown task {name!r}; available: {', '.join(task_names())}")
+    return _TASKS[name]
+
+
+def _task(task):
+    """``task`` if it is a synthetic task; anything else is a usage error."""
+    if not isinstance(task, SyntheticTask):
+        raise UsageError(f"task must be a synthetic task, got {task!r}")
+    return task
 
 
 def sample(task, n, seed):
     """Draw n points; identical seeds give bit-identical samples.  ``seed`` is
     ``None``, a nonnegative integer or a sequence of them."""
     check_seed(seed, sequence=True)
-    return task.draw(n, np.random.default_rng(seed))
+    return _task(task).draw(n, np.random.default_rng(seed))
 
 
 def reference_support(task, m=1000):
     """Dense discretization of the true support (unthickened)."""
     check_number("m must be an integer >= 2", m, ok=lambda v: v >= 2, integral=True)
-    return task._support(int(m))
+    return _task(task)._support(int(m))
 
 
 def support_distance(task, points):
     """Euclidean distance from each point to the true support set."""
-    return task._distance(_as_points(points))
+    return _task(task)._distance(_as_points(points))
 
 
 def reference_grid(task, resolution):
@@ -235,7 +200,7 @@ def reference_grid(task, resolution):
     """
     check_number("resolution must be an integer >= 2", resolution, ok=lambda v: v >= 2,
                  integral=True)
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in task.bounding_box]
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in _task(task).bounding_box]
     steps = [(hi - lo) / (resolution - 1) for lo, hi in task.bounding_box]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])

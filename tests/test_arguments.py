@@ -10,14 +10,17 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import setlearn
+from setlearn import oracles
 from setlearn import (Abel, DataError, Gaussian, KpcaTruncation, L1Exponential, Landweber,
                       Normalized, NumericError, Product, SpectralCutoff, SpectralDecomposition,
-                      Tikhonov, UsageError, cross_gram, devroye_wise_member, fit, gram,
-                      hausdorff, kernel_eval, kpca_lambda_from_rank, load_csv, load_model,
-                      member_mask, metric_matrix, normalize, parse_filter, parse_kernel,
-                      parzen_score, predict_member, product_kernel, rate_lambda, reference_grid,
-                      reference_support, regularization_path, sample, save_model, score,
-                      score_batch, symdiff_measure, width_heuristic, write_table)
+                      Tikhonov, UsageError, cross_gram, devroye_wise_member, fit, fmt_value,
+                      gram, hausdorff, kernel_eval, kpca_lambda_from_rank, lambda_curvature,
+                      load_csv, load_model, member_mask, metric_matrix, normalize, parse_filter,
+                      parse_kernel, parzen_score, predict_member, product_kernel, rate_lambda,
+                      reference_grid, reference_support, regularization_path, sample,
+                      save_model, score, score_batch, support_distance, symdiff_measure,
+                      width_heuristic, write_table)
 from setlearn.filters import _FILTERS
 from setlearn.kernels import _KERNELS
 from setlearn.oracles import bernstein_trials, concentration_trials, hs_distance, hs_norm
@@ -37,6 +40,7 @@ NOT_SEEDS = ("abc", 1.5, -1, True, 1j)
 NOT_SPECS = (3, None, b"abel sigma=1", ["abel"])
 # open() takes an integer, a bool too, as a file descriptor: 2**30 is never an open one.
 NOT_PATHS = (None, 1.5, True, 2 ** 30)
+NOT_TASKS = (None, "circle", 7)
 
 # (argument, call taking the bad value, bad values, the error it raises)
 ARGUMENTS = [
@@ -129,6 +133,31 @@ ARGUMENTS = [
     ("concentration_trials-seed",
      lambda v: concentration_trials(CIRCLE.draw, Abel(1.0), 5, 1.0, 2, 5, v),
      NOT_SEEDS + (None, [1, 2]), UsageError),
+    ("concentration_trials-sampler",
+     lambda v: concentration_trials(v, Abel(1.0), 5, 1.0, 2, 5, 0), (None, CIRCLE), UsageError),
+    ("concentration_trials-kernel",
+     lambda v: concentration_trials(CIRCLE.draw, v, 5, 1.0, 2, 5, 0), NOT_TASKS, UsageError),
+    ("get_task", get_task, ([1, "x"], None, 7, b"circle"), UsageError),
+    *((f"{name}-task", call, NOT_TASKS, UsageError) for name, call in (
+        ("sample", lambda t: sample(t, 5, 0)), ("reference_support", reference_support),
+        ("support_distance", lambda t: support_distance(t, X)),
+        ("reference_grid", lambda t: reference_grid(t, 4)))),
+    # a harness passes its own numpy.random.Generator, never a seed or a RandomState
+    *((f"draw-{name}-rng", lambda v, name=name: get_task(name).draw(3, v),
+       (None, 0, np.random.RandomState(0)), UsageError) for name in ("circle", "two_moons")),
+    *((f"{name}-model", call, (None, X, Abel(1.0)), UsageError) for name, call in (
+        ("score", lambda m: score(m, X[0])), ("score_batch", lambda m: score_batch(m, X)),
+        ("predict_member", lambda m: predict_member(m, X)),
+        ("regularization_path", lambda m: regularization_path(m, X, [0.1])),
+        ("save_model", lambda m: save_model(m, os.devnull)))),
+    ("lambda_curvature", lambda_curvature, (7, np.zeros((2, 3))), UsageError),
+    *((f"write_table-{name}-not-iterable", call, values, UsageError)
+      for name, call, values in (
+          ("meta", lambda v: write_table(os.devnull, "t", v, ["x"], [(1,)]), (None, 7)),
+          ("columns", lambda v: write_table(os.devnull, "t", [], v, [(1,)]),
+           (None, 7, [1, "x"])),
+          ("rows", lambda v: write_table(os.devnull, "t", [], ["x"], v), (None, 7)))),
+    ("fmt_value", fmt_value, (None, [1, "x"], np.zeros(2), b"x", object()), UsageError),
 ]
 
 
@@ -192,3 +221,83 @@ def test_save_model_refuses_a_bad_path_before_it_solves():
     with pytest.raises(UsageError, match="file path"):
         save_model(model, None, include_decomposition=True)
     assert "decomposition" not in vars(model)
+
+
+# One valid call of each public callable: its positional arguments.
+VALID_CALLS = {
+    "Abel": (1.0,), "Gaussian": (1.0,), "L1Exponential": (1.0,), "Linear": (),
+    "Kernel": (), "Normalized": (Abel(1.0),), "Product": (((Abel(1.0), (0, 2)),),),
+    "product_kernel": (((Abel(1.0), (0, 2)),),),
+    "Filter": (), "Tikhonov": (0.1,), "SpectralCutoff": (0.1,), "KpcaTruncation": (0.1,),
+    "Landweber": (3,),
+    "SpectralDecomposition": (SPECTRUM, MODEL.decomposition.eigenvectors),
+    "Dataset": (X, None, "points.csv"), "SyntheticTask": (
+        "circle", 2, CIRCLE.bounding_box, True, CIRCLE._sampler, CIRCLE._support,
+        CIRCLE._distance),
+    "DataError": ("a",), "NumericError": ("a",), "UsageError": ("a",),
+    "approximation_error_bound": (0.1, 0.5, 1.0), "bernstein_bound": (1.0, 1.0, 100, 2.0),
+    "concentration_bound": (100, 2.0), "finite_sample_bound": (100, 2.0, 0.5, 0.5, 1.0, 1.0),
+    "sample_error_bound": (100, 0.1, 2.0, 3.0), "effective_dimension": (MODEL.decomposition, 0.1),
+    "hs_distance": (Abel(1.0), X, X[:2]), "hs_norm": (Abel(1.0), X),
+    "concentration_trials": (CIRCLE.draw, Abel(1.0), 5, 1.0, 2, 5, 0),
+    "bernstein_trials": (10, 1.0, 2, 0),
+    "gram": (Abel(1.0), X), "cross_gram": (Abel(1.0), X, X), "metric_matrix": (Abel(1.0), X),
+    "kernel_eval": (Abel(1.0), X[0], X[1]), "induced_metric": (Abel(1.0), X[0], X[1]),
+    "normalize": (Abel(1.0),), "parse_kernel": ("abel sigma=1",),
+    "format_kernel": (Abel(1.0),), "parse_filter": ("tikhonov lambda=0.1",),
+    "format_filter": (Tikhonov(0.1),), "decompose": (gram(Abel(1.0), X),),
+    "SupportModel": (X, Abel(1.0), Tikhonov(0.1)), "fit": (X, Abel(1.0), Tikhonov(0.1)),
+    "score": (MODEL, X[0]), "score_batch": (MODEL, X), "predict_member": (MODEL, X),
+    "member_mask": ([0.5, 1.0], 0.1), "regularization_path": (MODEL, X, [0.1]),
+    "kpca_lambda_from_rank": (SPECTRUM, 2), "lambda_curvature": (SPECTRUM,),
+    "rate_lambda": (100,), "width_heuristic": (X, 2),
+    "hausdorff": (X, X), "devroye_wise_member": (X, 0.5, X), "parzen_score": (X, 0.5, X),
+    "roc_auc": ([0.1, 0.9], [False, True]),
+    "symdiff_measure": ([True, False], [True, True], 0.5),
+    "task_names": (), "get_task": ("circle",), "sample": (CIRCLE, 5, 0),
+    "reference_support": (CIRCLE, 10), "reference_grid": (CIRCLE, 4),
+    "support_distance": (CIRCLE, X),
+    "load_csv": ("points.csv",), "load_model": ("model.txt",), "save_model": (MODEL, "out.txt"),
+    "write_table": ("table.csv", "t", [], ["x"], [(1,)]), "fmt_value": (1.5,),
+}
+PATH_ARGUMENTS = {("load_csv", 0), ("load_model", 0), ("save_model", 1), ("write_table", 0)}
+GARBAGE = (None, 7, "abc", [1, "x"], np.nan, np.zeros((0, 2)), np.zeros((2, 2, 2)), object(),
+           True)
+
+
+def _public(name):
+    return getattr(setlearn if name in setlearn.__all__ else oracles, name)
+
+
+@pytest.fixture
+def files(tmp_path, monkeypatch):
+    """A scratch directory holding the files the valid calls read; "abc" is a
+    valid file name, which a garbage path argument may create."""
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("points.csv", X, delimiter=",")
+    save_model(MODEL, "model.txt")
+
+
+def test_every_public_callable_has_a_valid_call(files):
+    public = {name for name in setlearn.__all__ if callable(getattr(setlearn, name))}
+    assert public | {"concentration_trials", "bernstein_trials"} == VALID_CALLS.keys()
+    for name, args in VALID_CALLS.items():
+        _public(name)(*args)
+
+
+@pytest.mark.parametrize("name, position", [
+    pytest.param(name, i, id=f"{name}-{i}")
+    for name, args in VALID_CALLS.items() for i in range(len(args))])
+def test_garbage_in_any_position_is_a_package_error(files, name, position):
+    """Each positional argument of a valid call, replaced by each garbage value,
+    gives a result or a package error, never a stray exception; an ``OSError``
+    only for a file path."""
+    args = VALID_CALLS[name]
+    allowed = (UsageError, DataError, NumericError)
+    if (name, position) in PATH_ARGUMENTS:
+        allowed += (OSError,)
+    for bad in GARBAGE:
+        try:
+            _public(name)(*args[:position], bad, *args[position + 1:])
+        except allowed:
+            pass

@@ -130,3 +130,30 @@ def test_sample_to_support_distance_shrinks_with_n():
 def test_sample_validates_n():
     with pytest.raises(UsageError):
         sample(get_task("circle"), 0, seed=0)
+
+
+def _protocol_sample(name, n, rng):
+    """A task's sample rebuilt from the generator calls of the draw protocol."""
+    if name == "segment":
+        return np.column_stack([rng.uniform(0.0, 1.0, n), np.zeros(n)])
+    if name == "cube":
+        return rng.uniform(0.0, 1.0, (n, 2))
+    pick = rng.integers(0, 2, n) if name in ("two_moons", "two_circles") else None
+    t = rng.uniform(0.0, np.pi if "moon" in name else 2.0 * np.pi, n)
+    r = 1.0 + 0.05 * rng.standard_normal(n) if name == "circle_noise" else 1.0
+    x, y = r * np.cos(t), r * np.sin(t)
+    if name == "two_circles":   # part 0 the left circle, part 1 the right
+        return np.column_stack([np.where(pick == 0, -1.5, 1.5) + x, y])
+    # part 0 of two_moons is the lower moon, part 1 the upper
+    lower = pick == 0 if name == "two_moons" else np.full(n, name == "moon_lower")
+    return np.column_stack([np.where(lower, 1.0 - x, x), np.where(lower, 0.5 - y, y)])
+
+
+@pytest.mark.parametrize("name", task_names())
+def test_sample_follows_the_draw_protocol(name):
+    """Each task's sample is its protocol's generator calls, in order, bit for
+    bit; the benchmark inputs and the golden corpus depend on them."""
+    for n in (1, 2, 7, 300):
+        for seed in (0, 5, [3, 4]):
+            expected = _protocol_sample(name, n, np.random.default_rng(seed))
+            assert np.array_equal(sample(get_task(name), n, seed), expected), (n, seed)
