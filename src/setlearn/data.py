@@ -22,7 +22,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import DataError, UsageError, check_number, check_path
+from .errors import DataError, UsageError, check_flag, check_number, check_path
 
 __all__ = ["Dataset", "load_csv", "write_table", "fmt_value"]
 
@@ -55,6 +55,7 @@ def load_csv(path, header=False, label_col=None):
     non-numeric input, or on an empty file.
     """
     check_path(path)
+    check_flag("header", header)
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
@@ -153,6 +154,7 @@ def write_table(path, title, meta, columns, rows, timestamp=True, footer=None):
     summary fractions computed after the rows) are appended as comments.
     """
     check_path(path)
+    check_flag("timestamp", timestamp)
     footer = () if footer is None else footer
     if (any(isinstance(part, (str, bytes)) for part in (meta, columns, footer))
             or not all(isinstance(part, Iterable) for part in (meta, columns, footer, rows))

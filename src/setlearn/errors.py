@@ -16,7 +16,8 @@ numbers, a ragged nesting) is a ``DataError`` for data and a
 ``UsageError`` for an argument such as a filter's or a Gram matrix.  A
 random seed is a count too (:func:`check_seed`).  A file path is a ``str``,
 ``bytes`` or ``os.PathLike`` (:func:`check_path`), never an integer, which
-``open`` would take as a file descriptor.
+``open`` would take as a file descriptor.  A flag is a ``bool``, Python's or
+numpy's (:func:`check_flag`), never another value read for its truth.
 """
 
 import numbers
@@ -72,6 +73,14 @@ def check_seed(seed, sequence=False):
     check_number("seed must be None, a nonnegative integer or a sequence of them" if sequence
                  else "seed must be a nonnegative integer",
                  *(seed if many else (seed,)), ok=lambda v: v >= 0, integral=True)
+
+
+def check_flag(what, value):
+    """Refuse ``value`` unless it is a ``bool`` or a ``numpy.bool_``: a
+    ``UsageError`` reading "<what> must be a bool, got <value!r>".  An array,
+    whose truth is ambiguous, or a string, which is always true, is refused."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise UsageError(f"{what} must be a bool, got {value!r}")
 
 
 def check_path(path):

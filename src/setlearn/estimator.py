@@ -33,7 +33,9 @@ names the factor:
     scores here like any other filter, with its gain
     g_m(s) = sum_{k<=m} (1-s)^k; the m+1 step gradient iteration
     (:func:`landweber_coefficients`) is the reference the tests check it
-    against.
+    against.  Once R is built the model drops the decomposition and keeps R
+    and the gains, one n x n array as on the ``cholesky`` path; a later read
+    of the decomposition solves it again.
 
 A spectral model's gains are its filter's ``_score_gains``: g(s), but 0 at a
 cutoff's null eigenvalues (at or below ``NULL_EIG``).  A model whose gains
@@ -55,6 +57,7 @@ numpy.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 
@@ -101,10 +104,12 @@ class SupportModel:
 
     Construction checks every argument, keeps a read-only copy of the points
     and solves nothing but the spectrum a kPCA component count needs.  The
-    model builds the rest itself, at most once, on first use: the
-    ``decomposition`` (seeded by ``eigenpairs``) and the ``factor`` it
-    scores through.  No model holds a Gram: each solve starts from a
-    fresh ``gram(kernel, points)``.
+    model builds the rest itself on first use: the ``decomposition``
+    (seeded by ``eigenpairs``) and the ``factor`` it scores through, each
+    kept once built.  A spectral factor is the one exception: building it
+    drops the decomposition, which a later read (``regularization_path``, a
+    save that stores it) solves again.  No model holds a Gram: each solve
+    starts from a fresh ``gram(kernel, points)``.
 
     Parameters
     ----------
@@ -168,7 +173,9 @@ class SupportModel:
     @cached_property
     def decomposition(self):
         """Eigendecomposition of K_n/n: ``eigenpairs``, else solved on first read,
-        in place on a fresh Gram: 3 n^2 at the peak, that Gram and dsyevd's workspace."""
+        in place on a fresh Gram: 3 n^2 at the peak, that Gram and dsyevd's workspace.
+        Kept until a spectral ``factor`` is built, which drops it; a read after
+        that solves it again from the Gram, ``eigenpairs`` given or not."""
         return decompose(gram(self.kernel, self.points))
 
     @cached_property
@@ -182,13 +189,16 @@ class SupportModel:
         n x n buffer whose other triangle is scratch: the lower W = L^-1 on the
         ``cholesky`` path, the upper R of ``dgeqrf``, run with its queried
         workspace, on the ``spectral`` one (see the module docstring); ``None``
-        for gains with a zero or spread wider than ``MAX_FACTOR_COND``."""
+        for gains with a zero or spread wider than ``MAX_FACTOR_COND``.  Once R
+        is built the model keeps it and the gains, and drops the decomposition."""
         if self.algorithm == "spectral":
             g = self._gains
             if not (g.min() > 0.0 and g.max() <= g.min() * MAX_FACTOR_COND):
                 return None
             A = self.decomposition.eigenvectors * np.sqrt(g / self.n)
-            return dgeqrf(A.T, lwork=int(dgeqrf_lwork(self.n, self.n)[0]), overwrite_a=1)[0]
+            R = dgeqrf(A.T, lwork=int(dgeqrf_lwork(self.n, self.n)[0]), overwrite_a=1)[0]
+            vars(self).pop("decomposition", None)   # R and the gains are all a score reads
+            return R
         L = _cholesky(gram(self.kernel, self.points), self.filter.lam)[0]
         W, info = dtrtri(L, lower=1, overwrite_c=1)
         # min and max propagate nan and inf without an n x n mask.
@@ -224,6 +234,8 @@ def _score_path(family, algorithm):
     None, else ``algorithm`` if it is ``spectral`` or the family's own."""
     if algorithm is None:
         return family.algorithm
+    if not isinstance(algorithm, str):
+        raise UsageError(f"algorithm must be None or a str, got {algorithm!r}")
     if algorithm == "landweber" and family.name == "landweber":   # an old model file's spelling
         algorithm = "spectral"
     if algorithm not in ALGORITHMS:
@@ -319,10 +331,14 @@ def regularization_path(model, X, grid):
     """Scores for every regularization strength in ``grid``, one decomposition.
 
     ``grid`` holds lam values (Tikhonov, cutoff, kPCA threshold) or
-    iteration counts (Landweber), matching the model's filter family.
+    iteration counts (Landweber), matching the model's filter family, in a
+    list, tuple, range or 1-d array; text, bytes (a sequence of small
+    integers) and an unordered set or mapping are refused.
     Returns an array of shape (len(grid), len(X)).
     """
     try:
+        if isinstance(grid, (str, bytes, bytearray, Set, Mapping)):   # no ordered strengths
+            raise TypeError
         grid = list(grid)
     except TypeError:
         raise UsageError(f"regularization grid must be a sequence, got {grid!r}") from None

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import DataError, NumericError, UsageError, check_number, real_array
+from .errors import DataError, NumericError, UsageError, check_flag, check_number, real_array
 
 # PSD slack for Gram matrices, relative to the matrix 1-norm.
 EPS_PSD = 1e-10
@@ -445,6 +445,7 @@ def _format_spec(spec, what, table, prefix):
     """``[what=]name key=value ...`` for a spec of a family in ``table``."""
     if not isinstance(spec, _Spec) or spec.name not in table:
         raise UsageError(f"cannot serialize {what} {spec!r}")
+    check_flag("prefix", prefix)
     return (f"{what}=" if prefix else "") + " ".join([spec.name, *spec._options()])
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.blas import dgemm
 
-from .errors import DataError, UsageError, check_path
+from .errors import DataError, UsageError, check_flag, check_path
 from .estimator import _model, fit
 from .filters import EIG_SLACK, SpectralDecomposition, format_filter, parse_filter
 from .kernels import _parse_kv, format_kernel, gram, parse_kernel
@@ -61,8 +61,9 @@ def save_model(model, path, fmt="text", include_decomposition=False):
     """Write a model to ``path`` in the text or binary container."""
     check_path(path)
     _model(model)
-    if fmt not in ("text", "binary"):
+    if not (isinstance(fmt, str) and fmt in ("text", "binary")):
         raise UsageError(f"format must be 'text' or 'binary', got {fmt!r}")
+    check_flag("include_decomposition", include_decomposition)
     decomp = model.decomposition if include_decomposition else None
     head = [
         _MAGIC,

@@ -4,6 +4,7 @@ a kernel that is not a spec or an array that does not hold real numbers raises
 ``UsageError`` or ``DataError``, never numpy's or Python's ``TypeError``,
 ``ValueError`` or ``AttributeError``, and is never truncated or taken silently."""
 
+import inspect
 import os
 from dataclasses import fields
 
@@ -15,8 +16,9 @@ from setlearn import oracles
 from setlearn import (Abel, DataError, Gaussian, KpcaTruncation, L1Exponential, Landweber,
                       Normalized, NumericError, Product, SpectralCutoff, SpectralDecomposition,
                       Tikhonov, UsageError, cross_gram, devroye_wise_member, fit, fmt_value,
-                      gram, hausdorff, kernel_eval, kpca_lambda_from_rank, lambda_curvature,
-                      load_csv, load_model, member_mask, metric_matrix, normalize, parse_filter,
+                      format_filter, format_kernel, gram, hausdorff, kernel_eval,
+                      kpca_lambda_from_rank, lambda_curvature, load_csv, load_model,
+                      member_mask, metric_matrix, normalize, parse_filter,
                       parse_kernel, parzen_score, predict_member, product_kernel, rate_lambda,
                       reference_grid, reference_support, regularization_path, sample,
                       save_model, score, score_batch, support_distance, symdiff_measure,
@@ -81,6 +83,11 @@ ARGUMENTS = [
      ("abc", None, 1j, True), UsageError),
     ("regularization_path-strength", lambda v: regularization_path(MODEL, X, [v]),
      NOT_NUMBERS, UsageError),
+    # bytes are a sequence of small integers, and a set or mapping has no order the
+    # caller chose, so none of them is taken as strengths
+    ("regularization_path-unordered", lambda v: regularization_path(MODEL, X, v),
+     (b"\x01", b"abc", bytearray(b"\x01"), {0.1, 0.2}, frozenset({0.1}), {0.1: 0.2},
+      {0.1: 0.2}.keys()), UsageError),
     ("member_mask-scores", lambda v: member_mask(v, 0.1),
      ("abc", None, 1j, [0.5, "x"], [0.5, np.nan], [0.5, np.inf]), DataError),
     ("kpca_lambda_from_rank-components", lambda v: kpca_lambda_from_rank(SPECTRUM, v),
@@ -158,6 +165,20 @@ ARGUMENTS = [
            (None, 7, [1, "x"])),
           ("rows", lambda v: write_table(os.devnull, "t", [], ["x"], v), (None, 7)))),
     ("fmt_value", fmt_value, (None, [1, "x"], np.zeros(2), b"x", object()), UsageError),
+    # a flag is a bool: an array's truth is ambiguous, and any nonempty string is true
+    *((f"{name}-flag", call, ("abc", 1, None, np.zeros((0, 2)), np.zeros((2, 2, 2))),
+       UsageError) for name, call in (
+        ("load_csv-header", lambda v: load_csv(os.devnull, header=v)),
+        ("write_table-timestamp",
+         lambda v: write_table(os.devnull, "t", [], ["x"], [(1,)], timestamp=v)),
+        ("save_model-include_decomposition",
+         lambda v: save_model(MODEL, os.devnull, include_decomposition=v)),
+        ("format_kernel-prefix", lambda v: format_kernel(Abel(1.0), prefix=v)),
+        ("format_filter-prefix", lambda v: format_filter(Tikhonov(0.1), prefix=v)))),
+    ("save_model-fmt", lambda v: save_model(MODEL, os.devnull, fmt=v),
+     (np.zeros((0, 2)), np.zeros((2, 2, 2))), UsageError),
+    ("fit-algorithm", lambda v: fit(X, Abel(1.0), Tikhonov(0.1), algorithm=v),
+     (np.zeros((0, 2)), np.zeros((2, 2, 2))), UsageError),
 ]
 
 
@@ -201,6 +222,20 @@ def test_product_sorts_its_factors():
     p = Product((a, b))
     assert p == Product(((Gaussian(2.0), (0, 1)), a)) == product_kernel([b, a])
     assert p.dim == 3 and gram(p, np.eye(3)).shape == (3, 3)
+
+
+def test_grids_and_flags_of_every_kind_stay_accepted(tmp_path):
+    """A regularization grid may be a list, tuple, range or 1-d array, and a
+    flag a Python or numpy bool."""
+    path = regularization_path(MODEL, X, [0.1, 0.2])
+    for grid in ((0.1, 0.2), np.array([0.1, 0.2])):
+        assert np.array_equal(regularization_path(MODEL, X, grid), path)
+    landweber = fit(X, Abel(1.0), Landweber(3))
+    assert np.array_equal(regularization_path(landweber, X, range(1, 3)),
+                          regularization_path(landweber, X, [1, 2]))
+    assert format_kernel(Abel(1.0), prefix=np.True_) == format_kernel(Abel(1.0))
+    np.savetxt(tmp_path / "x.csv", X, delimiter=",", header="a,b", comments="")
+    assert load_csv(tmp_path / "x.csv", header=np.bool_(True)).n == len(X)
 
 
 def test_seeds_of_every_kind_stay_accepted():
@@ -300,4 +335,26 @@ def test_garbage_in_any_position_is_a_package_error(files, name, position):
         try:
             _public(name)(*args[:position], bad, *args[position + 1:])
         except allowed:
+            pass
+
+
+def _keywords(name):
+    """The arguments with a default that the valid call of ``name`` leaves out."""
+    try:
+        params = list(inspect.signature(_public(name)).parameters.values())
+    except ValueError:   # an error type, whose arguments are positional only
+        return []
+    return [p.name for p in params[len(VALID_CALLS[name]):] if p.default is not p.empty]
+
+
+@pytest.mark.parametrize("name, keyword", [
+    pytest.param(name, keyword, id=f"{name}-{keyword}")
+    for name in VALID_CALLS for keyword in _keywords(name)])
+def test_garbage_in_any_keyword_is_a_package_error(files, name, keyword):
+    """Each keyword argument of a valid call, given each garbage value, gives a
+    result or a package error, never a stray exception."""
+    for bad in GARBAGE:
+        try:
+            _public(name)(*VALID_CALLS[name], **{keyword: bad})
+        except (UsageError, DataError, NumericError):
             pass

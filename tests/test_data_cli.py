@@ -979,6 +979,37 @@ def test_cholesky_model_decomposes_once(tmp_path, monkeypatch):
     assert calls["eigh"] == 1
 
 
+@pytest.mark.parametrize("kernel, f, algorithm, scores, after", [
+    (Abel(0.8), Tikhonov(1e-2), "spectral", 1, 1),
+    (Abel(0.8), Landweber(10), "spectral", 1, 1),
+    (Abel(0.8), KpcaTruncation(lam=1e-2), "spectral", 1, 0),
+    (Gaussian(2.0), Tikhonov(1e-12), "spectral", 1, 0),
+    (Abel(0.8), Tikhonov(1e-2), "cholesky", 0, 1),
+], ids=["spectral", "landweber", "kpca", "gated", "cholesky"])
+def test_a_spectral_factor_drops_the_decomposition(tmp_path, monkeypatch, kernel, f,
+                                                   algorithm, scores, after):
+    """Building its triangular factor R, a spectral or Landweber model drops its
+    eigenvectors: two scores cost one eigensolve, a regularization path after
+    them one more, and a save with the decomposition after that none.  The
+    re-solved path reads the bits of a twin model that never scored.  A model
+    without such a factor (kPCA, a spread past the gate) keeps the
+    decomposition its scores solved, and a Cholesky model solves it once, on
+    the path's first read."""
+    rng = np.random.default_rng(99)
+    pts, X = rng.uniform(-1.0, 1.0, (40, 2)), rng.uniform(-1.2, 1.2, (30, 2))
+    grid = [f.iterations] if isinstance(f, Landweber) else [f.lam]
+    twin = regularization_path(fit(pts, kernel, f, algorithm=algorithm), X, grid)
+    model = fit(pts, kernel, f, algorithm=algorithm)
+    calls = _count_solves(monkeypatch)
+    score_batch(model, X)
+    score_batch(model, X)
+    assert calls["eigh"] == scores
+    assert np.array_equal(regularization_path(model, X, grid), twin)
+    assert calls["eigh"] == scores + after
+    save_model(model, tmp_path / "m.txt", include_decomposition=True)
+    assert calls["eigh"] == scores + after
+
+
 def test_cli_runs_without_numpy_solvers(tmp_path, monkeypatch):
     """Every solve goes through scipy.linalg: train, eval, sweep and score
     run with numpy's eigensolvers and Cholesky disabled."""

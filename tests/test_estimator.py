@@ -330,7 +330,9 @@ def test_rank_one_gram_factors_tikhonov_and_not_cutoff():
 def test_no_model_holds_a_gram(tmp_path):
     """No model holds a Gram, whatever it has built: through scores, a
     regularization path, a save with the decomposition and a load, the only
-    n x n arrays in its state are the eigenvectors and the inverse factor."""
+    n x n arrays in its state are the eigenvectors and the factor.  A loaded
+    spectral or Landweber model that has scored holds its factor alone, and a
+    Cholesky one the decomposition it loaded and its inverse factor."""
     rng = np.random.default_rng(91)
     pts = rng.uniform(-1.0, 1.0, (50, 2))
     n = len(pts)
@@ -363,7 +365,7 @@ def test_no_model_holds_a_gram(tmp_path):
         assert square_arrays(loaded) <= held
         score_batch(loaded, pts[:5])
         assert not hasattr(loaded, "gram")
-        assert square_arrays(loaded) == held
+        assert square_arrays(loaded) == (held if algorithm == "cholesky" else {"factor"})
 
 
 def test_spectral_products_run_on_scipy_dgemm_without_copies(monkeypatch):

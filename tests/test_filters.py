@@ -273,21 +273,27 @@ def test_spectral_factor_peak_memory(f, algorithm):
     assert _peak_in_n2(lambda: model.factor, n) <= 1.2
 
 
-@pytest.mark.parametrize("algorithm, bound", [("spectral", 2.1), ("cholesky", 1.1)])
-def test_scored_model_holds_its_factors_and_no_gram(algorithm, bound):
-    """After fit and one score, a spectral model holds V and W, a Cholesky
-    model W alone, and neither a Gram."""
+@pytest.mark.parametrize("f, algorithm, peak", [
+    (Tikhonov(1e-3), "spectral", 3.1), (Landweber(20), "spectral", 3.1),
+    (Tikhonov(1e-3), "cholesky", 1.6)], ids=["spectral", "landweber", "cholesky"])
+def test_scored_model_holds_its_factors_and_no_gram(f, algorithm, peak):
+    """After fit and one score, every model holds one n x n array, its
+    triangular factor: a spectral or Landweber model its R, having dropped V
+    once R was built, and a Cholesky model its W.  None holds a Gram.  The
+    first score of a spectral model peaks at its eigensolve's 3 n^2."""
     n = 400
     pts = np.random.default_rng(34).normal(size=(n, 2))
     tracemalloc.start()
     try:
-        model = fit(pts, Abel(1.0), Tikhonov(1e-3), algorithm=algorithm)
+        model = fit(pts, Abel(1.0), f, algorithm=algorithm)
+        tracemalloc.reset_peak()
         score_batch(model, pts[:10])
-        held = tracemalloc.get_traced_memory()[0]
+        held, top = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert model.factor is not None
-    assert held / (8.0 * n * n) <= bound
+    assert model.factor is not None and "decomposition" not in vars(model)
+    assert held / (8.0 * n * n) <= 1.1
+    assert top / (8.0 * n * n) <= peak
 
 
 def _peak_in_n2(call, n):
