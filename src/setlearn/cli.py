@@ -285,6 +285,10 @@ def _eval_labeled(args):
 
 
 def _eval_task(args):
+    for flag, value in (("--data", args.data), ("--label-col", args.label_col),
+                        ("--roc-out", args.roc_out)):
+        if value is not None:   # labeled-data flags, which trials would ignore
+            raise UsageError(f"{flag} applies only to --model evaluation")
     n_test = args.n if args.n_test is None else args.n_test
     check_number("n must be >= 1", args.n, ok=lambda v: v >= 1)
     check_number("trials must be an integer >= 1", args.trials, ok=lambda v: v >= 1, integral=True)

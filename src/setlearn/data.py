@@ -152,15 +152,21 @@ def write_table(path, title, meta, columns, rows, timestamp=True, footer=None):
     ``meta`` is a list of key=value strings recorded as comments;
     ``rows`` yields tuples matching ``columns``; ``footer`` lines (e.g.
     summary fractions computed after the rows) are appended as comments.
+    The title and every meta entry, column name and footer entry is a ``str``
+    with no ``\\n`` or ``\\r``, so each stays on its own header or footer line.
     """
     check_path(path)
     check_flag("timestamp", timestamp)
     footer = () if footer is None else footer
     if (any(isinstance(part, (str, bytes)) for part in (meta, columns, footer))
-            or not all(isinstance(part, Iterable) for part in (meta, columns, footer, rows))
-            or not all(isinstance(name, str) for name in columns)):
+            or not all(isinstance(part, Iterable) for part in (meta, columns, footer, rows))):
         raise UsageError("table meta, columns and footer must be sequences of strings, "
                          "and rows an iterable")
+    meta, columns, footer = tuple(meta), tuple(columns), tuple(footer)
+    for text in (title, *meta, *columns, *footer):   # each stays within its one line
+        if not isinstance(text, str) or "\n" in text or "\r" in text:
+            raise UsageError("a table title, meta or footer entry and column name must be "
+                             f"a str with no line break, got {text!r}")
     lines = [f"# {title}"]
     if timestamp:
         now = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")

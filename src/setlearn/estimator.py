@@ -33,9 +33,10 @@ names the factor:
     scores here like any other filter, with its gain
     g_m(s) = sum_{k<=m} (1-s)^k; the m+1 step gradient iteration
     (:func:`landweber_coefficients`) is the reference the tests check it
-    against.  Once R is built the model drops the decomposition and keeps R
-    and the gains, one n x n array as on the ``cholesky`` path; a later read
-    of the decomposition solves it again.
+    against.
+
+Building either factor drops the decomposition, so a scored model holds one
+n x n array, its factor; a later read of the decomposition solves it again.
 
 A spectral model's gains are its filter's ``_score_gains``: g(s), but 0 at a
 cutoff's null eigenvalues (at or below ``NULL_EIG``).  A model whose gains
@@ -105,11 +106,11 @@ class SupportModel:
     Construction checks every argument, keeps a read-only copy of the points
     and solves nothing but the spectrum a kPCA component count needs.  The
     model builds the rest itself on first use: the ``decomposition``
-    (seeded by ``eigenpairs``) and the ``factor`` it scores through, each
-    kept once built.  A spectral factor is the one exception: building it
-    drops the decomposition, which a later read (``regularization_path``, a
-    save that stores it) solves again.  No model holds a Gram: each solve
-    starts from a fresh ``gram(kernel, points)``.
+    (seeded by ``eigenpairs``) and the ``factor`` it scores through.  Building
+    the factor drops the decomposition, which a later read
+    (``regularization_path``, a save that stores it) solves again; a model
+    without a factor scores through the decomposition and keeps it.  No model
+    holds a Gram: each solve starts from a fresh ``gram(kernel, points)``.
 
     Parameters
     ----------
@@ -174,14 +175,9 @@ class SupportModel:
     def decomposition(self):
         """Eigendecomposition of K_n/n: ``eigenpairs``, else solved on first read,
         in place on a fresh Gram: 3 n^2 at the peak, that Gram and dsyevd's workspace.
-        Kept until a spectral ``factor`` is built, which drops it; a read after
-        that solves it again from the Gram, ``eigenpairs`` given or not."""
+        Kept until a ``factor`` is built, which drops it; a read after that
+        solves it again from the Gram, ``eigenpairs`` given or not."""
         return decompose(gram(self.kernel, self.points))
-
-    @cached_property
-    def _gains(self):
-        """The filter's score gains on the spectrum, which a spectral model scores with."""
-        return self.filter._score_gains(self.decomposition.eigenvalues)
 
     @cached_property
     def factor(self):
@@ -189,23 +185,23 @@ class SupportModel:
         n x n buffer whose other triangle is scratch: the lower W = L^-1 on the
         ``cholesky`` path, the upper R of ``dgeqrf``, run with its queried
         workspace, on the ``spectral`` one (see the module docstring); ``None``
-        for gains with a zero or spread wider than ``MAX_FACTOR_COND``.  Once R
-        is built the model keeps it and the gains, and drops the decomposition."""
+        for gains with a zero or spread wider than ``MAX_FACTOR_COND``.  Once T
+        is built the model keeps it alone and drops the decomposition."""
         if self.algorithm == "spectral":
-            g = self._gains
+            g = self.filter._score_gains(self.decomposition.eigenvalues)
             if not (g.min() > 0.0 and g.max() <= g.min() * MAX_FACTOR_COND):
                 return None
             A = self.decomposition.eigenvectors * np.sqrt(g / self.n)
-            R = dgeqrf(A.T, lwork=int(dgeqrf_lwork(self.n, self.n)[0]), overwrite_a=1)[0]
-            vars(self).pop("decomposition", None)   # R and the gains are all a score reads
-            return R
-        L = _cholesky(gram(self.kernel, self.points), self.filter.lam)[0]
-        W, info = dtrtri(L, lower=1, overwrite_c=1)
-        # min and max propagate nan and inf without an n x n mask.
-        if info != 0 or not (np.isfinite(W.min()) and np.isfinite(W.max())):
-            raise NumericError("inverting the Cholesky factor failed: "
-                               "the factorized operator is too ill-conditioned")
-        return W
+            T = dgeqrf(A.T, lwork=int(dgeqrf_lwork(self.n, self.n)[0]), overwrite_a=1)[0]
+        else:
+            L = _cholesky(gram(self.kernel, self.points), self.filter.lam)[0]
+            T, info = dtrtri(L, lower=1, overwrite_c=1)
+            # min and max propagate nan and inf without an n x n mask.
+            if info != 0 or not (np.isfinite(T.min()) and np.isfinite(T.max())):
+                raise NumericError("inverting the Cholesky factor failed: "
+                                   "the factorized operator is too ill-conditioned")
+        vars(self).pop("decomposition", None)   # T is all a score reads
+        return T
 
 
 fit = SupportModel
@@ -268,7 +264,8 @@ def score_batch(model, X):
     # The factor before K_x: the other order read 10% more peak RSS on the
     # score-stream.spectral benchmark, from where malloc placed the n x n buffers.
     T = model.factor
-    w = model._gains / model.n if T is None else np.ones(model.n)
+    w = (np.ones(model.n) if T is not None
+         else model.filter._score_gains(model.decomposition.eigenvalues) / model.n)
     return _contract(model, X, T, [w])[0]
 
 

@@ -86,7 +86,7 @@ def save_model(model, path, fmt="text", include_decomposition=False):
             if fmt == "text":
                 fh.writelines(_text_lines(block))
             else:
-                fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+                np.ascontiguousarray(block, dtype="<f8").tofile(fh)
 
 
 def _ascii(data, what):

@@ -10,11 +10,14 @@ One builder, ``_arc``, declares the six tasks that are the unit circle or
 its upper half arc placed by one or two parts, each a (map, inverse) pair.
 A union's support lists its parts in order, m // 2 points each and the rest
 on the last; its distance is the least over its parts, each in its frame.
-Draw protocol: ``segment`` draws ``uniform(0, 1, n)``, ``cube``
-``uniform(0, 1, (n, 2))``; an arc task draws, in this order, its parts with
-``integers(0, 2, n)`` if a union (``two_moons``: 0 lower, 1 upper moon;
-``two_circles``: 0 left, 1 right), its angles with ``uniform(0, span, n)``
-and, for ``circle_noise``, its radius noise with ``standard_normal(n)``.
+A second, ``_box``, declares ``segment`` and ``cube``: the unit interval on
+the first axis and the unit square, with a grid support and the distance to
+the clipped point.  Draw protocol: a box task draws ``uniform(0, 1, (n, k))``
+for its k axes (``segment``'s are the draws of ``uniform(0, 1, n)``); an arc
+task draws, in this order, its parts with ``integers(0, 2, n)`` if a union
+(``two_moons``: 0 lower, 1 upper moon; ``two_circles``: 0 left, 1 right), its
+angles with ``uniform(0, span, n)`` and, for ``circle_noise``, its radius
+noise with ``standard_normal(n)``.
 
 For lower-dimensional supports the grid indicator thickens the set by
 one grid step, because a measure-zero set hits no grid cells; Hausdorff
@@ -108,38 +111,24 @@ def _arc(name, box, span, parts, noise=0.0):
     return SyntheticTask(name, 2, box, True, sampler, support, distance)
 
 
-def _make_segment():
+def _box(name, box, k):
+    """The unit interval on the first axis (k = 1) or the unit square (k = 2)."""
+    top = np.array([1.0, float(k == 2)])   # the box's far corner
+
     def sampler(n, rng):
-        t = rng.uniform(0.0, 1.0, n)
-        return np.column_stack([t, np.zeros(n)])
+        P = np.zeros((n, 2))
+        P[:, :k] = rng.uniform(0.0, 1.0, (n, k))
+        return P
 
     def support(m):
-        return np.column_stack([np.linspace(0.0, 1.0, m), np.zeros(m)])
+        side = np.linspace(0.0, 1.0, m if k == 1 else max(int(np.sqrt(m)), 2))
+        grid = np.meshgrid(*[side] * k, *[[0.0]] * (2 - k), indexing="ij")
+        return np.column_stack([axis.ravel() for axis in grid])
 
     def distance(P):
-        return np.hypot(P[:, 0] - np.clip(P[:, 0], 0.0, 1.0), P[:, 1])
+        return np.hypot(*(P - np.clip(P, 0.0, top)).T)
 
-    return SyntheticTask("segment", 2, ((-0.5, 1.5), (-1.0, 1.0)), True,
-                         sampler, support, distance)
-
-
-def _make_square():
-    def sampler(n, rng):
-        return rng.uniform(0.0, 1.0, (n, 2))
-
-    def support(m):
-        side = max(int(np.sqrt(m)), 2)
-        g = np.linspace(0.0, 1.0, side)
-        xx, yy = np.meshgrid(g, g, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
-
-    def distance(P):
-        ex = np.maximum(np.maximum(0.0 - P[:, 0], P[:, 0] - 1.0), 0.0)
-        ey = np.maximum(np.maximum(0.0 - P[:, 1], P[:, 1] - 1.0), 0.0)
-        return np.hypot(ex, ey)
-
-    return SyntheticTask("cube", 2, ((-0.5, 1.5), (-0.5, 1.5)), False,
-                         sampler, support, distance)
+    return SyntheticTask(name, 2, box, k == 1, sampler, support, distance)
 
 
 _CIRCLE_BOX = ((-1.5, 1.5), (-1.5, 1.5))
@@ -147,12 +136,12 @@ _MOON_BOX = ((-1.5, 2.5), (-1.0, 1.5))
 _TASKS = {t.name: t for t in [
     _arc("circle", _CIRCLE_BOX, 2.0 * np.pi, [_SAME]),
     _arc("circle_noise", _CIRCLE_BOX, 2.0 * np.pi, [_SAME], noise=0.05),
-    _make_segment(),
+    _box("segment", ((-0.5, 1.5), (-1.0, 1.0)), 1),
     _arc("two_moons", _MOON_BOX, np.pi, [(_lower, _lower), _SAME]),
     _arc("moon_upper", _MOON_BOX, np.pi, [_SAME]),
     _arc("moon_lower", _MOON_BOX, np.pi, [(_lower, _lower)]),
     _arc("two_circles", ((-3.0, 3.0), (-1.5, 1.5)), 2.0 * np.pi, [_shift(-1.5), _shift(1.5)]),
-    _make_square(),
+    _box("cube", ((-0.5, 1.5), (-0.5, 1.5)), 2),
 ]}
 
 

@@ -131,6 +131,16 @@ ARGUMENTS = [
      ("xy", b"xy"), UsageError),
     ("write_table-footer", lambda v: write_table(os.devnull, "t", [], ["x"], [(1,)], footer=v),
      ("zz", b"zz"), UsageError),
+    # a title, meta entry, column name or footer entry is one line of text
+    ("write_table-title", lambda v: write_table(os.devnull, v, [], ["x"], [(1,)]),
+     (None, 7, b"t", "a\nb", "a\rb"), UsageError),
+    ("write_table-meta-line", lambda v: write_table(os.devnull, "t", v, ["x"], [(1,)]),
+     (["a\nb"], ["k=v", "a\r"], [1], [None]), UsageError),
+    ("write_table-columns-line", lambda v: write_table(os.devnull, "t", [], v, [(1,)]),
+     (["a\nb"], ["x\r"]), UsageError),
+    ("write_table-footer-line",
+     lambda v: write_table(os.devnull, "t", [], ["x"], [(1,)], footer=v),
+     (np.zeros((2, 2, 2)), [1, "y"], ["a\nb"], [b"y"]), UsageError),
     ("parse_kernel", parse_kernel, NOT_SPECS, UsageError),
     ("parse_filter", parse_filter, NOT_SPECS, UsageError),
     ("sample-seed", lambda v: sample(CIRCLE, 3, v),

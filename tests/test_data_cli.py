@@ -756,6 +756,7 @@ def test_cli_bad_filter_number_exits_2_on_flag_and_3_in_model_file(tmp_path, cir
 
 _TRAIN = ["train", "--task", "circle", "--n", "60"]
 _SWEEP = ["sweep", "--task", "circle", "--n", "60"]
+_EVAL_TASK = ["eval", "--task", "circle", "--n", "50", "--trials", "1"]
 
 
 def _count_solves(monkeypatch):
@@ -834,11 +835,15 @@ def test_cli_model_build_solves_once(tmp_path, monkeypatch, argv, rc, eigh, eigv
     (_TRAIN + ["--lambda", "1e-320", "--algorithm", "spectral"],
      "regularization parameter 1e-320 is so small that 1/lambda overflows"),
     (_SWEEP + ["--lambdas", "1e-3", "--lambda", "abc"], "bad --lambda 'abc'"),
+    # labeled-data flags, which task trials would ignore
+    (_EVAL_TASK + ["--data", "nothere.csv"], "--data applies only to --model evaluation"),
+    (_EVAL_TASK + ["--label-col", "7"], "--label-col applies only to --model evaluation"),
+    (_EVAL_TASK + ["--roc-out", "roc.csv"], "--roc-out applies only to --model evaluation"),
 ], ids=["sweep-tau-2", "sweep-tau-nan", "sweep-lambda-abc", "sweep-lambda-0",
         "sweep-lambda-subnormal", "sweep-landweber-fraction", "train-tau-nan", "train-tau-2",
         "cutoff-lambda-abc", "cutoff-lambda-negative", "cutoff-lambda-rate-s",
         "kpca-lambda-nan", "spectral-lambda-abc", "spectral-lambda-subnormal",
-        "sweep-base-lambda-abc"])
+        "sweep-base-lambda-abc", "eval-task-data", "eval-task-label-col", "eval-task-roc-out"])
 def test_cli_flag_errors_are_refused_before_the_gram(tmp_path, monkeypatch, capsys, argv,
                                                      message):
     """A bad grid, lambda or margin exits 2 with its message before any Gram
@@ -979,27 +984,29 @@ def test_cholesky_model_decomposes_once(tmp_path, monkeypatch):
     assert calls["eigh"] == 1
 
 
-@pytest.mark.parametrize("kernel, f, algorithm, scores, after", [
-    (Abel(0.8), Tikhonov(1e-2), "spectral", 1, 1),
-    (Abel(0.8), Landweber(10), "spectral", 1, 1),
-    (Abel(0.8), KpcaTruncation(lam=1e-2), "spectral", 1, 0),
-    (Gaussian(2.0), Tikhonov(1e-12), "spectral", 1, 0),
-    (Abel(0.8), Tikhonov(1e-2), "cholesky", 0, 1),
-], ids=["spectral", "landweber", "kpca", "gated", "cholesky"])
+@pytest.mark.parametrize("kernel, f, algorithm, handed, scores, after", [
+    (Abel(0.8), Tikhonov(1e-2), "spectral", False, 1, 1),
+    (Abel(0.8), Landweber(10), "spectral", False, 1, 1),
+    (Abel(0.8), KpcaTruncation(lam=1e-2), "spectral", False, 1, 0),
+    (Gaussian(2.0), Tikhonov(1e-12), "spectral", False, 1, 0),
+    (Abel(0.8), Tikhonov(1e-2), "cholesky", False, 0, 1),
+    (Abel(0.8), Tikhonov(1e-2), "cholesky", True, 0, 1),
+], ids=["spectral", "landweber", "kpca", "gated", "cholesky", "cholesky-eigenpairs"])
 def test_a_spectral_factor_drops_the_decomposition(tmp_path, monkeypatch, kernel, f,
-                                                   algorithm, scores, after):
-    """Building its triangular factor R, a spectral or Landweber model drops its
-    eigenvectors: two scores cost one eigensolve, a regularization path after
+                                                   algorithm, handed, scores, after):
+    """Building its triangular factor, R or W, a model drops its eigenvectors: two
+    spectral or Landweber scores cost one eigensolve, a regularization path after
     them one more, and a save with the decomposition after that none.  The
     re-solved path reads the bits of a twin model that never scored.  A model
     without such a factor (kPCA, a spread past the gate) keeps the
-    decomposition its scores solved, and a Cholesky model solves it once, on
-    the path's first read."""
+    decomposition its scores solved.  A Cholesky model's scores solve nothing,
+    so its path solves once, the ``eigenpairs`` it was handed dropped by W."""
     rng = np.random.default_rng(99)
     pts, X = rng.uniform(-1.0, 1.0, (40, 2)), rng.uniform(-1.2, 1.2, (30, 2))
     grid = [f.iterations] if isinstance(f, Landweber) else [f.lam]
     twin = regularization_path(fit(pts, kernel, f, algorithm=algorithm), X, grid)
-    model = fit(pts, kernel, f, algorithm=algorithm)
+    pairs = fit(pts, kernel, f).decomposition if handed else None
+    model = fit(pts, kernel, f, algorithm=algorithm, eigenpairs=pairs)
     calls = _count_solves(monkeypatch)
     score_batch(model, X)
     score_batch(model, X)

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -331,8 +334,8 @@ def test_no_model_holds_a_gram(tmp_path):
     """No model holds a Gram, whatever it has built: through scores, a
     regularization path, a save with the decomposition and a load, the only
     n x n arrays in its state are the eigenvectors and the factor.  A loaded
-    spectral or Landweber model that has scored holds its factor alone, and a
-    Cholesky one the decomposition it loaded and its inverse factor."""
+    model that has scored holds its factor alone, on every path: building the
+    factor dropped the decomposition it loaded."""
     rng = np.random.default_rng(91)
     pts = rng.uniform(-1.0, 1.0, (50, 2))
     n = len(pts)
@@ -365,7 +368,48 @@ def test_no_model_holds_a_gram(tmp_path):
         assert square_arrays(loaded) <= held
         score_batch(loaded, pts[:5])
         assert not hasattr(loaded, "gram")
-        assert square_arrays(loaded) == (held if algorithm == "cholesky" else {"factor"})
+        assert square_arrays(loaded) == {"factor"}
+
+
+@pytest.mark.parametrize("kernel, f, algorithm, source, factored", [
+    (Abel(0.8), Tikhonov(1e-2), "cholesky", "fit", True),
+    (Abel(0.8), Tikhonov(1e-2), "cholesky", "eigenpairs", True),
+    (Abel(0.8), Tikhonov(1e-2), "cholesky", "binary", True),
+    (Abel(0.8), Tikhonov(1e-2), "spectral", "fit", True),
+    (Abel(0.8), Landweber(10), "spectral", "fit", True),
+    (Abel(0.8), SpectralCutoff(1e-2), "spectral", "fit", True),
+    (Abel(0.8), KpcaTruncation(lam=1e-2), "spectral", "fit", False),
+    (Gaussian(2.0), Tikhonov(1e-12), "spectral", "fit", False),
+], ids=["cholesky", "cholesky-eigenpairs", "cholesky-loaded", "spectral", "landweber",
+        "cutoff", "kpca", "gated"])
+def test_a_scored_model_holds_only_its_factor(tmp_path, kernel, f, algorithm, source,
+                                              factored):
+    """After one score a model holds, beyond its fields, its triangular factor
+    alone, fitted, handed its eigenpairs or loaded with them from a binary
+    file: one n^2 array.  A model without a factor (kPCA, a spread past the
+    gate) scores through V and keeps its decomposition, with ``factor`` None."""
+    n = 400
+    rng = np.random.default_rng(35)
+    pts, X = rng.uniform(-1.0, 1.0, (n, 2)), rng.uniform(-1.2, 1.2, (30, 2))
+    path = tmp_path / "m.bin"
+    if source == "binary":
+        save_model(fit(pts, kernel, f, algorithm=algorithm), path, fmt="binary",
+                   include_decomposition=True)
+    pairs = fit(pts, kernel, f).decomposition if source == "eigenpairs" else None
+    tracemalloc.start()
+    try:
+        model = (load_model(path) if source == "binary"
+                 else fit(pts, kernel, f, algorithm=algorithm, eigenpairs=pairs))
+        score_batch(model, X)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    extra = set(vars(model)) - {field.name for field in dataclasses.fields(model)}
+    if factored:
+        assert extra == {"factor"}
+        assert held / (8.0 * n * n) <= 1.1
+    else:
+        assert extra == {"decomposition", "factor"} and model.factor is None
 
 
 def test_spectral_products_run_on_scipy_dgemm_without_copies(monkeypatch):
