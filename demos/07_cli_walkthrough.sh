@@ -16,7 +16,7 @@ $cli synth --task circle --n 120 --seed 7 --out "$out/circle.csv" \
 
 $cli train --data "$out/circle.csv" --header \
     --kernel abel --sigma auto --filter tikhonov --lambda auto \
-    --tau 0.2 --seed 7 --out "$out/model.txt" --no-timestamp
+    --tau 0.2 --out "$out/model.txt" --no-timestamp
 
 $cli score --model "$out/model.txt" --data "$out/circle.csv" --header \
     --out "$out/scores.csv" --no-timestamp

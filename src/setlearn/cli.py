@@ -5,19 +5,22 @@ prints a short summary.  Exit codes: 0 success, 2 usage error, 3 data
 error, 4 numeric failure or an array too large to allocate (a size flag
 such as ``--n`` or ``--resolution`` set too high).  With ``--no-timestamp``
 all outputs are byte-deterministic for a fixed configuration, seed and
-BLAS thread count.
+BLAS thread count.  The model and trial flags take their defaults from one
+table, ``_DEFAULTS``, and a command refuses with exit 2 such a flag that it
+was given but does not read (``verify-bounds`` keeps its own defaults).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import namedtuple
 from functools import cache
 from itertools import repeat
 
 import numpy as np
 
-from .data import fmt_value as _f, load_csv, write_table
+from .data import _check_lines, fmt_value as _f, load_csv, write_table
 from .errors import DataError, NumericError, UsageError, check_number, check_seed
 from .estimator import (ALGORITHMS, _check_query, _check_tau, _score_path, fit, member_mask,
                         regularization_path, score_batch)
@@ -38,137 +41,168 @@ def _warn(msg):
 
 
 # ---------------------------------------------------------------------------
-# Shared resolution of data, kernel and filter flags.
+# One resolved configuration per command.
+
+# The model and trial flags parse to None, so a command tells a given flag from a default.
+_DEFAULTS = {"n": 200, "seed": 0, "kernel": "abel", "sigma": "auto", "filter": "tikhonov",
+             "lam": "auto", "tau": 0.0, "algorithm": "auto", "trials": 10, "resolution": 64}
+
+
+def _value(args, key):
+    """A flag's value, or its default if it was not given."""
+    value = getattr(args, key)
+    return _DEFAULTS[key] if value is None else value
+
+
+def _refuse(args, keys, why):
+    """Exit 2 naming the first flag of ``keys`` that was given: ``why`` nothing reads it."""
+    for key in keys:
+        if getattr(args, key) is not None:
+            raise UsageError(f"--{'lambda' if key == 'lam' else key.replace('_', '-')} {why}")
+
+
+# A command's model configuration, resolved once before any Gram and read by its model
+# builds and metadata lines: the kernel, or a width family awaiting the sample's auto_k-th
+# neighbour width; the filter family and filter, None for the auto lambda; path and tau.
+_Config = namedtuple("_Config", "kernel auto_k kernel_note family filter filter_note "
+                                "algorithm tau")
 
 
 def _train_points(args):
     if (args.data is None) == (args.task is None):
         raise UsageError("provide exactly one of --data or --task")
     if args.data is not None:
+        _refuse(args, ["n", "seed"], "applies only to --task")
         ds = load_csv(args.data, header=args.header)
         return ds.points, f"data={args.data}"
-    task = get_task(args.task)
-    pts = sample(task, args.n, args.seed)
-    return pts, f"task={args.task} n={args.n} seed={args.seed}"
-
-
-def _resolve_sigma(spec, points):
-    spec = spec.strip()
-    if spec == "auto" or spec.startswith("auto:"):
-        k = 10
-        if spec.startswith("auto:"):
-            try:
-                k = int(spec[len("auto:"):])
-            except ValueError:
-                raise UsageError(f"bad --sigma {spec!r}; expected auto:<k>") from None
-        return width_heuristic(points, k), f"auto:k={k}"
-    try:
-        return float(spec), "fixed"
-    except ValueError:
-        raise UsageError(f"bad --sigma {spec!r}") from None
+    n, seed = _value(args, "n"), _value(args, "seed")
+    return sample(get_task(args.task), n, seed), f"task={args.task} n={n} seed={seed}"
 
 
 # The families a bare --kernel name can give: those whose only option, if
 # any, is the width, which --sigma supplies.
 _BARE_KERNELS = {name: k for name, k in _KERNELS.items() if set(k.keys) <= {"sigma"}}
+_WIDTH_KERNELS = [name for name, k in _BARE_KERNELS.items() if k.keys]
 
 
-def _spec_flag(text, what, table, bare):
-    """(family, spec) from a --kernel or --filter value: a full spec is parsed
-    against ``table``, and a bare family name from ``bare`` gives (family, None),
-    for the other flags to complete."""
-    text = text.strip()
+def _resolve_kernel(text, sigma):
+    """(kernel, k, note) from the --kernel and --sigma texts: a full spec or a
+    family without a width is the kernel, and a family with one takes it from
+    --sigma, a number or auto:k (auto is auto:10), which leaves the family and
+    the neighbour count k to the sample."""
+    text, sigma = text.strip(), sigma.strip()
     if any(ch in text for ch in " =("):
-        spec = _parse_spec(text, what, table)
-        return type(spec), spec
-    if text not in bare:
-        raise UsageError(
-            f"unknown {what} {text!r}; use one of {', '.join(bare)} or a full {what} spec")
-    return bare[text], None
+        return _parse_spec(text, "kernel", _KERNELS), None, "from spec"
+    if text not in _BARE_KERNELS:
+        raise UsageError(f"unknown kernel {text!r}; use one of {', '.join(_BARE_KERNELS)} "
+                         "or a full kernel spec")
+    family = _BARE_KERNELS[text]
+    if not family.keys:
+        return family(), None, ""
+    if sigma == "auto" or sigma.startswith("auto:"):
+        try:
+            k = 10 if sigma == "auto" else int(sigma[len("auto:"):])
+        except ValueError:
+            raise UsageError(f"bad --sigma {sigma!r}; expected auto:<k>") from None
+        return family, k, f"auto:k={k}"
+    try:
+        width = float(sigma)
+    except ValueError:
+        raise UsageError(f"bad --sigma {sigma!r}") from None
+    return family(width), None, "fixed"
 
 
-def _resolve_kernel(args, points, warn=True):
-    family, kernel = _spec_flag(args.kernel, "kernel", _KERNELS, _BARE_KERNELS)
-    note = "from spec"
-    if kernel is None and family.keys:
-        sigma, note = _resolve_sigma(args.sigma, points)
-        kernel = family(sigma)
-    elif kernel is None:
-        kernel, note = family(), ""
+def _unit_kernel(kernel):
+    """The kernel with a unit diagonal, warning once of what it lacks."""
     if not kernel.unit_diagonal:
         kernel = normalize(kernel)
-        if warn:
-            _warn("kernel is not unit-diagonal, normalizing it")
-    if warn and kernel.separating != SEPARATES_ALL:
+        _warn("kernel is not unit-diagonal, normalizing it")
+    if kernel.separating != SEPARATES_ALL:
         _warn(f"kernel is not completely separating (status: {kernel.separating}); "
               "the score may stay high away from the support")
-    return kernel, note
+    return kernel
 
 
-def _resolve_lam(spec, n):
-    """(lambda, note) from --lambda: a number, a rate for n points, or None for
-    auto, which the spectrum resolves."""
-    spec = spec.strip()
+def _resolve_filter(args, n):
+    """(family, filter, note) from the filter flags for n points.  A bare name
+    takes its strength from --m or --components, else from --lambda: a number,
+    a rate for n points, or auto, for which the filter is None until the
+    spectrum resolves it.  A kPCA component count is left to fit."""
+    text = _value(args, "filter").strip()
+    if any(ch in text for ch in " =("):
+        filt = _parse_spec(text, "filter", _FILTERS)
+        _refuse(args, ["m", "components", "lam"], "does not apply to a full --filter spec")
+        unresolved = isinstance(filt, KpcaTruncation) and filt.lam is None
+        return type(filt), filt, "from spec, components resolved" if unresolved else "from spec"
+    if text not in _FILTERS:
+        raise UsageError(f"unknown filter {text!r}; use one of {', '.join(_FILTERS)} "
+                         "or a full filter spec")
+    family = _FILTERS[text]
+    given = [key for key in ("m", "components", "lambda")
+             if getattr(args, "lam" if key == "lambda" else key) is not None]
+    key = next((key for key in given if key in family.keys), "lambda")
+    for other in (other for other in given if other != key):
+        raise UsageError(f"--{other} does not apply to --filter {text}"
+                         + (f" with --{key}" if other in family.keys else ""))
+    if key not in family.keys:
+        raise UsageError(f"--filter {text} needs --{next(iter(family.keys))}")
+    if key != "lambda":
+        value = getattr(args, key)
+        return family, family(**{family.keys[key]: value}), f"{key}={value}"
+    spec = _value(args, "lam").strip()
     if spec == "auto":
-        return None, "auto (spectral curvature)"
+        return family, None, "auto (spectral curvature)"
     if spec.startswith("rate:"):
-        parts = spec[len("rate:"):].split(",")
         try:
-            s, b = (float(p) for p in parts)
+            s, b = (float(p) for p in spec[len("rate:"):].split(","))
         except ValueError:
             raise UsageError(f"bad --lambda {spec!r}; expected rate:s,b") from None
-        return rate_lambda(n, s, b), f"rate s={_f(s)} b={_f(b)}"
+        return family, family(rate_lambda(n, s, b)), f"rate s={_f(s)} b={_f(b)}"
     try:
-        return float(spec), "fixed"
+        lam = float(spec)
     except ValueError:
         raise UsageError(f"bad --lambda {spec!r}") from None
+    return family, family(lam), "fixed"
 
 
-def _filter_flags(args, n):
-    """(family, filter, note) from the filter flags for n points; the filter is
-    None only for the auto lambda, which awaits the spectrum, and a kPCA
-    component count is left to fit."""
-    family, filt = _spec_flag(args.filter, "filter", _FILTERS, _FILTERS)
-    if filt is not None:
-        unresolved = isinstance(filt, KpcaTruncation) and filt.lam is None
-        return family, filt, "from spec, components resolved" if unresolved else "from spec"
-    # A bare name takes its strength from the first flag named after a spec key.
-    # --lambda is args.lam, not args.lambda, so it comes last.
-    for key, field in family.keys.items():
-        value = getattr(args, key, None)
-        if value is not None:
-            return family, family(**{field: value}), f"{key}={value}"
-    if "lambda" not in family.keys:
-        raise UsageError(f"--filter {family.name} needs --{next(iter(family.keys))}")
-    lam, note = _resolve_lam(args.lam, n)
-    return family, None if lam is None else family(lam), note
+def _resolve(args, n):
+    """The configuration of ``train``, ``sweep`` or ``eval --task`` for samples of
+    n points; a flag that it does not read exits 2, as a bad value does."""
+    family, filt, filter_note = _resolve_filter(args, n)
+    algorithm = _value(args, "algorithm")
+    algorithm = _score_path(family, None if algorithm == "auto" else algorithm)
+    tau = _check_tau(_value(args, "tau"))
+    text = _value(args, "kernel")
+    kernel, k, kernel_note = _resolve_kernel(text, _value(args, "sigma"))
+    if text.strip() not in _WIDTH_KERNELS:   # a full spec, or a family with no width
+        _refuse(args, ["sigma"], f"does not apply to --kernel {text.strip()!r}")
+    return _Config(_unit_kernel(kernel), k, kernel_note, family, filt, filter_note,
+                   algorithm, tau)
 
 
-def _build_model(points, args, flags, warn=True, vectors=False):
-    """Fit the filter ``flags`` (:func:`_filter_flags`, once per command) with the
-    kernel and score path resolved against the sample, and at most one spectral
-    solve, on a Gram built for it; a path the filter cannot take or a bad margin
-    is refused before any Gram.  A Cholesky-path model, for a caller that needs
-    no eigenvectors, gets eigenvalues only, and only when the auto lambda reads
-    them; every other model gets the decomposition, which it keeps.  Returns the
-    model, the eigenvalues of K_n/n (None if not solved) and the two notes."""
-    kernel, kernel_note = _resolve_kernel(args, points, warn=warn)
-    family, filt, filter_note = flags
-    algorithm = _score_path(family, None if args.algorithm == "auto" else args.algorithm)
-    _check_tau(args.tau)
-    D = None if algorithm == "cholesky" and not vectors else decompose(gram(kernel, points))
+def _build_model(points, config, vectors=False):
+    """Fit ``config`` to a sample with at most one spectral solve, on a Gram
+    built for it.  A Cholesky-path model, for a caller that needs no
+    eigenvectors, gets eigenvalues only, and only when the auto lambda reads
+    them; every other model gets the decomposition.  Returns the model and the
+    eigenvalues of K_n/n (None if not solved)."""
+    kernel = config.kernel
+    if config.auto_k is not None:
+        kernel = kernel(width_heuristic(points, config.auto_k))
+    filt = config.filter
+    D = (None if config.algorithm == "cholesky" and not vectors
+         else decompose(gram(kernel, points)))
     eigenvalues = (D.eigenvalues if D is not None
                    else spectrum(gram(kernel, points)) if filt is None else None)
     if filt is None:
-        filt = family(lambda_curvature(eigenvalues))
-    model = fit(points, kernel, filt, algorithm, args.tau, D)
-    return model, eigenvalues, kernel_note, filter_note
+        filt = config.family(lambda_curvature(eigenvalues))
+    return fit(points, kernel, filt, config.algorithm, config.tau, D), eigenvalues
 
 
-def _config_meta(model, kernel_note, filter_note):
+def _config_meta(model, config):
     return [
-        format_kernel(model.kernel) + (f" ({kernel_note})" if kernel_note else ""),
-        format_filter(model.filter) + (f" ({filter_note})" if filter_note else ""),
+        format_kernel(model.kernel) + (f" ({config.kernel_note})" if config.kernel_note else ""),
+        format_filter(model.filter) + (f" ({config.filter_note})" if config.filter_note else ""),
         f"algorithm={model.algorithm}",
         f"tau={_f(model.tau)}",
         f"n={model.n}",
@@ -176,12 +210,11 @@ def _config_meta(model, kernel_note, filter_note):
     ]
 
 
-def _summary(model, eigenvalues, kernel_note, filter_note):
-    kernel, filt = _config_meta(model, kernel_note, filter_note)[:2]
+def _summary(model, eigenvalues, config):
+    kernel, filt, algorithm, tau, n, d = _config_meta(model, config)
     top = ", ".join(_f(v) for v in eigenvalues[:5])
     positive = int(np.count_nonzero(eigenvalues > NULL_EIG))
-    print(f"n={model.n} d={model.dim}\n{kernel}\n{filt}")
-    print(f"algorithm={model.algorithm} tau={_f(model.tau)}")
+    print(f"{n} {d}\n{kernel}\n{filt}\n{algorithm} {tau}")
     print(f"eigenvalues: top=[{top}] positive={positive}")
     lam = getattr(model.filter, "lam", None)
     if lam is not None:
@@ -194,19 +227,19 @@ def _summary(model, eigenvalues, kernel_note, filter_note):
 
 def cmd_train(args):
     points, source = _train_points(args)
-    model, eigenvalues, kernel_note, filter_note = _build_model(
-        points, args, _filter_flags(args, points.shape[0]), vectors=args.store_decomposition)
+    config = _resolve(args, points.shape[0])
+    model, eigenvalues = _build_model(points, config, vectors=args.store_decomposition)
     if eigenvalues is None:
         eigenvalues = spectrum(gram(model.kernel, model.points))
     save_model(model, args.out, fmt=args.model_format,
                include_decomposition=args.store_decomposition)
     eigs_out = args.eigs_out or (args.out + ".eigs.csv")
     write_table(
-        eigs_out, "eigenvalue decay", [source] + _config_meta(model, kernel_note, filter_note),
+        eigs_out, "eigenvalue decay", [source] + _config_meta(model, config),
         ["index", "eigenvalue"],
         enumerate(eigenvalues.tolist()),
         timestamp=not args.no_timestamp)
-    _summary(model, eigenvalues, kernel_note, filter_note)
+    _summary(model, eigenvalues, config)
     print(f"model written to {args.out}")
     print(f"eigenvalue decay written to {eigs_out}")
     return 0
@@ -254,9 +287,7 @@ def cmd_score(args):
 def cmd_eval(args):
     if (args.model is not None) == (args.task is not None):
         raise UsageError("provide exactly one of --model (labeled data) or --task (trials)")
-    if args.model is not None:
-        return _eval_labeled(args)
-    return _eval_task(args)
+    return _eval_labeled(args) if args.model is not None else _eval_task(args)
 
 
 def _eval_labeled(args):
@@ -264,6 +295,7 @@ def _eval_labeled(args):
         raise UsageError("--model evaluation needs --data")
     if args.label_col is None:
         raise UsageError("AUC needs labels: pass --label-col")
+    _refuse(args, [*_DEFAULTS, "m", "components", "n_test"], "applies only to --task evaluation")
     model, ds, scores, meta = _load_and_score(args, label_col=args.label_col)
     roc, auc = roc_auc(scores, ds.labels)
     auc_parzen = _parzen_auc(model.kernel, model.points, ds.points, ds.labels)
@@ -285,26 +317,31 @@ def _eval_labeled(args):
 
 
 def _eval_task(args):
-    for flag, value in (("--data", args.data), ("--label-col", args.label_col),
-                        ("--roc-out", args.roc_out)):
-        if value is not None:   # labeled-data flags, which trials would ignore
-            raise UsageError(f"{flag} applies only to --model evaluation")
-    n_test = args.n if args.n_test is None else args.n_test
-    check_number("n must be >= 1", args.n, ok=lambda v: v >= 1)
-    check_number("trials must be an integer >= 1", args.trials, ok=lambda v: v >= 1, integral=True)
+    _refuse(args, ["data", "label_col", "roc_out"], "applies only to --model evaluation")
+    n, trials, seed, resolution = (_value(args, k) for k in ("n", "trials", "seed", "resolution"))
+    n_test = n if args.n_test is None else args.n_test
+    check_number("n must be >= 1", n, ok=lambda v: v >= 1)
+    check_number("trials must be an integer >= 1", trials, ok=lambda v: v >= 1, integral=True)
     check_number("need at least one test point per class", n_test, ok=lambda v: v >= 1)
-    check_seed(args.seed)
+    check_seed(seed)
     task = get_task(args.task)
-    flags = _filter_flags(args, args.n)   # every trial draws n points
-    grid_points, grid_inside, cell_volume = reference_grid(task, args.resolution)
+    config = _resolve(args, n)   # every trial draws n points
+    grid_points, grid_inside, cell_volume = reference_grid(task, resolution)
+    # The flags' own text, checked as write_table checks it, before the first trial.
+    meta = [f"task={args.task}", f"n={n}", f"n_test={n_test}", f"trials={trials}",
+            f"seed={seed}", f"resolution={resolution}", f"cell_volume={_f(cell_volume)}",
+            f"kernel={_value(args, 'kernel')}", f"sigma={_value(args, 'sigma')}",
+            f"filter={_value(args, 'filter')}", f"lambda={_value(args, 'lam')}",
+            f"tau={_f(config.tau)}"]
+    _check_lines(*meta)
     support = reference_support(task, 2000)
     columns = ["trial", "auc_spectral", "auc_parzen", "hausdorff", "symdiff"]
     rows = []
-    for t in range(args.trials):
-        train = task.draw(args.n, np.random.default_rng([args.seed, t, 0]))
-        model = _build_model(train, args, flags, warn=(t == 0))[0]
-        pos = task.draw(n_test, np.random.default_rng([args.seed, t, 1]))
-        rng = np.random.default_rng([args.seed, t, 2])
+    for t in range(trials):
+        train = task.draw(n, np.random.default_rng([seed, t, 0]))
+        model = _build_model(train, config)[0]
+        pos = task.draw(n_test, np.random.default_rng([seed, t, 1]))
+        rng = np.random.default_rng([seed, t, 2])
         neg = np.column_stack([rng.uniform(lo, hi, n_test) for lo, hi in task.bounding_box])
         X = np.vstack([pos, neg])
         labels = np.r_[np.ones(len(pos), dtype=bool), np.zeros(len(neg), dtype=bool)]
@@ -318,11 +355,6 @@ def _eval_task(args):
     summary = [("mean", *body.mean(axis=0))]
     if len(rows) >= 2:
         summary.append(("std", *body.std(axis=0, ddof=1)))
-    meta = [f"task={args.task}", f"n={args.n}", f"n_test={n_test}",
-            f"trials={args.trials}", f"seed={args.seed}",
-            f"resolution={args.resolution}", f"cell_volume={_f(cell_volume)}",
-            f"kernel={args.kernel}", f"sigma={args.sigma}",
-            f"filter={args.filter}", f"lambda={args.lam}", f"tau={_f(args.tau)}"]
     write_table(args.out, "task evaluation", meta, columns, rows + summary,
                 timestamp=not args.no_timestamp)
     for label, *vals in summary:
@@ -344,17 +376,16 @@ def _parse_grid(text, what, integer=False):
 
 def cmd_sweep(args):
     points, source = _train_points(args)
-    flags = _filter_flags(args, points.shape[0])
-    family = flags[0]
-    lambdas = _parse_grid(args.lambdas, "--lambdas", integer=family is Landweber)
+    config = _resolve(args, points.shape[0])
+    lambdas = _parse_grid(args.lambdas, "--lambdas", integer=config.family is Landweber)
     taus = _parse_grid(args.taus, "--taus")
     check_number("tau values must lie in [0, 1)", *taus, ok=lambda v: 0 <= v < 1)
     for value in lambdas:   # a strength the family refuses, before the Gram
-        family.at(value)
+        config.family.at(value)
     # the test file is read and its dimension checked before the Gram
     test = (None if args.test is None else
             _check_query(load_csv(args.test, header=args.header).points, points.shape[1]))
-    model, _, kernel_note, filter_note = _build_model(points, args, flags, vectors=True)
+    model = _build_model(points, config, vectors=True)[0]
     test_note = "test=training points" if test is None else f"test={args.test}"
     path = regularization_path(model, model.points if test is None else test, lambdas)
 
@@ -365,7 +396,7 @@ def cmd_sweep(args):
                 yield from zip(repeat(lam), repeat(tau), index, scores.tolist(),
                                member_mask(scores, tau).tolist())
 
-    meta = [source, test_note, _config_meta(model, kernel_note, filter_note)[0],
+    meta = [source, test_note, _config_meta(model, config)[0],
             f"filter_family={type(model.filter).__name__}",
             f"lambdas={len(lambdas)}", f"taus={len(taus)}", f"points={path.shape[1]}"]
     write_table(args.out, "regularization sweep", meta,
@@ -377,18 +408,19 @@ def cmd_sweep(args):
 
 
 def cmd_synth(args):
+    if not args.grid_out:
+        _refuse(args, ["resolution"], "applies only with --grid-out")
+    n, seed, resolution = (_value(args, k) for k in ("n", "seed", "resolution"))
     task = get_task(args.task)
-    pts = sample(task, args.n, args.seed)
+    pts = sample(task, n, seed)
     cols = [f"x{i}" for i in range(task.dim)]
-    write_table(args.out, "synthetic sample",
-                [f"task={args.task}", f"n={args.n}", f"seed={args.seed}"],
-                cols, (tuple(row) for row in pts),
-                timestamp=not args.no_timestamp)
-    print(f"{args.n} points from task {args.task} written to {args.out}")
+    write_table(args.out, "synthetic sample", [f"task={args.task}", f"n={n}", f"seed={seed}"],
+                cols, (tuple(row) for row in pts), timestamp=not args.no_timestamp)
+    print(f"{n} points from task {args.task} written to {args.out}")
     if args.grid_out:
-        points, inside, cell_volume = reference_grid(task, args.resolution)
+        points, inside, cell_volume = reference_grid(task, resolution)
         write_table(args.grid_out, "reference grid",
-                    [f"task={args.task}", f"resolution={args.resolution}",
+                    [f"task={args.task}", f"resolution={resolution}",
                      f"cell_volume={_f(cell_volume)}",
                      f"thickened={int(task.lower_dimensional)}"],
                     cols + ["inside"],
@@ -401,9 +433,10 @@ def cmd_synth(args):
 def cmd_verify_bounds(args):
     if args.harness == "concentration":
         task = get_task(args.task)
-        if args.sigma.strip().startswith("auto"):
+        kernel, k, _ = _resolve_kernel(args.kernel, args.sigma)
+        if k is not None:
             raise UsageError("verify-bounds needs a fixed --sigma (no training set to adapt to)")
-        kernel, _ = _resolve_kernel(args, points=None)
+        kernel = _unit_kernel(kernel)
         observed, bound = concentration_trials(
             task.draw, kernel, args.n, args.delta, args.trials,
             args.ref_size, args.seed)
@@ -441,21 +474,16 @@ def _add_config_flags(sp):
     sp.add_argument("--header", action="store_true",
                     help="skip the first row of CSV inputs")
     sp.add_argument("--task", help="synthetic task: " + ", ".join(task_names()))
-    sp.add_argument("--n", type=int, default=200, help="sample size for --task")
-    sp.add_argument("--kernel", default="abel",
-                    help=" | ".join(_BARE_KERNELS) + ", or a full kernel spec")
-    sp.add_argument("--sigma", default="auto",
-                    help="kernel width: a number, auto, or auto:<k>")
-    sp.add_argument("--filter", default="tikhonov",
-                    help=" | ".join(_FILTERS) + ", or a full filter spec")
-    sp.add_argument("--lambda", dest="lam", default="auto",
-                    help="regularization: a number, auto, or rate:s,b")
+    sp.add_argument("--n", type=int, help="sample size for --task")
+    sp.add_argument("--seed", type=int, help="random seed for --task")
+    sp.add_argument("--kernel", help=" | ".join(_BARE_KERNELS) + ", or a full kernel spec")
+    sp.add_argument("--sigma", help="kernel width: a number, auto, or auto:<k>")
+    sp.add_argument("--filter", help=" | ".join(_FILTERS) + ", or a full filter spec")
+    sp.add_argument("--lambda", dest="lam", help="regularization: a number, auto, or rate:s,b")
     sp.add_argument("--m", type=int, help="landweber iteration count")
     sp.add_argument("--components", type=int, help="kpca component count")
-    sp.add_argument("--tau", type=float, default=0.0,
-                    help="membership margin in [0, 1)")
-    sp.add_argument("--algorithm", default="auto",
-                    choices=["auto", *ALGORITHMS])
+    sp.add_argument("--tau", type=float, help="membership margin in [0, 1)")
+    sp.add_argument("--algorithm", choices=["auto", *ALGORITHMS])
 
 
 def _add_out_flags(sp):
@@ -472,7 +500,6 @@ def build_parser():
 
     sp = sub.add_parser("train", help="fit a support model and persist it")
     _add_config_flags(sp)
-    sp.add_argument("--seed", type=int, default=0)
     _add_out_flags(sp)
     sp.add_argument("--eigs-out", help="eigenvalue decay CSV (default: <out>.eigs.csv)")
     sp.add_argument("--model-format", choices=["text", "binary"], default="text")
@@ -495,16 +522,14 @@ def build_parser():
                     help="label column index in --data (nonzero = positive)")
     sp.add_argument("--roc-out", help="write ROC points CSV (labeled-data mode)")
     _add_config_flags(sp)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=10, help="trials in task mode")
+    sp.add_argument("--trials", type=int, help="trials in task mode")
     sp.add_argument("--n-test", type=int, help="test points per class (default --n)")
-    sp.add_argument("--resolution", type=int, default=64, help="grid points per axis")
+    sp.add_argument("--resolution", type=int, help="grid points per axis")
     _add_out_flags(sp)
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("sweep", help="score a grid of (lambda, tau) from one decomposition")
     _add_config_flags(sp)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--lambdas", required=True,
                     help="comma-separated lambda grid (iteration counts for landweber)")
     sp.add_argument("--taus", default="0", help="comma-separated tau grid")
@@ -514,11 +539,11 @@ def build_parser():
 
     sp = sub.add_parser("synth", help="write a synthetic sample (and reference grid)")
     sp.add_argument("--task", required=True)
-    sp.add_argument("--n", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--n", type=int)
+    sp.add_argument("--seed", type=int)
     _add_out_flags(sp)
     sp.add_argument("--grid-out", help="also write the reference grid CSV")
-    sp.add_argument("--resolution", type=int, default=64)
+    sp.add_argument("--resolution", type=int)
     sp.set_defaults(func=cmd_synth)
 
     sp = sub.add_parser("verify-bounds", help="Monte-Carlo check of the error bounds")

@@ -146,6 +146,15 @@ def _render_rows(rows, width):
     return "\n".join([",".join(formats)] * len(rows)) % cells
 
 
+def _check_lines(*texts):
+    """Refuse a table title, meta or footer entry or column name that is not a
+    str or that holds a line break, so each stays within its one line."""
+    for text in texts:
+        if not isinstance(text, str) or "\n" in text or "\r" in text:
+            raise UsageError("a table title, meta or footer entry and column name must be "
+                             f"a str with no line break, got {text!r}")
+
+
 def write_table(path, title, meta, columns, rows, timestamp=True, footer=None):
     """Write a CSV table with a ``#`` metadata header.
 
@@ -163,10 +172,7 @@ def write_table(path, title, meta, columns, rows, timestamp=True, footer=None):
         raise UsageError("table meta, columns and footer must be sequences of strings, "
                          "and rows an iterable")
     meta, columns, footer = tuple(meta), tuple(columns), tuple(footer)
-    for text in (title, *meta, *columns, *footer):   # each stays within its one line
-        if not isinstance(text, str) or "\n" in text or "\r" in text:
-            raise UsageError("a table title, meta or footer entry and column name must be "
-                             f"a str with no line break, got {text!r}")
+    _check_lines(title, *meta, *columns, *footer)
     lines = [f"# {title}"]
     if timestamp:
         now = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")

@@ -757,6 +757,8 @@ def test_cli_bad_filter_number_exits_2_on_flag_and_3_in_model_file(tmp_path, cir
 _TRAIN = ["train", "--task", "circle", "--n", "60"]
 _SWEEP = ["sweep", "--task", "circle", "--n", "60"]
 _EVAL_TASK = ["eval", "--task", "circle", "--n", "50", "--trials", "1"]
+_LINE_BREAK = ("a table title, meta or footer entry and column name must be a str with no "
+               "line break, got ")
 
 
 def _count_solves(monkeypatch):
@@ -839,15 +841,43 @@ def test_cli_model_build_solves_once(tmp_path, monkeypatch, argv, rc, eigh, eigv
     (_EVAL_TASK + ["--data", "nothere.csv"], "--data applies only to --model evaluation"),
     (_EVAL_TASK + ["--label-col", "7"], "--label-col applies only to --model evaluation"),
     (_EVAL_TASK + ["--roc-out", "roc.csv"], "--roc-out applies only to --model evaluation"),
+    # the flags' own text in the eval --task metadata, checked before the first trial
+    (_EVAL_TASK + ["--kernel", "abel\nsigma=1"], _LINE_BREAK + "'kernel=abel\\nsigma=1'"),
+    (_EVAL_TASK + ["--sigma", "1\n"], _LINE_BREAK + "'sigma=1\\n'"),
+    # flags that the resolved configuration does not read
+    (["train", "--data", "nothere.csv", "--seed", "9"], "--seed applies only to --task"),
+    (["train", "--data", "nothere.csv", "--n", "9"], "--n applies only to --task"),
+    (["sweep", "--data", "nothere.csv", "--seed", "9", "--lambdas", "1e-3"],
+     "--seed applies only to --task"),
+    (_TRAIN + ["--m", "3"], "--m does not apply to --filter tikhonov"),
+    (_TRAIN + ["--filter", "cutoff", "--components", "3"],
+     "--components does not apply to --filter cutoff"),
+    (_TRAIN + ["--filter", "landweber", "--m", "3", "--lambda", "1"],
+     "--lambda does not apply to --filter landweber"),
+    (_TRAIN + ["--filter", "kpca", "--components", "3", "--lambda", "0.1"],
+     "--lambda does not apply to --filter kpca with --components"),
+    (_TRAIN + ["--kernel", "abel sigma=1", "--sigma", "7"],
+     "--sigma does not apply to --kernel 'abel sigma=1'"),
+    (_TRAIN + ["--kernel", "linear", "--sigma", "1"],
+     "--sigma does not apply to --kernel 'linear'"),
+    (_TRAIN + ["--filter", "tikhonov lambda=1", "--lambda", "5"],
+     "--lambda does not apply to a full --filter spec"),
+    (["synth", "--task", "circle", "--resolution", "8"],
+     "--resolution applies only with --grid-out"),
 ], ids=["sweep-tau-2", "sweep-tau-nan", "sweep-lambda-abc", "sweep-lambda-0",
         "sweep-lambda-subnormal", "sweep-landweber-fraction", "train-tau-nan", "train-tau-2",
         "cutoff-lambda-abc", "cutoff-lambda-negative", "cutoff-lambda-rate-s",
         "kpca-lambda-nan", "spectral-lambda-abc", "spectral-lambda-subnormal",
-        "sweep-base-lambda-abc", "eval-task-data", "eval-task-label-col", "eval-task-roc-out"])
+        "sweep-base-lambda-abc", "eval-task-data", "eval-task-label-col", "eval-task-roc-out",
+        "eval-task-kernel-line-break", "eval-task-sigma-line-break", "train-data-seed",
+        "train-data-n", "sweep-data-seed", "tikhonov-m", "cutoff-components",
+        "landweber-lambda", "kpca-components-lambda", "kernel-spec-sigma", "linear-sigma",
+        "filter-spec-lambda", "synth-resolution"])
 def test_cli_flag_errors_are_refused_before_the_gram(tmp_path, monkeypatch, capsys, argv,
                                                      message):
-    """A bad grid, lambda or margin exits 2 with its message before any Gram
-    or solve."""
+    """A bad grid, lambda or margin, a line break in the text eval --task writes
+    to its metadata, and a flag that nothing reads exit 2 with their message
+    before any Gram or solve."""
     calls = _count_solves(monkeypatch)
     assert main(argv + ["--out", str(tmp_path / "out"), "--no-timestamp"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -883,13 +913,47 @@ def test_cli_sweep_checks_its_test_dimension_before_the_gram(tmp_path, monkeypat
     ["eval", "--task", "circle", "--n", "60", "--trials", "3", "--resolution", "16"],
 ], ids=["sweep", "eval-task"])
 def test_cli_resolves_the_filter_flags_once(tmp_path, monkeypatch, argv):
-    """A command resolves --lambda once: sweep does not resolve it again for its
-    model, nor eval --task for each trial."""
-    calls = []
+    """A command resolves --lambda, the score path and tau once: sweep does not
+    resolve them again for its model, nor eval --task for each trial."""
+    calls, paths, taus = [], [], []
     monkeypatch.setattr(cli, "rate_lambda", lambda *a: calls.append(a) or 1e-3)
+    monkeypatch.setattr(cli, "_score_path",
+                        lambda *a: paths.append(a) or estimator._score_path(*a))
+    monkeypatch.setattr(cli, "_check_tau",
+                        lambda tau: taus.append(tau) or estimator._check_tau(tau))
     assert main(argv + ["--lambda", "rate:1,1", "--out", str(tmp_path / "out"),
                         "--no-timestamp"]) == 0
     assert calls == [(60, 1.0, 1.0)]
+    assert len(paths) == len(taus) == 1
+
+
+# What eval --model reads, and a valid value for each other option of eval.
+_EVAL_MODEL_READS = {"help", "model", "data", "header", "label_col", "roc_out", "out",
+                     "no_timestamp"}
+_EVAL_VALUES = {"--task": "circle", "--n": "20", "--seed": "1", "--kernel": "gaussian",
+                "--sigma": "0.5", "--filter": "cutoff", "--lambda": "1e-3", "--m": "3",
+                "--components": "2", "--tau": "0.5", "--algorithm": "spectral",
+                "--trials": "2", "--n-test": "10", "--resolution": "8"}
+
+
+def _eval_task_options():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [a for a in sub.choices["eval"]._actions if a.dest not in _EVAL_MODEL_READS]
+
+
+@pytest.mark.parametrize("action", _eval_task_options(), ids=lambda a: a.option_strings[0])
+def test_cli_eval_model_refuses_every_other_flag(tmp_path, monkeypatch, capsys, action):
+    """eval --model reads no model or trial flag: every other option that the
+    parser gives eval, with a valid value, exits 2 naming it before the model
+    loads, so a flag added later cannot be silently ignored."""
+    flag = action.option_strings[0]
+    monkeypatch.setattr(cli, "load_model", lambda *a: pytest.fail("the model was loaded"))
+    value = [] if action.nargs == 0 else [_EVAL_VALUES[flag]]
+    assert main(["eval", "--model", "m.txt", "--data", "l.csv", "--label-col", "2",
+                 flag, *value, "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
 
 
 @pytest.mark.parametrize("command", ["score", "eval"])

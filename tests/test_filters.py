@@ -1,4 +1,3 @@
-import argparse
 import tracemalloc
 
 import numpy as np
@@ -210,8 +209,9 @@ def test_decompose_reconstruction_and_trace():
 
 def _cli_eigenvalues(pts):
     """The command line's eigenvalues-only build: a Cholesky model under --lambda auto."""
-    args = argparse.Namespace(kernel="abel", sigma="1.0", algorithm="auto", tau=0.0)
-    return cli._build_model(pts, args, (Tikhonov, None, "auto"), warn=False)[1]
+    config = cli._Config(kernel=Abel(1.0), auto_k=None, kernel_note="fixed", family=Tikhonov,
+                         filter=None, filter_note="auto", algorithm="cholesky", tau=0.0)
+    return cli._build_model(pts, config)[1]
 
 
 @pytest.mark.parametrize("solve, bound", [
