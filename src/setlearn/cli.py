@@ -172,10 +172,10 @@ def _resolve(args, n):
     algorithm = _value(args, "algorithm")
     algorithm = _score_path(family, None if algorithm == "auto" else algorithm)
     tau = _check_tau(_value(args, "tau"))
-    text = _value(args, "kernel")
+    text = _value(args, "kernel").strip()
     kernel, k, kernel_note = _resolve_kernel(text, _value(args, "sigma"))
-    if text.strip() not in _WIDTH_KERNELS:   # a full spec, or a family with no width
-        _refuse(args, ["sigma"], f"does not apply to --kernel {text.strip()!r}")
+    if text not in _WIDTH_KERNELS:   # a full spec, or a family with no width
+        _refuse(args, ["sigma"], f"does not apply to --kernel {text!r}")
     return _Config(_unit_kernel(kernel), k, kernel_note, family, filt, filter_note,
                    algorithm, tau)
 
