@@ -6,8 +6,9 @@ error, 4 numeric failure or an array too large to allocate (a size flag
 such as ``--n`` or ``--resolution`` set too high).  With ``--no-timestamp``
 all outputs are byte-deterministic for a fixed configuration, seed and
 BLAS thread count.  The model and trial flags take their defaults from one
-table, ``_DEFAULTS``, and a command refuses with exit 2 such a flag that it
-was given but does not read (``verify-bounds`` keeps its own defaults).
+table, ``_DEFAULTS`` (``verify-bounds`` from its own, ``_BOUNDS_DEFAULTS``),
+and a command refuses with exit 2 such a flag, or ``--header``, that it was
+given but does not read.
 """
 
 from __future__ import annotations
@@ -46,12 +47,14 @@ def _warn(msg):
 # The model and trial flags parse to None, so a command tells a given flag from a default.
 _DEFAULTS = {"n": 200, "seed": 0, "kernel": "abel", "sigma": "auto", "filter": "tikhonov",
              "lam": "auto", "tau": 0.0, "algorithm": "auto", "trials": 10, "resolution": 64}
+_BOUNDS_DEFAULTS = {"harness": "concentration", "task": "circle", "kernel": "abel", "sigma": "1",
+                    "n": 100, "delta": 2.0, "trials": 500, "ref_size": 20000, "seed": 0}
 
 
-def _value(args, key):
+def _value(args, key, defaults=_DEFAULTS):
     """A flag's value, or its default if it was not given."""
     value = getattr(args, key)
-    return _DEFAULTS[key] if value is None else value
+    return defaults[key] if value is None else value
 
 
 def _refuse(args, keys, why):
@@ -73,8 +76,11 @@ def _train_points(args):
         raise UsageError("provide exactly one of --data or --task")
     if args.data is not None:
         _refuse(args, ["n", "seed"], "applies only to --task")
-        ds = load_csv(args.data, header=args.header)
+        ds = load_csv(args.data, header=bool(args.header))
         return ds.points, f"data={args.data}"
+    if getattr(args, "test", None) is None:   # sweep reads --header for its --test file too
+        reads = "--data or --test" if hasattr(args, "test") else "--data"
+        _refuse(args, ["header"], f"applies only to {reads}")
     n, seed = _value(args, "n"), _value(args, "seed")
     return sample(get_task(args.task), n, seed), f"task={args.task} n={n} seed={seed}"
 
@@ -172,12 +178,19 @@ def _resolve(args, n):
     algorithm = _value(args, "algorithm")
     algorithm = _score_path(family, None if algorithm == "auto" else algorithm)
     tau = _check_tau(_value(args, "tau"))
-    text = _value(args, "kernel").strip()
-    kernel, k, kernel_note = _resolve_kernel(text, _value(args, "sigma"))
-    if text not in _WIDTH_KERNELS:   # a full spec, or a family with no width
-        _refuse(args, ["sigma"], f"does not apply to --kernel {text!r}")
+    kernel, k, kernel_note = _kernel_flags(args)
     return _Config(_unit_kernel(kernel), k, kernel_note, family, filt, filter_note,
                    algorithm, tau)
+
+
+def _kernel_flags(args, defaults=_DEFAULTS):
+    """``_resolve_kernel`` on the --kernel and --sigma flags; --sigma beside a
+    kernel with no width to set exits 2."""
+    text = _value(args, "kernel", defaults).strip()
+    resolved = _resolve_kernel(text, _value(args, "sigma", defaults))
+    if text not in _WIDTH_KERNELS:   # a full spec, or a family with no width
+        _refuse(args, ["sigma"], f"does not apply to --kernel {text!r}")
+    return resolved
 
 
 def _build_model(points, config, vectors=False):
@@ -248,7 +261,7 @@ def cmd_train(args):
 def _load_and_score(args, label_col=None):
     """The saved model, the test set, its scores and the metadata lines naming them."""
     model = load_model(args.model)
-    ds = load_csv(args.data, header=args.header, label_col=label_col)
+    ds = load_csv(args.data, header=bool(args.header), label_col=label_col)
     meta = [f"model={args.model}", f"data={args.data}",
             format_kernel(model.kernel), format_filter(model.filter)]
     return model, ds, score_batch(model, ds.points), meta
@@ -317,7 +330,8 @@ def _eval_labeled(args):
 
 
 def _eval_task(args):
-    _refuse(args, ["data", "label_col", "roc_out"], "applies only to --model evaluation")
+    _refuse(args, ["data", "header", "label_col", "roc_out"],
+            "applies only to --model evaluation")
     n, trials, seed, resolution = (_value(args, k) for k in ("n", "trials", "seed", "resolution"))
     n_test = n if args.n_test is None else args.n_test
     check_number("n must be >= 1", n, ok=lambda v: v >= 1)
@@ -375,6 +389,8 @@ def _parse_grid(text, what, integer=False):
 
 
 def cmd_sweep(args):
+    _refuse(args, ["tau", "algorithm"],
+            "does not apply to sweep, which scores its grid through the decomposition")
     points, source = _train_points(args)
     config = _resolve(args, points.shape[0])
     lambdas = _parse_grid(args.lambdas, "--lambdas", integer=config.family is Landweber)
@@ -384,7 +400,7 @@ def cmd_sweep(args):
         config.family.at(value)
     # the test file is read and its dimension checked before the Gram
     test = (None if args.test is None else
-            _check_query(load_csv(args.test, header=args.header).points, points.shape[1]))
+            _check_query(load_csv(args.test, header=bool(args.header)).points, points.shape[1]))
     model = _build_model(points, config, vectors=True)[0]
     test_note = "test=training points" if test is None else f"test={args.test}"
     path = regularization_path(model, model.points if test is None else test, lambdas)
@@ -431,11 +447,16 @@ def cmd_synth(args):
 
 
 def cmd_verify_bounds(args):
-    if args.harness == "concentration":
-        task = get_task(args.task)
-        kernel, k, _ = _resolve_kernel(args.kernel, args.sigma)
+    if args.harness == "bernstein":
+        _refuse(args, ["task", "kernel", "sigma", "ref_size"],
+                "applies only to --harness concentration")
+    else:   # before the defaults fill in, so that only a given --sigma is refused
+        kernel, k, _ = _kernel_flags(args, _BOUNDS_DEFAULTS)
         if k is not None:
             raise UsageError("verify-bounds needs a fixed --sigma (no training set to adapt to)")
+    vars(args).update((key, _value(args, key, _BOUNDS_DEFAULTS)) for key in _BOUNDS_DEFAULTS)
+    if args.harness == "concentration":
+        task = get_task(args.task)
         kernel = _unit_kernel(kernel)
         observed, bound = concentration_trials(
             task.draw, kernel, args.n, args.delta, args.trials,
@@ -471,7 +492,7 @@ def cmd_verify_bounds(args):
 
 def _add_config_flags(sp):
     sp.add_argument("--data", help="CSV of training points")
-    sp.add_argument("--header", action="store_true",
+    sp.add_argument("--header", action="store_true", default=None,
                     help="skip the first row of CSV inputs")
     sp.add_argument("--task", help="synthetic task: " + ", ".join(task_names()))
     sp.add_argument("--n", type=int, help="sample size for --task")
@@ -547,16 +568,15 @@ def build_parser():
     sp.set_defaults(func=cmd_synth)
 
     sp = sub.add_parser("verify-bounds", help="Monte-Carlo check of the error bounds")
-    sp.add_argument("--harness", choices=["concentration", "bernstein"],
-                    default="concentration")
-    sp.add_argument("--task", default="circle", help="sampler for the concentration harness")
-    sp.add_argument("--kernel", default="abel")
-    sp.add_argument("--sigma", default="1")
-    sp.add_argument("--n", type=int, default=100)
-    sp.add_argument("--delta", type=float, default=2.0)
-    sp.add_argument("--trials", type=int, default=500)
-    sp.add_argument("--ref-size", type=int, default=20000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--harness", choices=["concentration", "bernstein"])
+    sp.add_argument("--task", help="sampler for the concentration harness")
+    sp.add_argument("--kernel")
+    sp.add_argument("--sigma")
+    sp.add_argument("--n", type=int)
+    sp.add_argument("--delta", type=float)
+    sp.add_argument("--trials", type=int)
+    sp.add_argument("--ref-size", type=int)
+    sp.add_argument("--seed", type=int)
     _add_out_flags(sp)
     sp.set_defaults(func=cmd_verify_bounds)
 

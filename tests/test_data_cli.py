@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import setlearn.cli as cli
 import setlearn.estimator as estimator
-import setlearn.filters as filters
 from setlearn import (Abel, DataError, Gaussian, KpcaTruncation, Landweber, Tikhonov,
                       UsageError, fit, load_csv, load_model, regularization_path, save_model,
                       score_batch, write_table)
@@ -757,62 +756,10 @@ def test_cli_bad_filter_number_exits_2_on_flag_and_3_in_model_file(tmp_path, cir
 _TRAIN = ["train", "--task", "circle", "--n", "60"]
 _SWEEP = ["sweep", "--task", "circle", "--n", "60"]
 _EVAL_TASK = ["eval", "--task", "circle", "--n", "50", "--trials", "1"]
+_BERNSTEIN = ["verify-bounds", "--harness", "bernstein"]
+_SWEEP_GRID = "does not apply to sweep, which scores its grid through the decomposition"
 _LINE_BREAK = ("a table title, meta or footer entry and column name must be a str with no "
                "line break, got ")
-
-
-def _count_solves(monkeypatch):
-    """Count, from here on, full eigensolves (``eigh``), eigenvalue-only
-    solves (``eigvalsh``), Cholesky factorizations, QR factorizations
-    (``dgeqrf``) and Gram builds."""
-    calls = {"eigh": 0, "eigvalsh": 0, "cho_factor": 0, "dgeqrf": 0, "gram": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls["eigvalsh" if kwargs.get("eigvals_only") else name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(filters, "eigh", counted("eigh", filters.eigh))
-    monkeypatch.setattr(estimator, "cho_factor", counted("cho_factor", estimator.cho_factor))
-    monkeypatch.setattr(estimator, "dgeqrf", counted("dgeqrf", estimator.dgeqrf))
-    for module in (cli, estimator):
-        monkeypatch.setattr(module, "gram", counted("gram", module.gram))
-    return calls
-
-
-@pytest.mark.parametrize("argv, rc, eigh, eigvalsh, cho, grams", [
-    (_TRAIN, 0, 0, 1, 0, 1),
-    (_TRAIN + ["--algorithm", "cholesky", "--lambda", "0.01"], 0, 0, 1, 0, 1),
-    (_TRAIN + ["--store-decomposition"], 0, 1, 0, 0, 1),
-    (_TRAIN + ["--algorithm", "spectral"], 0, 1, 0, 0, 1),
-    (_TRAIN + ["--filter", "cutoff"], 0, 1, 0, 0, 1),
-    (_TRAIN + ["--filter", "kpca", "--components", "3"], 0, 1, 0, 0, 1),
-    (_TRAIN + ["--filter", "landweber", "--m", "5"], 0, 1, 0, 0, 1),
-    (["sweep", "--task", "circle", "--n", "60", "--lambdas", "1e-3,1e-2"], 0, 1, 0, 0, 1),
-    (["eval", "--task", "circle", "--n", "60", "--trials", "2", "--resolution", "16"],
-     0, 0, 2, 2, 4),
-    (["eval", "--task", "circle", "--n", "60", "--trials", "2", "--resolution", "16",
-      "--lambda", "1e-3"], 0, 0, 0, 2, 2),
-    (_TRAIN + ["--filter", "cutoff", "--lambda", "1e-3", "--algorithm", "cholesky"],
-     2, 0, 0, 0, 0),
-    (_TRAIN + ["--filter", "landweber", "--m", "5", "--algorithm", "cholesky"],
-     2, 0, 0, 0, 0),
-], ids=["train", "train-cholesky-fixed", "store-decomposition", "spectral", "cutoff",
-        "kpca-components", "landweber", "sweep", "eval-task", "eval-task-fixed",
-        "cutoff-cholesky-refused", "landweber-cholesky-refused"])
-def test_cli_model_build_solves_once(tmp_path, monkeypatch, argv, rc, eigh, eigvalsh, cho,
-                                     grams):
-    """At most one spectral solve per model build, on a Gram built for it:
-    eigenvalues only when the model scores through its Cholesky factor, and
-    none when nothing reads them.  The Cholesky factor is built only by a
-    score, from a Gram of its own, so ``train`` never factorizes and each
-    ``eval --task`` trial under the auto lambda builds two Grams.  A score
-    path the filter cannot take is refused before any Gram is built."""
-    calls = _count_solves(monkeypatch)
-    assert main(argv + ["--out", str(tmp_path / "out"), "--no-timestamp"]) == rc
-    assert calls == {"eigh": eigh, "eigvalsh": eigvalsh, "cho_factor": cho, "dgeqrf": 0,
-                     "gram": grams}
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -864,6 +811,20 @@ def test_cli_model_build_solves_once(tmp_path, monkeypatch, argv, rc, eigh, eigv
      "--lambda does not apply to a full --filter spec"),
     (["synth", "--task", "circle", "--resolution", "8"],
      "--resolution applies only with --grid-out"),
+    (_SWEEP + ["--lambdas", "1e-3", "--tau", "0.7"], "--tau " + _SWEEP_GRID),
+    (_SWEEP + ["--lambdas", "1e-3", "--algorithm", "spectral"], "--algorithm " + _SWEEP_GRID),
+    # --header where no CSV is read
+    (_TRAIN + ["--header"], "--header applies only to --data"),
+    (_SWEEP + ["--lambdas", "1e-3", "--header"], "--header applies only to --data or --test"),
+    (_EVAL_TASK + ["--header"], "--header applies only to --model evaluation"),
+    # verify-bounds flags that its harness does not read
+    *(([*_BERNSTEIN, flag, value], f"{flag} applies only to --harness concentration")
+      for flag, value in [("--task", "circle"), ("--kernel", "abel"), ("--sigma", "1"),
+                          ("--ref-size", "10")]),
+    (["verify-bounds", "--kernel", "abel sigma=1", "--sigma", "2"],
+     "--sigma does not apply to --kernel 'abel sigma=1'"),
+    (["verify-bounds", "--kernel", "linear", "--sigma", "2"],
+     "--sigma does not apply to --kernel 'linear'"),
 ], ids=["sweep-tau-2", "sweep-tau-nan", "sweep-lambda-abc", "sweep-lambda-0",
         "sweep-lambda-subnormal", "sweep-landweber-fraction", "train-tau-nan", "train-tau-2",
         "cutoff-lambda-abc", "cutoff-lambda-negative", "cutoff-lambda-rate-s",
@@ -872,21 +833,24 @@ def test_cli_model_build_solves_once(tmp_path, monkeypatch, argv, rc, eigh, eigv
         "eval-task-kernel-line-break", "eval-task-sigma-line-break", "train-data-seed",
         "train-data-n", "sweep-data-seed", "tikhonov-m", "cutoff-components",
         "landweber-lambda", "kpca-components-lambda", "kernel-spec-sigma", "linear-sigma",
-        "filter-spec-lambda", "synth-resolution"])
-def test_cli_flag_errors_are_refused_before_the_gram(tmp_path, monkeypatch, capsys, argv,
+        "filter-spec-lambda", "synth-resolution", "sweep-tau", "sweep-algorithm",
+        "train-task-header", "sweep-task-header", "eval-task-header", "bernstein-task",
+        "bernstein-kernel", "bernstein-sigma", "bernstein-ref-size", "verify-kernel-spec-sigma",
+        "verify-linear-sigma"])
+def test_cli_flag_errors_are_refused_before_the_gram(tmp_path, solves, capsys, argv,
                                                      message):
     """A bad grid, lambda or margin, a line break in the text eval --task writes
     to its metadata, and a flag that nothing reads exit 2 with their message
     before any Gram or solve."""
-    calls = _count_solves(monkeypatch)
+    calls = solves()
     assert main(argv + ["--out", str(tmp_path / "out"), "--no-timestamp"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert calls["gram"] == calls["eigh"] == calls["eigvalsh"] == 0
 
 
-def test_cli_sweep_reads_its_test_file_before_the_gram(tmp_path, monkeypatch, capsys):
+def test_cli_sweep_reads_its_test_file_before_the_gram(tmp_path, solves, capsys):
     """A missing --test file exits 3 before any Gram or solve."""
-    calls = _count_solves(monkeypatch)
+    calls = solves()
     missing = tmp_path / "missing.csv"
     assert main(_SWEEP + ["--lambdas", "1e-3", "--test", str(missing),
                           "--out", str(tmp_path / "out"), "--no-timestamp"]) == 3
@@ -895,10 +859,10 @@ def test_cli_sweep_reads_its_test_file_before_the_gram(tmp_path, monkeypatch, ca
     assert calls["gram"] == calls["eigh"] == calls["eigvalsh"] == 0
 
 
-def test_cli_sweep_checks_its_test_dimension_before_the_gram(tmp_path, monkeypatch, capsys):
+def test_cli_sweep_checks_its_test_dimension_before_the_gram(tmp_path, solves, capsys):
     """A --test file of another dimension than the sample exits 3 before any
     Gram or solve, with the message scoring gives it."""
-    calls = _count_solves(monkeypatch)
+    calls = solves()
     test = tmp_path / "t3.csv"
     test.write_text("1,2,3\n4,5,6\n")
     assert main(_SWEEP + ["--lambdas", "1e-3", "--test", str(test),
@@ -958,7 +922,7 @@ def test_cli_eval_model_refuses_every_other_flag(tmp_path, monkeypatch, capsys, 
 
 @pytest.mark.parametrize("command", ["score", "eval"])
 @pytest.mark.parametrize("data", ["malformed", "missing", "three-columns"])
-def test_cli_refuses_bad_data_before_the_eigensolve(tmp_path, monkeypatch, capsys, command,
+def test_cli_refuses_bad_data_before_the_eigensolve(tmp_path, solves, capsys, command,
                                                     data):
     """``score`` and ``eval --model`` on a model that scores through its
     decomposition refuse a bad --data with exit 3 before the model solves."""
@@ -974,7 +938,7 @@ def test_cli_refuses_bad_data_before_the_eigensolve(tmp_path, monkeypatch, capsy
     if rows:
         path.write_text("\n".join(rows) + "\n")
     capsys.readouterr()
-    calls = _count_solves(monkeypatch)
+    calls = solves()
     assert main([command, "--model", str(model), "--data", str(path), *extra,
                  "--out", str(tmp_path / "o.csv")]) == 3
     err = capsys.readouterr().err
@@ -982,20 +946,20 @@ def test_cli_refuses_bad_data_before_the_eigensolve(tmp_path, monkeypatch, capsy
     assert calls["eigh"] == 0
 
 
-def test_cli_score_refuses_a_bad_tau_before_the_factor(tmp_path, monkeypatch, capsys,
+def test_cli_score_refuses_a_bad_tau_before_the_factor(tmp_path, solves, capsys,
                                                        circle_csv):
     """``score`` refuses a bad --tau before it loads and factorizes the model."""
     model = tmp_path / "m.txt"
     assert main(_TRAIN + ["--out", str(model), "--no-timestamp"]) == 0
     capsys.readouterr()
-    calls = _count_solves(monkeypatch)
+    calls = solves()
     assert main(["score", "--model", str(model), "--data", str(circle_csv), "--header",
                  "--tau", "nan", "--out", str(tmp_path / "s.csv")]) == 2
     assert capsys.readouterr().err == "error: tau must lie in [0, 1), got nan\n"
-    assert calls == {"eigh": 0, "eigvalsh": 0, "cho_factor": 0, "dgeqrf": 0, "gram": 0}
+    assert not any(calls.values())
 
 
-def test_api_fit_and_load_solve_once(tmp_path, monkeypatch):
+def test_api_fit_and_load_solve_once(tmp_path, solves):
     """Neither ``fit`` nor ``load_model`` solves anything: the spectral and
     Landweber paths eigensolve on the first score, every model whose gains
     allow it factorizes on its first score and keeps the factor (one QR on
@@ -1011,12 +975,12 @@ def test_api_fit_and_load_solve_once(tmp_path, monkeypatch):
     save_model(spectral, files["spectral"])
     save_model(cholesky, files["cholesky"])
     save_model(cholesky, files["stored"], include_decomposition=True)
-    calls = _count_solves(monkeypatch)
+    calls = solves()
 
-    def solves(build):
+    def costs(build):
         """(eigensolves, Cholesky factorizations, QR factorizations) at build
         and after two scores."""
-        calls.update(dict.fromkeys(calls, 0))
+        solves()
         model = build()
         at_build = calls["eigh"], calls["cho_factor"], calls["dgeqrf"]
         score_batch(model, X)
@@ -1024,24 +988,24 @@ def test_api_fit_and_load_solve_once(tmp_path, monkeypatch):
         return at_build, (calls["eigh"], calls["cho_factor"], calls["dgeqrf"])
 
     for f in [Tikhonov(1e-2), Landweber(10)]:
-        assert (solves(lambda: fit(pts, Abel(0.8), f, algorithm="spectral"))
+        assert (costs(lambda: fit(pts, Abel(0.8), f, algorithm="spectral"))
                 == ((0, 0, 0), (1, 0, 1)))
     # zero gains (kPCA) and a spread past the gate (Gaussian at a tiny lambda) score through V
     for k, f in [(Abel(0.8), KpcaTruncation(lam=1e-2)), (Gaussian(2.0), Tikhonov(1e-12))]:
-        assert solves(lambda: fit(pts, k, f, algorithm="spectral")) == ((0, 0, 0), (1, 0, 0))
-    assert solves(lambda: fit(pts, Abel(0.8), Tikhonov(1e-2))) == ((0, 0, 0), (0, 1, 0))
-    assert solves(lambda: load_model(files["spectral"])) == ((0, 0, 0), (1, 0, 1))
-    assert solves(lambda: load_model(files["cholesky"])) == ((0, 0, 0), (0, 1, 0))
-    assert solves(lambda: load_model(files["stored"])) == ((0, 0, 0), (0, 1, 0))
+        assert costs(lambda: fit(pts, k, f, algorithm="spectral")) == ((0, 0, 0), (1, 0, 0))
+    assert costs(lambda: fit(pts, Abel(0.8), Tikhonov(1e-2))) == ((0, 0, 0), (0, 1, 0))
+    assert costs(lambda: load_model(files["spectral"])) == ((0, 0, 0), (1, 0, 1))
+    assert costs(lambda: load_model(files["cholesky"])) == ((0, 0, 0), (0, 1, 0))
+    assert costs(lambda: load_model(files["stored"])) == ((0, 0, 0), (0, 1, 0))
 
 
-def test_cholesky_model_decomposes_once(tmp_path, monkeypatch):
+def test_cholesky_model_decomposes_once(tmp_path, solves):
     """A Cholesky model builds its decomposition on first read and keeps it:
     two regularization paths and a save that stores it share one eigensolve."""
     rng = np.random.default_rng(98)
     pts, X = rng.uniform(-1.0, 1.0, (40, 2)), rng.uniform(-1.2, 1.2, (30, 2))
     model = fit(pts, Abel(0.8), Tikhonov(1e-2))
-    calls = _count_solves(monkeypatch)
+    calls = solves()
     regularization_path(model, X, [1e-3, 1e-2])
     regularization_path(model, X, [1e-1])
     save_model(model, tmp_path / "m.txt", include_decomposition=True)
@@ -1056,7 +1020,7 @@ def test_cholesky_model_decomposes_once(tmp_path, monkeypatch):
     (Abel(0.8), Tikhonov(1e-2), "cholesky", False, 0, 1),
     (Abel(0.8), Tikhonov(1e-2), "cholesky", True, 0, 1),
 ], ids=["spectral", "landweber", "kpca", "gated", "cholesky", "cholesky-eigenpairs"])
-def test_a_spectral_factor_drops_the_decomposition(tmp_path, monkeypatch, kernel, f,
+def test_a_spectral_factor_drops_the_decomposition(tmp_path, solves, kernel, f,
                                                    algorithm, handed, scores, after):
     """Building its triangular factor, R or W, a model drops its eigenvectors: two
     spectral or Landweber scores cost one eigensolve, a regularization path after
@@ -1071,7 +1035,7 @@ def test_a_spectral_factor_drops_the_decomposition(tmp_path, monkeypatch, kernel
     twin = regularization_path(fit(pts, kernel, f, algorithm=algorithm), X, grid)
     pairs = fit(pts, kernel, f).decomposition if handed else None
     model = fit(pts, kernel, f, algorithm=algorithm, eigenpairs=pairs)
-    calls = _count_solves(monkeypatch)
+    calls = solves()
     score_batch(model, X)
     score_batch(model, X)
     assert calls["eigh"] == scores

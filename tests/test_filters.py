@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,9 +7,7 @@ from hypothesis import strategies as st
 from _reference import apply_g, apply_r
 from setlearn import (Abel, Gaussian, KpcaTruncation, Landweber, Linear,
                       NumericError, SpectralCutoff, Tikhonov, UsageError,
-                      cross_gram, decompose, fit, format_filter, gram,
-                      normalize, parse_filter, parzen_score, score_batch)
-import setlearn.cli as cli
+                      decompose, format_filter, gram, normalize, parse_filter)
 from setlearn.filters import (EIG_SLACK, NULL_EIG, _decompose_in_place, _spectrum_in_place,
                               spectrum)
 
@@ -207,33 +203,6 @@ def test_decompose_reconstruction_and_trace():
     npt.assert_allclose(D.eigenvectors.T @ D.eigenvectors, np.eye(6), atol=1e-12)
 
 
-def _cli_eigenvalues(pts):
-    """The command line's eigenvalues-only build: a Cholesky model under --lambda auto."""
-    config = cli._Config(kernel=Abel(1.0), auto_k=None, kernel_note="fixed", family=Tikhonov,
-                         filter=None, filter_note="auto", algorithm="cholesky", tau=0.0)
-    return cli._build_model(pts, config)[1]
-
-
-@pytest.mark.parametrize("solve, bound", [
-    pytest.param(lambda G, pts: spectrum(G), 1.25, id="spectrum-1.25"),
-    pytest.param(lambda G, pts: decompose(G), 3.25, id="decompose-3.25"),
-    # the library's own solves build a Gram, counted here, and solve in place on it
-    pytest.param(lambda G, pts: fit(pts, Abel(1.0), Tikhonov(1e-3), algorithm="spectral")
-                 .decomposition, 3.1, id="model-3.1"),
-    pytest.param(lambda G, pts: _cli_eigenvalues(pts), 1.2, id="cli-eigenvalues-1.2"),
-])
-def test_spectral_solve_peak_memory(solve, bound):
-    """The solve works in place on one n^2 buffer of K_n/n: the peak allocation,
-    in units of n^2 doubles, is that buffer plus LAPACK's workspace (about 2 n^2
-    for the eigenvectors, O(n) for the eigenvalues).  The public solves copy
-    the caller's Gram into it; the library's own solves divide their fresh Gram
-    in place, so that Gram is the buffer."""
-    n = 400
-    pts = np.random.default_rng(30).normal(size=(n, 2))
-    G = gram(Abel(1.0), pts)
-    assert _peak_in_n2(lambda: solve(G, pts), n) <= bound
-
-
 @pytest.mark.parametrize("solve, in_place", [(decompose, _decompose_in_place),
                                              (spectrum, _spectrum_in_place)])
 def test_public_solve_keeps_the_gram_and_the_in_place_bits(solve, in_place):
@@ -247,80 +216,6 @@ def test_public_solve_keeps_the_gram_and_the_in_place_bits(solve, in_place):
         assert np.array_equal(public.eigenvectors, own.eigenvectors)
         public, own = public.eigenvalues, own.eigenvalues
     assert np.array_equal(public, own)
-
-
-def test_inverse_factor_peak_memory():
-    """The Cholesky path shifts, factorizes and inverts a fresh Gram in place,
-    on its Fortran view: with nothing held, the peak of the first score is
-    that one n^2 buffer and the tile its assembly works in (0.41 n^2 here)."""
-    n = 400
-    pts = np.random.default_rng(32).normal(size=(n, 2))
-    model = fit(pts, Abel(1.0), Tikhonov(1e-3), algorithm="cholesky")
-    assert _peak_in_n2(lambda: score_batch(model, pts[:10]), n) <= 1.6
-
-
-@pytest.mark.parametrize("f, algorithm", [(Tikhonov(1e-3), "spectral"),
-                                          (Landweber(20), "landweber")])
-def test_spectral_factor_peak_memory(f, algorithm):
-    """A spectral model forms V diag(sqrt(g/n)) in one n^2 buffer and runs its
-    QR in place there: beyond V, the peak is that one buffer and dgeqrf's
-    O(n) workspace.  The model solves on first use, so V is read before the
-    factor is measured."""
-    n = 400
-    pts = np.random.default_rng(33).normal(size=(n, 2))
-    model = fit(pts, Abel(1.0), f, algorithm=algorithm)
-    model.decomposition
-    assert _peak_in_n2(lambda: model.factor, n) <= 1.2
-
-
-@pytest.mark.parametrize("f, algorithm, peak", [
-    (Tikhonov(1e-3), "spectral", 3.1), (Landweber(20), "spectral", 3.1),
-    (Tikhonov(1e-3), "cholesky", 1.6)], ids=["spectral", "landweber", "cholesky"])
-def test_scored_model_holds_its_factors_and_no_gram(f, algorithm, peak):
-    """After fit and one score, every model holds one n x n array, its
-    triangular factor: a spectral or Landweber model its R, having dropped V
-    once R was built, and a Cholesky model its W.  None holds a Gram.  The
-    first score of a spectral model peaks at its eigensolve's 3 n^2."""
-    n = 400
-    pts = np.random.default_rng(34).normal(size=(n, 2))
-    tracemalloc.start()
-    try:
-        model = fit(pts, Abel(1.0), f, algorithm=algorithm)
-        tracemalloc.reset_peak()
-        score_batch(model, pts[:10])
-        held, top = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert model.factor is not None and "decomposition" not in vars(model)
-    assert held / (8.0 * n * n) <= 1.1
-    assert top / (8.0 * n * n) <= peak
-
-
-def _peak_in_n2(call, n):
-    """Peak traced allocation of call(), in units of n^2 doubles."""
-    tracemalloc.start()
-    try:
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak / (8.0 * n * n)
-
-
-@pytest.mark.parametrize("block, bound", [
-    (lambda k, X, Y: k._pairwise(X, Y), 1.1),
-    (lambda k, X, Y: cross_gram(k, X, Y), 1.25),
-    (lambda k, X, Y: gram(k, X), 1.65),
-    (lambda k, X, Y: parzen_score(X, k.sigma, Y), 1.1),
-], ids=["pairwise", "cross_gram", "gram", "parzen_score"])
-def test_kernel_block_peak_memory(block, bound):
-    """Each n x n kernel block is built in the one array cdist returns: the
-    peak is that array, plus cross_gram's finiteness mask (n^2 / 8), plus the
-    Gram's one tile-pair buffer (256^2 doubles) and numpy's iteration buffer."""
-    n = 400
-    rng = np.random.default_rng(31)
-    X, Y = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
-    assert _peak_in_n2(lambda: block(Abel(1.0), X, Y), n) <= bound
 
 
 def test_decompose_rejects_out_of_range_spectrum():

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -147,19 +146,6 @@ def test_blocks_match_the_out_of_place_formulas_bit_for_bit(family, sigma, n, m,
 def test_families_cover_every_kernel():
     """The bit-for-bit and symmetry tests reach every registered family."""
     assert sorted(_FAMILIES) == sorted(_KERNELS)
-
-
-@pytest.mark.parametrize("n", [200, 600])
-def test_gram_of_a_width_kernel_peaks_at_its_own_block(n):
-    """``gram`` holds its n x n result and the n x n finiteness mask, nothing more."""
-    X = np.random.default_rng(n).normal(size=(n, 2))
-    tracemalloc.start()
-    try:
-        gram(Abel(0.5), X)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.15 * 8 * n * n
 
 
 def test_linear_gram_near_the_float_max_stays_finite():

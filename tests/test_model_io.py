@@ -333,44 +333,6 @@ def test_eigenvector_entry_out_of_range_is_refused(tmp_path, value, message):
         load_model(path)
 
 
-def test_binary_load_peak_memory(tmp_path):
-    """A binary load with a stored decomposition decodes the payload into one
-    aligned array and drops the file's bytes before the check builds its Gram:
-    the peak, in n^2 doubles, is the eigenvectors and that Gram."""
-    n = 400
-    path = tmp_path / "m.bin"
-    model = fit(np.random.default_rng(35).normal(size=(n, 2)), Abel(1.0), Tikhonov(1e-3))
-    save_model(model, path, fmt="binary", include_decomposition=True)
-    tracemalloc.start()
-    try:
-        loaded = load_model(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / (8.0 * n * n) <= 2.3
-    V = loaded.decomposition.eigenvectors
-    assert V.flags.aligned and V.flags.c_contiguous
-    assert np.array_equal(V, model.decomposition.eigenvectors)
-
-
-def test_binary_save_peak_memory(tmp_path):
-    """A binary save writes each block from its own buffer, with no byte copy
-    of the eigenvectors: the peak, in n^2 doubles, stays far below one."""
-    n = 400
-    path = tmp_path / "m.bin"
-    model = fit(np.random.default_rng(35).normal(size=(n, 2)), Abel(1.0), Tikhonov(1e-3))
-    model.decomposition   # solved before the trace, so only the save is measured
-    tracemalloc.start()
-    try:
-        save_model(model, path, fmt="binary", include_decomposition=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / (8.0 * n * n) <= 0.1
-    assert np.array_equal(load_model(path).decomposition.eigenvectors,
-                          model.decomposition.eigenvectors)
-
-
 # ---------------------------------------------------------------------------
 # Mutated model files: each loads as a working model or raises DataError, and
 # the CLI's score on it exits 0 or 3.
