@@ -15,8 +15,7 @@ from .evaluation import (devroye_wise_member, hausdorff, parzen_score,
 from .filters import (EIG_SLACK, Filter, KpcaTruncation, Landweber,
                       SpectralCutoff, SpectralDecomposition, Tikhonov,
                       decompose, format_filter, parse_filter)
-from .kernels import (SEPARATES_ALL, SEPARATES_LINEAR, SEPARATES_NONE,
-                      Abel, Gaussian, Kernel, L1Exponential,
+from .kernels import (Abel, Gaussian, Kernel, L1Exponential,
                       Linear, Normalized, Product, cross_gram, format_kernel,
                       gram, induced_metric, kernel_eval, metric_matrix,
                       normalize, parse_kernel, product_kernel)
@@ -35,8 +34,7 @@ __all__ = [
     "Abel", "Dataset", "DataError", "EIG_SLACK", "Filter", "Gaussian",
     "Kernel", "KpcaTruncation",
     "L1Exponential", "Landweber", "Linear", "Normalized", "NumericError",
-    "Product", "SEPARATES_ALL", "SEPARATES_LINEAR", "SEPARATES_NONE",
-    "SpectralCutoff", "SpectralDecomposition", "SupportModel",
+    "Product", "SpectralCutoff", "SpectralDecomposition", "SupportModel",
     "SyntheticTask", "Tikhonov", "UsageError",
     "approximation_error_bound", "bernstein_bound", "concentration_bound",
     "cross_gram", "decompose", "devroye_wise_member",

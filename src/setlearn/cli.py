@@ -91,20 +91,23 @@ _BARE_KERNELS = {name: k for name, k in _KERNELS.items() if set(k.keys) <= {"sig
 _WIDTH_KERNELS = [name for name, k in _BARE_KERNELS.items() if k.keys]
 
 
-def _resolve_kernel(text, sigma):
-    """(kernel, k, note) from the --kernel and --sigma texts: a full spec or a
-    family without a width is the kernel, and a family with one takes it from
-    --sigma, a number or auto:k (auto is auto:10), which leaves the family and
-    the neighbour count k to the sample."""
-    text, sigma = text.strip(), sigma.strip()
-    if any(ch in text for ch in " =("):
-        return _parse_spec(text, "kernel", _KERNELS), None, "from spec"
-    if text not in _BARE_KERNELS:
-        raise UsageError(f"unknown kernel {text!r}; use one of {', '.join(_BARE_KERNELS)} "
-                         "or a full kernel spec")
-    family = _BARE_KERNELS[text]
-    if not family.keys:
-        return family(), None, ""
+def _resolve_kernel(args, defaults=_DEFAULTS):
+    """(kernel, k, note) from the --kernel and --sigma flags: a full spec or a
+    family without a width is the kernel, and --sigma beside it exits 2; a
+    family with a width takes it from --sigma, a number or auto:k (auto is
+    auto:10), which leaves the family and the neighbour count k to the sample."""
+    text = _value(args, "kernel", defaults).strip()
+    if text not in _WIDTH_KERNELS:
+        if any(ch in text for ch in " =("):
+            kernel, note = _parse_spec(text, "kernel", _KERNELS), "from spec"
+        elif text in _BARE_KERNELS:
+            kernel, note = _BARE_KERNELS[text](), ""
+        else:
+            raise UsageError(f"unknown kernel {text!r}; use one of {', '.join(_BARE_KERNELS)} "
+                             "or a full kernel spec")
+        _refuse(args, ["sigma"], f"does not apply to --kernel {text!r}")
+        return kernel, None, note
+    family, sigma = _BARE_KERNELS[text], _value(args, "sigma", defaults).strip()
     if sigma == "auto" or sigma.startswith("auto:"):
         try:
             k = 10 if sigma == "auto" else int(sigma[len("auto:"):])
@@ -178,19 +181,9 @@ def _resolve(args, n):
     algorithm = _value(args, "algorithm")
     algorithm = _score_path(family, None if algorithm == "auto" else algorithm)
     tau = _check_tau(_value(args, "tau"))
-    kernel, k, kernel_note = _kernel_flags(args)
+    kernel, k, kernel_note = _resolve_kernel(args)
     return _Config(_unit_kernel(kernel), k, kernel_note, family, filt, filter_note,
                    algorithm, tau)
-
-
-def _kernel_flags(args, defaults=_DEFAULTS):
-    """``_resolve_kernel`` on the --kernel and --sigma flags; --sigma beside a
-    kernel with no width to set exits 2."""
-    text = _value(args, "kernel", defaults).strip()
-    resolved = _resolve_kernel(text, _value(args, "sigma", defaults))
-    if text not in _WIDTH_KERNELS:   # a full spec, or a family with no width
-        _refuse(args, ["sigma"], f"does not apply to --kernel {text!r}")
-    return resolved
 
 
 def _build_model(points, config, vectors=False):
@@ -451,7 +444,7 @@ def cmd_verify_bounds(args):
         _refuse(args, ["task", "kernel", "sigma", "ref_size"],
                 "applies only to --harness concentration")
     else:   # before the defaults fill in, so that only a given --sigma is refused
-        kernel, k, _ = _kernel_flags(args, _BOUNDS_DEFAULTS)
+        kernel, k, _ = _resolve_kernel(args, _BOUNDS_DEFAULTS)
         if k is not None:
             raise UsageError("verify-bounds needs a fixed --sigma (no training set to adapt to)")
     vars(args).update((key, _value(args, key, _BOUNDS_DEFAULTS)) for key in _BOUNDS_DEFAULTS)

@@ -57,7 +57,6 @@ __all__ = [
     "Product", "kernel_eval", "induced_metric", "metric_matrix",
     "normalize", "product_kernel", "gram", "cross_gram", "parse_kernel",
     "format_kernel", "EPS_PSD", "MAX_GRAM_POINTS",
-    "SEPARATES_ALL", "SEPARATES_LINEAR", "SEPARATES_NONE",
 ]
 
 
