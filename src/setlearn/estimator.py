@@ -17,10 +17,11 @@ of the fitted model, built and clipped in one function, ``_contract``, for
 either factor and one or many weight vectors.  Wherever the filter's gains
 allow it, that factor is a triangular T with F = ||T K_x||^2 and w = 1,
 built on the first score so that a model that is only saved (CLI ``train``)
-never factorizes, and Y = T K_x is one triangular product per batch
-(``dtrmm``).  The product overwrites the batch's own K_x, which
-``cross_gram`` returns column-major, so it copies nothing.  The score path
-names the factor:
+never factorizes, and Y = T K_x is one triangular product (``dtrmm``) per
+tile of ``SCORE_TILE`` queries, in place on the tile's own K_x, which
+``cross_gram`` returns column-major, so it copies nothing.  One tile is alive
+at a time, so a score's memory does not grow with the query count.  The score
+path names the factor:
 
 ``cholesky``
     Tikhonov only: the lower W = L^-1 with L L' = K_n + n*lam*I, inverted
@@ -91,6 +92,10 @@ MEMBER_SLACK = 1e-9
 # QR factor read 1.35e-9 off the exact k^2/(1+lambda), past MEMBER_SLACK,
 # where V' K_x and the Cholesky path read within 7e-16.
 MAX_FACTOR_COND = 1.0 / np.sqrt(np.finfo(float).eps)
+
+# Queries scored per tile: a score's memory stays near 2 n * SCORE_TILE doubles
+# for any query count, and a batch of one tile keeps one whole-batch product's bits.
+SCORE_TILE = 1024
 
 
 def _check_tau(tau):
@@ -271,19 +276,23 @@ def score_batch(model, X):
 
 def _contract(model, X, T, weights):
     """F = sum_i w_i * Y_i^2 for each weight vector w, one row each, clipped to
-    [0, 1]: Y = T K_x in place on the batch's column-major K_x (``dtrmm``) for
-    the model's triangular factor T, lower on the ``cholesky`` path and upper
-    on the ``spectral`` one, else Y = V' K_x (``dgemm``), squared once.  Every
-    sum is scipy's ``dgemv``, which reads the column-major Y without a copy."""
-    Kx = cross_gram(model.kernel, model.points, X)
-    if T is None:
-        Y = dgemm(1.0, model.decomposition.eigenvectors.T, Kx)
-    else:
-        Y = dtrmm(1.0, T, Kx, lower=int(model.algorithm == "cholesky"), overwrite_b=1)
-    np.square(Y, out=Y)
+    [0, 1] once at the end.  The queries go in tiles of ``SCORE_TILE`` columns,
+    one tile alive at a time: Y = T K_x in place on the tile's column-major K_x
+    (``dtrmm``) for the model's triangular factor T, lower on the ``cholesky``
+    path and upper on the ``spectral`` one, else Y = V' K_x (``dgemm``), squared
+    once.  Every sum is scipy's ``dgemv``, which reads the column-major Y
+    without a copy, into the tile's columns of F."""
     F = np.empty((len(weights), X.shape[0]))
-    for i, w in enumerate(weights):
-        F[i] = dgemv(1.0, Y, w, trans=1)
+    for j in range(0, X.shape[0], SCORE_TILE):
+        Kx = cross_gram(model.kernel, model.points, X[j:j + SCORE_TILE])
+        if T is None:
+            Y = dgemm(1.0, model.decomposition.eigenvectors.T, Kx)
+        else:
+            Y = dtrmm(1.0, T, Kx, lower=int(model.algorithm == "cholesky"), overwrite_b=1)
+        np.square(Y, out=Y)
+        for i, w in enumerate(weights):
+            F[i, j:j + SCORE_TILE] = dgemv(1.0, Y, w, trans=1)
+        del Kx, Y   # free the tile before the next one is built
     return np.clip(F, 0.0, 1.0, out=F)
 
 

@@ -21,6 +21,7 @@ import setlearn.kernels as kernels
 from setlearn import (Abel, Gaussian, KpcaTruncation, Landweber, SpectralCutoff, Tikhonov,
                       cross_gram, decompose, fit, load_model, parzen_score, regularization_path,
                       save_model, score_batch)
+from setlearn.estimator import SCORE_TILE
 from setlearn.filters import spectrum
 
 N = 400
@@ -137,6 +138,12 @@ ROWS = [
       for name, f, a, peak in [("cholesky", T, "cholesky", 0.79),
                                ("spectral", T, "spectral", 0.79),
                                ("kpca", KpcaTruncation(lam=1e-2), "spectral", 1.4)]),
+    # warm batches of 20 score tiles and one query (the draws repeated): one tile alive
+    *(_row(f"warm-many-{name}", lambda P, Y, d, f=f, a=a: partial(
+        score_batch, _model(P, f, a, state="factor"), np.resize(Y, (20 * SCORE_TILE + 1, 2))),
+           peak)
+      for name, f, a, peak in [("cholesky", T, "cholesky", 3.3),
+                               ("kpca", KpcaTruncation(lam=1e-2), "spectral", 5.75)]),
     _row("regularization_path", lambda P, Y, d: partial(
         regularization_path, _model(P), Y[:256], np.geomspace(1e-4, 1e-1, 12)), 3.3,
          eigh=1, gram=1),
@@ -167,6 +174,9 @@ ROWS = [
     _row("cli-sweep", _cli("sweep", *TRAIN[1:], "--lambdas", "1e-3,1e-2"), 3.3, eigh=1, gram=1),
     _row("cli-eval-task", _cli("eval", *TRAIN[1:], "--trials", "2", "--resolution", "16"), 3.6,
          eigvalsh=2, cho_factor=2, dtrtri=2, gram=4),
+    # the default --resolution 64: a 4096-point grid, four tiles
+    _row("cli-eval-task-grid", _cli("eval", *TRAIN[1:], "--trials", "1"), 4.4,
+         eigvalsh=1, cho_factor=1, dtrtri=1, gram=2),
     _row("cli-eval-task-fixed", _cli("eval", *TRAIN[1:], "--trials", "2", "--resolution", "16",
                                      "--lambda", "1e-3"), 3.6, cho_factor=2, dtrtri=2, gram=2),
 ]

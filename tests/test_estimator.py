@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -406,6 +408,34 @@ def test_spectral_products_run_on_scipy_dgemm_without_copies(monkeypatch):
     for row, lam in zip(path, grid):
         npt.assert_allclose(row, reference(model, Tikhonov(lam)), rtol=0, atol=1e-13)
     assert calls == [("dgemm", True, True, {}, False)]
+
+
+@pytest.mark.parametrize("f, algorithm, grid", [
+    (Tikhonov(1e-3), "cholesky", None), (Tikhonov(1e-3), "spectral", None),
+    (KpcaTruncation(lam=1e-2), "spectral", None), (Tikhonov(1e-3), "cholesky", [1e-3, 1e-2]),
+], ids=["cholesky", "spectral-factor", "kpca", "regularization_path"])
+def test_scores_go_in_tiles_of_score_tile_queries(monkeypatch, f, algorithm, grid):
+    """Two tiles and three queries build three cross-Grams and score bit for bit
+    as the three slices scored one by one; a slice of exactly one tile builds one."""
+    rng = np.random.default_rng(97)
+    pts = rng.uniform(-1.0, 1.0, (60, 2))
+    T = estimator.SCORE_TILE
+    X = rng.uniform(-1.2, 1.2, (2 * T + 3, 2))
+    model = fit(pts, Abel(0.8), f, algorithm=algorithm)
+    if grid is None:
+        assert (model.factor is None) == isinstance(f, KpcaTruncation)
+    run = partial(score_batch, model) if grid is None else (
+        lambda Q: regularization_path(model, Q, grid))
+    widths = []
+    monkeypatch.setattr(estimator, "cross_gram",
+                        lambda k, p, Q: widths.append(len(Q)) or cross_gram(k, p, Q))
+    whole = run(X)
+    assert widths == [T, T, 3]
+    assert whole.shape == ((len(X),) if grid is None else (2, len(X)))
+    widths.clear()
+    slices = [run(X[j:j + T]) for j in range(0, len(X), T)]
+    assert widths == [T, T, 3]
+    assert np.array_equal(whole, np.concatenate(slices, axis=-1))
 
 
 _IDENTITY_KERNELS = [
