@@ -93,9 +93,9 @@ MEMBER_SLACK = 1e-9
 # where V' K_x and the Cholesky path read within 7e-16.
 MAX_FACTOR_COND = 1.0 / np.sqrt(np.finfo(float).eps)
 
-# Queries scored per tile: a score's memory stays near 2 n * SCORE_TILE doubles
-# for any query count, and a batch of one tile keeps one whole-batch product's bits.
-SCORE_TILE = 1024
+# Queries scored per tile: a score's memory stays near 2 n * SCORE_TILE doubles for
+# any query count.  Fixed: a width from n (262 at n = 1000) moved scores by 3.3e-16.
+SCORE_TILE = 256
 
 
 def _check_tau(tau):
@@ -276,12 +276,12 @@ def score_batch(model, X):
 
 def _contract(model, X, T, weights):
     """F = sum_i w_i * Y_i^2 for each weight vector w, one row each, clipped to
-    [0, 1] once at the end.  The queries go in tiles of ``SCORE_TILE`` columns,
-    one tile alive at a time: Y = T K_x in place on the tile's column-major K_x
-    (``dtrmm``) for the model's triangular factor T, lower on the ``cholesky``
-    path and upper on the ``spectral`` one, else Y = V' K_x (``dgemm``), squared
-    once.  Every sum is scipy's ``dgemv``, which reads the column-major Y
-    without a copy, into the tile's columns of F."""
+    [0, 1] once at the end.  The queries go in tiles of ``SCORE_TILE`` = 256
+    columns, one alive at a time, so the cross-Gram and BLAS's packed copy of
+    it stay near n x 256: Y = T K_x in place on the tile's column-major K_x
+    (``dtrmm``) for the model's triangular factor T, lower on ``cholesky`` and
+    upper on ``spectral``, else Y = V' K_x (``dgemm``), squared once.  Every
+    sum is scipy's ``dgemv``, on Y without a copy, into the tile's columns of F."""
     F = np.empty((len(weights), X.shape[0]))
     for j in range(0, X.shape[0], SCORE_TILE):
         Kx = cross_gram(model.kernel, model.points, X[j:j + SCORE_TILE])

@@ -20,16 +20,31 @@ __all__ = [
     "parzen_score", "devroye_wise_member",
 ]
 
+# Most entries in one row block of a query-by-set block (oracles.TILE squared).
+# A row's sum or minimum reads that row alone, so the blocks keep the whole's bits.
+BLOCK_ENTRIES = 2 ** 16
+
+
+def _row_blocks(X, other):
+    """X's rows in slices of at most ``BLOCK_ENTRIES`` entries against ``other``."""
+    step = max(1, BLOCK_ENTRIES // len(other))
+    return (X[i:i + step] for i in range(0, len(X), step))
+
 
 def hausdorff(A, B, kernel=None):
     """Hausdorff distance max(sup_a d(a, B), sup_b d(b, A)) on finite sets.
 
     Euclidean by default; pass a kernel spec to use the metric it induces.
-    Both sets must be nonempty.
+    Both sets must be nonempty.  Euclidean distances go in row blocks of A
+    (``BLOCK_ENTRIES``), a running minimum per column; the kernel path is one block.
     """
     A, B = _point_pair(A, B, ("A", "B"))
-    D = cdist(A, B) if kernel is None else metric_matrix(kernel, A, B)
-    return float(max(D.min(axis=1).max(), D.min(axis=0).max()))
+    to_b, to_a = 0.0, np.inf
+    for D in ((cdist(Q, B) for Q in _row_blocks(A, B)) if kernel is None
+              else [metric_matrix(kernel, A, B)]):
+        to_b, to_a = max(to_b, D.min(axis=1).max()), np.minimum(to_a, D.min(axis=0))
+        del D   # freed before the next block is built
+    return float(max(to_b, to_a.max()))
 
 
 def symdiff_measure(inside_a, inside_b, cell_volume):
@@ -86,7 +101,8 @@ def parzen_score(train, h, x):
 
     Deliberately unnormalized (the profile exp(-||u||) does not integrate
     to one); ROC comparisons are unaffected.  A 1-d ``x`` gives a float,
-    a 2-d batch gives a vector.  The sum is the ``Abel(h)`` block.  A
+    a 2-d batch gives a vector.  The sum is the ``Abel(h)`` block, in row
+    blocks of the queries (``BLOCK_ENTRIES``).  A
     bandwidth whose n h^d, or n / (n h^d), the bound on every score, is
     not a positive finite float is refused with a ``NumericError``.
     """
@@ -103,18 +119,21 @@ def parzen_score(train, h, x):
         raise NumericError(
             f"bandwidth {h!r} leaves the Parzen normalizer 1/(n*h^d) outside "
             f"the float range at n={n}, d={d}")
-    vals = Abel(h)._pairwise(X, train).sum(axis=1) / norm
+    kernel = Abel(h)
+    vals = np.concatenate([kernel._pairwise(Q, train).sum(axis=1)
+                           for Q in _row_blocks(X, train)]) / norm
     return float(vals[0]) if single else vals
 
 
 def devroye_wise_member(train, eps, x):
     """Union-of-balls membership: min_i ||x - x_i|| <= eps (closed balls).
 
-    A 1-d ``x`` gives a bool, a 2-d batch gives a bool vector.
+    A 1-d ``x`` gives a bool, a 2-d batch gives a bool vector.  The distances
+    go in row blocks of the queries (``BLOCK_ENTRIES``).
     """
     check_number("radius must be positive", eps, ok=lambda v: v > 0)
     x = real_array("x must be real numbers", x, data=True)
     single = x.ndim == 1
     X, train = _point_pair(x[None, :] if single else x, train, ("x", "train"))
-    member = cdist(X, train).min(axis=1) <= eps
+    member = np.concatenate([cdist(Q, train).min(axis=1) for Q in _row_blocks(X, train)]) <= eps
     return bool(member[0]) if single else member

@@ -3,12 +3,12 @@
 Dense matrix functions of the spectrum, the Cholesky solve for Tikhonov
 coefficients, the pseudo-inverse score, a matrix-function perturbation
 check, a convergence-rate witness for the empirical operator, the
-out-of-place formulas of the kernel blocks, Grams, self-distances and
-Parzen scores, and the cell-by-cell renderings of CSV tables and text
-model payloads.  The library scores through one contraction over a
-factor of the fitted model (see ``setlearn.estimator``); these build the
-operators the theory speaks about explicitly, so the tests can compare
-the two.
+out-of-place formulas of the kernel blocks, Grams, self-distances,
+Parzen scores, Hausdorff distances and union-of-balls membership, and
+the cell-by-cell renderings of CSV tables and text model payloads.  The
+library scores through one contraction over a factor of the fitted model
+(see ``setlearn.estimator``); these build the operators the theory speaks
+about explicitly, so the tests can compare the two.
 """
 
 from __future__ import annotations
@@ -166,6 +166,17 @@ def parzen_scores(train, h, X):
     """(1/(n h^d)) sum_i exp(-||x - x_i|| / h) for a batch of points."""
     n, d = train.shape
     return np.exp(-cdist(X, train) / h).sum(axis=1) / (n * h ** d)
+
+
+def hausdorff_distance(A, B):
+    """The Euclidean Hausdorff distance of two point sets, from one whole block."""
+    D = cdist(A, B)
+    return float(max(D.min(axis=1).max(), D.min(axis=0).max()))
+
+
+def union_of_balls(train, eps, X):
+    """min_i ||x - x_i|| <= eps for a batch of points, from one whole block."""
+    return cdist(X, train).min(axis=1) <= eps
 
 
 def table_body(rows):

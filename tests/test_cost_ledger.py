@@ -19,7 +19,8 @@ import pytest
 import setlearn.cli as cli
 import setlearn.kernels as kernels
 from setlearn import (Abel, Gaussian, KpcaTruncation, Landweber, SpectralCutoff, Tikhonov,
-                      cross_gram, decompose, fit, load_model, parzen_score, regularization_path,
+                      cross_gram, decompose, devroye_wise_member, fit, get_task, hausdorff,
+                      load_model, parzen_score, reference_support, regularization_path,
                       save_model, score_batch)
 from setlearn.estimator import SCORE_TILE
 from setlearn.filters import spectrum
@@ -95,6 +96,17 @@ def _cli_score(P, Y, d):
     return partial(_main, ["score", "--model", str(model), "--data", str(data)], d)
 
 
+def _cli_eval_model(P, Y, d):
+    """``eval --model`` on a text Cholesky model and 1,000 labelled queries."""
+    model, data = d / "m.txt", d / "x.csv"
+    _main(TRAIN, d)
+    (d / "out").rename(model)
+    Q = np.random.default_rng(1).uniform(-1.2, 1.2, (1000, 2))
+    np.savetxt(data, np.column_stack([Q, np.abs(np.hypot(*Q.T) - 1.0) < 0.2]), delimiter=",")
+    return partial(_main, ["eval", "--model", str(model), "--data", str(data),
+                           "--label-col", "2"], d)
+
+
 def _row(name, prepare, peak, held=None, check=None, n=N, **counts):
     return pytest.param(prepare, n, peak, held, check, counts, id=name)
 
@@ -105,7 +117,12 @@ ROWS = [
     _row("cross_gram", lambda P, Y, d: partial(cross_gram, K, P, Y), 1.24),
     *(_row(f"gram-{n}", lambda P, Y, d: partial(kernels.gram, Abel(0.5), P), 1.15, n=n,
            gram=1) for n in (200, 400, 600)),
-    _row("parzen_score", lambda P, Y, d: partial(parzen_score, P, K.sigma, Y), 1.1),
+    # query-by-set blocks, in row blocks of at most 2^16 entries
+    _row("parzen_score", lambda P, Y, d: partial(parzen_score, P, K.sigma, Y), 0.45),
+    _row("devroye_wise_member", lambda P, Y, d: partial(devroye_wise_member, P, 0.1, Y), 0.45),
+    # the grid's members against eval --task's 2,000-point reference support
+    _row("hausdorff", lambda P, Y, d: partial(
+        hausdorff, P, reference_support(get_task("circle"), 2000)), 0.48),
     # the solves work in place on one n^2 buffer, plus LAPACK's: a copy of the
     # caller's Gram for the public ones, the library's own fresh Gram for the rest
     _row("spectrum", lambda P, Y, d: partial(spectrum, kernels.gram(K, P)), 1.24, eigvalsh=1),
@@ -142,8 +159,8 @@ ROWS = [
     *(_row(f"warm-many-{name}", lambda P, Y, d, f=f, a=a: partial(
         score_batch, _model(P, f, a, state="factor"), np.resize(Y, (20 * SCORE_TILE + 1, 2))),
            peak)
-      for name, f, a, peak in [("cholesky", T, "cholesky", 3.3),
-                               ("kpca", KpcaTruncation(lam=1e-2), "spectral", 5.75)]),
+      for name, f, a, peak in [("cholesky", T, "cholesky", 0.83),
+                               ("kpca", KpcaTruncation(lam=1e-2), "spectral", 1.45)]),
     _row("regularization_path", lambda P, Y, d: partial(
         regularization_path, _model(P), Y[:256], np.geomspace(1e-4, 1e-1, 12)), 3.3,
          eigh=1, gram=1),
@@ -172,13 +189,14 @@ ROWS = [
                           ("landweber", ["--filter", "landweber", "--m", "5"])]),
     _row("cli-score", _cli_score, 2.35, cho_factor=1, dtrtri=1, gram=2),
     _row("cli-sweep", _cli("sweep", *TRAIN[1:], "--lambdas", "1e-3,1e-2"), 3.3, eigh=1, gram=1),
-    _row("cli-eval-task", _cli("eval", *TRAIN[1:], "--trials", "2", "--resolution", "16"), 3.6,
+    _row("cli-eval-task", _cli("eval", *TRAIN[1:], "--trials", "2", "--resolution", "16"), 2.4,
          eigvalsh=2, cho_factor=2, dtrtri=2, gram=4),
-    # the default --resolution 64: a 4096-point grid, four tiles
-    _row("cli-eval-task-grid", _cli("eval", *TRAIN[1:], "--trials", "1"), 4.4,
+    # the default --resolution 64: a 4096-point grid, sixteen tiles
+    _row("cli-eval-task-grid", _cli("eval", *TRAIN[1:], "--trials", "1"), 2.05,
          eigvalsh=1, cho_factor=1, dtrtri=1, gram=2),
+    _row("cli-eval-model", _cli_eval_model, 1.95, cho_factor=1, dtrtri=1, gram=1),
     _row("cli-eval-task-fixed", _cli("eval", *TRAIN[1:], "--trials", "2", "--resolution", "16",
-                                     "--lambda", "1e-3"), 3.6, cho_factor=2, dtrtri=2, gram=2),
+                                     "--lambda", "1e-3"), 1.98, cho_factor=2, dtrtri=2, gram=2),
 ]
 
 

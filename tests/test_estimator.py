@@ -238,7 +238,7 @@ def test_cholesky_path_refuses_an_overflowing_shift():
 def test_cholesky_scores_multiply_in_place_on_column_major_cross_gram(monkeypatch):
     rng = np.random.default_rng(83)
     pts = rng.uniform(-1.0, 1.0, (120, 2))
-    X = rng.uniform(-1.2, 1.2, (300, 2))
+    X = rng.uniform(-1.2, 1.2, (estimator.SCORE_TILE, 2))   # one tile, one product
     model = fit(pts, Abel(0.8), Tikhonov(1e-3), algorithm="cholesky")
     calls = []
 
@@ -376,7 +376,7 @@ def test_spectral_products_run_on_scipy_dgemm_without_copies(monkeypatch):
     place on the column-major cross-Gram.  Neither copies an operand."""
     rng = np.random.default_rng(89)
     pts = rng.uniform(-1.0, 1.0, (120, 2))
-    X = rng.uniform(-1.2, 1.2, (300, 2))
+    X = rng.uniform(-1.2, 1.2, (estimator.SCORE_TILE, 2))   # one tile, one product
     calls = []
 
     def spy(name, product):

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from _reference import hausdorff_distance, parzen_scores, union_of_balls
+from scipy.spatial.distance import cdist
 
 from setlearn import (Abel, DataError, NumericError, UsageError, devroye_wise_member,
-                      hausdorff, induced_metric, parzen_score, roc_auc,
+                      evaluation, hausdorff, induced_metric, parzen_score, roc_auc,
                       symdiff_measure)
 
 
@@ -238,3 +240,52 @@ def test_devroye_wise_membership():
 def test_devroye_wise_validates_eps():
     with pytest.raises(UsageError):
         devroye_wise_member(np.array([[0.0]]), -1.0, [0.0])
+
+
+@pytest.mark.parametrize("n, m, d", [(300, 500, 2), (1, 7, 1), (163, 1, 3),
+                                     (2 ** 16 + 5, 3, 2)],
+                         ids=["ragged-blocks", "one-train-point", "one-query", "one-row-blocks"])
+def test_row_blocks_keep_the_bits_of_one_whole_block(n, m, d):
+    """Parzen, Hausdorff and union-of-balls in row blocks of at most
+    ``BLOCK_ENTRIES`` entries equal the whole-block formulas bit for bit, with
+    coincident queries and training points; past 2^16 points a block is one row."""
+    rng = np.random.default_rng([n, m, d])
+    train = rng.uniform(-1.0, 1.0, (n, d))
+    X = rng.uniform(-1.2, 1.2, (m, d))
+    X[1::2] = train[rng.integers(0, n, len(X[1::2]))]   # coincident points
+    # a query's own distance to the sample: one ball's closed edge
+    eps = float(np.quantile(cdist(X, train).min(axis=1), 0.75, method="lower"))
+    assert np.array_equal(parzen_score(train, 0.5, X), parzen_scores(train, 0.5, X))
+    assert np.array_equal(devroye_wise_member(train, eps, X), union_of_balls(train, eps, X))
+    assert hausdorff(X, train) == hausdorff_distance(X, train)
+    assert hausdorff(train, X) == hausdorff_distance(train, X)
+    # the 1-d single-point forms
+    x = X[-1]
+    assert parzen_score(train, 0.5, x) == parzen_scores(train, 0.5, x[None])[0]
+    assert devroye_wise_member(train, eps, x) is bool(union_of_balls(train, eps, x[None])[0])
+    assert hausdorff(x, train) == hausdorff_distance(x[None], train)
+
+
+def test_query_rows_go_in_blocks_of_block_entries(monkeypatch):
+    """Against 300 points a block holds 218 query rows: 500 queries are three
+    blocks of each query-by-set block, and one query is one block."""
+    assert evaluation.BLOCK_ENTRIES == 2 ** 16
+    rng = np.random.default_rng(11)
+    train, X = rng.uniform(-1.0, 1.0, (300, 2)), rng.uniform(-1.2, 1.2, (500, 2))
+    rows = []
+    monkeypatch.setattr(evaluation, "cdist", lambda Q, B: rows.append(len(Q)) or cdist(Q, B))
+    pairwise = Abel._pairwise
+    monkeypatch.setattr(Abel, "_pairwise",
+                        lambda k, Q, B: rows.append(len(Q)) or pairwise(k, Q, B))
+    for call in [lambda: parzen_score(train, 0.5, X), lambda: devroye_wise_member(train, 0.1, X),
+                 lambda: hausdorff(X, train)]:
+        rows.clear()
+        call()
+        assert rows == [218, 218, 64]
+    rows.clear()
+    parzen_score(train, 0.5, X[0])
+    devroye_wise_member(train, 0.1, X[0])
+    assert rows == [1, 1]
+    rows.clear()
+    hausdorff(train, X)   # 300 rows of A against 500 points: 131 rows a block
+    assert rows == [131, 131, 38]
