@@ -24,7 +24,7 @@ D = decompose(gram(Abel(sigma), train))
 lam = lambda_curvature(D.eigenvalues)
 print(f"curvature knee:  lambda = {lam:.6g}")
 print(f"rate choice (s=b=1, n=200): lambda = {rate_lambda(200):.4f}")
-print(f"lambda keeping 10 kpca components: {kpca_lambda_from_rank(D, 10):.6g}")
+print(f"lambda keeping 10 kpca components: {kpca_lambda_from_rank(D.eigenvalues, 10):.6g}")
 
 # One decomposition, many lambdas: the path reports scores for each.
 model = fit(train, Abel(sigma), Tikhonov(lam))

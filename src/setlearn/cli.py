@@ -27,8 +27,8 @@ from .estimator import (ALGORITHMS, _check_query, _check_tau, _score_path, fit, 
                         regularization_path, score_batch)
 from .evaluation import hausdorff, parzen_score, roc_auc, symdiff_measure
 from .filters import _FILTERS, NULL_EIG, KpcaTruncation, Landweber, format_filter
-# In-place solves under the public names, which bench/tracing.py wraps.
-from .filters import _decompose_in_place as decompose, _spectrum_in_place as spectrum
+# The in-place eigensolve under the public name decompose, which bench/tracing.py wraps.
+from .filters import _decompose_in_place as decompose, _spectrum_in_place
 from .kernels import _KERNELS, SEPARATES_ALL, _parse_spec, format_kernel, gram, normalize
 from .model_io import load_model, save_model
 from .oracles import (bernstein_trials, concentration_bound, concentration_trials,
@@ -182,6 +182,8 @@ def _resolve(args, n):
     algorithm = _score_path(family, None if algorithm == "auto" else algorithm)
     tau = _check_tau(_value(args, "tau"))
     kernel, k, kernel_note = _resolve_kernel(args)
+    if k is not None and not 1 <= k < n:
+        raise UsageError(f"--sigma auto:<k> needs k in [1, n) = [1, {n}), got {k}")
     return _Config(_unit_kernel(kernel), k, kernel_note, family, filt, filter_note,
                    algorithm, tau)
 
@@ -199,7 +201,7 @@ def _build_model(points, config, vectors=False):
     D = (None if config.algorithm == "cholesky" and not vectors
          else decompose(gram(kernel, points)))
     eigenvalues = (D.eigenvalues if D is not None
-                   else spectrum(gram(kernel, points)) if filt is None else None)
+                   else _spectrum_in_place(gram(kernel, points)) if filt is None else None)
     if filt is None:
         filt = config.family(lambda_curvature(eigenvalues))
     return fit(points, kernel, filt, config.algorithm, config.tau, D), eigenvalues
@@ -236,7 +238,7 @@ def cmd_train(args):
     config = _resolve(args, points.shape[0])
     model, eigenvalues = _build_model(points, config, vectors=args.store_decomposition)
     if eigenvalues is None:
-        eigenvalues = spectrum(gram(model.kernel, model.points))
+        eigenvalues = _spectrum_in_place(gram(model.kernel, model.points))
     save_model(model, args.out, fmt=args.model_format,
                include_decomposition=args.store_decomposition)
     eigs_out = args.eigs_out or (args.out + ".eigs.csv")
@@ -390,7 +392,7 @@ def cmd_sweep(args):
     taus = _parse_grid(args.taus, "--taus")
     check_number("tau values must lie in [0, 1)", *taus, ok=lambda v: 0 <= v < 1)
     for value in lambdas:   # a strength the family refuses, before the Gram
-        config.family.at(value)
+        config.family(value)
     # the test file is read and its dimension checked before the Gram
     test = (None if args.test is None else
             _check_query(load_csv(args.test, header=bool(args.header)).points, points.shape[1]))

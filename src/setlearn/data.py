@@ -61,7 +61,7 @@ def load_csv(path, header=False, label_col=None):
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
-        row = blob.count(b"\n", 0, exc.start) + 1
+        row = len(blob[:exc.start + 1].splitlines())   # on \n, \r\n and \r, as below
         raise DataError(f"{path}: row {row} is not UTF-8 text") from None
     rows = []
     first_data_line = True

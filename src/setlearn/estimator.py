@@ -166,7 +166,7 @@ class SupportModel:
             fields["decomposition"] = eigenpairs
         if isinstance(self.filter, KpcaTruncation) and self.filter.lam is None:
             fields["filter"] = KpcaTruncation(
-                lam=kpca_lambda_from_rank(self.decomposition, self.filter.components))
+                lam=kpca_lambda_from_rank(self.decomposition.eigenvalues, self.filter.components))
 
     @property
     def n(self):
@@ -351,21 +351,19 @@ def regularization_path(model, X, grid):
     if not grid:
         raise UsageError("empty regularization grid")
     X = _check_query(X, _model(model).dim)
-    filters = [model.filter.at(value) for value in grid]
+    filters = [type(model.filter)(value) for value in grid]
     s = model.decomposition.eigenvalues
     return _contract(model, X, None, [f._score_gains(s) / model.n for f in filters])
 
 
-def kpca_lambda_from_rank(decomposition, components):
+def kpca_lambda_from_rank(eigenvalues, components):
     """Threshold keeping exactly ``components`` distinct positive eigenvalues.
 
-    Accepts a SpectralDecomposition or a bare eigenvalue vector.  Returns
-    the midpoint of the M-th and (M+1)-th distinct positive eigenvalues,
+    Returns the midpoint of the M-th and (M+1)-th distinct positive eigenvalues,
     so small perturbations of the spectrum do not flip the truncation.
     """
     M = KpcaTruncation(components=components).components   # the filter's own count check
-    s = getattr(decomposition, "eigenvalues", decomposition)
-    distinct = np.unique(real_array("eigenvalues must be real numbers", s))[::-1]
+    distinct = np.unique(real_array("eigenvalues must be real numbers", eigenvalues))[::-1]
     distinct = distinct[distinct > 0.0]
     if distinct.size < M + 1:
         raise UsageError(

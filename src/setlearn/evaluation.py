@@ -13,7 +13,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError, NumericError, check_number, real_array
-from .kernels import Abel, _point_pair, metric_matrix
+from .kernels import Abel, _point_pair
 
 __all__ = [
     "hausdorff", "symdiff_measure", "roc_auc",
@@ -31,17 +31,15 @@ def _row_blocks(X, other):
     return (X[i:i + step] for i in range(0, len(X), step))
 
 
-def hausdorff(A, B, kernel=None):
-    """Hausdorff distance max(sup_a d(a, B), sup_b d(b, A)) on finite sets.
+def hausdorff(A, B):
+    """Euclidean Hausdorff distance max(sup_a d(a, B), sup_b d(b, A)) on finite sets.
 
-    Euclidean by default; pass a kernel spec to use the metric it induces.
-    Both sets must be nonempty.  Euclidean distances go in row blocks of A
-    (``BLOCK_ENTRIES``), a running minimum per column; the kernel path is one block.
+    Both sets must be nonempty.  The distances go in row blocks of A
+    (``BLOCK_ENTRIES``), a running minimum per column.
     """
     A, B = _point_pair(A, B, ("A", "B"))
     to_b, to_a = 0.0, np.inf
-    for D in ((cdist(Q, B) for Q in _row_blocks(A, B)) if kernel is None
-              else [metric_matrix(kernel, A, B)]):
+    for D in (cdist(Q, B) for Q in _row_blocks(A, B)):
         to_b, to_a = max(to_b, D.min(axis=1).max()), np.minimum(to_a, D.min(axis=0))
         del D   # freed before the next block is built
     return float(max(to_b, to_a.max()))

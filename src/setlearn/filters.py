@@ -25,13 +25,12 @@ the factorization, the product V' K_x and the sums in :mod:`.estimator`
 (see there why).  Filters act on the spectrum only; no matrix r(K_n/n) or
 g(K_n/n) is ever formed.
 
-The public :func:`decompose` and :func:`spectrum` leave the caller's Gram
-as it was: they solve a scaled copy, one n^2 besides dsyevd's 2 n^2 of
-workspace (O(n) for the eigenvalues alone).  The library's own solves (a
-model's ``decomposition``, the command line's builds) hand over a Gram
-built for the solve, which is divided in place into K_n/n, bit for bit the
-copy, and solved on: 3 n^2 in all for the eigenpairs, 1 n^2 for the
-eigenvalues.
+The public :func:`decompose` leaves the caller's Gram as it was: it
+solves a scaled copy, one n^2 besides dsyevd's 2 n^2 of workspace.  The
+library's own solves (a model's ``decomposition``, the command line's
+builds) hand over a Gram built for the solve, which is divided in place
+into K_n/n, bit for bit the copy, and solved on: 3 n^2 in all for the
+eigenpairs, 1 n^2 for the eigenvalues.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ NULL_EIG = 1e-12
 
 __all__ = [
     "Filter", "Tikhonov", "SpectralCutoff", "Landweber", "KpcaTruncation",
-    "SpectralDecomposition", "decompose", "spectrum", "parse_filter",
+    "SpectralDecomposition", "decompose", "parse_filter",
     "format_filter", "EIG_SLACK",
 ]
 
@@ -76,15 +75,10 @@ class Filter(_Spec):
 
     ``algorithm`` is the score path a family owns and fits through by
     default.  A family declares ``_r``/``_g``, r and g on a clamped
-    spectrum, ``lipschitz()``, r's Lipschitz constant or ``None``, and
-    ``at(value)``, which builds the family's filter at a given strength.
+    spectrum, and ``lipschitz()``, r's Lipschitz constant or ``None``.
     """
 
     algorithm = "spectral"
-
-    @classmethod
-    def at(cls, value):
-        return cls(value)
 
     def r(self, sigma):
         """Profile r(sigma); scalar in, scalar out, arrays vectorized."""
@@ -196,11 +190,6 @@ class Landweber(Filter):
     def lipschitz(self):
         return float(self.iterations + 1)
 
-    @classmethod
-    def at(cls, value):
-        integral = isinstance(value, (float, np.floating)) and value.is_integer()
-        return Landweber(int(value) if integral else value)
-
 
 @dataclass(frozen=True)
 class KpcaTruncation(Filter):
@@ -305,12 +294,6 @@ def decompose(g):
     return _eig(_scaled_copy(g), vectors=True)
 
 
-def spectrum(g):
-    """Eigenvalues of K_n/n as :func:`decompose` gives them, at about half its
-    cost, on a scaled copy of ``g`` in the same way, with O(n) workspace besides."""
-    return _eig(_scaled_copy(g), vectors=False)
-
-
 def _scaled_copy(g):
     """K_n/n as a copy of the Gram ``g``, a nonempty square real matrix."""
     g = real_array("a Gram matrix must be real numbers", g)
@@ -327,8 +310,8 @@ def _decompose_in_place(G):
 
 
 def _spectrum_in_place(G):
-    """:func:`spectrum` of a Gram that the caller drops, in place as
-    :func:`_decompose_in_place` solves: no n^2 beyond ``G``."""
+    """The eigenvalues of :func:`_decompose_in_place`, at about half its cost, in
+    place on a Gram that the caller drops: O(n) workspace, no n^2 beyond ``G``."""
     return _eig(np.divide(G, len(G), out=G), vectors=False)
 
 

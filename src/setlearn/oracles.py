@@ -171,15 +171,13 @@ def concentration_bound(n, delta):
     return 2.0 * max(delta, np.sqrt(2.0 * delta)) / np.sqrt(n)
 
 
-def effective_dimension(decomposition, lam):
-    """N(lambda) = sum_j sigma_j / (sigma_j + lambda) over the positive spectrum.
+def effective_dimension(eigenvalues, lam):
+    """N(lambda) = sum_j sigma_j / (sigma_j + lambda) over the positive eigenvalues.
 
-    Decreasing in lambda, tends to the rank as lambda -> 0.  Accepts a
-    SpectralDecomposition or a bare eigenvalue vector.
+    Decreasing in lambda, tends to the rank as lambda -> 0.
     """
     check_number("lambda must be positive", lam, ok=lambda v: v > 0)
-    s = getattr(decomposition, "eigenvalues", decomposition)
-    s = real_array("eigenvalues must be real numbers", s).astype(float, copy=False)
+    s = real_array("eigenvalues must be real numbers", eigenvalues).astype(float, copy=False)
     s = s[s > 0.0]
     return float(np.sum(s / (s + lam)))
 

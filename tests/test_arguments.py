@@ -101,8 +101,6 @@ ARGUMENTS = [
         ("Normalized", lambda k: gram(Normalized(k), X)),
         ("hs_norm", lambda k: hs_norm(k, X)),
         ("hs_distance", lambda k: hs_distance(k, X, X[:2])))),
-    ("hausdorff-kernel", lambda k: hausdorff(X, X, kernel=k), ("abel", Tikhonov(0.1)),
-     UsageError),
     ("product_kernel-factors", product_kernel,
      (3, [Abel(1.0)], [(Abel(1.0), 2)], [(Abel(1.0), (0, 1, 2))]), UsageError),
     ("product_kernel-slice", lambda v: product_kernel([(Abel(1.0), (v, 2))]),
@@ -282,7 +280,7 @@ VALID_CALLS = {
     "DataError": ("a",), "NumericError": ("a",), "UsageError": ("a",),
     "approximation_error_bound": (0.1, 0.5, 1.0), "bernstein_bound": (1.0, 1.0, 100, 2.0),
     "concentration_bound": (100, 2.0), "finite_sample_bound": (100, 2.0, 0.5, 0.5, 1.0, 1.0),
-    "sample_error_bound": (100, 0.1, 2.0, 3.0), "effective_dimension": (MODEL.decomposition, 0.1),
+    "sample_error_bound": (100, 0.1, 2.0, 3.0), "effective_dimension": (SPECTRUM, 0.1),
     "hs_distance": (Abel(1.0), X, X[:2]), "hs_norm": (Abel(1.0), X),
     "concentration_trials": (CIRCLE.draw, Abel(1.0), 5, 1.0, 2, 5, 0),
     "bernstein_trials": (10, 1.0, 2, 0),

@@ -23,7 +23,6 @@ from setlearn import (Abel, Gaussian, KpcaTruncation, Landweber, SpectralCutoff,
                       load_model, parzen_score, reference_support, regularization_path,
                       save_model, score_batch)
 from setlearn.estimator import SCORE_TILE
-from setlearn.filters import spectrum
 
 N = 400
 K = Abel(1.0)
@@ -125,7 +124,6 @@ ROWS = [
         hausdorff, P, reference_support(get_task("circle"), 2000)), 0.48),
     # the solves work in place on one n^2 buffer, plus LAPACK's: a copy of the
     # caller's Gram for the public ones, the library's own fresh Gram for the rest
-    _row("spectrum", lambda P, Y, d: partial(spectrum, kernels.gram(K, P)), 1.24, eigvalsh=1),
     _row("decompose", lambda P, Y, d: partial(decompose, kernels.gram(K, P)), 3.25, eigh=1),
     _row("decomposition", lambda P, Y, d: lambda: _model(P, algorithm="spectral").decomposition,
          3.1, eigh=1, gram=1),

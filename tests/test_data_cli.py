@@ -91,6 +91,16 @@ def test_load_csv_non_utf8_names_row(tmp_path):
         load_csv(p)
 
 
+@pytest.mark.parametrize("eol", [b"\r", b"\n", b"\r\n"], ids=["cr", "lf", "crlf"])
+def test_load_csv_non_utf8_row_counts_every_line_ending(tmp_path, eol):
+    """The row of a byte that is not UTF-8 counts lines as the parser splits
+    them: on \\r, \\n and \\r\\n alike."""
+    p = tmp_path / "d.csv"
+    p.write_bytes(eol.join([b"1,2", b"3,4", b"5,\xff", b""]))
+    with pytest.raises(DataError, match="row 3 is not UTF-8 text"):
+        load_csv(p)
+
+
 _CELLS = [[b"0.5", b"1.25"], [b"-2", b"3e-3"], [b"7", b"8"]]
 
 
@@ -700,6 +710,8 @@ def _row(id, argv, message, code=2, edit=None, **counts):
     _row("train-sigma-abc", _TRAIN + ["--sigma", "abc"], "bad --sigma 'abc'"),
     _row("train-sigma-auto-x", _TRAIN + ["--sigma", "auto:x"],
          "bad --sigma 'auto:x'; expected auto:<k>"),
+    *(_row(f"train-sigma-auto-{k}", _TRAIN + ["--sigma", f"auto:{k}"],
+           f"--sigma auto:<k> needs k in [1, n) = [1, 60), got {k}") for k in ["0", "60"]),
     _row("cutoff-cholesky", _TRAIN + ["--filter", "cutoff", "--algorithm", "cholesky"],
          "the cholesky path applies only to the Tikhonov filter"),
     # sizes, counts and seeds

@@ -7,7 +7,7 @@ from _reference import hausdorff_distance, parzen_scores, union_of_balls
 from scipy.spatial.distance import cdist
 
 from setlearn import (Abel, DataError, NumericError, UsageError, devroye_wise_member,
-                      evaluation, hausdorff, induced_metric, parzen_score, roc_auc,
+                      evaluation, hausdorff, parzen_score, roc_auc,
                       symdiff_measure)
 
 
@@ -39,14 +39,6 @@ def test_hausdorff_metric_axioms():
         for B in sets:
             for C in sets:
                 assert hausdorff(A, C) <= hausdorff(A, B) + hausdorff(B, C) + 1e-12
-
-
-def test_hausdorff_induced_metric_option():
-    A = np.array([[0.0, 0.0]])
-    B = np.array([[1.0, 0.0]])
-    k = Abel(1.0)
-    expected = induced_metric(k, A[0], B[0])
-    npt.assert_allclose(hausdorff(A, B, kernel=k), expected, rtol=1e-12)
 
 
 def test_hausdorff_rejects_empty_set():

@@ -251,19 +251,19 @@ def test_bounds_keep_a_large_finite_value():
 
 def test_effective_dimension_examples():
     D = decompose(gram(Abel(1.0), [[0.0], [np.log(2.0)]]))
-    npt.assert_allclose(effective_dimension(D, 0.25), 1.25, rtol=1e-12)
-    assert effective_dimension(D, 1e9) <= 1e-8
+    npt.assert_allclose(effective_dimension(D.eigenvalues, 0.25), 1.25, rtol=1e-12)
+    assert effective_dimension(D.eigenvalues, 1e9) <= 1e-8
     rng = np.random.default_rng(11)
     D2 = decompose(gram(Abel(1.0), rng.normal(size=(8, 2))))
     r = int(np.count_nonzero(D2.eigenvalues > 1e-12))
-    npt.assert_allclose(effective_dimension(D2, 1e-12), r, atol=1e-6)
+    npt.assert_allclose(effective_dimension(D2.eigenvalues, 1e-12), r, atol=1e-6)
 
 
 def test_effective_dimension_decreasing_in_lambda():
     rng = np.random.default_rng(13)
-    D = decompose(gram(Abel(1.0), rng.normal(size=(10, 2))))
+    s = decompose(gram(Abel(1.0), rng.normal(size=(10, 2)))).eigenvalues
     lams = 10.0 ** np.linspace(-8, 2, 30)
-    vals = [effective_dimension(D, l) for l in lams]
+    vals = [effective_dimension(s, l) for l in lams]
     assert np.all(np.diff(vals) <= 0)
 
 
