@@ -91,12 +91,14 @@ def test_load_csv_non_utf8_names_row(tmp_path):
         load_csv(p)
 
 
-@pytest.mark.parametrize("eol", [b"\r", b"\n", b"\r\n"], ids=["cr", "lf", "crlf"])
-def test_load_csv_non_utf8_row_counts_every_line_ending(tmp_path, eol):
+@pytest.mark.parametrize("eols", [(b"\r",) * 3, (b"\n",) * 3, (b"\r\n",) * 3,
+                                  (b"\r\n", b"\r", b"\n"), (b"\r", b"\n", b"\r\n")],
+                         ids=["cr", "lf", "crlf", "mixed", "mixed-rotated"])
+def test_load_csv_non_utf8_row_counts_every_line_ending(tmp_path, eols):
     """The row of a byte that is not UTF-8 counts lines as the parser splits
-    them: on \\r, \\n and \\r\\n alike."""
+    them: on \\r, \\n and \\r\\n alike, mixed within one file too."""
     p = tmp_path / "d.csv"
-    p.write_bytes(eol.join([b"1,2", b"3,4", b"5,\xff", b""]))
+    p.write_bytes(b"".join(row + eol for row, eol in zip([b"1,2", b"3,4", b"5,\xff"], eols)))
     with pytest.raises(DataError, match="row 3 is not UTF-8 text"):
         load_csv(p)
 
@@ -712,6 +714,10 @@ def _row(id, argv, message, code=2, edit=None, **counts):
          "bad --sigma 'auto:x'; expected auto:<k>"),
     *(_row(f"train-sigma-auto-{k}", _TRAIN + ["--sigma", f"auto:{k}"],
            f"--sigma auto:<k> needs k in [1, n) = [1, 60), got {k}") for k in ["0", "60"]),
+    _row("sweep-sigma-auto-60", _SWEEP + ["--lambdas", "1e-3", "--sigma", "auto:60"],
+         "--sigma auto:<k> needs k in [1, n) = [1, 60), got 60"),
+    _row("eval-task-sigma-auto-50", _EVAL_TASK + ["--sigma", "auto:50"],
+         "--sigma auto:<k> needs k in [1, n) = [1, 50), got 50"),
     _row("cutoff-cholesky", _TRAIN + ["--filter", "cutoff", "--algorithm", "cholesky"],
          "the cholesky path applies only to the Tikhonov filter"),
     # sizes, counts and seeds

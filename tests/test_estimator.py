@@ -12,10 +12,10 @@ import setlearn.estimator as estimator
 from _reference import apply_r, tikhonov_coefficients
 from setlearn import (Abel, Gaussian, KpcaTruncation, L1Exponential,
                       Landweber, Linear, NumericError, SpectralCutoff, SpectralDecomposition,
-                      SupportModel, Tikhonov, UsageError, cross_gram, decompose, fit, gram,
-                      kpca_lambda_from_rank, load_model, member_mask, normalize,
-                      predict_member, product_kernel, regularization_path, save_model, score,
-                      score_batch)
+                      SupportModel, Tikhonov, UsageError, cross_gram, decompose,
+                      effective_dimension, fit, gram, kpca_lambda_from_rank, load_model,
+                      member_mask, normalize, predict_member, product_kernel,
+                      regularization_path, save_model, score, score_batch)
 from setlearn.estimator import landweber_coefficients
 
 # two Abel(1) points at distance log 2, so K12 = 1/2 exactly up to rounding
@@ -546,6 +546,15 @@ def test_regularization_path_refuses_a_fractional_landweber_count():
             regularization_path(m, TWO_POINTS, [count])
 
 
+@pytest.mark.parametrize("count", [np.float64(0.5), np.nan, np.inf, -1.0])
+def test_regularization_path_refuses_a_bad_landweber_count(count):
+    """A grid value that is no Landweber iteration count is refused as the
+    family refuses it, before any score is formed."""
+    m = fit(TWO_POINTS, Abel(1.0), Landweber(5))
+    with pytest.raises(UsageError, match="iteration count must be a nonnegative integer"):
+        regularization_path(m, TWO_POINTS, [5, count])
+
+
 def test_regularization_path_rejects_empty_grid():
     m = fit(TWO_POINTS, Abel(1.0), Tikhonov(0.1))
     with pytest.raises(UsageError):
@@ -620,6 +629,29 @@ def test_kpca_lambda_from_rank_boundary_error():
     s = decompose(gram(Abel(1.0), TWO_POINTS)).eigenvalues
     with pytest.raises(UsageError):
         kpca_lambda_from_rank(s, 2)
+
+
+def test_kpca_lambda_from_rank_accepts_eigenvalues():
+    """A bare eigenvalue vector, in any order, gives the midpoint of its M-th
+    and (M+1)-th largest distinct positive values."""
+    s = decompose(gram(Abel(1.0), np.random.default_rng(98).normal(size=(12, 2)))).eigenvalues
+    distinct = np.unique(s[s > 0.0])[::-1]
+    for M in (1, 4, 11):
+        expected = 0.5 * (distinct[M - 1] + distinct[M])
+        assert kpca_lambda_from_rank(s, M) == expected
+        assert kpca_lambda_from_rank(list(s[::-1]), M) == expected
+
+
+@pytest.mark.parametrize("take", [partial(kpca_lambda_from_rank, components=1),
+                                  partial(effective_dimension, lam=0.1)],
+                         ids=["kpca_lambda_from_rank", "effective_dimension"])
+def test_eigenvalue_inputs_refuse_a_decomposition(take):
+    """These take the eigenvalues alone: a SpectralDecomposition is refused as
+    input that is not real numbers, not read for its eigenvalues."""
+    D = decompose(gram(Abel(1.0), TWO_POINTS))
+    take(D.eigenvalues)
+    with pytest.raises(UsageError, match="eigenvalues must be real numbers"):
+        take(D)
 
 
 def test_kpca_rank_selection_keeps_top_eigenspaces():

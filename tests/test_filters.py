@@ -334,7 +334,7 @@ def test_spectrum_matches_decompose(seed, n, d, kernel):
             _spectrum_in_place(G + shift * eye)
 
 
-@pytest.mark.parametrize("solve", [decompose, _spectrum_in_place])
+@pytest.mark.parametrize("solve", [decompose, _spectrum_in_place], ids=["decompose", "spectrum"])
 @pytest.mark.parametrize("n, where, value", [
     (1, (0, 0), np.nan), (2, (0, 0), np.nan), (2, (1, 0), np.inf), (50, (7, 3), np.nan),
     (50, (0, 0), -np.inf)])
