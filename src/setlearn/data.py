@@ -8,14 +8,18 @@ Output: RFC-4180-style CSV with a ``#``-prefixed metadata header, ``\\n``
 line endings and all floats printed with 9 significant digits.  Output is
 byte-deterministic unless a timestamp line is requested.  Rows are rendered
 in bulk, each column with the one %-format :func:`fmt_value` uses on all its
-cells, so the bytes are those of :func:`fmt_value` applied cell by cell.
+cells, so the bytes are those of :func:`fmt_value` applied cell by cell.  An
+existing output file is overwritten in place and cut to the length written.
 """
 
 from __future__ import annotations
 
 import io
 import numbers
+import os
+import stat
 from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, islice
@@ -59,9 +63,9 @@ def load_csv(path, header=False, label_col=None):
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
-        text = blob.decode("utf-8")
+        text = blob.decode("utf-8-sig")   # drops a leading byte-order mark, also from exc.object
     except UnicodeDecodeError as exc:
-        row = len(blob[:exc.start + 1].splitlines())   # on \n, \r\n and \r, as below
+        row = len(exc.object[:exc.start + 1].splitlines())   # on \n, \r\n and \r, as below
         raise DataError(f"{path}: row {row} is not UTF-8 text") from None
     rows = []
     first_data_line = True
@@ -155,6 +159,24 @@ def _check_lines(*texts):
                              f"a str with no line break, got {text!r}")
 
 
+@contextmanager
+def _overwrite(path):
+    """A binary file on ``path`` written from offset 0, not opened with
+    ``O_TRUNC`` (on ext4 a truncate to zero starts the writeback of the old
+    bytes, and the next one waits for it); on every exit a regular file is cut
+    to the bytes written, so it never holds new bytes followed by old ones."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        try:
+            yield fh
+        finally:
+            try:
+                fh.flush()
+            finally:   # the descriptor's offset counts the bytes the file took
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def write_table(path, title, meta, columns, rows, timestamp=True, footer=None):
     """Write a CSV table with a ``#`` metadata header.
 
@@ -183,5 +205,5 @@ def write_table(path, title, meta, columns, rows, timestamp=True, footer=None):
     while chunk := list(islice(rows, _CHUNK_ROWS)):
         lines.append(_render_rows(chunk, len(columns)))
     lines.extend(f"# {entry}" for entry in footer)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with _overwrite(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))

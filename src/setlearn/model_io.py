@@ -23,7 +23,8 @@ on first use.  A binary payload is decoded straight from the file's bytes,
 which are released before the check builds its Gram, so a binary load with
 a stored decomposition peaks at about 2 n^2 doubles: the eigenvectors and
 that Gram.  Text loads at the pace of string-to-double conversion (~0.5 s
-per million values): store a decomposition as binary.
+per million values): store a decomposition as binary.  An existing model
+file is overwritten in place and cut to the length written.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.blas import dgemm
 
+from .data import _overwrite
 from .errors import DataError, UsageError, check_flag, check_path
 from .estimator import _model, fit
 from .filters import EIG_SLACK, SpectralDecomposition, format_filter, parse_filter
@@ -80,7 +82,7 @@ def save_model(model, path, fmt="text", include_decomposition=False):
     blocks = [model.points]
     if decomp is not None:
         blocks += [decomp.eigenvalues[None, :], decomp.eigenvectors]
-    with open(path, "wb") as fh:
+    with _overwrite(path) as fh:
         fh.write(("\n".join(head) + "\n").encode("ascii"))
         for block in blocks:
             if fmt == "text":

@@ -1,5 +1,8 @@
 import argparse
+import builtins
+import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -101,6 +104,21 @@ def test_load_csv_non_utf8_row_counts_every_line_ending(tmp_path, eols):
     p.write_bytes(b"".join(row + eol for row, eol in zip([b"1,2", b"3,4", b"5,\xff"], eols)))
     with pytest.raises(DataError, match="row 3 is not UTF-8 text"):
         load_csv(p)
+
+
+@pytest.mark.parametrize("header", [False, True])
+def test_load_csv_reads_a_utf8_byte_order_mark(tmp_path, header):
+    """A leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports
+    write, is dropped: the file loads to the points it holds without one."""
+    body = (b"x,y\n" if header else b"") + b"1,2\n3,4\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(body)
+    marked.write_bytes(b"\xef\xbb\xbf" + body)
+    npt.assert_array_equal(load_csv(marked, header=header).points,
+                           load_csv(plain, header=header).points)
+    marked.write_bytes(b"\xef\xbb\xbf1,2\n3,\xff4\n")
+    with pytest.raises(DataError, match="row 2 is not UTF-8 text"):
+        load_csv(marked)
 
 
 _CELLS = [[b"0.5", b"1.25"], [b"-2", b"3e-3"], [b"7", b"8"]]
@@ -242,6 +260,52 @@ def test_write_table_without_rows_writes_its_header(tmp_path):
     path = tmp_path / "t.csv"
     write_table(path, "t", ["k=v"], ["a", "b"], iter([]), timestamp=False, footer=["end"])
     assert path.read_bytes() == b"# t\n# k=v\na,b\n# end\n"
+
+
+# An output file is overwritten in place: never opened with O_TRUNC, always
+# cut to the bytes written.
+
+def _table(path, rows):
+    write_table(path, "t", ["k=v"], ["a", "b"], [(i, i / 7) for i in range(rows)],
+                timestamp=False)
+
+
+def test_write_table_over_a_longer_file_writes_a_fresh_table(tmp_path):
+    path, fresh = tmp_path / "t.csv", tmp_path / "fresh.csv"
+    _table(path, 100)
+    _table(path, 3)
+    _table(fresh, 3)
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+def test_write_table_keeps_a_symlink_inode_links_and_mode(tmp_path):
+    """A symlinked path is written through and stays a symlink; the file keeps
+    its inode, its hard links and its mode."""
+    real, link, hard, fresh = (tmp_path / name for name in ("real", "link", "hard", "fresh"))
+    _table(real, 100)
+    real.chmod(0o600)
+    link.symlink_to(real)
+    os.link(real, hard)
+    inode = real.stat().st_ino
+    _table(link, 3)
+    _table(fresh, 3)
+    assert link.is_symlink()
+    assert real.stat().st_ino == inode and real.stat().st_nlink == 2
+    assert real.stat().st_mode & 0o777 == 0o600
+    assert real.read_bytes() == hard.read_bytes() == fresh.read_bytes()
+
+
+def test_write_table_to_the_null_device():
+    _table(os.devnull, 3)
+
+
+@pytest.mark.parametrize("where", ["missing/t.csv", "."], ids=["missing-directory", "directory"])
+def test_write_table_open_error_is_the_one_open_raises(tmp_path, where):
+    path = str(tmp_path / where)
+    with pytest.raises(OSError) as expected:
+        open(path, "w")
+    with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+        _table(path, 3)
 
 
 def test_fmt_value_nine_significant_digits():
@@ -479,6 +543,59 @@ def test_cli_verify_bounds_concentration_small(tmp_path):
                  "--seed", "0", "--out", str(out), "--no-timestamp"]) == 0
     body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert len(body) == 1 + 5
+
+
+def test_cli_overwrites_its_outputs_in_place(tmp_path, monkeypatch):
+    """No command opens an output with O_TRUNC or a "w" mode, and a rerun into
+    the same files, each first given a stale tail, writes what the first run
+    wrote."""
+    p = {name: str(tmp_path / name) for name in
+         ("pts.csv", "grid.csv", "m.txt", "m.bin", "eigs.csv", "s.csv", "ev.csv", "roc.csv",
+          "task.csv", "sw.csv", "vb.csv")}
+    fit_flags = ["--data", p["pts.csv"], "--header", "--kernel", "abel", "--sigma", "0.6",
+                 "--lambda", "0.01"]
+    commands = [
+        ["synth", "--task", "cube", "--n", "40", "--seed", "3", "--out", p["pts.csv"],
+         "--grid-out", p["grid.csv"], "--resolution", "8"],
+        ["train", *fit_flags, "--out", p["m.txt"], "--eigs-out", p["eigs.csv"]],
+        ["train", *fit_flags, "--model-format", "binary", "--store-decomposition",
+         "--out", p["m.bin"], "--eigs-out", p["eigs.csv"]],
+        ["score", "--model", p["m.bin"], "--data", p["pts.csv"], "--header", "--out", p["s.csv"]],
+        ["eval", "--model", p["m.txt"], "--data", p["grid.csv"], "--header", "--label-col", "2",
+         "--roc-out", p["roc.csv"], "--out", p["ev.csv"]],
+        ["eval", "--task", "circle", "--n", "30", "--trials", "1", "--lambda", "0.01",
+         "--resolution", "8", "--out", p["task.csv"]],
+        ["sweep", *fit_flags, "--lambdas", "1e-3,1e-2", "--out", p["sw.csv"]],
+        ["verify-bounds", "--harness", "bernstein", "--n", "50", "--delta", "2",
+         "--trials", "10", "--seed", "0", "--out", p["vb.csv"]],
+    ]
+    opened = []
+    os_open, io_open = os.open, builtins.open
+
+    def spy_os_open(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), "trunc" if flags & os.O_TRUNC else "keep"))
+        return os_open(path, flags, *args, **kwargs)
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int):
+            opened.append((os.fspath(file), mode))
+        return io_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(builtins, "open", spy_open)
+    monkeypatch.setattr(io, "open", spy_open)
+    outputs = []
+    for _ in range(2):
+        for argv in commands:
+            assert main(argv + ["--no-timestamp"]) == 0, argv
+        outputs.append({name: (tmp_path / name).read_bytes() for name in p})
+        for path in p.values():
+            with open(path, "ab") as fh:
+                fh.write(b"stale tail\n" * 100)
+    assert outputs[1] == outputs[0]
+    written = [(path, how) for path, how in opened if path in p.values()]
+    assert {path for path, how in written if how == "keep"} == set(p.values())
+    assert not [(path, how) for path, how in written if how == "trunc" or "w" in how]
 
 
 # Each size puts one array past the 128 TiB address space of x86-64 user

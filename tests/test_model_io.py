@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import setlearn.model_io as model_io
 from setlearn import (Abel, DataError, KpcaTruncation, Landweber,
                       SpectralCutoff, SpectralDecomposition, Tikhonov, UsageError,
                       decompose, fit, get_task, gram, load_model, sample, save_model,
@@ -148,6 +149,55 @@ def test_save_is_deterministic(tmp_path):
     save_model(m, a)
     save_model(m, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+# A model file is overwritten in place: never opened with O_TRUNC, always cut
+# to the bytes written.
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_save_over_a_longer_file_writes_a_fresh_model(tmp_path, fmt):
+    small = _random_model(seed=7)
+    path, fresh = tmp_path / "m", tmp_path / "fresh"
+    save_model(_random_model(seed=8), path, fmt=fmt, include_decomposition=True)
+    save_model(small, path, fmt=fmt)
+    save_model(small, fresh, fmt=fmt)
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_save_keeps_a_symlink_inode_and_mode(tmp_path, fmt):
+    m = _random_model(seed=7)
+    real, link, fresh = tmp_path / "real", tmp_path / "link", tmp_path / "fresh"
+    save_model(m, real, fmt=fmt, include_decomposition=True)
+    real.chmod(0o600)
+    link.symlink_to(real)
+    inode = real.stat().st_ino
+    save_model(m, link, fmt=fmt)
+    save_model(m, fresh, fmt=fmt)
+    assert link.is_symlink()
+    assert real.stat().st_ino == inode and real.stat().st_mode & 0o777 == 0o600
+    assert real.read_bytes() == fresh.read_bytes()
+
+
+def test_save_that_fails_leaves_the_bytes_written_before(tmp_path, monkeypatch):
+    """A save that raises part-way leaves a prefix of the new bytes, cut to
+    its length, not the new bytes followed by the old file's tail."""
+    m = _random_model(seed=7)
+    path = tmp_path / "m"
+    save_model(m, path, include_decomposition=True)
+    old = path.read_bytes()
+    text_lines = model_io._text_lines
+
+    def first_chunk_then_fail(block):
+        yield next(text_lines(block))
+        raise RuntimeError("disk gone")
+
+    monkeypatch.setattr(model_io, "_text_lines", first_chunk_then_fail)
+    with pytest.raises(RuntimeError, match="disk gone"):
+        save_model(m, path, include_decomposition=True)
+    head = old[:old.index(b"data:\n") + len(b"data:\n")]
+    assert path.read_bytes() == head + next(text_lines(m.points))
+    assert len(path.read_bytes()) < len(old)
 
 
 def test_load_rejects_wrong_magic(tmp_path):
