@@ -14,6 +14,7 @@ given but does not read.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import namedtuple
 from functools import cache
@@ -585,7 +586,10 @@ _parser = cache(build_parser)
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    try:
+    try:   # a command's second output naming the file of --out would overwrite it
+        key = next((k for k in ("eigs_out", "roc_out", "grid_out") if getattr(args, k, None)), None)
+        if key and os.path.realpath(getattr(args, key)) == os.path.realpath(args.out):
+            raise UsageError(f"--out and --{key.replace('_', '-')} name the same file")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,8 +55,8 @@ def load_csv(path, header=False, label_col=None):
     """Read a numeric table; nonzero values in ``label_col`` mark positives.
 
     The delimiter is sniffed per line (comma if present, else whitespace).
-    Raises DataError with the offending row and column on ragged or
-    non-numeric input, or on an empty file.
+    Raises DataError with the offending row and column on a ragged row or a
+    non-numeric or empty cell, or on an empty file.
     """
     check_path(path)
     check_flag("header", header)
@@ -78,7 +78,7 @@ def load_csv(path, header=False, label_col=None):
             first_data_line = False
             continue
         first_data_line = False
-        cells = [c for c in (line.split(",") if "," in line else line.split()) if c != ""]
+        cells = line.split(",") if "," in line else line.split()
         values = []
         for col, cell in enumerate(cells, start=1):
             try:

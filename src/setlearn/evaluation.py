@@ -10,7 +10,7 @@ unnormalized Parzen baseline competes on equal footing.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, directed_hausdorff
 
 from .errors import DataError, NumericError, check_number, real_array
 from .kernels import Abel, _point_pair
@@ -34,15 +34,13 @@ def _row_blocks(X, other):
 def hausdorff(A, B):
     """Euclidean Hausdorff distance max(sup_a d(a, B), sup_b d(b, A)) on finite sets.
 
-    Both sets must be nonempty.  The distances go in row blocks of A
-    (``BLOCK_ENTRIES``), a running minimum per column.
+    Both sets must be nonempty.  Each directed distance is scipy's
+    ``directed_hausdorff``, whose early break needs no block of distances: it
+    sums squared differences in coordinate order, as ``cdist`` does, and takes
+    one square root, so the value is the whole ``cdist`` block's bit for bit.
     """
     A, B = _point_pair(A, B, ("A", "B"))
-    to_b, to_a = 0.0, np.inf
-    for D in (cdist(Q, B) for Q in _row_blocks(A, B)):
-        to_b, to_a = max(to_b, D.min(axis=1).max()), np.minimum(to_a, D.min(axis=0))
-        del D   # freed before the next block is built
-    return float(max(to_b, to_a.max()))
+    return max(directed_hausdorff(A, B)[0], directed_hausdorff(B, A)[0])
 
 
 def symdiff_measure(inside_a, inside_b, cell_volume):

@@ -25,12 +25,12 @@ the factorization, the product V' K_x and the sums in :mod:`.estimator`
 (see there why).  Filters act on the spectrum only; no matrix r(K_n/n) or
 g(K_n/n) is ever formed.
 
-The public :func:`decompose` leaves the caller's Gram as it was: it
-solves a scaled copy, one n^2 besides dsyevd's 2 n^2 of workspace.  The
-library's own solves (a model's ``decomposition``, the command line's
-builds) hand over a Gram built for the solve, which is divided in place
-into K_n/n, bit for bit the copy, and solved on: 3 n^2 in all for the
-eigenpairs, 1 n^2 for the eigenvalues.
+Every solve divides the Gram it is handed into K_n/n in place (``_eig``).
+The public :func:`decompose` hands over a copy, so the caller's Gram stays as
+it was: one n^2 besides dsyevd's 2 n^2 of workspace.  The library's own
+solves (a model's ``decomposition``, the command line's builds) hand over a
+Gram built for the solve: 3 n^2 in all for the eigenpairs, 1 n^2 for the
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -257,18 +257,19 @@ class SpectralDecomposition:
             raise UsageError(f"{what}, got shapes {s.shape} and {V.shape}")
 
 
-def _eig(A, vectors):
-    """Eigenpairs of K_n/n, or its eigenvalues alone, solved in place on ``A``,
-    which holds K_n/n and is overwritten: eigenvalues descending and clamped
-    to [0, 1]."""
+def _eig(G, vectors):
+    """Eigenpairs of K_n/n, or its eigenvalues alone, for a float64 Gram ``G``,
+    which is divided in place into K_n/n and solved on, so it is spent:
+    eigenvalues descending and clamped to [0, 1]."""
+    G /= len(G)
     # LAPACK may return finite eigenvalues for a matrix holding a NaN, so
     # the entries are checked, not the spectrum.
-    if not np.all(np.isfinite(A)):
+    if not np.all(np.isfinite(G)):
         raise NumericError("K_n/n has non-finite entries, so its spectrum is not finite")
-    # In place on A's Fortran view A.T, which equals A: a Gram is exactly
+    # In place on G's Fortran view G.T, which equals G: a Gram is exactly
     # symmetric by construction (see :mod:`.kernels`).
     try:
-        out = eigh(A.T, overwrite_a=True, eigvals_only=not vectors, driver="evd",
+        out = eigh(G.T, overwrite_a=True, eigvals_only=not vectors, driver="evd",
                    check_finite=False)
     except LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from None
@@ -287,32 +288,26 @@ def decompose(g):
 
     One O(n^3) factorization; everything downstream (scores at any
     regularization strength, filter application, threshold selection) is
-    O(n^2) or cheaper per use.  It overwrites one scaled copy of ``g``, whose
-    upper triangle it reads (the whole matrix: :func:`.gram` builds it
-    exactly symmetric), and needs LAPACK's 2 n^2 of workspace besides.
+    O(n^2) or cheaper per use.  It overwrites one copy of ``g``, whose upper
+    triangle it reads (the whole matrix: :func:`.gram` builds it exactly
+    symmetric), and needs LAPACK's 2 n^2 of workspace besides.
     """
-    return _eig(_scaled_copy(g), vectors=True)
-
-
-def _scaled_copy(g):
-    """K_n/n as a copy of the Gram ``g``, a nonempty square real matrix."""
     g = real_array("a Gram matrix must be real numbers", g)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.size == 0:
         raise UsageError(f"a Gram matrix must be nonempty and square, got shape {g.shape}")
-    return np.asarray(g, dtype=float) / len(g)
+    return _eig(np.array(g, dtype=float), vectors=True)
 
 
 def _decompose_in_place(G):
     """:func:`decompose` of a float64 Gram that the caller built for it and
-    drops: K_n/n is ``G`` divided in place, bit for bit the scaled copy, so the
-    solve needs no n^2 beyond G and LAPACK's workspace.  ``G`` is spent."""
-    return _eig(np.divide(G, len(G), out=G), vectors=True)
+    drops, with no n^2 beyond ``G`` and LAPACK's workspace.  ``G`` is spent."""
+    return _eig(G, vectors=True)
 
 
 def _spectrum_in_place(G):
     """The eigenvalues of :func:`_decompose_in_place`, at about half its cost, in
     place on a Gram that the caller drops: O(n) workspace, no n^2 beyond ``G``."""
-    return _eig(np.divide(G, len(G), out=G), vectors=False)
+    return _eig(G, vectors=False)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,18 @@ def test_load_csv_bad_cell_names_row_and_column(tmp_path):
         load_csv(p)
 
 
+@pytest.mark.parametrize("row, col", [(",1,2", 1), ("1,,2", 2), ("1,2,", 3)],
+                         ids=["leading", "middle", "trailing"])
+def test_load_csv_refuses_an_empty_cell(tmp_path, row, col):
+    """An empty comma-separated cell is refused where it stands, not dropped
+    with every later column shifted one to the left."""
+    p = tmp_path / "d.csv"
+    p.write_text(f"0,0,0\n{row}\n")
+    with pytest.raises(DataError) as exc:
+        load_csv(p)
+    assert str(exc.value) == f"{p}: row 2, column {col}: could not parse '' as a number"
+
+
 def test_load_csv_empty_file(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("")
@@ -743,14 +755,18 @@ _NO_FILE = "[Errno 2] No such file or directory: "
 _ANY_SEED = "None, a nonnegative integer or a sequence of them"
 _INT_SEED = "a nonnegative integer"
 _BAD_CELL = "bad.csv: row 2, column 2: could not parse 'abc' as a number"
+# An argv entry that the refusal table replaces by its --out file, spelled
+# another way, and the message of a second output flag that names that file.
+_OUT = "<out>"
+_SAME_FILE = "--out and {} name the same file"
 
 
 @pytest.fixture(scope="module")
 def refusal_dir(tmp_path_factory):
     """A directory holding a circle sample (pts.csv), a cutoff model in text
     trained from a full filter spec (m.txt), a Tikhonov model in binary stored
-    with its decomposition (m.bin), and an empty, a malformed and a four-column
-    test file."""
+    with its decomposition (m.bin), and an empty, a malformed, a four-column and a
+    labelled test file."""
     d = tmp_path_factory.mktemp("refusals")
     train = ["train", "--data", str(d / "pts.csv"), "--header", "--kernel", "abel", "--sigma",
              "0.6", "--no-timestamp", "--out"]
@@ -759,7 +775,8 @@ def refusal_dir(tmp_path_factory):
     assert main(train + [str(d / "m.txt"), "--filter", "cutoff lambda=1e-3"]) == 0
     assert main(train + [str(d / "m.bin"), "--lambda", "1e-3", "--algorithm", "spectral",
                          "--model-format", "binary", "--store-decomposition"]) == 0
-    for name, text in [("empty", ""), ("bad", "0,0,1\n1,abc,1\n"), ("wide", "0,0,1,1\n1,1,0,1\n")]:
+    for name, text in [("empty", ""), ("bad", "0,0,1\n1,abc,1\n"), ("wide", "0,0,1,1\n1,1,0,1\n"),
+                       ("labeled", "0,0,1\n3,3,0\n")]:
         (d / f"{name}.csv").write_text(text)
     return d
 
@@ -878,6 +895,12 @@ def _row(id, argv, message, code=2, edit=None, **counts):
          "--label-col applies only to --model evaluation"),
     _row("eval-task-roc-out", _EVAL_TASK + ["--roc-out", "roc.csv"],
          "--roc-out applies only to --model evaluation"),
+    # a second output naming the file of --out, which it would overwrite
+    _row("train-eigs-out-is-out", _TRAIN + ["--eigs-out", _OUT], _SAME_FILE.format("--eigs-out")),
+    _row("eval-roc-out-is-out", [*_EVAL_MODEL, "labeled.csv", "--label-col", "2",
+                                 "--roc-out", _OUT], _SAME_FILE.format("--roc-out")),
+    _row("synth-grid-out-is-out", ["synth", "--task", "circle", "--n", "10",
+                                   "--grid-out", _OUT], _SAME_FILE.format("--grid-out")),
     # the flags' own text in the eval --task metadata, checked before the first trial
     _row("eval-task-kernel-line-break", _EVAL_TASK + ["--kernel", "abel\nsigma=1"],
          _LINE_BREAK + "'kernel=abel\\nsigma=1'"),
@@ -962,15 +985,19 @@ def _row(id, argv, message, code=2, edit=None, **counts):
 ])
 def test_cli_flag_errors_are_refused_before_the_gram(refusal_dir, tmp_path, monkeypatch, solves,
                                                      capsys, argv, code, message, edit, counts):
-    """Every refusal of the CLI: with argv paths in ``refusal_dir`` and a model
-    file edited as the row says, the command exits with the row's code, prints
-    its one error line and nothing else, writes no file, and builds no Gram
-    and runs no solve but those the row counts."""
+    """Every refusal of the CLI: with argv paths in ``refusal_dir``, ``_OUT``
+    the --out file spelled through its parent, and a model file edited as the
+    row says, the command exits with the row's code, prints its one error line
+    and nothing else, writes no file, and builds no Gram and runs no solve but
+    those the row counts."""
     monkeypatch.chdir(refusal_dir)
     if edit:
         _tamper(*edit)
+    out = tmp_path / "out.csv"
+    same = os.path.join(tmp_path, "..", tmp_path.name, "out.csv")
+    argv = [same if a == _OUT else a for a in argv]
     calls = solves()
-    assert main(argv + ["--out", str(tmp_path / "out.csv"), "--no-timestamp"]) == code
+    assert main(argv + ["--out", str(out), "--no-timestamp"]) == code
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert calls == {**dict.fromkeys(calls, 0), **counts}
     assert list(tmp_path.iterdir()) == []

@@ -235,12 +235,14 @@ def test_devroye_wise_validates_eps():
 
 
 @pytest.mark.parametrize("n, m, d", [(300, 500, 2), (1, 7, 1), (163, 1, 3),
-                                     (2 ** 16 + 5, 3, 2)],
-                         ids=["ragged-blocks", "one-train-point", "one-query", "one-row-blocks"])
+                                     (2 ** 16 + 5, 3, 2), *((97, 131, d) for d in range(4, 11))],
+                         ids=["ragged-blocks", "one-train-point", "one-query", "one-row-blocks",
+                              *(f"d{d}" for d in range(4, 11))])
 def test_row_blocks_keep_the_bits_of_one_whole_block(n, m, d):
-    """Parzen, Hausdorff and union-of-balls in row blocks of at most
-    ``BLOCK_ENTRIES`` entries equal the whole-block formulas bit for bit, with
-    coincident queries and training points; past 2^16 points a block is one row."""
+    """Parzen and union-of-balls in row blocks of at most ``BLOCK_ENTRIES``
+    entries, and Hausdorff in its directed passes, equal the whole-block
+    formulas bit for bit, with coincident queries and training points, in
+    1 to 10 dimensions; past 2^16 points a block is one row."""
     rng = np.random.default_rng([n, m, d])
     train = rng.uniform(-1.0, 1.0, (n, d))
     X = rng.uniform(-1.2, 1.2, (m, d))
@@ -260,7 +262,7 @@ def test_row_blocks_keep_the_bits_of_one_whole_block(n, m, d):
 
 def test_query_rows_go_in_blocks_of_block_entries(monkeypatch):
     """Against 300 points a block holds 218 query rows: 500 queries are three
-    blocks of each query-by-set block, and one query is one block."""
+    blocks of the Parzen and union-of-balls blocks, and one query is one block."""
     assert evaluation.BLOCK_ENTRIES == 2 ** 16
     rng = np.random.default_rng(11)
     train, X = rng.uniform(-1.0, 1.0, (300, 2)), rng.uniform(-1.2, 1.2, (500, 2))
@@ -269,8 +271,7 @@ def test_query_rows_go_in_blocks_of_block_entries(monkeypatch):
     pairwise = Abel._pairwise
     monkeypatch.setattr(Abel, "_pairwise",
                         lambda k, Q, B: rows.append(len(Q)) or pairwise(k, Q, B))
-    for call in [lambda: parzen_score(train, 0.5, X), lambda: devroye_wise_member(train, 0.1, X),
-                 lambda: hausdorff(X, train)]:
+    for call in [lambda: parzen_score(train, 0.5, X), lambda: devroye_wise_member(train, 0.1, X)]:
         rows.clear()
         call()
         assert rows == [218, 218, 64]
@@ -278,6 +279,17 @@ def test_query_rows_go_in_blocks_of_block_entries(monkeypatch):
     parzen_score(train, 0.5, X[0])
     devroye_wise_member(train, 0.1, X[0])
     assert rows == [1, 1]
-    rows.clear()
-    hausdorff(train, X)   # 300 rows of A against 500 points: 131 rows a block
-    assert rows == [131, 131, 38]
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_hausdorff_keeps_the_bits_of_one_whole_block(d):
+    """Hausdorff equals the whole ``cdist`` block's value exactly, with
+    coordinates from 1e-5 to 1e5, exact and near copies shared by both sets,
+    and single points on either side."""
+    rng = np.random.default_rng(d)
+    for scale in (1e-5, 1.0, 1e5):
+        A, B = scale * rng.normal(size=(120, d)), scale * rng.normal(size=(90, d))
+        B[:30] = A[:30]
+        B[30:60] = A[30:60] * (1.0 + 1e-15 * rng.normal(size=(30, 1)))
+        for P, Q in [(A, B), (B, A), (A[:1], B), (A, B[:1]), (A[:1], B[:1]), (A[:1], A[:1])]:
+            assert hausdorff(P, Q) == hausdorff_distance(P, Q)
